@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-quick bench-check bench-guards bench-soak compiled test-compiled policy-smoke agg-smoke cluster-smoke serve-quick serve-soak
+.PHONY: test test-fast bench bench-quick bench-check bench-guards bench-soak bench-smoke compiled test-compiled policy-smoke agg-smoke cluster-smoke serve-quick serve-soak
 
 test:            ## full tier-1 suite
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,10 @@ bench-guards:    ## pytest-level perf guards (fix-hit speedup, dispatch sanity)
 
 bench-soak:      ## soak-scale benchmark only (multi-device, multi-stream)
 	$(PYTHON) -m repro bench --only soak_multi_device
+
+bench-smoke:     ## the repo benchmark (bench/): its own tests, then all six workloads at smoke size
+	$(PYTHON) -m pytest -q bench/tests
+	$(PYTHON) -m bench run --size 0.1 --seconds 0.3
 
 policy-smoke:    ## three sharing policies on the quick staggered scenario, digest-checked
 	$(PYTHON) -m repro sweep e2 --param sharing_policy \

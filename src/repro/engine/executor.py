@@ -181,14 +181,14 @@ def _run_step_scan(
             step.table,
             first_page,
             last_page,
-            on_page=pipeline.process_page,
+            on_run=pipeline.process_run,
             estimated_speed=_estimate_scan_speed(db, step, table.schema.rows_per_page),
             record_visits=db.config.record_page_visits,
         )
     else:
         scan = TableScan(
             db, step.table, first_page, last_page,
-            on_page=pipeline.process_page,
+            on_run=pipeline.process_run,
             record_visits=db.config.record_page_visits,
         )
     result = yield from scan.run()
@@ -270,7 +270,7 @@ def _execute_probe_step(
     matches only for its chunk's keys, so the summed counts equal the
     single-pass join result exactly.
     """
-    from repro.engine.spill import chunk_factor
+    from repro.engine.spill import chunk_factor, split_chunks
 
     build_table = join_state.get("table") or {}
     sink = join_state.get("sink")
@@ -281,10 +281,8 @@ def _execute_probe_step(
     combined_scan: Optional[ScanResult] = None
     rows_probed = 0
     matches = 0
-    for chunk_id in range(n_chunks):
-        pipeline = step.build_pipeline(
-            db.cost, join_table=build_table, chunk=(chunk_id, n_chunks)
-        )
+    for chunk_table in split_chunks(build_table, n_chunks):
+        pipeline = step.build_pipeline(db.cost, join_table=chunk_table)
         scan_result = yield from _run_step_scan(
             db, step, pipeline, table, first_page, last_page
         )

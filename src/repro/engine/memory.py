@@ -17,7 +17,7 @@ private workspace.  Two pieces model that competition:
     (:meth:`~repro.buffer.pool.BufferPool.reserve_frames`); when the
     pool claws frames back under pressure the operator is flagged to
     spill.  Spill writes are issued asynchronously (operators run inside
-    a scan's ``on_page`` callback and cannot drive the simulation);
+    a scan's page callback and cannot drive the simulation);
     :meth:`drain` and :meth:`read_back` are generators the pipeline's
     finalize phase yields through.
 """
@@ -158,7 +158,7 @@ class OperatorMemory:
     def spill_out(self, n_pages: int) -> int:
         """Issue an async temp write of ``n_pages``; returns its address.
 
-        Callable from non-generator contexts (an ``on_page`` callback):
+        Callable from non-generator contexts (a scan's page callback):
         the disk completion is parked and waited out by :meth:`drain`.
         """
         addr, event = self.db.temp.write_run(n_pages)

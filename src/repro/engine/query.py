@@ -124,7 +124,6 @@ class ScanStep:
         memory=None,
         agg_strategy: str = "hash",
         join_table=None,
-        chunk: Tuple[int, int] = (0, 1),
     ) -> Pipeline:
         """Construct a fresh pipeline for one execution of this step.
 
@@ -132,9 +131,9 @@ class ScanStep:
         every pre-existing call site) the classic unbudgeted pipeline is
         built.  The executor passes ``memory`` (a negotiated
         :class:`~repro.engine.memory.OperatorMemory`) to get the
-        budgeted spillable terminal instead, ``join_table`` + ``chunk``
-        for probe passes, and ``agg_strategy`` to pick the hash or sort
-        spill flavor.
+        budgeted spillable terminal instead, ``join_table`` (the build
+        table, or one multibuffer chunk of it) for probe passes, and
+        ``agg_strategy`` to pick the hash or sort spill flavor.
         """
         terminal: object
         if self.join_build_key is not None:
@@ -147,7 +146,6 @@ class ScanStep:
             terminal = HashProbe(
                 self.join_probe_key, cost,
                 build_table=join_table if join_table is not None else {},
-                chunk=chunk,
             )
         else:
             aggregates = self.aggregates or (AggSpec("rows", "count"),)

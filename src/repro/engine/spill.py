@@ -26,8 +26,11 @@ cuts translate into spill I/O on the shared disk.
 from __future__ import annotations
 
 import zlib
+from itertools import repeat
 from math import ceil, log2
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.engine.costs import CostModel
 from repro.engine.memory import OperatorMemory
@@ -35,7 +38,10 @@ from repro.engine.operators import (
     AggSpec,
     GroupByAggregate,
     Operator,
+    PageUnits,
+    _as_page_rows,
     _canonical_key_column,
+    split_pages,
 )
 from repro.storage.datagen import PageData
 
@@ -61,6 +67,17 @@ def partition_of(key: object, n_partitions: int) -> int:
     return zlib.crc32(repr(key).encode()) % n_partitions
 
 
+def split_chunks(build_table: Dict[object, int], n_chunks: int) -> List[Dict[object, int]]:
+    """The share of a join's build table each of ``n_chunks`` probe
+    passes covers: keys go to the chunk their CRC partition names."""
+    if n_chunks == 1:
+        return [build_table]
+    chunks: List[Dict[object, int]] = [{} for _ in range(n_chunks)]
+    for key, count in build_table.items():
+        chunks[partition_of(key, n_chunks)][key] = count
+    return chunks
+
+
 def chunk_factor(pages_needed: int, pages_granted: int) -> int:
     """Multibuffer pass count: probe scans needed to cover a build side
     of ``pages_needed`` frames with ``pages_granted`` frames of memory."""
@@ -77,6 +94,40 @@ def _charge_cpu(db, seconds: float) -> Generator:
             yield db.sim.timeout(seconds)
         finally:
             db.cpu.release()
+
+
+def _pop_largest_partition(state: dict, partitions: Dict[object, int]) -> dict:
+    """Remove and return the fullest hash partition of ``state`` (ties go
+    to the lowest partition id).
+
+    ``partitions`` remembers the partition of every key that is live in
+    ``state``, so each spill hashes only the keys that arrived since the
+    last one.  A spilled key is forgotten: should it come back, it is
+    hashed again from whatever object then represents it.
+    """
+    buckets: Dict[int, List[object]] = {}
+    for key in state:
+        partition = partitions.get(key)
+        if partition is None:
+            partition = partitions[key] = partition_of(key, N_PARTITIONS)
+        buckets.setdefault(partition, []).append(key)
+    victim = max(buckets, key=lambda pid: (len(buckets[pid]), -pid))
+    for key in buckets[victim]:
+        del partitions[key]
+    return {key: state.pop(key) for key in buckets[victim]}
+
+
+def _write_run(operator, payload: dict, n_pages: int) -> float:
+    """Queue ``payload`` as one temp run of ``n_pages`` pages of
+    ``operator``; returns the CPU units of serialising it."""
+    addr = operator.memory.spill_out(n_pages)
+    operator._runs.append((addr, n_pages, payload))
+    spill = operator.spill
+    spill.spill_events += 1
+    spill.spilled_partitions += 1
+    spill.spilled_groups += len(payload)
+    spill.spill_pages_written += n_pages
+    return n_pages * operator.cost.spill_write_units_per_page
 
 
 class SpillStats:
@@ -118,7 +169,14 @@ class BudgetedGroupBy(GroupByAggregate):
     space and keeps going.  Spilled partitions are read back and merged
     in :meth:`finalize_sim`, so results are always identical to the
     unbudgeted operator — only the simulated cost differs.
+
+    The budget is checked after every page, against the group count and
+    the claw-back flag as they stand at that moment — hence
+    :attr:`page_timed`: a pipeline delivers the pages of a run one by
+    one, each at its own simulated time.
     """
+
+    page_timed = True
 
     def __init__(
         self,
@@ -134,13 +192,23 @@ class BudgetedGroupBy(GroupByAggregate):
         # stays in host memory — the simulation models the I/O, not the
         # bytes — but it is *removed* from the live table, so accumulator
         # state genuinely shrinks and later batches re-create groups.
-        self._runs: List[Tuple[int, int, Dict[Tuple, Dict[str, float]]]] = []
+        self._runs: List[Tuple[int, int, Dict[Tuple, List[float]]]] = []
+        # Hash partition of each live group, filled in by spills.
+        self._partitions: Dict[Tuple, int] = {}
 
     def _pages_for(self, n_groups: int) -> int:
         return ceil(n_groups / GROUPS_PER_PAGE) if n_groups else 0
 
-    def push(self, data: PageData, n_rows: int) -> float:
-        units = super().push(data, n_rows)
+    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+        return np.array([
+            self._push_page(page, rows)
+            for page, rows in split_pages(batch, _as_page_rows(page_rows))
+        ])
+
+    def _push_page(self, page: PageData, rows: np.ndarray) -> float:
+        if not rows[0]:
+            return 0.0
+        units = super().push(page, rows).item()
         self.spill.peak_state = max(self.spill.peak_state, len(self._groups))
         while self._groups and (
             self.memory.spill_requested
@@ -151,44 +219,8 @@ class BudgetedGroupBy(GroupByAggregate):
 
     def _spill_one_partition(self) -> float:
         """Evict the largest partition to temp space; returns CPU units."""
-        buckets: Dict[int, List[Tuple]] = {}
-        for key in self._groups:
-            buckets.setdefault(partition_of(key, N_PARTITIONS), []).append(key)
-        victim = max(buckets, key=lambda pid: (len(buckets[pid]), -pid))
-        keys = buckets[victim]
-        payload = {key: self._groups.pop(key) for key in keys}
-        n_pages = self._pages_for(len(payload))
-        addr = self.memory.spill_out(n_pages)
-        self._runs.append((addr, n_pages, payload))
-        self.spill.spill_events += 1
-        self.spill.spilled_partitions += 1
-        self.spill.spilled_groups += len(payload)
-        self.spill.spill_pages_written += n_pages
-        return n_pages * self.cost.spill_write_units_per_page
-
-    def _merge_payload(self, payload: Dict[Tuple, Dict[str, float]]) -> None:
-        groups = self._groups
-        for key, src in payload.items():
-            dst = groups.setdefault(key, {})
-            for agg in self.aggregates:
-                if agg.func == "count":
-                    if agg.name in src:
-                        dst[agg.name] = dst.get(agg.name, 0) + src[agg.name]
-                elif agg.func in ("sum", "avg"):
-                    sum_key, count_key = f"{agg.name}__sum", f"{agg.name}__count"
-                    if sum_key in src:
-                        dst[sum_key] = dst.get(sum_key, 0.0) + src[sum_key]
-                        dst[count_key] = dst.get(count_key, 0) + src[count_key]
-                elif agg.name in src:
-                    current = dst.get(agg.name)
-                    merged = src[agg.name]
-                    if current is not None:
-                        merged = (
-                            min(current, merged) if agg.func == "min"
-                            else max(current, merged)
-                        )
-                    dst[agg.name] = merged
-            self.spill.merged_groups += 1
+        payload = _pop_largest_partition(self._groups, self._partitions)
+        return _write_run(self, payload, self._pages_for(len(payload)))
 
     def finalize_sim(self, db) -> Generator:
         """Post-scan merge: wait out spill writes, read runs back, merge.
@@ -208,7 +240,8 @@ class BudgetedGroupBy(GroupByAggregate):
                 + len(payload) * self.cost.spill_merge_units
             )
             yield from _charge_cpu(db, self.cost.seconds(units))
-            self._merge_payload(payload)
+            self._merge(payload.items())
+            self.spill.merged_groups += len(payload)
 
 
 class SortSpillGroupBy(BudgetedGroupBy):
@@ -223,20 +256,12 @@ class SortSpillGroupBy(BudgetedGroupBy):
     def _spill_one_partition(self) -> float:
         n_groups = len(self._groups)
         # Total order even for NaN-bearing keys: sort by repr.
-        ordered = sorted(self._groups.items(), key=lambda kv: repr(kv[0]))
-        payload = dict(ordered)
+        payload = dict(sorted(self._groups.items(), key=lambda kv: repr(kv[0])))
         self._groups.clear()
-        n_pages = self._pages_for(n_groups)
-        addr = self.memory.spill_out(n_pages)
-        self._runs.append((addr, n_pages, payload))
-        self.spill.spill_events += 1
-        self.spill.spilled_partitions += 1
-        self.spill.spilled_groups += n_groups
-        self.spill.spill_pages_written += n_pages
         sort_units = n_groups * max(1.0, log2(max(2, n_groups))) * (
             self.cost.sort_run_units
         )
-        return n_pages * self.cost.spill_write_units_per_page + sort_units
+        return _write_run(self, payload, self._pages_for(n_groups)) + sort_units
 
 
 class HashBuildSink(Operator):
@@ -246,8 +271,11 @@ class HashBuildSink(Operator):
     operator's frame budget; overflow spills the largest partition.
     ``finish()`` (after :meth:`finalize_sim` merged every spill back)
     returns the complete ``key -> build row count`` table the probe side
-    consumes.
+    consumes.  Like :class:`BudgetedGroupBy` it checks its budget after
+    every page and is therefore :attr:`page_timed`.
     """
+
+    page_timed = True
 
     def __init__(self, key_column: str, cost: CostModel,
                  memory: Optional[OperatorMemory] = None):
@@ -259,6 +287,8 @@ class HashBuildSink(Operator):
         self.rows_in = 0
         self.spill = SpillStats()
         self._runs: List[Tuple[int, int, Dict[object, int]]] = []
+        # Hash partition of each live key, filled in by spills.
+        self._partitions: Dict[object, int] = {}
 
     def required_columns(self) -> Optional[FrozenSet[str]]:
         return frozenset((self.key_column,))
@@ -276,12 +306,19 @@ class HashBuildSink(Operator):
         total = len(self.table) + sum(len(p) for _, _, p in self._runs)
         return self._pages_for(total)
 
-    def push(self, data: PageData, n_rows: int) -> float:
+    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+        return np.array([
+            self._push_page(page, rows)
+            for page, rows in split_pages(batch, _as_page_rows(page_rows))
+        ])
+
+    def _push_page(self, page: PageData, rows: np.ndarray) -> float:
+        n_rows = int(rows[0])
         if n_rows == 0:
             return 0.0
         units = n_rows * self.cost.join_build_units
         table = self.table
-        for key in _canonical_key_column(data[self.key_column]):
+        for key in _canonical_key_column(page[self.key_column]):
             table[key] = table.get(key, 0) + 1
         self.rows_in += n_rows
         self.spill.peak_state = max(self.spill.peak_state, len(table))
@@ -294,19 +331,8 @@ class HashBuildSink(Operator):
         return units
 
     def _spill_one_partition(self) -> float:
-        buckets: Dict[int, List[object]] = {}
-        for key in self.table:
-            buckets.setdefault(partition_of(key, N_PARTITIONS), []).append(key)
-        victim = max(buckets, key=lambda pid: (len(buckets[pid]), -pid))
-        payload = {key: self.table.pop(key) for key in buckets[victim]}
-        n_pages = self._pages_for(len(payload))
-        addr = self.memory.spill_out(n_pages)
-        self._runs.append((addr, n_pages, payload))
-        self.spill.spill_events += 1
-        self.spill.spilled_partitions += 1
-        self.spill.spilled_groups += len(payload)
-        self.spill.spill_pages_written += n_pages
-        return n_pages * self.cost.spill_write_units_per_page
+        payload = _pop_largest_partition(self.table, self._partitions)
+        return _write_run(self, payload, self._pages_for(len(payload)))
 
     def finalize_sim(self, db) -> Generator:
         """Read spilled build partitions back and merge their counts."""
@@ -336,22 +362,19 @@ class HashProbe(Operator):
     A probe pass covers one *chunk* of the build table: when the build
     side needs more frames than the join was granted, the executor runs
     ``n_chunks`` full probe scans (the multibuffer trade — extra probe
-    I/O instead of extra memory) and each pass counts matches only for
-    the keys in its chunk.  Chunk membership uses the same deterministic
-    CRC partitioning as spilling, so the per-chunk match counts sum to
-    exactly the single-pass total.
+    I/O instead of extra memory), handing each pass its share of the
+    table (:func:`split_chunks`).  Chunk membership uses the same
+    deterministic CRC partitioning as spilling and every key is in
+    exactly one chunk, so the per-chunk match counts sum to exactly the
+    single-pass total.  Probing a run is one dictionary lookup per row.
     """
 
     def __init__(self, key_column: str, cost: CostModel,
-                 build_table: Dict[object, int],
-                 chunk: Tuple[int, int] = (0, 1)):
+                 build_table: Dict[object, int]):
         super().__init__(None)
         self.key_column = key_column
         self.cost = cost
         self.build_table = build_table
-        self.chunk_id, self.n_chunks = chunk
-        if not 0 <= self.chunk_id < self.n_chunks:
-            raise ValueError(f"bad chunk {chunk}")
         self.rows_probed = 0
         self.matches = 0
 
@@ -362,19 +385,14 @@ class HashProbe(Operator):
         """Static per-row cost for scan-speed estimation."""
         return self.cost.join_probe_units
 
-    def push(self, data: PageData, n_rows: int) -> float:
-        if n_rows == 0:
-            return 0.0
-        self.rows_probed += n_rows
-        table = self.build_table
-        chunk_id, n_chunks = self.chunk_id, self.n_chunks
-        matches = 0
-        for key in _canonical_key_column(data[self.key_column]):
-            if n_chunks > 1 and partition_of(key, n_chunks) != chunk_id:
-                continue
-            matches += table.get(key, 0)
-        self.matches += matches
-        return n_rows * self.cost.join_probe_units
+    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+        page_rows = _as_page_rows(page_rows)
+        n_rows = int(page_rows.sum())
+        if n_rows:
+            self.rows_probed += n_rows
+            keys = _canonical_key_column(batch[self.key_column])
+            self.matches += sum(map(self.build_table.get, keys, repeat(0)))
+        return page_rows * self.cost.join_probe_units
 
     def finish(self) -> object:
         return {"rows_probed": self.rows_probed, "matches": self.matches}

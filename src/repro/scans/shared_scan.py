@@ -18,8 +18,8 @@ from typing import Any, Generator, List, Optional
 
 from repro.core.scan_state import ScanDescriptor
 from repro.faults.injector import ScanKilled
-from repro.scans.base import ScanResult, scan_order
-from repro.scans.table_scan import OnPage
+from repro.scans.base import ScanResult, scan_runs
+from repro.scans.table_scan import OnPage, OnRun, run_consumer, uniform_page_rows
 
 
 class SharedTableScan:
@@ -31,9 +31,10 @@ class SharedTableScan:
         table_name: str,
         first_page: int,
         last_page: int,
-        on_page: OnPage,
+        on_page: Optional[OnPage] = None,
         estimated_speed: Optional[float] = None,
         record_visits: bool = False,
+        on_run: Optional[OnRun] = None,
     ):
         self.db = database
         self.table = database.catalog.table(table_name)
@@ -44,7 +45,7 @@ class SharedTableScan:
             )
         self.first_page = first_page
         self.last_page = last_page
-        self.on_page = on_page
+        self.on_run = run_consumer(self.table, on_page, on_run)
         self.record_visits = record_visits
         self.estimated_speed = estimated_speed or database.default_scan_speed_estimate(
             table_name
@@ -73,15 +74,18 @@ class SharedTableScan:
         scan_id = state.scan_id
         pages_done = 0
         # Hot-loop locals: one lookup per scan, not one per page.  Keys
-        # are built once per prefetch extent; the release priority stays
-        # a per-page manager call because grouping changes it mid-scan.
+        # are looked up once per extent and the operators see each extent
+        # run as one batch; the release priority stays a per-page manager
+        # call because grouping changes it mid-scan.
         sim = db.sim
         pool = db.pool
         cpu = db.cpu
         table = self.table
-        on_page = self.on_page
+        on_run = self.on_run
         try_fix = pool.try_fix
+        extent_keys_of = db.catalog.extent_keys
         page_priority = manager.page_priority
+        extent_size = table.extent_size
         rows_per_page = table.schema.rows_per_page
         record_visits = self.record_visits
         faults = getattr(db, "faults", None)
@@ -89,48 +93,62 @@ class SharedTableScan:
         first_page = self.first_page
         last_page = self.last_page
         extent_no = -1
-        extent_start = 0
         extent_keys: List = []
         try:
-            for page_no in scan_order(self.first_page, self.last_page, state.start_page):
-                if faults is not None:
-                    # Checked before the page is pinned, so a kill never
-                    # leaks a fixed frame.
-                    faults.maybe_kill_scan(manager, scan_id, pages_done)
-                if table.extent_of(page_no) != extent_no:
-                    extent_no, extent_start, extent_keys = self._extent_keys(page_no)
-                    if push is not None:
-                        # Crossing an extent boundary announces the scan's
-                        # pipeline window; only the consumer set's driver
-                        # actually issues pushes.
-                        push.on_extent_entered(
-                            scan_id, table, extent_no, first_page, last_page
-                        )
-                key = extent_keys[page_no - extent_start]
-                frame = try_fix(key)
-                if frame is None:
-                    frame = yield from pool.fix(key, prefetch=extent_keys)
-                assert frame.key == key
-                try:
-                    data = table.page_data(page_no)
-                    cpu_seconds = on_page(page_no, data, rows_per_page)
-                    if cpu_seconds > 0:
-                        yield cpu.acquire()
-                        try:
-                            yield sim.timeout(cpu_seconds)
-                        finally:
-                            cpu.release()
-                finally:
-                    # Never leak a pin, even when page processing raises.
-                    pool.unfix(key, page_priority(scan_id))
-                result.pages_scanned += 1
-                result.rows_seen += rows_per_page
-                result.cpu_seconds += cpu_seconds
-                if record_visits:
-                    result.visited_pages.append(page_no)
-                pages_done += 1
-                if pages_done % interval == 0:
-                    yield from self._report_location(scan_id, pages_done, result)
+            for run_first, run_stop in scan_runs(
+                first_page, last_page, state.start_page, extent_size
+            ):
+                run_extent = run_first // extent_size
+                key_offset = run_extent * extent_size
+                seconds = None
+                for page_no in range(run_first, run_stop):
+                    if faults is not None:
+                        # Checked before the page is pinned, so a kill never
+                        # leaks a fixed frame.
+                        faults.maybe_kill_scan(manager, scan_id, pages_done)
+                    if run_extent != extent_no:
+                        # (A wrap inside one extent starts a new run but
+                        # continues the extent.)
+                        extent_no = run_extent
+                        extent_keys = extent_keys_of(table.name, extent_no)
+                        if push is not None:
+                            # Crossing an extent boundary announces the scan's
+                            # pipeline window; only the consumer set's driver
+                            # actually issues pushes.
+                            push.on_extent_entered(
+                                scan_id, table, extent_no, first_page, last_page
+                            )
+                    key = extent_keys[page_no - key_offset]
+                    frame = try_fix(key)
+                    if frame is None:
+                        frame = yield from pool.fix(key, prefetch=extent_keys)
+                    assert frame.key == key
+                    try:
+                        if seconds is None:
+                            n_pages = run_stop - run_first
+                            seconds = on_run(
+                                run_first,
+                                table.run_data(run_first, n_pages),
+                                uniform_page_rows(n_pages, rows_per_page),
+                            )
+                        cpu_seconds = seconds[page_no - run_first]
+                        if cpu_seconds > 0:
+                            yield cpu.acquire()
+                            try:
+                                yield sim.timeout(cpu_seconds)
+                            finally:
+                                cpu.release()
+                    finally:
+                        # Never leak a pin, even when page processing raises.
+                        pool.unfix(key, page_priority(scan_id))
+                    result.pages_scanned += 1
+                    result.rows_seen += rows_per_page
+                    result.cpu_seconds += cpu_seconds
+                    if record_visits:
+                        result.visited_pages.append(page_no)
+                    pages_done += 1
+                    if pages_done % interval == 0:
+                        yield from self._report_location(scan_id, pages_done, result)
             if pages_done % interval != 0:
                 yield from self._report_location(scan_id, pages_done, result)
         except ScanKilled:
@@ -155,16 +173,3 @@ class SharedTableScan:
         if wait > 0:
             result.throttle_seconds += wait
             yield db.sim.timeout(wait)
-
-    def _extent_keys(self, page_no: int) -> tuple:
-        """``(extent_no, first_page_of_extent, keys)`` for the whole
-        extent containing ``page_no`` — the prefetch unit.  The keys come
-        from the catalog's interned per-table arrays: a cache hit, not an
-        allocation per page."""
-        table = self.table
-        extent_no = table.extent_of(page_no)
-        return (
-            extent_no,
-            extent_no * table.extent_size,
-            self.db.catalog.extent_keys(table.name, extent_no),
-        )

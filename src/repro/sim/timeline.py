@@ -23,7 +23,14 @@ class StepTimeline:
 
     def record(self, time: float, level: float) -> None:
         """Set the level at ``time``.  Times must be non-decreasing."""
-        last_time, last_level = self._points[-1]
+        points = self._points
+        last_time, last_level = points[-1]
+        if time - last_time > 1e-12:
+            # Nearly every call: time moved on, so nothing can collapse.
+            # (``+ 0.0`` is ``float(level)`` without the call.)
+            if level != last_level:
+                points.append((time, level + 0.0))
+            return
         if time < last_time - 1e-12:
             raise ValueError(f"timeline time went backwards: {time} < {last_time}")
         if level == last_level:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from repro.storage.datagen import PageData, PageGenerator
+from repro.storage.datagen import Batch, PageGenerator
 from repro.storage.schema import TableSchema
 
 
@@ -35,7 +35,9 @@ class Table:
         self.extent_size = extent_size
         self.seed = seed
         self.space_id = space_id  # assigned by the catalog
-        self._generator = PageGenerator(schema, n_pages, seed)
+        self._generator = PageGenerator(
+            schema, n_pages, seed, extent_size=extent_size
+        )
 
     @property
     def name(self) -> str:
@@ -52,9 +54,14 @@ class Table:
         """Number of (possibly partial) extents."""
         return math.ceil(self.n_pages / self.extent_size)
 
-    def page_data(self, page_no: int) -> PageData:
-        """Deterministic contents of one page."""
+    def page_data(self, page_no: int) -> Batch:
+        """Deterministic contents of one page (views into its extent)."""
         return self._generator.page(page_no)
+
+    def run_data(self, first_page: int, n_pages: int) -> Batch:
+        """Contents of ``n_pages`` consecutive pages of one extent, back
+        to back in one batch — what a scan hands its operators per run."""
+        return self._generator.run(first_page, n_pages)
 
     def extent_of(self, page_no: int) -> int:
         """Extent index containing ``page_no``."""

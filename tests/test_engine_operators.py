@@ -119,6 +119,28 @@ class TestFilter:
         filt.push(page(10), 10)
         assert sink.finish() == 0
 
+    @pytest.mark.parametrize("predicate", [lit(True), lit(1.0) < lit(2.0)])
+    def test_constant_true_predicate(self, predicate):
+        """A predicate over constants evaluates to a scalar, not a mask:
+        every row passes and nothing is compacted (or charged for it)."""
+        sink = GroupByAggregate([AggSpec("n", "count")], COST)
+        filt = Filter(predicate, sink, COST)
+        units = filt.push(page(10), 10)
+        assert sink.finish()["n"] == 10
+        assert (filt.rows_in, filt.rows_out) == (10, 10)
+        downstream = GroupByAggregate([AggSpec("n", "count")], COST).push(page(10), 10)
+        assert units[0] == 10 * predicate.cost_units_per_row + downstream[0]
+
+    @pytest.mark.parametrize("predicate", [lit(False), lit(2.0) < lit(1.0)])
+    def test_constant_false_predicate(self, predicate):
+        """No row passes: the predicate's cost is all there is."""
+        sink = RowCounter()
+        filt = Filter(predicate, sink, COST)
+        units = filt.push(page(10), 10)
+        assert sink.finish() == 0
+        assert (filt.rows_in, filt.rows_out) == (10, 0)
+        assert units[0] == 10 * predicate.cost_units_per_row
+
     def test_filtered_columns_consistent(self):
         """All surviving columns must be compacted together."""
         collected = {}

@@ -112,3 +112,47 @@ class TestTimelineProperties:
             t += delta
             timeline.record(t, level)
         assert timeline.integral(t + extra) >= timeline.integral(t) - 1e-12
+
+
+def _reference_record(points, time, level):
+    """``StepTimeline.record`` as it was before it grew a fast path."""
+    last_time, last_level = points[-1]
+    if time < last_time - 1e-12:
+        raise ValueError(f"timeline time went backwards: {time} < {last_time}")
+    if level == last_level:
+        return
+    if abs(time - last_time) <= 1e-12:
+        points[-1] = (last_time, float(level))
+        if len(points) >= 2 and points[-2][1] == float(level):
+            points.pop()
+    else:
+        points.append((time, float(level)))
+
+
+class TestRecordFastPath:
+    #: Steps that advance time, stand still, creep forward by less than
+    #: the collapse tolerance, or go backwards (within it, or too far).
+    deltas = st.one_of(
+        st.floats(min_value=1e-9, max_value=5.0),
+        st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, -5e-13, -1e-12, -1e-3]),
+    )
+
+    @given(st.lists(st.tuples(deltas, st.integers(0, 3) | st.floats(0.0, 3.0)),
+                    max_size=40))
+    def test_change_points_match_reference(self, steps):
+        timeline = StepTimeline()
+        reference = [(0.0, 0.0)]
+        t = 0.0
+        for delta, level in steps:
+            t += delta
+            try:
+                _reference_record(reference, t, level)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    timeline.record(t, level)
+                t -= delta  # a rejected step leaves both where they were
+                continue
+            timeline.record(t, level)
+        points = list(timeline.change_points())
+        assert points == reference
+        assert all(type(level) is float for _, level in points)

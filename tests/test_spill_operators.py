@@ -22,6 +22,7 @@ from repro.engine.spill import (
     SortSpillGroupBy,
     chunk_factor,
     partition_of,
+    split_chunks,
 )
 
 from tests.conftest import make_database
@@ -167,15 +168,17 @@ class TestMultibufferJoin:
 
     def test_chunk_sums_equal_single_pass(self):
         table = self.build_table()
-        single = HashProbe("k", COST, table, chunk=(0, 1))
+        single = HashProbe("k", COST, table)
         for page_no in range(5):
             single.push(key_page(offset=page_no * 101), 200)
         expected = single.finish()
 
         n_chunks = 3
         totals = {"rows_probed": 0, "matches": 0}
-        for chunk_id in range(n_chunks):
-            probe = HashProbe("k", COST, table, chunk=(chunk_id, n_chunks))
+        chunks = split_chunks(table, n_chunks)
+        assert sum(map(len, chunks)) == len(table)
+        for chunk in chunks:
+            probe = HashProbe("k", COST, chunk)
             for page_no in range(5):
                 probe.push(key_page(offset=page_no * 101), 200)
             out = probe.finish()
