@@ -4,18 +4,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-quick bench-check bench-guards bench-soak bench-smoke compiled test-compiled policy-smoke agg-smoke cluster-smoke serve-quick serve-soak
+# Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
+# the PR that needs the room, and say why.
+SRC_LOC_BUDGET := 20807
+LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
+
+.PHONY: test test-fast bench bench-quick bench-check bench-guards bench-soak bench-smoke loc policy-smoke agg-smoke cluster-smoke serve-quick serve-soak
 
 test:            ## full tier-1 suite
 	$(PYTHON) -m pytest -x -q
-
-compiled:        ## build the optional C event-queue backend in place
-	REPRO_BUILD_SPEEDUPS=1 $(PYTHON) setup.py build_ext --inplace
-
-test-compiled:   ## digest + bench gate on the compiled backend (build first)
-	REPRO_COMPILED=require $(PYTHON) -m repro run-all --jobs 4 --no-cache --out compiled-digests.json
-	$(PYTHON) -m pytest -x -q tests/test_compiled_backend.py
-	REPRO_COMPILED=require $(PYTHON) -m repro bench --quick --check BENCH_kernel.json
 
 test-fast:       ## everything not marked slow
 	$(PYTHON) -m pytest -x -q -m "not slow"
@@ -38,6 +35,13 @@ bench-soak:      ## soak-scale benchmark only (multi-device, multi-stream)
 bench-smoke:     ## the repo benchmark (bench/): its own tests, then all six workloads at smoke size
 	$(PYTHON) -m pytest -q bench/tests
 	$(PYTHON) -m bench run --size 0.1 --seconds 0.3
+
+loc:             ## line counts of src/, tests/, bench/; fails when src/ exceeds SRC_LOC_BUDGET
+	@for tree in src tests bench; do \
+		printf '%-6s %6d\n' $$tree $$($(call LOC,$$tree)); \
+	done
+	@lines=$$($(call LOC,src)); test $$lines -le $(SRC_LOC_BUDGET) || \
+		{ echo "src/ has $$lines lines, over its budget of $(SRC_LOC_BUDGET)"; exit 1; }
 
 policy-smoke:    ## three sharing policies on the quick staggered scenario, digest-checked
 	$(PYTHON) -m repro sweep e2 --param sharing_policy \

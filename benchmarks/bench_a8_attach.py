@@ -18,7 +18,7 @@ from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 
 from benchmarks.conftest import once
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 TABLE_PAGES = 512
 POOL_PAGES = 64
@@ -40,9 +40,7 @@ def run_mode(mode: str, speeds):
         for i, cpu in enumerate(speeds):
             def process(sim, cpu=cpu, delay=i * stagger):
                 yield sim.timeout(delay)
-                result = yield from manager.scan(
-                    "t", lambda p, d, n, cpu=cpu: cpu
-                )
+                result = yield from manager.scan("t", flat_cost(cpu))
                 return result
             procs.append(db.sim.spawn(process(db.sim)))
     else:
@@ -51,7 +49,7 @@ def run_mode(mode: str, speeds):
             def process(sim, cpu=cpu, delay=i * stagger):
                 yield sim.timeout(delay)
                 scan = scan_cls(db, "t", 0, TABLE_PAGES - 1,
-                                on_page=lambda p, d, n, cpu=cpu: cpu)
+                                on_run=flat_cost(cpu))
                 result = yield from scan.run()
                 return result
             procs.append(db.sim.spawn(process(db.sim)))

@@ -321,73 +321,6 @@ class BufferPool:
             ))
         return frame
 
-    def try_fix_many(self, keys: Sequence[PageKey]) -> List[Optional[Frame]]:
-        """Batched :meth:`try_fix`: pin every currently-resident key.
-
-        Returns a frame-or-``None`` list parallel to ``keys``; counters,
-        policy touches, and trace events per resident key are identical
-        to ``try_fix`` called in a loop (one slot-map probe each, but the
-        stats/tracer/clock reads are hoisted out of the loop).
-
-        Demand scans deliberately do **not** route their inner loop
-        through this: batch-pinning a whole extent would lengthen pin
-        lifetimes, change the evictable set, and so perturb victim choice
-        — the metric digests would no longer be byte-identical to the
-        per-page formulation.  The intended callers hold the returned
-        pins only across code that advances no simulated time (push
-        delivery verification, warm-set probes, benchmarks).
-        """
-        slot_map = self._slot_map
-        slots = self._slots
-        stats = self.stats
-        now = self.sim.now
-        on_hit = self.policy.on_hit
-        # No simulated time passes inside the batch, so one tracer
-        # resolution covers every emitted event.
-        tracer = _TRACER.active()
-        frames: List[Optional[Frame]] = []
-        append = frames.append
-        for key in keys:
-            slot = slot_map.get(key.space_id << _PAGE_BITS | key.page_no)
-            if slot is None:
-                append(None)
-                continue
-            frame = slots[slot]
-            stats.logical_reads += 1
-            stats.hits += 1
-            frame.pin_count += 1
-            frame.last_used_at = now
-            frame.access_count += 1
-            on_hit(key)
-            if tracer is not None:
-                tracer.emit(BufferFix(
-                    time=now, space_id=key.space_id, page_no=key.page_no,
-                    outcome="hit",
-                ))
-            append(frame)
-        return frames
-
-    def fix_many(
-        self, keys: Sequence[PageKey], prefetch: Optional[Sequence[PageKey]] = None
-    ) -> Generator[Event, object, List[Frame]]:
-        """Pin every key in ``keys``, reading misses from disk.
-
-        Observation-equivalent to calling :meth:`fix` once per key in
-        order (hits resolve through the non-generator fast path first);
-        ``prefetch`` defaults to ``keys`` itself, so a miss reads the
-        whole remaining absent run in one request.  The digest caveat on
-        :meth:`try_fix_many` applies: all pins overlap until the caller
-        releases them.
-        """
-        frames: List[Frame] = []
-        run = prefetch if prefetch is not None else keys
-        for key in keys:
-            frame = self.try_fix(key)
-            if frame is None:
-                frame = yield from self.fix(key, prefetch=run)
-            frames.append(frame)
-        return frames
-
     def fix(
         self, key: PageKey, prefetch: Optional[Sequence[PageKey]] = None
     ) -> Generator[Event, object, Frame]:

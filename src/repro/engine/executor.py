@@ -9,7 +9,6 @@ from repro.engine.database import Database
 from repro.engine.query import QuerySpec, ScanStep
 from repro.metrics.collector import QueryRecord
 from repro.scans.base import ScanResult
-from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 from repro.trace.events import QueryFinished, QueryStarted
 from repro.trace.tracer import get_tracer
@@ -174,23 +173,17 @@ def _run_step_scan(
 ) -> Generator:
     """Run one physical scan feeding ``pipeline``; returns its result."""
     # A sharing scan may start mid-range and wrap, so a step that needs
-    # rows in physical order must use the vanilla operator (paper §4.1).
-    if db.sharing_enabled and not step.requires_order:
-        scan = SharedTableScan(
-            db,
-            step.table,
-            first_page,
-            last_page,
-            on_run=pipeline.process_run,
-            estimated_speed=_estimate_scan_speed(db, step, table.schema.rows_per_page),
-            record_visits=db.config.record_page_visits,
-        )
-    else:
-        scan = TableScan(
-            db, step.table, first_page, last_page,
-            on_run=pipeline.process_run,
-            record_visits=db.config.record_page_visits,
-        )
+    # rows in physical order runs unshared (paper §4.1).
+    shared = db.sharing_enabled and not step.requires_order
+    scan = TableScan(
+        db, step.table, first_page, last_page, pipeline.process_run,
+        record_visits=db.config.record_page_visits,
+        sharing=db.sharing if shared else None,
+        estimated_speed=(
+            _estimate_scan_speed(db, step, table.schema.rows_per_page)
+            if shared else None
+        ),
+    )
     result = yield from scan.run()
     return result
 
@@ -297,6 +290,8 @@ def _execute_probe_step(
             combined_scan.cpu_seconds += scan_result.cpu_seconds
             combined_scan.throttle_seconds += scan_result.throttle_seconds
             combined_scan.finished_at = scan_result.finished_at
+            combined_scan.visited_pages.extend(scan_result.visited_pages)
+            combined_scan.aborted |= scan_result.aborted
     operator_stats: Dict[str, object] = {
         "join_chunks": n_chunks,
         "build_pages_needed": pages_needed,
@@ -339,12 +334,12 @@ def _execute_index_step(db: Database, step: ScanStep, index: int) -> Generator:
     if db.sharing_enabled and not step.requires_order:
         scan = SharedIndexScan(
             db, block_index, db.index_sharing_manager(step.table),
-            first_entry, last_entry, on_page=pipeline.process_page,
+            first_entry, last_entry, on_run=pipeline.process_run,
         )
     else:
         scan = IndexScan(
             db, block_index, first_entry, last_entry,
-            on_page=pipeline.process_page,
+            on_run=pipeline.process_run,
         )
     index_result = yield from scan.run()
     # Adapt the index-scan result to the ScanResult shape steps report.

@@ -565,24 +565,6 @@ class Pipeline:
         seconds = self.cost.seconds(units)
         return seconds.tolist() if isinstance(seconds, np.ndarray) else seconds
 
-    def process_page(
-        self, page_no: int, data: PageData, n_rows: Optional[int] = None
-    ) -> float:
-        """Push one page of ``n_rows`` rows — a run of one; returns CPU
-        seconds to charge (index scans and the attach daemon deliver
-        pages singly).
-
-        Callers pass ``n_rows`` explicitly (the schema's rows-per-page);
-        inferring it from a column would crash on pages that projection
-        pushdown compacted to zero columns (``required_columns() ==
-        frozenset()``), so the inference below is only a fallback for
-        legacy two-argument callers.
-        """
-        if n_rows is None:
-            first = next(iter(data.values()), None)
-            n_rows = 0 if first is None else len(first)
-        return self.process_run(page_no, data, np.array([n_rows]))[0]
-
     def estimated_units_per_page(self, rows_per_page: int) -> float:
         """Static cost estimate used for scan-speed estimation."""
         units = self.cost.per_page_units + rows_per_page * self.extra_units_per_row

@@ -20,12 +20,11 @@ speeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator
 
 from repro.buffer.page import Priority
 from repro.scans.base import ScanResult
-
-OnPage = Callable[[int, dict, int], float]
+from repro.scans.table_scan import OnRun, uniform_page_rows
 
 
 @dataclass
@@ -33,7 +32,7 @@ class _Consumer:
     """One attached query-side consumer."""
 
     consumer_id: int
-    on_page: OnPage
+    on_run: OnRun
     pages_needed: int
     pages_seen: int = 0
     attached_at: float = 0.0
@@ -66,11 +65,11 @@ class CircularScanDaemon:
         """The page the daemon will produce next."""
         return self._position
 
-    def attach(self, on_page: OnPage) -> _Consumer:
+    def attach(self, on_run: OnRun) -> _Consumer:
         """Attach a consumer at the daemon's current position."""
         consumer = _Consumer(
             consumer_id=self._next_consumer_id,
-            on_page=on_page,
+            on_run=on_run,
             pages_needed=self.table.n_pages,
             attached_at=self.db.sim.now,
             result=ScanResult(
@@ -92,6 +91,8 @@ class CircularScanDaemon:
     def _run(self) -> Generator:
         db = self.db
         table = self.table
+        rows_per_page = table.schema.rows_per_page
+        page_rows = uniform_page_rows(1, rows_per_page)
         while self._consumers:
             page_no = self._position
             extent_no = table.extent_of(page_no)
@@ -106,9 +107,7 @@ class CircularScanDaemon:
                 # at the slowest consumer's pace (the model the paper's
                 # throttling is the answer to).
                 for consumer in list(self._consumers.values()):
-                    cpu_seconds = consumer.on_page(
-                        page_no, data, table.schema.rows_per_page
-                    )
+                    cpu_seconds = consumer.on_run(page_no, data, page_rows)[0]
                     if cpu_seconds > 0:
                         yield db.cpu.acquire()
                         try:
@@ -117,7 +116,7 @@ class CircularScanDaemon:
                             db.cpu.release()
                     consumer.pages_seen += 1
                     consumer.result.pages_scanned += 1
-                    consumer.result.rows_seen += table.schema.rows_per_page
+                    consumer.result.rows_seen += rows_per_page
                     consumer.result.cpu_seconds += cpu_seconds
                     if consumer.finished:
                         consumer.result.finished_at = db.sim.now
@@ -142,12 +141,12 @@ class AttachScanManager:
             self._daemons[table_name] = CircularScanDaemon(self.db, table_name)
         return self._daemons[table_name]
 
-    def scan(self, table_name: str, on_page: OnPage) -> Generator:
+    def scan(self, table_name: str, on_run: OnRun) -> Generator:
         """Attach to the table's daemon and wait for a full circle.
 
         Simulation generator: drive with ``yield from``; returns the
         consumer's :class:`~repro.scans.base.ScanResult`.
         """
-        consumer = self.daemon(table_name).attach(on_page)
+        consumer = self.daemon(table_name).attach(on_run)
         result = yield consumer.done_event
         return result

@@ -22,6 +22,7 @@ from repro.extensions.index_sharing.manager import (
     IndexScanDescriptor,
     IndexScanSharingManager,
 )
+from repro.scans.table_scan import OnRun, uniform_page_rows
 
 
 @dataclass
@@ -50,9 +51,9 @@ class IndexScan:
     """Baseline IXSCAN: key order, no sharing.
 
     Per-page CPU comes either from the flat ``cpu_per_page`` or, when an
-    ``on_page`` callback is given (the engine integration path), from the
-    callback's return value — the same contract as the table scans, so
-    query pipelines plug in unchanged.
+    ``on_run`` callback is given (the engine integration path), from the
+    callback — the table scans' contract, fed runs of one page, so query
+    pipelines plug in unchanged.
     """
 
     def __init__(
@@ -62,7 +63,7 @@ class IndexScan:
         first_entry: int,
         last_entry: int,
         cpu_per_page: float = 1e-5,
-        on_page: Optional[Any] = None,
+        on_run: Optional[OnRun] = None,
         record_blocks: bool = False,
     ):
         if not 0 <= first_entry <= last_entry < index.n_entries:
@@ -75,7 +76,7 @@ class IndexScan:
         self.first_entry = first_entry
         self.last_entry = last_entry
         self.cpu_per_page = cpu_per_page
-        self.on_page = on_page
+        self.on_run = on_run
         self.record_blocks = record_blocks
 
     def run(self) -> Generator:
@@ -99,18 +100,19 @@ class IndexScan:
         self, block_id: int, priority: Priority, result: IndexScanResult
     ) -> Generator:
         db = self.db
+        table = self.index.table
+        on_run = self.on_run
+        page_rows = uniform_page_rows(1, table.schema.rows_per_page)
         pages = self.index.block_pages(block_id)
-        keys = [db.catalog.page_key(self.index.table.name, p) for p in pages]
+        keys = [db.catalog.page_key(table.name, p) for p in pages]
         for page_no, key in zip(pages, keys):
             frame = yield from db.pool.fix(key, prefetch=keys)
             assert frame.key == key
             try:
-                if self.on_page is not None:
-                    cpu_seconds = self.on_page(
-                        page_no,
-                        self.index.table.page_data(page_no),
-                        self.index.table.schema.rows_per_page,
-                    )
+                if on_run is not None:
+                    cpu_seconds = on_run(
+                        page_no, table.page_data(page_no), page_rows
+                    )[0]
                 else:
                     cpu_seconds = self.cpu_per_page
                 if cpu_seconds > 0:
@@ -138,12 +140,12 @@ class SharedIndexScan(IndexScan):
         first_entry: int,
         last_entry: int,
         cpu_per_page: float = 1e-5,
-        on_page: Optional[Any] = None,
+        on_run: Optional[OnRun] = None,
         estimated_speed: Optional[float] = None,
         record_blocks: bool = False,
     ):
         super().__init__(database, index, first_entry, last_entry,
-                         cpu_per_page, on_page=on_page,
+                         cpu_per_page, on_run=on_run,
                          record_blocks=record_blocks)
         self.ism = ism
         io_per_entry = (

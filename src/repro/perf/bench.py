@@ -206,28 +206,6 @@ def bench_push_many(iterations: int) -> float:
     return (n_batches * batch) / elapsed
 
 
-def bench_fix_many(iterations: int) -> float:
-    """Pins/sec of a whole resident extent through ``try_fix_many``.
-
-    The batch entry point hoists the stats/tracer/clock lookups out of
-    the per-page loop; this measures the resulting per-pin cost against
-    :func:`bench_fix_hit`'s one-call-per-page baseline.
-    """
-    _sim, pool = _fresh_pool()
-    keys = [pool_key(page) for page in range(_EXTENT)]
-    try_fix_many = pool.try_fix_many
-    unfix = pool.unfix
-    n_batches = max(iterations // _EXTENT, 1)
-    start = time.perf_counter()
-    for _ in range(n_batches):
-        frames = try_fix_many(keys)
-        for key in keys:
-            unfix(key)
-    elapsed = time.perf_counter() - start
-    assert all(frame is not None for frame in frames)
-    return (n_batches * _EXTENT) / elapsed
-
-
 def bench_soak_multi_device(repeats: int, scale: float, streams: int) -> float:
     """Best wall-clock seconds for an ST-SCALING-shaped soak run.
 
@@ -483,8 +461,6 @@ def run_benchmarks(quick: bool = False,
         "fix_hit_generator": lambda: report.add_throughput(
             "fix_hit_generator",
             best_of(bench_fix_hit_generator, params["fix_iters"])),
-        "fix_many": lambda: report.add_throughput(
-            "fix_many", best_of(bench_fix_many, params["fix_iters"])),
         "fix_miss": lambda: report.add_throughput(
             "fix_miss", best_of(bench_fix_miss, params["miss_pages"])),
         "dispatch": lambda: report.add_throughput(

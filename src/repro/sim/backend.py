@@ -1,117 +1,11 @@
-"""Kernel backend selection: pure-python vs the optional compiled queue.
+"""The event-queue backend's name.
 
-The simulator's event queue and dispatch loop exist twice:
-
-* the **pure-python** implementation in :mod:`repro.sim.events` /
-  :mod:`repro.sim.kernel` — always present, the default;
-* an optional **compiled** implementation, ``repro._speedups`` — a
-  hand-written CPython extension holding the heap in parallel C arrays
-  (``double`` times, ``int64`` seqs, ``PyObject*`` callbacks) with the
-  ready slab as a C ring buffer, plus the whole ``run`` drain loop in C.
-  Build it with ``make compiled`` (or
-  ``REPRO_BUILD_SPEEDUPS=1 python setup.py build_ext --inplace``); no
-  third-party packages are required, only a C compiler.
-
-Selection is governed by the ``REPRO_COMPILED`` environment variable:
-
-========== =============================================================
-``unset``  pure python (identical to builds without the extension)
-``0``      pure python, even if the extension is importable
-``1``      compiled if importable, else silently fall back to pure python
-``require`` compiled, raising :class:`RuntimeError` if it cannot import
-========== =============================================================
-
-Both backends produce byte-identical metric digests — the compiled lane
-in CI and ``tests/test_compiled_backend.py`` prove it on the golden
-suite.  Tests can override the process-wide choice with :func:`forced`.
+There is one backend: the pure-python queue in :mod:`repro.sim.events`
+drained by :meth:`repro.sim.kernel.Simulator.run`.  The module survives
+because the repo benchmark's harness records this name in its reports.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-_ENV_VAR = "REPRO_COMPILED"
-
-#: Tri-state override installed by :func:`forced`; ``None`` defers to the
-#: environment variable.
-_override: Optional[bool] = None
-
-_compiled_queue_cls = None
-_compiled_import_error: Optional[BaseException] = None
-
-
-def _load_compiled():
-    """Import the extension once; remember the failure for diagnostics."""
-    global _compiled_queue_cls, _compiled_import_error
-    if _compiled_queue_cls is None and _compiled_import_error is None:
-        try:
-            from repro._speedups import CEventQueue  # type: ignore[import-not-found]
-
-            _compiled_queue_cls = CEventQueue
-        except BaseException as error:  # pragma: no cover - environment-specific
-            _compiled_import_error = error
-    return _compiled_queue_cls
-
-
-def compiled_available() -> bool:
-    """Whether the compiled extension can be imported."""
-    return _load_compiled() is not None
-
-
-def compiled_requested() -> bool:
-    """Whether the current override / environment asks for the compiled
-    backend (without regard to availability)."""
-    if _override is not None:
-        return _override
-    mode = os.environ.get(_ENV_VAR, "").strip().lower()
-    return mode in ("1", "true", "on", "require")
-
-
-def use_compiled() -> bool:
-    """Resolve the backend for a new :class:`~repro.sim.kernel.Simulator`.
-
-    Raises :class:`RuntimeError` when ``REPRO_COMPILED=require`` but the
-    extension is not importable, so CI lanes cannot silently test the
-    wrong backend.
-    """
-    if not compiled_requested():
-        return False
-    if _load_compiled() is not None:
-        return True
-    mode = os.environ.get(_ENV_VAR, "").strip().lower()
-    if _override is None and mode == "require":
-        raise RuntimeError(
-            "REPRO_COMPILED=require but repro._speedups is not importable "
-            f"(build it with 'make compiled'); import error: "
-            f"{_compiled_import_error!r}"
-        )
-    return False
-
-
-def compiled_queue_class():
-    """The compiled queue class (``None`` when unavailable)."""
-    return _load_compiled()
 
 
 def backend_name() -> str:
-    """Human-readable name of the backend new simulators will use."""
-    return "compiled" if use_compiled() else "python"
-
-
-@contextmanager
-def forced(compiled: Optional[bool]) -> Iterator[None]:
-    """Force the backend choice for the duration of the context.
-
-    ``True``/``False`` select compiled/pure python regardless of the
-    environment; ``None`` restores environment-driven selection.  Used
-    by the digest-equality tests to run both backends in one process.
-    """
-    global _override
-    previous = _override
-    _override = compiled
-    try:
-        yield
-    finally:
-        _override = previous
+    """Name of the event-queue backend simulators run on."""
+    return "python"

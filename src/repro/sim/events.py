@@ -23,10 +23,6 @@ the drain order (all heap entries at the new time in sequence order, then
 the slab FIFO) is identical to the old single-heap ``(time, seq)`` order —
 the Hypothesis equivalence property in ``tests/test_sim_events.py`` pins
 this against a copy of the legacy implementation.
-
-An optional compiled backend (``repro._speedups``, enabled with
-``REPRO_COMPILED=1``) provides the same queue with parallel C arrays; see
-:mod:`repro.sim.backend`.
 """
 
 from __future__ import annotations

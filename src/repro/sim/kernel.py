@@ -5,7 +5,6 @@ from __future__ import annotations
 from heapq import heappop
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.sim import backend
 from repro.sim.events import Event, EventQueue, SimulationError, Timeout
 from repro.sim.process import Process
 from repro.trace.events import SimDispatch
@@ -40,10 +39,6 @@ class Simulator:
     every Nth, and 0 disables dispatch tracing entirely — the event loop
     then pays **zero** per-event tracer checks, which is what soak-scale
     runs want (buffer/disk/scan events are unaffected).
-
-    The event queue backend is chosen per :mod:`repro.sim.backend`:
-    pure python by default, the compiled ``repro._speedups`` queue under
-    ``REPRO_COMPILED=1``.  Both produce byte-identical dispatch orders.
     """
 
     def __init__(self, trace_dispatch_sample: int = 1) -> None:
@@ -51,11 +46,7 @@ class Simulator:
             raise SimulationError(
                 f"trace_dispatch_sample must be >= 0, got {trace_dispatch_sample}"
             )
-        self._compiled = backend.use_compiled()
-        if self._compiled:
-            self._queue = backend.compiled_queue_class()()
-        else:
-            self._queue = EventQueue()
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self.trace_dispatch_sample = trace_dispatch_sample
@@ -65,11 +56,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def backend_name(self) -> str:
-        """Which queue backend this simulator runs on."""
-        return "compiled" if self._compiled else "python"
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -189,14 +175,6 @@ class Simulator:
                 if len(self._queue):
                     self._now = until
                     return until
-                return now
-            if self._compiled:
-                now = self._queue.run(
-                    self, until, _TRACER.active, self.trace_dispatch_sample
-                )
-                if until is not None and until > now:
-                    now = until
-                self._now = now
                 return now
             queue = self._queue
             heap = queue._heap

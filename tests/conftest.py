@@ -78,6 +78,15 @@ def make_database(
     return db.open()
 
 
+def flat_cost(seconds: float):
+    """An ``on_run`` callback charging every page the same CPU seconds."""
+
+    def on_run(first_page, batch, page_rows):
+        return [seconds] * len(page_rows)
+
+    return on_run
+
+
 @pytest.fixture
 def small_db() -> Database:
     """A small single-table database with sharing enabled."""

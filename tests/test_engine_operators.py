@@ -198,7 +198,7 @@ class TestPipeline:
     def test_process_page_returns_seconds(self):
         sink = GroupByAggregate([AggSpec("n", "count")], COST)
         pipeline = Pipeline(Filter(col("a") < lit(5), sink, COST), COST)
-        seconds = pipeline.process_page(0, page(10))
+        (seconds,) = pipeline.process_run(0, page(10), np.array([10]))
         assert seconds > 0
         assert pipeline.pages == 1
         assert pipeline.rows == 10
@@ -208,8 +208,8 @@ class TestPipeline:
             sink = GroupByAggregate([AggSpec("n", "count")], COST)
             return Pipeline(sink, COST, extra_units_per_row=extra)
 
-        cheap_cost = build(0.0).process_page(0, page(10))
-        heavy_cost = build(50.0).process_page(0, page(10))
+        (cheap_cost,) = build(0.0).process_run(0, page(10), np.array([10]))
+        (heavy_cost,) = build(50.0).process_run(0, page(10), np.array([10]))
         assert heavy_cost > cheap_cost
 
     def test_estimated_units_positive_and_ordered(self):
@@ -226,5 +226,5 @@ class TestPipeline:
     def test_result_delegates_to_terminal(self):
         sink = GroupByAggregate([AggSpec("n", "count")], COST)
         pipeline = Pipeline(sink, COST)
-        pipeline.process_page(0, page(6))
+        pipeline.process_run(0, page(6), np.array([6]))
         assert pipeline.result()["n"] == 6

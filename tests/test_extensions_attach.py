@@ -6,18 +6,17 @@ from repro.core.config import SharingConfig
 from repro.extensions.attach_sharing import AttachScanManager
 from repro.scans.shared_scan import SharedTableScan
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
-def attach_scan_process(manager, table, on_page, delay=0.0):
+def attach_scan_process(manager, table, on_run, delay=0.0):
     def process(sim):
         if delay > 0:
             yield sim.timeout(delay)
-        result = yield from manager.scan(table, on_page)
+        result = yield from manager.scan(table, on_run)
         return result
 
     return process
@@ -80,7 +79,7 @@ class TestCircularDaemon:
         manager = AttachScanManager(db)
         fast = db.sim.spawn(attach_scan_process(manager, "t", cheap)(db.sim))
         slow = db.sim.spawn(
-            attach_scan_process(manager, "t", lambda p, d, n: 2e-3)(db.sim)
+            attach_scan_process(manager, "t", flat_cost(2e-3))(db.sim)
         )
         db.sim.run()
         fast_result = fast.completion.value
@@ -92,8 +91,8 @@ class TestCircularDaemon:
         """Contrast: the paper's mechanism caps the fast scan's delay at
         the 80 % fairness cap instead of chaining it to the slow scan."""
         db = make_database(n_pages=64, sharing=SharingConfig())
-        fast_scan = SharedTableScan(db, "t", 0, 63, on_page=cheap)
-        slow_scan = SharedTableScan(db, "t", 0, 63, on_page=lambda p, d, n: 2e-3)
+        fast_scan = SharedTableScan(db, "t", 0, 63, on_run=cheap)
+        slow_scan = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(2e-3))
         fast = db.sim.spawn(fast_scan.run())
         slow = db.sim.spawn(slow_scan.run())
         db.sim.run()

@@ -19,11 +19,10 @@ from repro.storage.schema import ColumnSpec, make_schema
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import make_database, make_pool
+from tests.conftest import flat_cost, make_database, make_pool
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
 def one_read_elapsed(plan=None, start_page=500):
@@ -131,7 +130,7 @@ class TestPoolPressure:
             fault_plan=FaultPlan.from_spec("pool-pressure:fraction=0.9", seed=0),
         )
         scans = [
-            SharedTableScan(db, "t", 0, 127, on_page=cheap) for _ in range(2)
+            SharedTableScan(db, "t", 0, 127, on_run=cheap) for _ in range(2)
         ]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
         db.sim.run()
@@ -144,7 +143,7 @@ class TestPoolPressure:
 class TestScanKills:
     def run_scans(self, db, n_scans, n_pages=128):
         scans = [
-            SharedTableScan(db, "t", 0, n_pages - 1, on_page=cheap)
+            SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
             for _ in range(n_scans)
         ]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
@@ -323,7 +322,7 @@ class TestDeterminism:
                 ),
             )
             scans = [
-                SharedTableScan(db, "t", 0, 127, on_page=cheap) for _ in range(3)
+                SharedTableScan(db, "t", 0, 127, on_run=cheap) for _ in range(3)
             ]
             procs = [db.sim.spawn(scan.run()) for scan in scans]
             db.sim.run()

@@ -23,11 +23,10 @@ from repro.storage.schema import ColumnSpec, make_schema
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
 def make_manager(config=None, table_pages=1000, pool=200, extent=16):
@@ -130,7 +129,7 @@ class TestCheckerDetectsCorruption:
 
     def test_accounting_identity_breakage_detected(self):
         db = make_database(n_pages=64)
-        scan = SharedTableScan(db, "t", 0, 63, on_page=cheap)
+        scan = SharedTableScan(db, "t", 0, 63, on_run=cheap)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert not proc.completion.failed
@@ -156,7 +155,7 @@ def run_chaos_workload(fault_spec, seed, n_scans, n_pages=128):
         fault_plan=FaultPlan.from_spec(fault_spec, seed=seed),
     )
     scans = [
-        SharedTableScan(db, "t", 0, n_pages - 1, on_page=cheap)
+        SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
         for _ in range(n_scans)
     ]
     procs = [db.sim.spawn(scan.run()) for scan in scans]

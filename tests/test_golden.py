@@ -6,12 +6,17 @@ checked into ``tests/golden/``.  Any change to the simulator, the
 sharing mechanism, the tracer, or the workload generator that moves a
 single number or event count fails here with the exact diverging field.
 
+``tests/golden/manifest.json`` is the wider, coarser rail: the metrics
+digest of every registered experiment at the quick geometry (``run-all
+--scale 0.1 --streams 2``) plus the suite digest over them.  One
+``slow`` test reruns the suite and names the experiments that moved.
+
 To bless an intentional change::
 
     PYTHONPATH=src python -m pytest tests/test_golden.py --regen-golden
     # or: REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden.py
 
-then commit the updated golden file alongside the code change.
+then commit the updated golden files alongside the code change.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.experiments import e2_staggered_q6
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import metrics_of
-from repro.experiments.runner import first_divergence
+from repro.experiments.runner import first_divergence, run_suite
 from repro.trace import RingBufferSink, tracing
 from repro.trace.summary import summarize
 
@@ -33,6 +40,10 @@ GOLDEN_FILE = GOLDEN_DIR / "staggered_two_scan.json"
 #: that the two scans genuinely overlap and a scan join happens.
 SCENARIO = ExperimentSettings(scale=0.2, n_streams=2, seed=123)
 N_RUNS = 2
+
+MANIFEST_FILE = GOLDEN_DIR / "manifest.json"
+#: ``python -m repro run-all --scale 0.1 --streams 2`` (default seed).
+QUICK_GEOMETRY = ExperimentSettings(scale=0.1, n_streams=2)
 
 
 def _run_scenario() -> dict:
@@ -91,3 +102,35 @@ def test_golden_file_is_committed():
     assert golden["scenario"]["n_runs"] == N_RUNS
     assert golden["trace"]["n_events"] > 0
     assert golden["metrics"]["base_makespan"] > 0
+
+
+@pytest.mark.slow
+def test_suite_digests_match_manifest(regen_golden):
+    """Every experiment's metrics digest at the quick geometry."""
+    suite = run_suite(QUICK_GEOMETRY, use_cache=False)
+    actual = {
+        "geometry": {
+            "scale": QUICK_GEOMETRY.scale,
+            "n_streams": QUICK_GEOMETRY.n_streams,
+            "seed": QUICK_GEOMETRY.seed,
+        },
+        "suite_digest": suite.suite_digest(),
+        "experiments": {task.label: task.digest for task in suite.tasks},
+    }
+    if regen_golden:
+        MANIFEST_FILE.write_text(json.dumps(actual, indent=2) + "\n")
+        return
+    golden = json.loads(MANIFEST_FILE.read_text())
+    assert actual["geometry"] == golden["geometry"]
+    names = sorted(set(golden["experiments"]) | set(actual["experiments"]))
+    moved = [
+        name for name in names
+        if golden["experiments"].get(name) != actual["experiments"].get(name)
+    ]
+    assert not moved, (
+        f"metrics digest moved for {len(moved)} of {len(names)} experiments: "
+        f"{', '.join(moved)}; if this change is intentional, regenerate "
+        f"tests/golden/{MANIFEST_FILE.name} with --regen-golden (or "
+        f"REPRO_REGEN_GOLDEN=1) and commit it"
+    )
+    assert actual["suite_digest"] == golden["suite_digest"]

@@ -103,6 +103,11 @@ def pages_of(batch, page_rows):
         start += n_rows
 
 
+def one_page(pipeline, page_no, data, n_rows):
+    """Seconds for one page pushed through ``pipeline`` as a run of one."""
+    return pipeline.process_run(page_no, data, np.array([n_rows]))[0]
+
+
 def reference_pipeline(batch, page_rows, predicate, group_by, specs, extra):
     """The page-at-a-time, row-at-a-time pipeline the vectorised one
     replaced: scalar cost formulas in their original operation order and
@@ -209,7 +214,7 @@ class TestRunEqualsPages:
 
         whole, paged = build(), build()
         run_seconds = whole.process_run(0, batch, page_rows)
-        page_seconds = [paged.process_page(*page)
+        page_seconds = [one_page(paged, *page)
                         for page in pages_of(batch, page_rows)]
         assert list(run_seconds) == page_seconds  # exactly, not approximately
         assert all(type(s) is float for s in run_seconds)
@@ -238,7 +243,7 @@ class TestRunEqualsPages:
                 if feed_whole:
                     seconds = list(pipeline.process_run(0, batch, page_rows))
                 else:
-                    seconds = [pipeline.process_page(*page)
+                    seconds = [one_page(pipeline, *page)
                                for page in pages_of(batch, page_rows)]
                 matches += pipeline.result()["matches"]
             totals.append((matches, seconds))
@@ -260,7 +265,7 @@ class TestRunEqualsPages:
 
         whole, paged = build(), build()
         assert list(whole.process_run(0, batch, page_rows)) == [
-            paged.process_page(*page) for page in pages_of(batch, page_rows)]
+            one_page(paged, *page) for page in pages_of(batch, page_rows)]
         assert whole.result() == paged.result()
 
     def test_project_drops_codes_of_a_replaced_column(self):
@@ -342,7 +347,7 @@ class TestPageTimedSinks:
             whole.claw(claws)
             whole_seconds.append(run_seconds[page_no])
             paged.claw(claws)
-            paged_seconds.append(paged.pipeline.process_page(page_no, page, n_rows))
+            paged_seconds.append(one_page(paged.pipeline, page_no, page, n_rows))
             # Not just at the end: after every single page.
             assert whole.sink.spill.as_dict() == paged.sink.spill.as_dict()
         assert whole_seconds == paged_seconds

@@ -18,7 +18,6 @@ from repro.perf.bench import (
     bench_dispatch,
     bench_fix_hit,
     bench_fix_hit_generator,
-    bench_fix_many,
     bench_fix_miss,
     bench_push_many,
     calibrate,
@@ -56,7 +55,6 @@ class TestBenchBodies:
 
     def test_batch_bodies_run(self):
         assert bench_push_many(500) > 0
-        assert bench_fix_many(200) > 0
 
     def test_only_restricts_battery(self):
         report = run_benchmarks(quick=True, only=["dispatch"])

@@ -22,11 +22,10 @@ from repro.faults.plan import FaultPlan
 from repro.scans.shared_scan import SharedTableScan
 from repro.sim.kernel import Simulator
 
-from tests.conftest import make_database, make_pool
+from tests.conftest import flat_cost, make_database, make_pool
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
 def keys(*page_nos):
@@ -44,7 +43,7 @@ def push_db(n_pages=256, pool_pages=96, n_disks=2, **kwargs):
 
 def run_scans(db, n_scans, n_pages=256, allow_abort=False):
     scans = [
-        SharedTableScan(db, "t", 0, n_pages - 1, on_page=cheap)
+        SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
         for _ in range(n_scans)
     ]
     procs = [db.sim.spawn(scan.run()) for scan in scans]
@@ -224,7 +223,7 @@ class TestConsumerLifecycle:
 
         # Drive two overlapping scans far enough to group, then inspect.
         scans = [
-            SharedTableScan(db, "t", 0, 255, on_page=cheap) for _ in range(2)
+            SharedTableScan(db, "t", 0, 255, on_run=cheap) for _ in range(2)
         ]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
 

@@ -5,20 +5,26 @@ import pytest
 from repro.core.config import SharingConfig
 from repro.engine.executor import execute_query, run_workload
 from repro.engine.query import QuerySpec, ScanStep
+from repro.scans.base import LazyPages
 from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 from repro.workloads.synthetic import uniform_scan_query
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
-def exploding_on_page(fail_at_page):
-    def on_page(page_no, data, n_rows):
-        if page_no == fail_at_page:
-            raise RuntimeError(f"injected failure at page {page_no}")
-        return 1e-6
+def exploding_on_run(fail_at_page):
+    """Fails when the scan reaches ``fail_at_page``, while it is pinned."""
 
-    return on_page
+    def on_run(first_page, batch, page_rows):
+        def seconds(index):
+            if first_page + index == fail_at_page:
+                raise RuntimeError(f"injected failure at page {fail_at_page}")
+            return 1e-6
+
+        return LazyPages(seconds)
+
+    return on_run
 
 
 def assert_no_pins(db):
@@ -31,7 +37,7 @@ class TestPinLeaks:
     def test_failing_scan_releases_all_pins(self, shared):
         db = make_database(n_pages=64, sharing=SharingConfig(enabled=shared))
         cls = SharedTableScan if shared else TableScan
-        scan = cls(db, "t", 0, 63, on_page=exploding_on_page(20))
+        scan = cls(db, "t", 0, 63, on_run=exploding_on_run(20))
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -41,11 +47,11 @@ class TestPinLeaks:
         """A crashed scan must not poison the pool for later scans."""
         db = make_database(n_pages=64, pool_pages=16,
                            sharing=SharingConfig(enabled=True))
-        bad = SharedTableScan(db, "t", 0, 63, on_page=exploding_on_page(5))
+        bad = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(5))
         proc_bad = db.sim.spawn(bad.run())
         db.sim.run()
         assert proc_bad.completion.failed
-        good = SharedTableScan(db, "t", 0, 63, on_page=lambda p, d, n: 1e-6)
+        good = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-6))
         proc_good = db.sim.spawn(good.run())
         db.sim.run()
         assert not proc_good.completion.failed
@@ -54,7 +60,7 @@ class TestPinLeaks:
 
     def test_manager_clean_after_failure(self):
         db = make_database(n_pages=64)
-        scan = SharedTableScan(db, "t", 0, 63, on_page=exploding_on_page(9))
+        scan = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(9))
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -67,7 +73,7 @@ class TestRequiresOrder:
         sharing enabled: it always starts at its range's first page."""
         db = make_database(n_pages=64, sharing=SharingConfig(enabled=True))
         # Prime an ongoing scan so placement WOULD relocate a new scan.
-        warm = SharedTableScan(db, "t", 0, 63, on_page=lambda p, d, n: 1e-4)
+        warm = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-4))
         db.sim.spawn(warm.run())
         db.sim.run(until=0.01)
 
@@ -82,7 +88,7 @@ class TestRequiresOrder:
 
     def test_unordered_step_may_relocate(self):
         db = make_database(n_pages=128, sharing=SharingConfig(enabled=True))
-        warm = SharedTableScan(db, "t", 0, 127, on_page=lambda p, d, n: 1e-4)
+        warm = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-4))
         db.sim.spawn(warm.run())
         db.sim.run(until=0.02)
         unordered = uniform_scan_query("t", name="unordered")

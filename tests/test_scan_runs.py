@@ -1,12 +1,15 @@
 """Scans hand their operators one extent run at a time — and nothing the
 simulation can observe depends on it.
 
-A scan driven through ``on_run`` (operators see a whole run) must visit
-the same pages in the same order and charge each of them exactly the
-same CPU seconds at the same simulated time as the same scan driven
-through ``on_page`` (operators see one page at a time), wherever the
-range starts, ends or wraps relative to the extent grid.
+A scan whose ``on_run`` pushes each run through the operators whole must
+visit the same pages in the same order and charge each of them exactly
+the same CPU seconds at the same simulated time as the same scan whose
+``on_run`` processes every page as a run of one when the scan gets there
+(the page-at-a-time reference), wherever the range starts, ends or wraps
+relative to the extent grid.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,7 @@ from repro.engine.expressions import col, lit
 from repro.engine.operators import AggSpec, Filter, GroupByAggregate, Pipeline
 from repro.engine.query import QuerySpec, ScanStep
 from repro.faults.plan import FaultPlan
-from repro.scans.base import scan_order, scan_runs
+from repro.scans.base import LazyPages, scan_order, scan_runs
 from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 
@@ -78,10 +81,19 @@ class Charges:
         self.pipeline = pipeline
         self.log = []
 
-    def on_page(self, page_no, data, n_rows):
-        seconds = self.pipeline.process_page(page_no, data, n_rows)
-        self.log.append((page_no, seconds, self.db.sim.now))
-        return seconds
+    def page_at_a_time(self, first_page, batch, page_rows):
+        """The reference: each page is a run of one, processed on arrival."""
+        del batch
+        table = self.db.catalog.table("t")
+
+        def on_page(index):
+            page_no = first_page + index
+            seconds = self.pipeline.process_run(
+                page_no, table.page_data(page_no), page_rows[index:index + 1])[0]
+            self.log.append((page_no, seconds, self.db.sim.now))
+            return seconds
+
+        return LazyPages(on_page)
 
     def on_run(self, first_page, batch, page_rows):
         seconds = self.pipeline.process_run(first_page, batch, page_rows)
@@ -112,7 +124,7 @@ def run_scans(by_run, n_pages, first, last, delay, shared):
     charges = [Charges(db, make_pipeline()) for _ in range(2)]
     scans = [
         cls(db, "t", first, last, record_visits=True,
-            **({"on_run": c.on_run} if by_run else {"on_page": c.on_page}))
+            on_run=c.on_run if by_run else c.page_at_a_time)
         for c in charges
     ]
 
@@ -199,14 +211,27 @@ class TestKillMidRun:
         assert db.sharing.active_scan_count == 0
         assert db.sharing.stats.scans_aborted == 1
 
-    def test_scan_needs_exactly_one_callback(self):
-        db = make_database(n_pages=16)
-        pipeline = make_pipeline()
-        with pytest.raises(ValueError):
-            TableScan(db, "t", 0, 15)
-        with pytest.raises(ValueError):
-            SharedTableScan(db, "t", 0, 15, on_page=pipeline.process_page,
-                            on_run=pipeline.process_run)
+
+class TestUnsharedScan:
+    def test_unshared_scan_never_touches_the_manager(self):
+        """An ordered step runs unshared while sharing is on: it must not
+        register, report or be placed — even next to a sharing scan."""
+        db = make_database(n_pages=64, pool_pages=32, extent_size=EXTENT,
+                           sharing=SharingConfig(enabled=True, min_share_pages=1))
+        assert db.sharing_enabled
+        stats_before = copy.deepcopy(db.sharing.stats)
+        scan = TableScan(db, "t", 5, 50, make_pipeline().process_run,
+                         record_visits=True)
+        proc = db.sim.spawn(scan.run())
+        db.sim.run()
+        assert not proc.completion.failed, proc.completion.value
+        result = proc.completion.value
+        assert result.start_page == 5
+        assert result.visited_pages == list(range(5, 51))  # physical order
+        assert result.throttle_seconds == 0.0
+        assert db.sharing.stats == stats_before
+        assert db.sharing.active_scan_count == 0
+        assert_no_pins(db)
 
 
 def grouped_query(budget):

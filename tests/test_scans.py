@@ -7,7 +7,7 @@ from repro.scans.base import scan_order
 from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
 def run_scan(db, scan):
@@ -18,8 +18,7 @@ def run_scan(db, scan):
     return proc.completion.value
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
 class TestScanOrder:
@@ -47,7 +46,7 @@ class TestScanOrder:
 class TestTableScan:
     def test_visits_full_range_in_order(self):
         db = make_database(n_pages=32, sharing=SharingConfig(enabled=False))
-        scan = TableScan(db, "t", 0, 31, on_page=cheap, record_visits=True)
+        scan = TableScan(db, "t", 0, 31, on_run=cheap, record_visits=True)
         result = run_scan(db, scan)
         assert result.visited_pages == list(range(32))
         assert result.pages_scanned == 32
@@ -55,18 +54,18 @@ class TestTableScan:
 
     def test_partial_range(self):
         db = make_database(n_pages=32, sharing=SharingConfig(enabled=False))
-        scan = TableScan(db, "t", 8, 15, on_page=cheap, record_visits=True)
+        scan = TableScan(db, "t", 8, 15, on_run=cheap, record_visits=True)
         result = run_scan(db, scan)
         assert result.visited_pages == list(range(8, 16))
 
     def test_bad_range_rejected(self):
         db = make_database(n_pages=32)
         with pytest.raises(ValueError):
-            TableScan(db, "t", 0, 32, on_page=cheap)
+            TableScan(db, "t", 0, 32, on_run=cheap)
 
     def test_cpu_time_accumulated(self):
         db = make_database(n_pages=16, sharing=SharingConfig(enabled=False))
-        scan = TableScan(db, "t", 0, 15, on_page=lambda p, d, n: 0.001)
+        scan = TableScan(db, "t", 0, 15, on_run=flat_cost(0.001))
         result = run_scan(db, scan)
         assert result.cpu_seconds == pytest.approx(0.016)
         assert result.elapsed >= 0.016
@@ -74,7 +73,7 @@ class TestTableScan:
     def test_prefetch_reads_extents(self):
         db = make_database(n_pages=32, extent_size=8,
                            sharing=SharingConfig(enabled=False))
-        scan = TableScan(db, "t", 0, 31, on_page=cheap)
+        scan = TableScan(db, "t", 0, 31, on_run=cheap)
         run_scan(db, scan)
         # 4 extents -> 4 physical requests of 8 pages each.
         assert db.disk.stats.reads == 4
@@ -86,12 +85,12 @@ class TestSharedTableScan:
         db = make_database(n_pages=64)
         # Prime the manager with a scan in progress so the next placement
         # lands mid-range.
-        first = SharedTableScan(db, "t", 0, 63, on_page=cheap, record_visits=True)
+        first = SharedTableScan(db, "t", 0, 63, on_run=cheap, record_visits=True)
         second_holder = {}
 
         def start_second(sim):
             yield sim.timeout(0.005)
-            scan = SharedTableScan(db, "t", 0, 63, on_page=cheap, record_visits=True)
+            scan = SharedTableScan(db, "t", 0, 63, on_run=cheap, record_visits=True)
             result = yield from scan.run()
             second_holder["result"] = result
 
@@ -104,7 +103,7 @@ class TestSharedTableScan:
 
     def test_manager_sees_start_and_end(self):
         db = make_database(n_pages=32)
-        scan = SharedTableScan(db, "t", 0, 31, on_page=cheap)
+        scan = SharedTableScan(db, "t", 0, 31, on_run=cheap)
         run_scan(db, scan)
         assert db.sharing.stats.scans_started == 1
         assert db.sharing.stats.scans_finished == 1
@@ -113,10 +112,10 @@ class TestSharedTableScan:
     def test_manager_deregistered_even_on_failure(self):
         db = make_database(n_pages=32)
 
-        def explode(page_no, data, n_rows):
+        def explode(first_page, batch, page_rows):
             raise RuntimeError("page processing failed")
 
-        scan = SharedTableScan(db, "t", 0, 31, on_page=explode)
+        scan = SharedTableScan(db, "t", 0, 31, on_run=explode)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -126,9 +125,9 @@ class TestSharedTableScan:
         """Sharing must never change which pages a scan processes."""
         shared_db = make_database(n_pages=48)
         base_db = make_database(n_pages=48, sharing=SharingConfig(enabled=False))
-        shared = SharedTableScan(shared_db, "t", 0, 47, on_page=cheap,
+        shared = SharedTableScan(shared_db, "t", 0, 47, on_run=cheap,
                                  record_visits=True)
-        plain = TableScan(base_db, "t", 0, 47, on_page=cheap, record_visits=True)
+        plain = TableScan(base_db, "t", 0, 47, on_run=cheap, record_visits=True)
         shared_result = run_scan(shared_db, shared)
         plain_result = run_scan(base_db, plain)
         assert sorted(shared_result.visited_pages) == plain_result.visited_pages
@@ -139,7 +138,7 @@ class TestSharedTableScan:
         db = make_database(n_pages=64, pool_pages=32)
 
         def spawn_scan():
-            scan = SharedTableScan(db, "t", 0, 63, on_page=cheap)
+            scan = SharedTableScan(db, "t", 0, 63, on_run=cheap)
             return db.sim.spawn(scan.run())
 
         procs = [spawn_scan(), spawn_scan()]
@@ -153,8 +152,8 @@ class TestSharedTableScan:
     def test_throttle_seconds_reported(self):
         db = make_database(n_pages=128, pool_pages=64)
         # A fast scan and a slow scan: the fast one must get throttled.
-        fast = SharedTableScan(db, "t", 0, 127, on_page=lambda p, d, n: 1e-6)
-        slow = SharedTableScan(db, "t", 0, 127, on_page=lambda p, d, n: 2e-3)
+        fast = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-6))
+        slow = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(2e-3))
         proc_fast = db.sim.spawn(fast.run())
         proc_slow = db.sim.spawn(slow.run())
         db.sim.run()

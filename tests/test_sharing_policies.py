@@ -32,7 +32,7 @@ from repro.storage.schema import ColumnSpec, make_schema
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
 def make_catalog(table_pages=1000, extent=16):
@@ -396,7 +396,7 @@ class TestSharedScanUnderRivalPolicies:
             def process():
                 yield db.sim.timeout(delay)
                 scan = SharedTableScan(
-                    db, "t", 0, 127, on_page=lambda p, d, n: 1e-6
+                    db, "t", 0, 127, on_run=flat_cost(1e-6)
                 )
                 result = yield from scan.run()
                 results.append(result)

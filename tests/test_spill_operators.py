@@ -15,6 +15,7 @@ from repro.engine.memory import OperatorMemory, TempSpace
 from repro.engine.operators import AggSpec, GroupByAggregate
 from repro.engine.query import QuerySpec, ScanStep
 from repro.engine.expressions import col
+from repro.faults.plan import FaultPlan
 from repro.engine.spill import (
     BudgetedGroupBy,
     HashBuildSink,
@@ -304,6 +305,34 @@ class TestExecutorIntegration:
         assert stats["build_pages_needed"] == 50
         assert result.values["probe"]["matches"] == 64 * 100
         assert db.pool.reserved_frames == 0
+
+    def test_kill_in_a_later_probe_pass_marks_the_step_aborted(self):
+        """The probe step folds its passes into one ScanResult; a pass
+        killed after the first must still surface as ``aborted``."""
+        # Scan ids: 0 is the build scan, 1.. the probe passes — kill the
+        # third pass halfway through its range.
+        db = make_database(
+            n_pages=64, pool_pages=32, record_page_visits=True,
+            fault_plan=FaultPlan.from_spec(
+                "scan-kill:target=nth,nth=3,at=0.5", seed=0),
+        )
+        spec = QuerySpec(
+            name="join",
+            steps=(
+                ScanStep(table="t", join_build_key="id",
+                         join_budget_pages=2, label="build"),
+                ScanStep(table="t", join_probe_key="id", label="probe"),
+            ),
+        )
+        result = self.run_query(db, spec)
+        probe = result.steps[1]
+        assert probe.operator_stats["join_chunks"] == 25
+        assert db.sharing.stats.scans_aborted == 1
+        assert probe.scan.aborted
+        # 24 whole passes and the 32 pages the killed one reached.
+        assert probe.scan.pages_scanned == 24 * 64 + 32
+        assert len(probe.scan.visited_pages) == probe.scan.pages_scanned
+        assert probe.values["matches"] < 64 * 100
 
 
 class TestBudgetedTemplates:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.config import SharingConfig
 from repro.scans.shared_scan import SharedTableScan
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 # Per-scan CPU cost per page, spanning I/O-bound to heavily CPU-bound.
 cpu_costs = st.lists(
@@ -32,7 +32,7 @@ def run_scans(costs, n_pages=96, pool=48, config=None):
     procs = []
     for cost in costs:
         scan = SharedTableScan(db, "t", 0, n_pages - 1,
-                               on_page=lambda p, d, n, c=cost: c)
+                               on_run=flat_cost(cost))
         procs.append(db.sim.spawn(scan.run()))
     db.sim.run()
     results = []

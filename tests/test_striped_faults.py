@@ -19,11 +19,10 @@ from repro.faults.plan import FaultPlan, FaultSpecError, parse_fault_spec
 from repro.scans.shared_scan import SharedTableScan
 from repro.sim.kernel import Simulator
 
-from tests.conftest import make_database
+from tests.conftest import flat_cost, make_database
 
 
-def cheap(page_no, data, n_rows):
-    return 1e-6
+cheap = flat_cost(1e-6)
 
 
 class TestDeviceOption:
@@ -115,7 +114,7 @@ def run_push_chaos(fault_spec, seed=11, n_scans=3, n_pages=256):
         fault_plan=FaultPlan.from_spec(fault_spec, seed=seed),
     )
     scans = [
-        SharedTableScan(db, "t", 0, n_pages - 1, on_page=cheap)
+        SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
         for _ in range(n_scans)
     ]
     procs = [db.sim.spawn(scan.run()) for scan in scans]
