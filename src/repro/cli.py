@@ -13,7 +13,6 @@ Usage::
     python -m repro serve-sim soak --faults disk-degrade --assert-bounded
     python -m repro cluster-sim steady --quick
     python -m repro cluster-sim scale --replicas 4
-    python -m repro bench --out BENCH_kernel.json
     python -m repro quickstart
 
 ``run`` executes one experiment (see ``list`` for ids) and prints the
@@ -38,10 +37,6 @@ drained and stayed within its concurrency/queue bounds, and
 simulated-user load routed over a sharded replica fleet by a
 consistent-hash ring, each replica its own admission-controlled
 service — through the same cached, deterministic runner.
-``bench`` runs the hot-path microbenchmarks (fix-hit, fix-miss, event
-dispatch, end-to-end staggered-Q6), writes the machine-normalized
-``BENCH_kernel.json`` artifact, and — with ``--check`` — fails (exit 3)
-on a >20 % regression against a committed baseline.
 """
 
 from __future__ import annotations
@@ -52,26 +47,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import (
-    REGISTRY,
     UnknownExperimentError,
     all_experiments,
     get,
     render_result,
 )
 from repro.metrics.report import format_table
-
-
-def _make_renderer(spec):
-    return lambda settings: render_result(spec.execute(settings))
-
-
-#: Experiment id -> (description, runner returning printable text).
-#: A thin view over :mod:`repro.experiments.registry`, kept for
-#: backwards compatibility; new code should use the registry directly.
-EXPERIMENTS: Dict[str, Tuple[str, object]] = {
-    spec.name: (spec.description, _make_renderer(spec))
-    for spec in all_experiments()
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,27 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--horizon", type=float, default=None,
                          help="arrival-window override in simulated seconds "
                               "(default: per-scenario, scale-derived)")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the hot-path microbenchmarks; optionally gate against "
-             "a committed baseline",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI configuration: fewer repetitions, same "
-                            "workloads (normalized metrics stay comparable)")
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="write the JSON report (e.g. BENCH_kernel.json)")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="compare against a baseline JSON; exit 3 on "
-                            "regression")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed normalized-metric regression "
-                            "(default 0.20 = 20%%); baseline entries with "
-                            "their own 'tolerance' key override this")
-    bench.add_argument("--only", metavar="NAMES", default=None,
-                       help="comma-separated benchmark subset (targeted "
-                            "profiling; incompatible with --check)")
     return parser
 
 
@@ -488,58 +448,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return text
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run (and optionally gate) the perf microbenchmarks.
-
-    Unlike the other subcommands this returns an exit code directly:
-    0 on success, 3 when ``--check`` found a regression.
-    """
-    from repro.perf.bench import (
-        compare_reports, load_report, render_report, run_benchmarks,
-        write_report,
-    )
-
-    if not 0 < args.tolerance < 1:
-        raise SystemExit(
-            f"repro bench: error: --tolerance must be in (0, 1), "
-            f"got {args.tolerance}"
-        )
-    only = None
-    if args.only:
-        if args.check:
-            raise SystemExit(
-                "repro bench: error: --only cannot be combined with --check "
-                "(the gate needs the full battery)"
-            )
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-    try:
-        report = run_benchmarks(quick=args.quick, only=only)
-    except ValueError as exc:
-        raise SystemExit(f"repro bench: error: {exc}")
-    print(render_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.check:
-        try:
-            baseline = load_report(args.check)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(
-                f"repro bench: error: cannot load baseline {args.check!r}: {exc}"
-            )
-        problems = compare_reports(baseline, report,
-                                   tolerance=args.tolerance)
-        if problems:
-            print(f"\nPERF REGRESSION vs {args.check} "
-                  f"(tolerance {args.tolerance:.0%}):", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 3
-        print(f"\nno regression vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run one experiment under one or more fault plans.
 
@@ -597,50 +505,55 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 4 if violations else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run one or more service scenarios through the parallel runner.
+def _cmd_scenarios(
+    args: argparse.Namespace, scenarios: Dict[str, str], prefix: str
+) -> int:
+    """Run one or more named scenarios through the parallel runner.
 
+    ``serve-sim`` and ``cluster-sim`` are this one command over different
+    scenario tables (``prefix`` + scenario name is the experiment id).
     Returns an exit code directly: 0 on success, 2 on an unknown
-    scenario, 4 on an invariant violation (chaos runs), 5 when
-    ``--assert-bounded`` found unbounded behaviour.
+    scenario or bad argument, 4 on an invariant violation (chaos runs),
+    5 when ``--assert-bounded`` found unbounded behaviour.
     """
     from repro.experiments.runner import ExperimentTask, run_tasks
     from repro.faults.invariants import InvariantViolation
     from repro.metrics.export import write_suite_json
-    from repro.service.metrics import bounded_problems
-    from repro.service.scenarios import SCENARIOS
+
+    def usage_error(message: str) -> int:
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
     if args.list_scenarios:
-        print(format_table(
-            ["scenario", "description"], sorted(SCENARIOS.items())
-        ))
+        print(format_table(["scenario", "description"], sorted(scenarios.items())))
         return 0
     names = [n.strip() for n in args.scenario.split(",") if n.strip()]
     if not names:
-        print("repro serve-sim: error: no scenario named", file=sys.stderr)
-        return 2
+        return usage_error("no scenario named")
     for name in names:
-        if name not in SCENARIOS:
-            print(
-                f"repro serve-sim: error: unknown scenario {name!r} "
-                f"(known: {', '.join(sorted(SCENARIOS))})",
-                file=sys.stderr,
+        if name not in scenarios:
+            return usage_error(
+                f"unknown scenario {name!r} "
+                f"(known: {', '.join(sorted(scenarios))})"
             )
-            return 2
     settings = _settings_from_args(args)
     if args.quick:
         settings = settings.with_(scale=0.1)
-    if args.horizon is not None:
-        if args.horizon <= 0:
-            print(
-                f"repro serve-sim: error: --horizon must be positive, "
-                f"got {args.horizon}",
-                file=sys.stderr,
-            )
-            return 2
-        settings = settings.with_(service_horizon=args.horizon)
+    # Overrides a command does not declare (serve-sim: all but --horizon)
+    # are simply absent from its namespace.
+    for flag, field, need in (
+        ("replicas", "cluster_replicas", ">= 1"),
+        ("users", "cluster_users", ">= 1"),
+        ("horizon", "service_horizon", "positive"),
+    ):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if value <= 0:
+            return usage_error(f"--{flag} must be {need}, got {value}")
+        settings = settings.with_(**{field: value})
     tasks = [
-        ExperimentTask(experiment=f"sv-{name}", settings=settings)
+        ExperimentTask(experiment=f"{prefix}{name}", settings=settings)
         for name in names
     ]
     try:
@@ -653,7 +566,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 4
     print(_suite_report(
         suite,
-        f"SERVE-SIM — {', '.join(names)} "
+        f"{args.command.upper()} — {', '.join(names)} "
         f"(scale {settings.scale}, seed {settings.seed})",
     ))
     for task in suite.tasks:
@@ -661,7 +574,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.out:
         write_suite_json(suite, args.out)
         print(f"results written to {args.out}")
-    if args.assert_bounded:
+    if getattr(args, "assert_bounded", False):
+        from repro.service.metrics import bounded_problems
+
         problems = []
         for task in suite.tasks:
             problems.extend(bounded_problems(task.label, task.metrics))
@@ -671,89 +586,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"  {problem}", file=sys.stderr)
             return 5
         print("\nboundedness assertions passed")
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Run one or more cluster scenarios through the parallel runner.
-
-    Returns an exit code directly: 0 on success, 2 on an unknown
-    scenario or bad argument, 4 on an invariant violation (chaos runs).
-    """
-    from repro.cluster.scenarios import CLUSTER_SCENARIOS
-    from repro.experiments.runner import ExperimentTask, run_tasks
-    from repro.faults.invariants import InvariantViolation
-    from repro.metrics.export import write_suite_json
-
-    if args.list_scenarios:
-        print(format_table(
-            ["scenario", "description"], sorted(CLUSTER_SCENARIOS.items())
-        ))
-        return 0
-    names = [n.strip() for n in args.scenario.split(",") if n.strip()]
-    if not names:
-        print("repro cluster-sim: error: no scenario named", file=sys.stderr)
-        return 2
-    for name in names:
-        if name not in CLUSTER_SCENARIOS:
-            print(
-                f"repro cluster-sim: error: unknown scenario {name!r} "
-                f"(known: {', '.join(sorted(CLUSTER_SCENARIOS))})",
-                file=sys.stderr,
-            )
-            return 2
-    settings = _settings_from_args(args)
-    if args.quick:
-        settings = settings.with_(scale=0.1)
-    if args.replicas is not None:
-        if args.replicas < 1:
-            print(
-                f"repro cluster-sim: error: --replicas must be >= 1, "
-                f"got {args.replicas}",
-                file=sys.stderr,
-            )
-            return 2
-        settings = settings.with_(cluster_replicas=args.replicas)
-    if args.users is not None:
-        if args.users < 1:
-            print(
-                f"repro cluster-sim: error: --users must be >= 1, "
-                f"got {args.users}",
-                file=sys.stderr,
-            )
-            return 2
-        settings = settings.with_(cluster_users=args.users)
-    if args.horizon is not None:
-        if args.horizon <= 0:
-            print(
-                f"repro cluster-sim: error: --horizon must be positive, "
-                f"got {args.horizon}",
-                file=sys.stderr,
-            )
-            return 2
-        settings = settings.with_(service_horizon=args.horizon)
-    tasks = [
-        ExperimentTask(experiment=f"sv-cluster-{name}", settings=settings)
-        for name in names
-    ]
-    try:
-        suite = run_tasks(
-            tasks, jobs=args.jobs,
-            use_cache=not args.no_cache, cache_dir=args.cache_dir,
-        )
-    except InvariantViolation as exc:
-        print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
-        return 4
-    print(_suite_report(
-        suite,
-        f"CLUSTER-SIM — {', '.join(names)} "
-        f"(scale {settings.scale}, seed {settings.seed})",
-    ))
-    for task in suite.tasks:
-        print(f"\n--- {task.label} ---\n{task.render}")
-    if args.out:
-        write_suite_json(suite, args.out)
-        print(f"results written to {args.out}")
     return 0
 
 
@@ -776,8 +608,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "chaos":
         try:
             return _cmd_chaos(args)
@@ -785,9 +615,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro chaos: error: {exc}", file=sys.stderr)
             return 2
     if args.command == "serve-sim":
-        return _cmd_serve(args)
+        from repro.service.scenarios import SCENARIOS
+
+        return _cmd_scenarios(args, SCENARIOS, "sv-")
     if args.command == "cluster-sim":
-        return _cmd_cluster(args)
+        from repro.cluster.scenarios import CLUSTER_SCENARIOS
+
+        return _cmd_scenarios(args, CLUSTER_SCENARIOS, "sv-cluster-")
     commands = {
         "list": lambda: _cmd_list(),
         "run": lambda: _cmd_run(args),

@@ -21,7 +21,7 @@ class ExperimentSettings:
     """Knobs shared by all experiments.
 
     ``scale`` trades fidelity for runtime: 1.0 is the headline
-    configuration (lineitem 1600 pages, pool ≈ 5 %); benchmarks default
+    configuration (lineitem 1600 pages, pool ≈ 5 %); the defaults sit
     lower so the whole suite finishes in minutes.
     """
 

@@ -5,7 +5,7 @@ ablations) is described by one :class:`ExperimentSpec` mapping its id to
 a callable, a one-line description, and — via :func:`metrics_of` and
 :func:`render_result` — a uniform way to turn its heterogeneous result
 object into structured metrics and printable text.  The CLI, the
-parallel runner, and the benchmarks all dispatch through this table
+parallel runner, and the paper bands all dispatch through this table
 instead of keeping private experiment lists.
 """
 

@@ -10,7 +10,7 @@ emit through the pattern::
 
 The ``enabled`` guard keeps hot paths allocation-free when no sink is
 installed: a disabled tracer costs one attribute check per potential
-event, which is what the E1 overhead benchmark holds the line on.
+event, which is what the E1 overhead band holds the line on.
 """
 
 from __future__ import annotations

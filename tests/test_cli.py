@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.registry import REGISTRY, all_experiments
 from repro.trace import get_tracer
 
 
@@ -50,21 +51,21 @@ class TestParser:
 class TestRegistry:
     def test_all_core_experiments_registered(self):
         for exp_id in [f"e{i}" for i in range(1, 9)]:
-            assert exp_id in EXPERIMENTS
+            assert exp_id in REGISTRY
         for exp_id in [f"a{i}" for i in range(1, 8)]:
-            assert exp_id in EXPERIMENTS
+            assert exp_id in REGISTRY
 
     def test_descriptions_non_empty(self):
-        for exp_id, (description, runner) in EXPERIMENTS.items():
-            assert description
-            assert callable(runner)
+        for spec in all_experiments():
+            assert spec.description
+            assert callable(spec.run)
 
 
 class TestExecution:
     def test_list_prints_all_ids(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for exp_id in EXPERIMENTS:
+        for exp_id in REGISTRY:
             assert exp_id in out
 
     def test_run_e1_tiny(self, capsys):

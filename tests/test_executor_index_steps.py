@@ -103,20 +103,28 @@ class TestIndexSteps:
         assert result.steps[0].scan.start_page == 0  # start entry 0
 
     def test_concurrent_index_steps_share(self):
-        """SISCAN-backed steps read fewer pages than IXSCAN-backed ones.
+        """SISCAN-backed steps read fewer pages and finish sooner than
+        IXSCAN-backed ones, with the same answers.
 
         The stagger must exceed the pool's reach in *blocks* (each
         scattered block costs a seek, ~10 ms): with a 48-page pool and
         8-page blocks, anything past ~6 blocks (~60 ms) defeats chance
         sharing, so 150 ms is well clear of it.
         """
-        def pages(shared):
+        def run(shared):
             db = make_indexed_db(shared=shared, n_pages=256)
             query = index_query()
-            run_workload(db, [[query], [query]], stagger=0.15)
-            return db.disk.stats.pages_read
+            return run_workload(db, [[query], [query]], stagger=0.15)
 
-        assert pages(True) < pages(False)
+        base, shared = run(False), run(True)
+        assert shared.pages_read < base.pages_read
+        assert shared.makespan < base.makespan
+
+        def row_counts(result):
+            return [q.values["t"]["rows"]
+                    for s in result.streams for q in s.queries]
+
+        assert row_counts(shared) == row_counts(base)
 
     def test_index_manager_lifecycle(self):
         db = make_indexed_db(shared=True)

@@ -20,7 +20,6 @@ SUBPACKAGES = [
     "repro.service",
     "repro.cluster",
     "repro.extensions.index_sharing",
-    "repro.extensions.attach_sharing",
     "repro.cli",
 ]
 
@@ -40,8 +39,7 @@ class TestPublicApi:
 
     @pytest.mark.parametrize(
         "module_name",
-        [m for m in SUBPACKAGES if m not in ("repro.cli",
-                                             "repro.extensions.attach_sharing")],
+        [m for m in SUBPACKAGES if m != "repro.cli"],
     )
     def test_subpackage_all_resolves(self, module_name):
         module = importlib.import_module(module_name)

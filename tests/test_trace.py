@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import SharingConfig
 from repro.engine.executor import run_workload
 from repro.metrics.export import trace_to_jsonl
+from repro.sim.kernel import Simulator
 from repro.trace import (
     BufferFix,
     JsonlSink,
@@ -155,6 +156,16 @@ class TestWorkloadTracing:
         run_workload(db, streams)
         assert tracer.events_emitted == emitted_before
         assert not tracer.enabled
+
+    def test_dispatch_traced_still_emits_every_event(self):
+        """The hoisted tracer handle must not drop or duplicate dispatches."""
+        sim = Simulator()
+        n = 500
+        for i in range(n):
+            sim.timeout(float(i))
+        with tracing(RingBufferSink(capacity=10 * n)) as tracer:
+            sim.run()
+        assert tracer.events_emitted == n
 
 
 class TestJsonlSink:
