@@ -30,7 +30,7 @@ constructed and every metric stays byte-identical to a build without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 #: A pushed unit: (table name, extent number).
 ExtentKey = Tuple[str, int]
@@ -175,14 +175,6 @@ class PushPipeline:
             key: dict(state.delivered)
             for key, state in self._delivered.items()
         }
-
-    def consumers_of(self, scan_id: int) -> List[ExtentKey]:
-        """Extents the scan is currently registered for (pending only)."""
-        return [
-            key
-            for key, state in self._pending.items()
-            if scan_id in state.consumers
-        ]
 
     # ------------------------------------------------------------------
     # Internals

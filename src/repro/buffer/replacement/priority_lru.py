@@ -50,8 +50,9 @@ class PriorityLruPolicy(ReplacementPolicy):
             self._place(key, priority)
 
     def choose_victim(self, evictable: EvictablePredicate) -> Optional[PageKey]:
-        for level in sorted(Priority):
-            for key in self._levels[level]:
+        # ``_levels`` was built LOW -> HIGH and dicts keep insertion order.
+        for order in self._levels.values():
+            for key in order:
                 if evictable(key):
                     return key
         return None

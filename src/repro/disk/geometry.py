@@ -134,10 +134,6 @@ SystemConfig` assign every extent to the same device (re-opening a
         stripe = local_stripe * self.n_devices + device
         return stripe * self.stripe_pages + offset
 
-    def device_of(self, page: int) -> int:
-        """The device a global page lives on."""
-        return self.locate(page)[0]
-
     def run_on_device(self, start_page: int, n_pages: int) -> int:
         """Pages of ``[start_page, start_page + n_pages)`` that stay on
         ``start_page``'s device before crossing a stripe boundary."""

@@ -31,11 +31,6 @@ class DiskStats:
     read_trace: List[Tuple[float, int]] = field(default_factory=list)
     seek_trace: List[Tuple[float, int]] = field(default_factory=list)
 
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read; requires the caller to scale by page size."""
-        return self.pages_read
-
     def record_read(
         self, time: float, n_pages: int, seeked: bool, seek_time: float, xfer_time: float
     ) -> None:

@@ -84,10 +84,10 @@ class SystemConfig:
     #: trace analyzer in :mod:`repro.metrics.access_log`).
     record_page_visits: bool = False
     #: ``SimDispatch`` sampling for the kernel event loop: 1 traces every
-    #: dispatch (the historical behavior), ``N`` every Nth, 0 turns the
-    #: per-event tracer check off entirely — the setting for soak-scale
-    #: runs.  Only dispatch events are affected; buffer/disk/scan trace
-    #: events always emit.
+    #: dispatch (a queue pop, so a CPU charge ``Resource.hold`` serves
+    #: inline is none), ``N`` every Nth, 0 turns the per-event tracer check
+    #: off entirely — the setting for soak-scale runs.  Only dispatch events
+    #: are affected; buffer/disk/scan trace events always emit.
     trace_dispatch_sample: int = 1
     #: Deterministic fault schedule; None (the default) leaves every
     #: injection point dormant and the system byte-identical to a build
@@ -355,13 +355,12 @@ class Database:
         del table_name  # same device for every table
         return 1.0 / self.config.geometry.transfer_time(1)
 
-    def charge_manager_call_overhead(self) -> Generator:
-        """Charge the CPU cost of one sharing-manager call."""
-        overhead = self.config.manager_call_overhead_cpu
-        if overhead > 0:
-            yield self.cpu.acquire()
-            yield self.sim.timeout(overhead)
-            self.cpu.release()
+    def charge_cpu(self, seconds: float) -> Generator:
+        """Occupy a core for ``seconds`` of simulated CPU."""
+        if seconds > 0:
+            held = self.cpu.hold(seconds)
+            if held is not None:
+                yield held
 
     # ------------------------------------------------------------------
     # Measurement

@@ -86,16 +86,6 @@ def chunk_factor(pages_needed: int, pages_granted: int) -> int:
     return max(1, ceil(pages_needed / max(1, pages_granted)))
 
 
-def _charge_cpu(db, seconds: float) -> Generator:
-    """Acquire a core and burn ``seconds`` of simulated CPU."""
-    if seconds > 0:
-        yield db.cpu.acquire()
-        try:
-            yield db.sim.timeout(seconds)
-        finally:
-            db.cpu.release()
-
-
 def _pop_largest_partition(state: dict, partitions: Dict[object, int]) -> dict:
     """Remove and return the fullest hash partition of ``state`` (ties go
     to the lowest partition id).
@@ -128,6 +118,26 @@ def _write_run(operator, payload: dict, n_pages: int) -> float:
     spill.spilled_groups += len(payload)
     spill.spill_pages_written += n_pages
     return n_pages * operator.cost.spill_write_units_per_page
+
+
+def _merge_runs(operator, db, merge) -> Generator:
+    """Wait out ``operator``'s spill writes, then read its runs back one
+    at a time (a real hash operator would partition recursively; one
+    level is enough for the cost model), charging the temp read and the
+    per-entry merge CPU on the simulated clock before ``merge(payload)``."""
+    yield from operator.memory.drain()
+    runs, operator._runs = operator._runs, []
+    cost = operator.cost
+    for addr, n_pages, payload in runs:
+        yield from operator.memory.read_back(addr, n_pages)
+        operator.spill.spill_pages_read += n_pages
+        units = (
+            n_pages * cost.spill_read_units_per_page
+            + len(payload) * cost.spill_merge_units
+        )
+        yield from db.charge_cpu(cost.seconds(units))
+        merge(payload)
+        operator.spill.merged_groups += len(payload)
 
 
 class SpillStats:
@@ -223,25 +233,8 @@ class BudgetedGroupBy(GroupByAggregate):
         return _write_run(self, payload, self._pages_for(len(payload)))
 
     def finalize_sim(self, db) -> Generator:
-        """Post-scan merge: wait out spill writes, read runs back, merge.
-
-        The merge phase processes one run at a time (a real hash agg
-        would recursively partition; one level is enough for the cost
-        model) and charges temp-read I/O plus per-group merge CPU on the
-        simulated clock.
-        """
-        yield from self.memory.drain()
-        runs, self._runs = self._runs, []
-        for addr, n_pages, payload in runs:
-            yield from self.memory.read_back(addr, n_pages)
-            self.spill.spill_pages_read += n_pages
-            units = (
-                n_pages * self.cost.spill_read_units_per_page
-                + len(payload) * self.cost.spill_merge_units
-            )
-            yield from _charge_cpu(db, self.cost.seconds(units))
-            self._merge(payload.items())
-            self.spill.merged_groups += len(payload)
+        """Post-scan merge: read the spilled partitions back and fold them in."""
+        return _merge_runs(self, db, lambda payload: self._merge(payload.items()))
 
 
 class SortSpillGroupBy(BudgetedGroupBy):
@@ -336,21 +329,12 @@ class HashBuildSink(Operator):
 
     def finalize_sim(self, db) -> Generator:
         """Read spilled build partitions back and merge their counts."""
-        if self.memory is None:
-            return
-        yield from self.memory.drain()
-        runs, self._runs = self._runs, []
-        for addr, n_pages, payload in runs:
-            yield from self.memory.read_back(addr, n_pages)
-            self.spill.spill_pages_read += n_pages
-            units = (
-                n_pages * self.cost.spill_read_units_per_page
-                + len(payload) * self.cost.spill_merge_units
-            )
-            yield from _charge_cpu(db, self.cost.seconds(units))
+        def merge(payload: Dict[object, int]) -> None:
             for key, count in payload.items():
                 self.table[key] = self.table.get(key, 0) + count
-                self.spill.merged_groups += 1
+
+        if self.memory is not None:
+            yield from _merge_runs(self, db, merge)
 
     def finish(self) -> object:
         return self.table

@@ -262,10 +262,6 @@ class TimelineResult:
     base_series: List[float]
     shared_series: List[float]
 
-    def shared_total_lower(self) -> bool:
-        """Whether SS's series sums below Base's."""
-        return sum(self.shared_series) < sum(self.base_series)
-
     def render(self) -> str:
         return (
             format_series(f"Base {self.metric}", self.base_series)

@@ -308,10 +308,6 @@ class SuiteResult:
     def cache_hits(self) -> int:
         return sum(1 for task in self.tasks if task.cache == "hit")
 
-    @property
-    def metrics_by_label(self) -> Dict[str, Dict[str, Any]]:
-        return {task.label: task.metrics for task in self.tasks}
-
     def suite_digest(self) -> str:
         """One digest over every task's metrics, in task order."""
         return metrics_digest({

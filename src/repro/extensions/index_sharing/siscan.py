@@ -115,13 +115,8 @@ class IndexScan:
                     )[0]
                 else:
                     cpu_seconds = self.cpu_per_page
-                if cpu_seconds > 0:
-                    yield db.cpu.acquire()
-                    try:
-                        yield db.sim.timeout(cpu_seconds)
-                    finally:
-                        db.cpu.release()
-                    result.cpu_seconds += cpu_seconds
+                yield from db.charge_cpu(cpu_seconds)
+                result.cpu_seconds += cpu_seconds
             finally:
                 db.pool.unfix(key, priority)
             result.pages_fixed += 1
@@ -226,7 +221,7 @@ class SharedIndexScan(IndexScan):
         wait = self.ism.update_location(
             scan_id, location, entries_done, wrapped_since_last=wrapped
         )
-        yield from self.db.charge_manager_call_overhead()
+        yield from self.db.charge_cpu(self.db.config.manager_call_overhead_cpu)
         if wait > 0:
             result.throttle_seconds += wait
             yield self.db.sim.timeout(wait)

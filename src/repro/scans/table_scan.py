@@ -104,7 +104,7 @@ class TableScan:
         db = self.db
         sim = db.sim
         pool = db.pool
-        cpu = db.cpu
+        hold = db.cpu.hold
         table = self.table
         on_run = self.on_run
         try_fix = pool.try_fix
@@ -129,7 +129,7 @@ class TableScan:
                 estimated_speed=self.estimated_speed
                 or db.default_scan_speed_estimate(table.name),
             ))
-            yield from db.charge_manager_call_overhead()
+            yield from db.charge_cpu(db.config.manager_call_overhead_cpu)
             scan_id = state.scan_id
             start_page = state.start_page
             interval = manager.config.update_interval_pages
@@ -191,11 +191,10 @@ class TableScan:
                             )
                         cpu_seconds = seconds[page_no - run_first]
                         if cpu_seconds > 0:
-                            yield cpu.acquire()
-                            try:
-                                yield sim.timeout(cpu_seconds)
-                            finally:
-                                cpu.release()
+                            # None: served inline, the clock already moved.
+                            held = hold(cpu_seconds)
+                            if held is not None:
+                                yield held
                     finally:
                         # Never leak a pin, even when page processing raises.
                         pool.unfix(
@@ -237,7 +236,7 @@ class TableScan:
     ) -> Generator:
         db = self.db
         wait = manager.update_location(scan_id, pages_done)
-        yield from db.charge_manager_call_overhead()
+        yield from db.charge_cpu(db.config.manager_call_overhead_cpu)
         if wait > 0:
             result.throttle_seconds += wait
             yield db.sim.timeout(wait)

@@ -85,10 +85,7 @@ class Event:
 
         If the event already triggered, the callback lands on the ready
         slab at the current simulation time (preserving run-to-completion
-        semantics rather than invoking it re-entrantly).  Since the
-        batched-dispatch rework this late path is a single FIFO append —
-        no heap entry, no sequence number — so hot loops that race an
-        already-completed I/O no longer pay a heap sift per callback.
+        semantics rather than invoking it re-entrantly).
         """
         if self._triggered:
             self.sim.schedule(0.0, partial(callback, self))
@@ -136,13 +133,8 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that is its own expiry callback.
-
-    ``Simulator.timeout`` used to allocate a closure per call
-    (``lambda: ev.succeed(value)``); pushing the event itself onto the
-    queue and making it callable halves the allocations on the single
-    most common scheduling operation.
-    """
+    """An event that is its own expiry callback: ``Simulator.timeout``
+    pushes the event itself onto the queue, one allocation per timeout."""
 
     __slots__ = ("_scheduled_value",)
 

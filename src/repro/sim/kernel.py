@@ -35,10 +35,9 @@ class Simulator:
         assert proc.completion.value == "done"
 
     ``trace_dispatch_sample`` controls :class:`SimDispatch` emission: 1
-    (the default) traces every dispatch exactly as before, ``N`` emits
-    every Nth, and 0 disables dispatch tracing entirely — the event loop
-    then pays **zero** per-event tracer checks, which is what soak-scale
-    runs want (buffer/disk/scan events are unaffected).
+    (the default) traces every dispatch, ``N`` every Nth, and 0 none — the
+    event loop then pays no per-event tracer check at all, which is what
+    soak-scale runs want (buffer/disk/scan events are unaffected).
     """
 
     def __init__(self, trace_dispatch_sample: int = 1) -> None:
@@ -49,6 +48,9 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
+        #: Latest time an inline ``Resource.hold`` may move the clock to:
+        #: the active ``run(until=...)`` bound, ``-inf`` outside ``run``.
+        self._hold_horizon = -_INF
         self.trace_dispatch_sample = trace_dispatch_sample
         self._trace_countdown = max(trace_dispatch_sample, 0) or 1
 
@@ -96,9 +98,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Event:
         """Return an event that succeeds ``delay`` seconds from now.
 
-        The returned :class:`~repro.sim.events.Timeout` is queued as its
-        own callback, so a timeout costs one allocation, not two.  Like
-        :meth:`schedule`, non-finite delays raise.
+        Like :meth:`schedule`, non-finite delays raise.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(
@@ -157,25 +157,26 @@ class Simulator:
 
         The loop body is the hottest code in the package: every simulated
         page touch, disk completion, and throttle wait dispatches through
-        here.  It drains in two nested lanes: the ready slab (due-now
-        callbacks, one ``popleft`` each — no heap op, no ``until``
-        re-check, no time comparison) and same-timestamp heap runs (the
-        clock, the ``until`` bound, and the queue's time cursor are
-        updated once per distinct timestamp, not once per dispatch).
+        here.  There is one dispatch site, the ready slab (one ``popleft``
+        each — no heap op, no ``until`` re-check, no time comparison);
+        the clock, the ``until`` bound and the queue's time cursor are
+        updated once per distinct timestamp, when that timestamp's heap
+        entries move onto the slab.  A callback may move the clock itself
+        (an inline :meth:`~repro.sim.resource.Resource.hold`), so the loop
+        reads it from ``self``, never from a local copy.
         """
         if self._running:
             raise SimulationError("Simulator.run called re-entrantly")
         self._running = True
         try:
-            now = self._now
-            if until is not None and until < now:
+            if until is not None and until < self._now:
                 # A bound already in the past never dispatches anything.
                 # Legacy quirk, preserved: the clock moves to the bound
                 # only when work is still pending.
                 if len(self._queue):
                     self._now = until
-                    return until
-                return now
+                return self._now
+            self._hold_horizon = _INF if until is None else until
             queue = self._queue
             heap = queue._heap
             ready = queue._ready
@@ -193,38 +194,21 @@ class Simulator:
                             tracer = tracer_of()
                             if tracer is not None:
                                 tracer.emit(SimDispatch(
-                                    time=now,
+                                    time=self._now,
                                     queue_len=len(heap) + len(ready),
                                 ))
                     callback()
-                if not heap:
+                if not heap or (until is not None and heap[0][0] > until):
                     break
-                time = heap[0][0]
-                if until is not None and time > until:
-                    now = until
-                    break
-                now = time
-                self._now = time
-                queue._time = time
-                while True:
-                    entry = heappop(heap)
-                    if sample:
-                        countdown -= 1
-                        if countdown <= 0:
-                            countdown = sample
-                            tracer = tracer_of()
-                            if tracer is not None:
-                                tracer.emit(SimDispatch(
-                                    time=now,
-                                    queue_len=len(heap) + len(ready),
-                                ))
-                    entry[2]()
-                    if not heap or heap[0][0] != time:
-                        break
-            if until is not None and until > now:
-                now = until
-            self._now = now
+                self._now = queue._time = time = heap[0][0]
+                # The heap's entries for ``time`` were pushed before the clock
+                # got there: they run ahead of what they schedule for ``time``.
+                while heap and heap[0][0] == time:
+                    ready.append(heappop(heap)[2])
+            if until is not None and until > self._now:
+                self._now = until
             self._trace_countdown = countdown
-            return now
+            return self._now
         finally:
             self._running = False
+            self._hold_horizon = -_INF

@@ -10,6 +10,7 @@ processes can wait on each other.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, Interrupt, SimulationError
@@ -21,7 +22,7 @@ class Process:
     Do not instantiate directly — use :meth:`repro.sim.kernel.Simulator.spawn`.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_completion", "_waiting_on", "_started")
+    __slots__ = ("sim", "name", "_generator", "_completion", "_waiting_on")
 
     def __init__(self, sim: Any, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -34,9 +35,8 @@ class Process:
         self._generator = generator
         self._completion: Event = Event(sim)
         self._waiting_on: Optional[Event] = None
-        self._started = False
         # Kick off the process at the current simulation time.
-        sim.schedule(0.0, self._start)
+        sim.schedule(0.0, partial(self._step, None, False))
 
     @property
     def completion(self) -> Event:
@@ -64,13 +64,12 @@ class Process:
             self.sim.schedule(0.0, lambda: self.interrupt(cause))
             return
         self._waiting_on = None
+        # The interrupter carries on at this instant after the call, so
+        # this step may not move the clock with an inline ``Resource.hold``.
+        sim = self.sim
+        horizon, sim._hold_horizon = sim._hold_horizon, float("-inf")
         self._step(Interrupt(cause), throw=True)
-
-    def _start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._step(None, throw=False)
+        sim._hold_horizon = horizon
 
     def _step(self, value: Any, throw: bool) -> None:
         try:

@@ -44,6 +44,23 @@ class StepTimeline:
         else:
             self._points.append((time, float(level)))
 
+    def pulse(self, start: float, end: float, level: float) -> None:
+        """``record(start, level + 1)`` then ``record(end, level)``; a pulse
+        starting where the last one ended just moves that end point."""
+        points = self._points
+        last_time, last_level = points[-1]
+        if (
+            last_level == level
+            and -1e-12 <= start - last_time <= 1e-12
+            and len(points) >= 2
+            and points[-2][1] == level + 1
+            and end - points[-2][0] > 1e-12
+        ):
+            points[-1] = (end, level + 0.0)
+        else:
+            self.record(start, level + 1)
+            self.record(end, level)
+
     @property
     def current_level(self) -> float:
         """The most recently recorded level."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.buffer.page import PageKey
 
@@ -56,18 +56,7 @@ class Tablespace:
             )
         return base + key.page_no
 
-    def size_of(self, space_id: int) -> int:
-        """Number of pages allocated to a space."""
-        if space_id not in self._size_of:
-            raise KeyError(f"unknown space id {space_id}")
-        return self._size_of[space_id]
-
     @property
     def allocated_pages(self) -> int:
         """Total pages handed out (excluding gaps)."""
         return sum(self._size_of.values())
-
-    @property
-    def next_free(self) -> Optional[int]:
-        """The next unallocated disk address (for tests)."""
-        return self._next_free

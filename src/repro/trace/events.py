@@ -49,7 +49,8 @@ class TraceEvent:
 
 @dataclass
 class SimDispatch(TraceEvent):
-    """One event-loop callback dispatched at ``time``."""
+    """One callback popped off the event queue at ``time``.  A
+    ``Resource.hold`` served inline pops nothing, so it is not a dispatch."""
 
     queue_len: int = 0
 

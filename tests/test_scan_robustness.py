@@ -5,9 +5,11 @@ import pytest
 from repro.core.config import SharingConfig
 from repro.engine.executor import execute_query, run_workload
 from repro.engine.query import QuerySpec, ScanStep
+from repro.faults.plan import FaultPlan
 from repro.scans.base import LazyPages
 from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
+from repro.sim.events import Interrupt
 from repro.workloads.synthetic import uniform_scan_query
 
 from tests.conftest import flat_cost, make_database
@@ -65,6 +67,63 @@ class TestPinLeaks:
         db.sim.run()
         assert proc.completion.failed
         assert db.sharing.active_scan_count == 0
+
+
+class TestCoreLeaks:
+    """However a scan ends, it keeps neither a pinned frame nor a core."""
+
+    def assert_clean(self, db):
+        assert_no_pins(db)
+        assert db.cpu.in_use == 0 and db.cpu.queue_length == 0
+        assert db.sharing.active_scan_count == 0
+
+    def test_scan_killed_by_the_injector(self):
+        db = make_database(
+            n_pages=128, n_cpus=1,
+            fault_plan=FaultPlan.from_spec(
+                "scan-kill:target=any,at=0.5,count=2", seed=0
+            ),
+        )
+        scans = [SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-3))
+                 for _ in range(2)]
+        procs = [db.sim.spawn(scan.run()) for scan in scans]
+        db.sim.run()
+        assert all(proc.completion.value.aborted for proc in procs)
+        self.assert_clean(db)
+
+    def test_scan_failing_while_a_page_is_pinned(self):
+        db = make_database(n_pages=64, n_cpus=1)
+        bad = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(20))
+        good = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-3))
+        procs = [db.sim.spawn(scan.run()) for scan in (bad, good)]
+        db.sim.run()
+        assert procs[0].completion.failed and not procs[1].completion.failed
+        self.assert_clean(db)
+
+    def test_scans_interrupted_mid_charge(self):
+        """One scan is thrown out while it holds the only core and one
+        while it queues for it: each page is unpinned at once and the
+        core comes back when the charge expires."""
+        db = make_database(n_pages=64, n_cpus=1)
+        # CPU-bound: a page costs far more CPU than I/O, so at any moment
+        # one scan holds the core and the other waits for it.
+        scans = [SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-2))
+                 for _ in range(2)]
+        procs = [db.sim.spawn(scan.run()) for scan in scans]
+        db.sim.run(until=0.2)
+        assert db.cpu.in_use == 1 and db.cpu.queue_length == 1
+        for proc in procs:
+            proc.interrupt("cancelled")
+        assert_no_pins(db)
+        assert db.sharing.active_scan_count == 0
+        db.sim.run()
+        assert all(isinstance(proc.completion.value, Interrupt) for proc in procs)
+        self.assert_clean(db)
+        # The pool and the core still serve a later scan.
+        later = db.sim.spawn(TableScan(db, "t", 0, 63, on_run=flat_cost(1e-3)).run())
+        db.sim.run()
+        assert later.completion.value.pages_scanned == 64
+        self.assert_clean(db)
 
 
 class TestRequiresOrder:

@@ -156,3 +156,61 @@ class TestRecordFastPath:
         points = list(timeline.change_points())
         assert points == reference
         assert all(type(level) is float for _, level in points)
+
+
+class TestPulse:
+    """``pulse(start, end, level)`` is two ``record`` calls, point for point."""
+
+    #: Mostly back-to-back pulses (start where the last one ended) and
+    #: pulses after a gap, with the tolerance edges mixed in.
+    gaps = st.sampled_from([0.0, 0.0, 0.0, 5e-13, 1e-12, 2e-12, -5e-13, 1e-3, 0.25])
+    lengths = st.sampled_from([0.0, 5e-13, 2e-12, 1e-4, 1e-4, 0.5])
+    steps = st.one_of(
+        st.tuples(st.just("pulse"), gaps, lengths, st.integers(0, 3)),
+        st.tuples(st.just("record"), gaps, st.just(0.0), st.integers(0, 4)),
+    )
+
+    @given(st.lists(steps, max_size=40))
+    def test_equals_two_records(self, steps):
+        pulsed, recorded = StepTimeline(), StepTimeline()
+        t = 0.0
+        for kind, gap, length, level in steps:
+            start = max(0.0, t + gap)
+            end = start + length
+            try:
+                if kind == "record":
+                    recorded.record(start, level)
+                else:
+                    recorded.record(start, level + 1)
+                    recorded.record(end, level)
+            except ValueError:
+                # Creeping back by less than the tolerance, step after
+                # step, ends up too far back: rejected the same way.
+                with pytest.raises(ValueError):
+                    if kind == "record":
+                        pulsed.record(start, level)
+                    else:
+                        pulsed.pulse(start, end, level)
+                assert pulsed._points == recorded._points
+                return
+            if kind == "record":
+                pulsed.record(start, level)
+            else:
+                pulsed.pulse(start, end, level)
+            t = end
+            assert pulsed._points == recorded._points
+        points = list(pulsed.change_points())
+        assert points == list(recorded.change_points())
+        assert all(type(level) is float for _, level in points)
+
+    def test_back_to_back_pulses_merge_into_one_busy_period(self):
+        timeline = StepTimeline()
+        timeline.pulse(1.0, 2.0, 0)
+        timeline.pulse(2.0, 3.5, 0)
+        assert list(timeline.change_points()) == [(0.0, 0.0), (1.0, 1.0), (3.5, 0.0)]
+
+    def test_time_going_backwards_still_raises(self):
+        timeline = StepTimeline()
+        timeline.pulse(1.0, 2.0, 0)
+        with pytest.raises(ValueError):
+            timeline.pulse(1.5, 2.5, 0)
