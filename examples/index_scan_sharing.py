@@ -15,7 +15,7 @@ ISM-coordinated SISCANs.
 Run:  python examples/index_scan_sharing.py
 """
 
-from repro import Database, SharingConfig, SystemConfig
+from repro import ColumnSpec, Database, SharingConfig, SystemConfig, TableSchema
 from repro.extensions.index_sharing import (
     BlockIndex,
     IndexScan,
@@ -23,12 +23,23 @@ from repro.extensions.index_sharing import (
     SharedIndexScan,
 )
 from repro.metrics.report import format_table, percent_gain
-from repro.workloads.synthetic import simple_table_schema
 
 TABLE_PAGES = 1024
 BLOCK_PAGES = 16
 POOL_PAGES = 96
 N_SCANS = 4
+
+#: A sequence key, a value, and a clustered date column.
+FACT_SCHEMA = TableSchema(
+    name="fact",
+    rows_per_page=100,
+    columns=(
+        ColumnSpec("id", "sequence"),
+        ColumnSpec("value", "float_uniform", 0.0, 100.0),
+        ColumnSpec("flag", "choice", categories=("a", "b", "c")),
+        ColumnSpec("day", "clustered", 0.0, 1000.0),
+    ),
+)
 
 
 def build(shared: bool):
@@ -36,8 +47,7 @@ def build(shared: bool):
         pool_pages=POOL_PAGES,
         sharing=SharingConfig(enabled=shared),
     ))
-    db.create_table(simple_table_schema("fact"), n_pages=TABLE_PAGES,
-                    extent_size=BLOCK_PAGES)
+    db.create_table(FACT_SCHEMA, n_pages=TABLE_PAGES, extent_size=BLOCK_PAGES)
     db.open()
     index = BlockIndex(db.catalog.table("fact"), block_size_pages=BLOCK_PAGES)
     ism = IndexScanSharingManager(

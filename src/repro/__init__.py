@@ -42,7 +42,7 @@ from repro.engine import (
     lit,
     run_workload,
 )
-from repro.scans import SharedTableScan, TableScan
+from repro.scans import TableScan
 from repro.sim import Simulator
 from repro.storage import Catalog, ColumnSpec, Table, TableSchema
 
@@ -65,7 +65,6 @@ __all__ = [
     "ScanSharingManager",
     "ScanState",
     "ScanStep",
-    "SharedTableScan",
     "SharingConfig",
     "Simulator",
     "SystemConfig",

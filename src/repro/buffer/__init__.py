@@ -19,8 +19,6 @@ from repro.buffer.replacement import (
     ClockPolicy,
     FifoPolicy,
     LfuPolicy,
-    LirsPolicy,
-    LrfuPolicy,
     LruKPolicy,
     LruPolicy,
     MruPolicy,
@@ -40,8 +38,6 @@ __all__ = [
     "FifoPolicy",
     "Frame",
     "LfuPolicy",
-    "LirsPolicy",
-    "LrfuPolicy",
     "LruKPolicy",
     "LruPolicy",
     "MruPolicy",

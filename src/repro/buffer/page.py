@@ -41,7 +41,6 @@ class Frame:
 
     key: PageKey
     pin_count: int = 0
-    dirty: bool = False
     priority: Priority = Priority.NORMAL
     admitted_at: float = 0.0
     last_used_at: float = 0.0
@@ -56,7 +55,6 @@ class Frame:
         """Recycle this slab frame for a freshly admitted page."""
         self.key = key
         self.pin_count = 0
-        self.dirty = False
         self.priority = Priority.NORMAL
         self.admitted_at = now
         self.last_used_at = now

@@ -125,8 +125,6 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         self.address_of = address_of
-        # Explicit None check: policies may define __len__ and an empty
-        # policy must not be mistaken for "use the default".
         self.policy = policy if policy is not None else make_policy(
             "priority-lru", capacity
         )
@@ -134,7 +132,7 @@ class BufferPool:
         self.stats = BufferStats()
         # Slot-indexed frame table: a contiguous slab of ``capacity``
         # preallocated frames, a LIFO free-slot stack, and an int-keyed
-        # page→slot map.  Admission recycles a slab frame (eight attribute
+        # page→slot map.  Admission recycles a slab frame (a few attribute
         # stores) instead of constructing a dataclass, and every residency
         # probe is an int-dict hit.  ``_slot_map`` preserves admission
         # order, so ``resident_keys()`` reads exactly as the old
@@ -409,13 +407,6 @@ class BufferPool:
                 outcome=outcome,
             ))
 
-    def mark_dirty(self, key: PageKey) -> None:
-        """Flag a pinned page as modified (write back before eviction)."""
-        frame = self.frame_of(key)
-        if frame is None or not frame.pinned:
-            raise BufferPoolError(f"mark_dirty requires a pinned resident page, got {key}")
-        frame.dirty = True
-
     # ------------------------------------------------------------------
     # Push path (leader-driven prefetch pipeline)
     # ------------------------------------------------------------------
@@ -432,10 +423,9 @@ class BufferPool:
         identity ``logical = hits + misses + inflight_waits`` is
         untouched and nothing is double-counted.
 
-        Room is made by evicting *clean, unpinned* victims only (a push
-        must never block on a dirty writeback); when even that cannot fit
-        the extent, the push is dropped — consumers simply fall back to
-        demand fetching.
+        Room is made by evicting unpinned victims; when even that cannot
+        fit the extent, the push is dropped — consumers simply fall back
+        to demand fetching.
 
         Returns ``(completion, outcome)``: ``("issued", event)`` waits on
         every read issued here, ``(None, "resident")`` means the whole
@@ -448,7 +438,7 @@ class BufferPool:
         needed = sum(len(segment) for segment in segments)
         room = self.capacity - self._reserved - len(self._slot_map) - len(self._inflight)
         if needed > room:
-            room += self._evict_clean(needed - room)
+            room += self._evict(needed - room)
         kept: List[List[PageKey]] = []
         for segment in segments:
             if len(segment) <= room:
@@ -475,12 +465,12 @@ class BufferPool:
             return completions[0], "issued"
         return self.sim.all_of(completions), "issued"
 
-    def _evict_clean(self, count: int) -> int:
-        """Synchronously evict up to ``count`` clean unpinned pages."""
+    def _evict(self, count: int) -> int:
+        """Evict up to ``count`` unpinned pages; returns how many were freed."""
         freed = 0
         tracer = _TRACER.active()
         while freed < count:
-            victim_key = self.policy.choose_victim(self._evictable_clean)
+            victim_key = self.policy.choose_victim(self._evictable)
             if victim_key is None:
                 break
             self._free.append(self._slot_map.pop(
@@ -492,13 +482,13 @@ class BufferPool:
             if tracer is not None:
                 tracer.emit(BufferEvict(
                     time=self.sim.now, space_id=victim_key.space_id,
-                    page_no=victim_key.page_no, written_back=False,
+                    page_no=victim_key.page_no,
                 ))
         return freed
 
-    def _evictable_clean(self, key: PageKey) -> bool:
+    def _evictable(self, key: PageKey) -> bool:
         frame = self.frame_of(key)
-        return frame is not None and not frame.pinned and not frame.dirty
+        return frame is not None and not frame.pinned
 
     # ------------------------------------------------------------------
     # Miss path
@@ -520,19 +510,13 @@ class BufferPool:
             # capacity left after external pressure reservations.
             capacity = self.capacity - self._reserved
             needed = len(self._slot_map) + len(self._inflight) + len(run) - capacity
-            if needed <= 0:
-                break
-            freed = yield from self._evict(needed)
-            if freed >= needed:
+            if needed <= 0 or self._evict(needed) >= needed:
                 break
             # Could not make room for the whole prefetch run; fall back to
             # reading just the demanded page.
             run = [key]
             needed = len(self._slot_map) + len(self._inflight) + 1 - capacity
-            if needed <= 0:
-                break
-            freed = yield from self._evict(needed)
-            if freed >= needed:
+            if needed <= 0 or self._evict(needed) >= needed:
                 break
             if self._inflight:
                 # Every frame is pinned or in flight: wait for any
@@ -629,43 +613,6 @@ class BufferPool:
         if current:
             segments.append(current)
         return segments
-
-    def _evict(self, count: int) -> Generator[Event, object, int]:
-        """Evict up to ``count`` pages; returns how many were freed."""
-        freed = 0
-        while freed < count:
-            victim_key = self.policy.choose_victim(self._evictable)
-            if victim_key is None:
-                break
-            victim_slot_key = victim_key.space_id << _PAGE_BITS | victim_key.page_no
-            frame = self._slots[self._slot_map[victim_slot_key]]
-            wrote_back = frame.dirty
-            if frame.dirty:
-                # Pin during writeback so a concurrent fix cannot race the
-                # page out from under the write.
-                frame.pin_count += 1
-                self.stats.writebacks += 1
-                yield self.disk.write(self.address_of(victim_key), 1)
-                frame.pin_count -= 1
-                frame.dirty = False
-                if frame.pinned:
-                    # Someone fixed it while we wrote; it is no longer a victim.
-                    continue
-            self._free.append(self._slot_map.pop(victim_slot_key))
-            self.policy.on_evict(victim_key)
-            self.stats.evictions += 1
-            freed += 1
-            tracer = _TRACER.active()
-            if tracer is not None:
-                tracer.emit(BufferEvict(
-                    time=self.sim.now, space_id=victim_key.space_id,
-                    page_no=victim_key.page_no, written_back=wrote_back,
-                ))
-        return freed
-
-    def _evictable(self, key: PageKey) -> bool:
-        frame = self.frame_of(key)
-        return frame is not None and not frame.pinned
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,8 +9,6 @@ from repro.buffer.replacement.base import ReplacementPolicy
 from repro.buffer.replacement.clock import ClockPolicy
 from repro.buffer.replacement.lfu import LfuPolicy
 from repro.buffer.replacement.lru import FifoPolicy, LruPolicy, MruPolicy
-from repro.buffer.replacement.lirs import LirsPolicy
-from repro.buffer.replacement.lrfu import LrfuPolicy
 from repro.buffer.replacement.lru_k import LruKPolicy
 from repro.buffer.replacement.pbm import PbmPolicy
 from repro.buffer.replacement.priority_lru import PriorityLruPolicy
@@ -25,8 +23,6 @@ _POLICY_NAMES = (
     "lru-k",
     "2q",
     "lfu",
-    "lrfu",
-    "lirs",
     "arc",
     "pbm",
 )
@@ -57,12 +53,6 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
         return TwoQPolicy(capacity)
     if normalized == "lfu":
         return LfuPolicy()
-    if normalized == "lrfu":
-        return LrfuPolicy()
-    if normalized == "lirs":
-        if capacity is None:
-            raise ValueError("LIRS policy requires the pool capacity")
-        return LirsPolicy(capacity)
     if normalized == "arc":
         if capacity is None:
             raise ValueError("ARC policy requires the pool capacity")
@@ -78,8 +68,6 @@ __all__ = [
     "ClockPolicy",
     "FifoPolicy",
     "LfuPolicy",
-    "LirsPolicy",
-    "LrfuPolicy",
     "LruKPolicy",
     "LruPolicy",
     "MruPolicy",

@@ -33,9 +33,6 @@ class LruPolicy(ReplacementPolicy):
     def on_evict(self, key: PageKey) -> None:
         self._order.pop(key, None)
 
-    def __len__(self) -> int:
-        return len(self._order)
-
 
 class MruPolicy(LruPolicy):
     """Most-recently-used: evict the page touched most recently.

@@ -81,6 +81,3 @@ class PbmPolicy(ReplacementPolicy):
 
     def on_evict(self, key: PageKey) -> None:
         self._order.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._order)

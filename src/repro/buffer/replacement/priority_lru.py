@@ -70,6 +70,3 @@ class PriorityLruPolicy(ReplacementPolicy):
     def level_sizes(self) -> Dict[Priority, int]:
         """Number of tracked pages per priority level (for tests/metrics)."""
         return {level: len(order) for level, order in self._levels.items()}
-
-    def __len__(self) -> int:
-        return len(self._priority_of)

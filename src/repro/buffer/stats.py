@@ -30,7 +30,6 @@ class BufferStats:
     pushed_requests: int = 0
     pushed_pages: int = 0
     evictions: int = 0
-    writebacks: int = 0
 
     @property
     def hit_ratio(self) -> float:

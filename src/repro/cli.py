@@ -220,16 +220,18 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="write the consolidated results.json artifact")
 
 
+class UsageError(Exception):
+    """A bad argument value: ``main`` prints it as one line and exits 2."""
+
+
 def _parse_sharing_overrides(spec: str) -> Tuple[Tuple[str, object], ...]:
     """Parse ``key=value,...`` into typed SharingConfig overrides."""
     import dataclasses
 
     from repro.core.config import SharingConfig
+    from repro.experiments.runner import parse_field_value
 
-    field_types = {
-        f.name: type(getattr(SharingConfig(), f.name))
-        for f in dataclasses.fields(SharingConfig)
-    }
+    known = {f.name for f in dataclasses.fields(SharingConfig)}
     overrides = {}
     for token in spec.split(","):
         token = token.strip()
@@ -242,28 +244,15 @@ def _parse_sharing_overrides(spec: str) -> Tuple[Tuple[str, object], ...]:
                 f"repro: error: malformed --sharing token {token!r} "
                 f"(expected key=value)"
             )
-        if name not in field_types:
-            known = ", ".join(sorted(field_types))
+        if name not in known:
             raise SystemExit(
                 f"repro: error: unknown SharingConfig field {name!r} "
-                f"(known: {known})"
+                f"(known: {', '.join(sorted(known))})"
             )
-        kind = field_types[name]
-        raw = raw.strip()
         try:
-            if kind is bool:
-                overrides[name] = raw.lower() in ("1", "true", "yes", "on")
-            elif kind is int:
-                overrides[name] = int(raw)
-            elif kind is float:
-                overrides[name] = float(raw)
-            else:
-                overrides[name] = raw
-        except ValueError:
-            raise SystemExit(
-                f"repro: error: --sharing field {name!r} needs a "
-                f"{kind.__name__}, got {raw!r}"
-            ) from None
+            overrides[name] = parse_field_value(SharingConfig, name, raw.strip())
+        except ValueError as exc:
+            raise SystemExit(f"repro: error: --sharing field {exc}") from None
     return tuple(sorted(overrides.items()))
 
 
@@ -379,7 +368,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache, cache_dir=args.cache_dir,
         )
     except ValueError as exc:
-        raise SystemExit(f"repro sweep: error: {exc}")
+        raise UsageError(str(exc)) from None
     parts = [_suite_report(
         suite,
         f"SWEEP {spec.name.upper()} — {args.param} over "
@@ -632,7 +621,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         print(commands[args.command]())
-    except UnknownExperimentError as exc:
+    except (UnknownExperimentError, UsageError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,7 +7,7 @@ and the 80 % accumulated-slowdown fairness cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,6 @@ class SharingConfig:
                 f"pool_budget_fraction must be in (0, 1], got "
                 f"{self.pool_budget_fraction}"
             )
-
-    def disabled(self) -> "SharingConfig":
-        """A copy with the master switch off (the baseline configuration)."""
-        return replace(self, enabled=False)
-
-    def with_(self, **changes) -> "SharingConfig":
-        """A modified copy (thin wrapper over :func:`dataclasses.replace`)."""
-        return replace(self, **changes)
 
 
 #: The paper's baseline: plain engine, no sharing machinery active.

@@ -92,20 +92,6 @@ class PbmScanManager(SharingPolicy):
         """Snapshot of the reuse-time map (space_id -> scan_id -> state)."""
         return {space: dict(scans) for space, scans in self._sources.items()}
 
-    def next_consumption_distance(self, key: PageKey) -> Optional[int]:
-        """Pages until some registered scan reaches ``key``; None = never."""
-        scans = self._sources.get(key.space_id)
-        if not scans:
-            return None
-        best: Optional[int] = None
-        for state in scans.values():
-            distance = self._distance(state, key.page_no)
-            if distance is None:
-                continue
-            if best is None or distance < best:
-                best = distance
-        return best
-
     def next_consumption_time(self, key: PageKey) -> float:
         """Predicted seconds until ``key`` is next read; inf = never.
 

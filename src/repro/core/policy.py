@@ -144,10 +144,6 @@ class SharingPolicy(ABC):
         self._state(scan_id)  # preserve the unknown-scan error contract
         return None
 
-    def last_finished_position(self, table_name: str) -> Optional[int]:
-        """Final position of the last finished scan (placement policies)."""
-        return None
-
     # ------------------------------------------------------------------
     # Push pipeline hooks (defaults: every scan drives its own push)
     # ------------------------------------------------------------------

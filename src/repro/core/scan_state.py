@@ -9,7 +9,7 @@ throttle delay used by the fairness cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -103,11 +103,6 @@ class ScanState:
         first = self.descriptor.first_page
         offset = (self.start_page - first + self.pages_scanned) % self.range_pages
         return first + offset
-
-    @property
-    def wrapped(self) -> bool:
-        """Whether the scan has passed the end of its range and wrapped."""
-        return self.start_page + self.pages_scanned > self.descriptor.last_page
 
     @property
     def estimated_total_time(self) -> float:

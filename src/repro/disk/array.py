@@ -51,28 +51,8 @@ class ArrayStats:
         return sum(d.stats.pages_read for d in self._disks)
 
     @property
-    def pages_written(self) -> int:
-        return sum(d.stats.pages_written for d in self._disks)
-
-    @property
     def seeks(self) -> int:
         return sum(d.stats.seeks for d in self._disks)
-
-    @property
-    def seek_time(self) -> float:
-        return sum(d.stats.seek_time for d in self._disks)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(d.stats.busy_time for d in self._disks)
-
-    @property
-    def io_retries(self) -> int:
-        return sum(d.stats.io_retries for d in self._disks)
-
-    @property
-    def aged_dispatches(self) -> int:
-        return sum(d.stats.aged_dispatches for d in self._disks)
 
     def _merged_trace(self, attr: str) -> List[Tuple[float, int]]:
         merged: List[Tuple[float, int]] = []
@@ -137,10 +117,6 @@ class DiskArray:
         self.outstanding_timeline = StepTimeline(initial=0)
         self._outstanding = 0
 
-    def locate(self, page: int) -> Tuple[int, int]:
-        """(disk index, local page address) for a global page address."""
-        return self.stripe_map.locate(page)
-
     def read(self, start_page: int, n_pages: int) -> Event:
         """Read a contiguous global range; completes when all stripes do."""
         return self._submit(start_page, n_pages, is_write=False)
@@ -182,13 +158,3 @@ class DiskArray:
         """Wire a fault injector into every member disk."""
         for disk in self.disks:
             disk.set_fault_injector(injector)
-
-    @property
-    def busy(self) -> bool:
-        """Whether any member disk is servicing a request."""
-        return any(disk.busy for disk in self.disks)
-
-    @property
-    def queue_length(self) -> int:
-        """Total queued requests across members."""
-        return sum(disk.queue_length for disk in self.disks)

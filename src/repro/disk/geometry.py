@@ -139,16 +139,3 @@ SystemConfig` assign every extent to the same device (re-opening a
         ``start_page``'s device before crossing a stripe boundary."""
         in_stripe = self.stripe_pages - (start_page % self.stripe_pages)
         return min(n_pages, in_stripe)
-
-    def device_loads(self, total_pages: int) -> "list[int]":
-        """Pages assigned to each device over ``[0, total_pages)``."""
-        loads = [0] * self.n_devices
-        full_stripes, tail = divmod(total_pages, self.stripe_pages)
-        per_device, extra = divmod(full_stripes, self.n_devices)
-        for device in range(self.n_devices):
-            loads[device] = per_device * self.stripe_pages
-            if device < extra:
-                loads[device] += self.stripe_pages
-        if tail:
-            loads[full_stripes % self.n_devices] += tail
-        return loads

@@ -19,7 +19,6 @@ from repro.engine.executor import (
 )
 from repro.engine.expressions import Expression, col, lit
 from repro.engine.operators import AggSpec, Pipeline
-from repro.engine.planner import plan_query, plan_step
 from repro.engine.query import QuerySpec, ScanStep
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "col",
     "execute_query",
     "lit",
-    "plan_query",
-    "plan_step",
     "run_stream",
     "run_workload",
 ]

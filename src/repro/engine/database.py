@@ -366,10 +366,6 @@ class Database:
     # Measurement
     # ------------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drive the simulation; returns the final simulated time."""
-        return self.sim.run(until)
-
     def cpu_breakdown(self, until: Optional[float] = None) -> CpuBreakdown:
         """iostat-style user/system/idle/iowait fractions over the run."""
         end = until if until is not None else self.sim.now

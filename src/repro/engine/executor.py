@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.buffer.pool import BufferPool
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec, ScanStep
 from repro.metrics.collector import QueryRecord
@@ -152,10 +153,24 @@ def _release_join_state(join_state: Dict[str, object]) -> None:
     join_state.clear()
 
 
+def resolve_budget_pages(requested: Optional[int], pool_capacity: int) -> int:
+    """Turn a step's budget request into a concrete frame count.
+
+    ``-1`` (auto) asks for a quarter of the pool — enough to matter,
+    small enough that several budgeted operators plus the scans' working
+    set coexist.  Explicit requests are honored up to what a reservation
+    could ever grant (the pool keeps ``MIN_USABLE_FRAMES`` for itself);
+    the pool may still grant less when other reservations exist.
+    """
+    ceiling = max(1, pool_capacity - BufferPool.MIN_USABLE_FRAMES)
+    if requested is None or requested == -1:
+        return max(1, min(ceiling, pool_capacity // 4))
+    return max(1, min(ceiling, requested))
+
+
 def _negotiate_memory(db: Database, step: ScanStep, label: str, kind: str):
     """Reserve frames for a budgeted step; None for classic steps."""
     from repro.engine.memory import OperatorMemory
-    from repro.engine.planner import resolve_budget_pages
 
     requested = (
         step.join_budget_pages if kind == "join" else step.agg_budget_pages

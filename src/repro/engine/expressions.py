@@ -44,9 +44,6 @@ class Expression(ABC):
     def __or__(self, other: "Expression") -> "Expression":
         return BooleanOp("or", self, other)
 
-    def __invert__(self) -> "Expression":
-        return NotOp(self)
-
     def __add__(self, other: "Expression") -> "Expression":
         return Arithmetic("+", self, other)
 
@@ -58,9 +55,6 @@ class Expression(ABC):
 
     def __lt__(self, other: "Expression") -> "Expression":
         return Comparison("<", self, other)
-
-    def __le__(self, other: "Expression") -> "Expression":
-        return Comparison("<=", self, other)
 
     def __gt__(self, other: "Expression") -> "Expression":
         return Comparison(">", self, other)
@@ -213,23 +207,6 @@ class BooleanOp(Expression):
 
     def columns(self) -> FrozenSet[str]:
         return self.left.columns() | self.right.columns()
-
-
-class NotOp(Expression):
-    """Boolean negation."""
-
-    def __init__(self, operand: Expression):
-        self.operand = operand
-
-    def evaluate(self, data: PageData) -> np.ndarray:
-        return ~self.operand.evaluate(data)
-
-    @property
-    def cost_units_per_row(self) -> float:
-        return 0.5 + self.operand.cost_units_per_row
-
-    def columns(self) -> FrozenSet[str]:
-        return self.operand.columns()
 
 
 class Arithmetic(Expression):

@@ -23,7 +23,7 @@ import numpy as np
 from repro.engine.costs import CostModel
 from repro.engine.expressions import Expression
 from repro.scans.base import LazyPages
-from repro.storage.datagen import Batch, PageData, take_rows
+from repro.storage.datagen import PageData, take_rows
 
 _AGG_FUNCS = ("sum", "count", "min", "max", "avg")
 
@@ -273,42 +273,6 @@ class Filter(Operator):
         return self.rows_out / self.rows_in
 
 
-class Project(Operator):
-    """Compute named expressions as new columns."""
-
-    def __init__(self, outputs: Dict[str, Expression], downstream: Operator,
-                 cost: CostModel):
-        super().__init__(downstream)
-        self.outputs = outputs
-        self.cost = cost
-
-    def required_columns(self) -> Optional[FrozenSet[str]]:
-        below = self.downstream.required_columns() if self.downstream else None
-        if below is None:
-            return None
-        # Forwarded columns the downstream reads but we do not produce,
-        # plus everything our expressions read.
-        needed = set(below) - set(self.outputs)
-        for expr in self.outputs.values():
-            needed |= expr.columns()
-        return frozenset(needed)
-
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        page_rows = _as_page_rows(page_rows)
-        units = np.zeros(len(page_rows))
-        # A computed column replaces a stored one, dictionary codes and all.
-        projected = Batch(batch, {
-            name: codes
-            for name, codes in getattr(batch, "codes", {}).items()
-            if name not in self.outputs
-        })
-        for name, expr in self.outputs.items():
-            projected[name] = expr.evaluate(batch)
-            units = units + page_rows * max(expr.cost_units_per_row, 0.5)
-        assert self.downstream is not None
-        return units + self.downstream.push(projected, page_rows)
-
-
 class GroupByAggregate(Operator):
     """Terminal aggregation, optionally grouped.
 
@@ -471,25 +435,6 @@ class GroupByAggregate(Operator):
         return results
 
 
-class RowCounter(Operator):
-    """Terminal operator that just counts rows (cheap sink for tests)."""
-
-    def __init__(self) -> None:
-        super().__init__(None)
-        self.rows = 0
-
-    def required_columns(self) -> Optional[FrozenSet[str]]:
-        return frozenset()
-
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        page_rows = _as_page_rows(page_rows)
-        self.rows += int(page_rows.sum())
-        return 0.1 * page_rows
-
-    def finish(self) -> object:
-        return self.rows
-
-
 class PageFeed(Operator):
     """Hands a sink each page of a run when the scan reaches that page.
 
@@ -575,9 +520,6 @@ class Pipeline:
                 units += survivors * op.predicate.cost_units_per_row
                 # Without statistics assume half the rows survive.
                 survivors *= 0.5
-            elif isinstance(op, Project):
-                for expr in op.outputs.values():
-                    units += survivors * max(expr.cost_units_per_row, 0.5)
             elif isinstance(op, GroupByAggregate):
                 units += survivors * self.cost.agg_units * len(op.aggregates)
                 for agg in op.aggregates:

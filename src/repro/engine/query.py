@@ -66,7 +66,7 @@ class ScanStep:
     #: (and the sequel's "scan D in the future") exploits.
     repeats: int = 1
     #: Frame budget for the terminal aggregation.  ``None`` keeps the
-    #: classic unbudgeted operator; ``-1`` asks the planner for an
+    #: classic unbudgeted operator; ``-1`` asks the executor for an
     #: automatic budget; a positive value requests that many frames.
     #: Budgeted aggregation negotiates a claw-backable bufferpool
     #: reservation and spills to temp space under pressure.
@@ -127,8 +127,7 @@ class ScanStep:
     ) -> Pipeline:
         """Construct a fresh pipeline for one execution of this step.
 
-        With only ``cost`` given (the planner's estimation path and
-        every pre-existing call site) the classic unbudgeted pipeline is
+        With only ``cost`` given the classic unbudgeted pipeline is
         built.  The executor passes ``memory`` (a negotiated
         :class:`~repro.engine.memory.OperatorMemory`) to get the
         budgeted spillable terminal instead, ``join_table`` (the build
@@ -180,8 +179,3 @@ class QuerySpec:
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError(f"query {self.name!r} needs at least one step")
-
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        """Tables touched, in step order."""
-        return tuple(step.table for step in self.steps)

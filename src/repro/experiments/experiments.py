@@ -349,13 +349,6 @@ class PerQueryResult:
             for name in sorted(self.base_elapsed, key=_query_sort_key)
         }
 
-    def regressions(self, tolerance_percent: float = 5.0) -> List[str]:
-        """Queries slower under SS by more than the tolerance."""
-        return [
-            name for name, gain in self.gains().items()
-            if gain < -tolerance_percent
-        ]
-
     def render(self) -> str:
         rows = [
             [name, self.base_elapsed[name], self.shared_elapsed[name], gain]

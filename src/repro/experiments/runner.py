@@ -29,7 +29,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import all_experiments, get, metrics_of, render_result
@@ -171,12 +174,6 @@ class ExperimentTask:
     experiment: str
     settings: ExperimentSettings
     sweep_point: str = ""
-
-    @property
-    def label(self) -> str:
-        if self.sweep_point:
-            return f"{self.experiment}[{self.sweep_point}]"
-        return self.experiment
 
     @property
     def derived_seed(self) -> int:
@@ -384,28 +381,38 @@ def run_suite(
                      cache_dir=cache_dir)
 
 
-def coerce_sweep_value(settings: ExperimentSettings, param: str,
-                       raw: str) -> Any:
-    """Parse one ``--values`` token to the sweep parameter's type."""
+def parse_field_value(owner: type, name: str, raw: str) -> Any:
+    """Parse one command-line token as the declared type of ``owner.name``.
+
+    ``Optional[X]`` reads as ``X``.  Only bool, int, float and str fields
+    hold a single token; any other field (a sequence, a tuple of pairs)
+    raises ValueError, as does a token that does not parse.
+    """
+    kind = get_type_hints(owner)[name]
+    members = [arg for arg in get_args(kind) if arg is not type(None)]
+    if get_origin(kind) is Union and len(members) == 1:
+        kind = members[0]
+    if kind is bool:
+        return raw.lower() in ("1", "true", "yes", "on")
+    if kind not in (int, float, str):
+        raise ValueError(f"{name!r} cannot be set from a single value")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name!r} needs a {kind.__name__}, got {raw!r}"
+        ) from None
+
+
+def coerce_sweep_value(param: str, raw: str) -> Any:
+    """Parse one ``--values`` token to the sweep parameter's declared type."""
     valid = {f.name for f in fields(ExperimentSettings)}
     if param not in valid:
         raise ValueError(
             f"unknown sweep parameter {param!r} "
             f"(known: {', '.join(sorted(valid))})"
         )
-    current = getattr(settings, param)
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if current is None:  # pool_pages / query_names default to None
-        try:
-            return int(raw)
-        except ValueError:
-            return raw
-    return raw
+    return parse_field_value(ExperimentSettings, param, raw)
 
 
 def run_sweep(
@@ -425,7 +432,7 @@ def run_sweep(
     spec = get(experiment)
     tasks = []
     for value in values:
-        coerced = coerce_sweep_value(settings, param, str(value))
+        coerced = coerce_sweep_value(param, str(value))
         tasks.append(ExperimentTask(
             experiment=spec.name,
             settings=settings.with_(**{param: coerced}),

@@ -357,10 +357,3 @@ class FaultPlan:
                 if fault.matches_replica(replica_index)
             ),
         )
-
-    def describe(self) -> str:
-        """One human-readable line per clause."""
-        return "; ".join(
-            f"{fault.kind}({', '.join(f'{f.name}={getattr(fault, f.name)}' for f in fields(fault))})"
-            for fault in self.faults
-        )

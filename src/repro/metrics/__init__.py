@@ -12,13 +12,6 @@ from repro.metrics.access_log import (
 )
 from repro.metrics.collector import MetricsCollector, QueryRecord
 from repro.metrics.cpu import CpuBreakdown, compute_cpu_breakdown
-from repro.metrics.export import (
-    comparison_to_dict,
-    queries_to_csv,
-    series_to_csv,
-    workload_to_dict,
-    workload_to_json,
-)
 from repro.metrics.report import format_table, percent_gain
 
 __all__ = [
@@ -28,12 +21,7 @@ __all__ = [
     "SharingPotentialReport",
     "analyze_sharing_potential",
     "collect_scans",
-    "comparison_to_dict",
     "compute_cpu_breakdown",
     "format_table",
     "percent_gain",
-    "queries_to_csv",
-    "series_to_csv",
-    "workload_to_dict",
-    "workload_to_json",
 ]

@@ -16,7 +16,7 @@ Requires the workload to have been run with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.metrics.report import format_table
 from repro.scans.base import ScanResult
@@ -136,12 +136,3 @@ def analyze_sharing_potential(workload: "WorkloadResult") -> SharingPotentialRep
                     potential.overlapping_shared_pages += shared
         report.tables[table] = potential
     return report
-
-
-def scan_interval_table(workload: "WorkloadResult") -> List[Tuple[str, float, float, int]]:
-    """(table, start, end, pages) rows for every scan — a gantt-style
-    summary useful for eyeballing overlap structure."""
-    return [
-        (scan.table_name, scan.started_at, scan.finished_at, scan.pages_scanned)
-        for scan in collect_scans(workload)
-    ]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -17,11 +17,6 @@ class QueryRecord:
     pages_scanned: int
     cpu_seconds: float
     throttle_seconds: float
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated seconds the query took end to end."""
-        return self.finished_at - self.started_at
 
 
 class MetricsCollector:
@@ -38,42 +33,6 @@ class MetricsCollector:
     def queries(self) -> List[QueryRecord]:
         """All recorded queries in completion order."""
         return list(self._queries)
-
-    def by_stream(self) -> Dict[int, List[QueryRecord]]:
-        """Records grouped by stream id."""
-        grouped: Dict[int, List[QueryRecord]] = {}
-        for record in self._queries:
-            grouped.setdefault(record.stream_id, []).append(record)
-        return grouped
-
-    def by_query_name(self) -> Dict[str, List[QueryRecord]]:
-        """Records grouped by query template name."""
-        grouped: Dict[str, List[QueryRecord]] = {}
-        for record in self._queries:
-            grouped.setdefault(record.query_name, []).append(record)
-        return grouped
-
-    def stream_elapsed(self, stream_id: int) -> float:
-        """Span from a stream's first query start to its last query end."""
-        records = self.by_stream().get(stream_id)
-        if not records:
-            raise KeyError(f"no records for stream {stream_id}")
-        return max(r.finished_at for r in records) - min(r.started_at for r in records)
-
-    def mean_query_elapsed(self, query_name: str) -> float:
-        """Mean elapsed time of one query template across streams."""
-        records = self.by_query_name().get(query_name)
-        if not records:
-            raise KeyError(f"no records for query {query_name!r}")
-        return sum(r.elapsed for r in records) / len(records)
-
-    def makespan(self) -> float:
-        """End-to-end time: earliest start to latest finish."""
-        if not self._queries:
-            return 0.0
-        return max(r.finished_at for r in self._queries) - min(
-            r.started_at for r in self._queries
-        )
 
     def total_throttle_seconds(self) -> float:
         """Total throttle waits served by all queries."""

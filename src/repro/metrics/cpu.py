@@ -46,19 +46,32 @@ class CpuBreakdown:
 def _merged_changes(
     a: StepTimeline, b: StepTimeline, until: float
 ) -> List[Tuple[float, float, float, float]]:
-    """Merge two step functions into segments (start, end, level_a, level_b)."""
+    """Merge two step functions into segments (start, end, level_a, level_b).
+
+    Segment starts only grow, so each timeline's level is found by moving
+    one cursor forward — the level of the last point before the first
+    point later than ``start``, exactly what ``StepTimeline.level_at``
+    returns — in one pass over both change-point lists.
+    """
     points_a = list(a.change_points())
     points_b = list(b.change_points())
     times = sorted({t for t, _ in points_a} | {t for t, _ in points_b} | {0.0, until})
     segments: List[Tuple[float, float, float, float]] = []
-    for i in range(len(times) - 1):
-        start, end = times[i], times[i + 1]
+    n_a, n_b = len(points_a), len(points_b)
+    i_a = i_b = 0
+    # ``until`` is one of the times, so no segment before it ends past it.
+    for start, end in zip(times, times[1:]):
         if start >= until:
             break
-        end = min(end, until)
-        if end <= start:
-            continue
-        segments.append((start, end, a.level_at(start), b.level_at(start)))
+        while i_a < n_a and points_a[i_a][0] <= start:
+            i_a += 1
+        while i_b < n_b and points_b[i_b][0] <= start:
+            i_b += 1
+        segments.append((
+            start, end,
+            points_a[i_a - 1 if i_a else 0][1],
+            points_b[i_b - 1 if i_b else 0][1],
+        ))
     return segments
 
 

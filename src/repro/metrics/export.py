@@ -1,112 +1,18 @@
-"""Serializing run results to JSON and CSV.
+"""Serializing suite results to the consolidated ``results.json``.
 
 A reproduction is only useful if its numbers can leave the process:
-these helpers flatten :class:`~repro.engine.executor.WorkloadResult`
-objects (and experiment comparisons) into plain dictionaries, JSON
-strings, and CSV files that downstream plotting/analysis scripts can
-consume without importing the library.
+``run-all``, ``sweep``, ``serve-sim`` and ``cluster-sim`` write one JSON
+artifact that downstream plotting/analysis scripts can consume without
+importing the library.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional
 
-if TYPE_CHECKING:  # avoid a circular import; engine imports metrics
-    from repro.engine.executor import WorkloadResult
+if TYPE_CHECKING:  # avoid a circular import; the runner imports metrics
     from repro.experiments.runner import SuiteResult
-    from repro.trace.events import TraceEvent
-
-
-def workload_to_dict(result: "WorkloadResult", label: str = "") -> Dict:
-    """A JSON-serializable summary of one workload run."""
-    return {
-        "label": label,
-        "makespan": result.makespan,
-        "end_time": result.end_time,
-        "pages_read": result.pages_read,
-        "physical_requests": result.physical_requests,
-        "seeks": result.seeks,
-        "buffer_hit_ratio": result.buffer_hit_ratio,
-        "throttle_seconds": result.throttle_seconds,
-        "streams": [
-            {
-                "stream_id": stream.stream_id,
-                "started_at": stream.started_at,
-                "finished_at": stream.finished_at,
-                "elapsed": stream.elapsed,
-                "queries": [
-                    {
-                        "name": query.name,
-                        "started_at": query.started_at,
-                        "finished_at": query.finished_at,
-                        "elapsed": query.elapsed,
-                        "pages_scanned": query.pages_scanned,
-                        "cpu_seconds": query.cpu_seconds,
-                        "throttle_seconds": query.throttle_seconds,
-                    }
-                    for query in stream.queries
-                ],
-            }
-            for stream in result.streams
-        ],
-    }
-
-
-def workload_to_json(result: "WorkloadResult", label: str = "",
-                     indent: Optional[int] = 2) -> str:
-    """JSON text for one workload run."""
-    return json.dumps(workload_to_dict(result, label=label), indent=indent)
-
-
-def queries_to_csv(result: "WorkloadResult") -> str:
-    """One CSV row per executed query."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([
-        "stream_id", "query", "started_at", "finished_at", "elapsed",
-        "pages_scanned", "cpu_seconds", "throttle_seconds",
-    ])
-    for stream in result.streams:
-        for query in stream.queries:
-            writer.writerow([
-                stream.stream_id, query.name, f"{query.started_at:.6f}",
-                f"{query.finished_at:.6f}", f"{query.elapsed:.6f}",
-                query.pages_scanned, f"{query.cpu_seconds:.6f}",
-                f"{query.throttle_seconds:.6f}",
-            ])
-    return buffer.getvalue()
-
-
-def series_to_csv(series: Dict[str, List[float]]) -> str:
-    """Column-per-key CSV for bucketed time series (E5/E6 exports)."""
-    if not series:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    names = sorted(series)
-    writer.writerow(["bucket"] + names)
-    length = max(len(values) for values in series.values())
-    for index in range(length):
-        row = [index]
-        for name in names:
-            values = series[name]
-            row.append(f"{values[index]:.6f}" if index < len(values) else "")
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def trace_to_jsonl(events: Sequence["TraceEvent"]) -> str:
-    """One JSON object per line for captured trace events.
-
-    Produces the same format :class:`repro.trace.sinks.JsonlSink` streams
-    to disk, for exporting a ring-buffer capture after the fact.
-    """
-    return "".join(
-        json.dumps(event.to_dict(), sort_keys=True) + "\n" for event in events
-    )
 
 
 def suite_to_dict(suite: "SuiteResult") -> Dict:
@@ -151,17 +57,3 @@ def write_suite_json(suite: "SuiteResult", path: str) -> None:
     with open(path, "w") as handle:
         handle.write(suite_to_json(suite))
         handle.write("\n")
-
-
-def comparison_to_dict(base: "WorkloadResult", shared: "WorkloadResult") -> Dict:
-    """Base-vs-SS summary with the paper's three gains."""
-    from repro.metrics.report import percent_gain
-
-    return {
-        "base": workload_to_dict(base, label="Base"),
-        "shared": workload_to_dict(shared, label="SS"),
-        "end_to_end_gain_percent": percent_gain(base.makespan, shared.makespan),
-        "disk_read_gain_percent": percent_gain(base.pages_read, shared.pages_read),
-        "disk_seek_gain_percent": percent_gain(float(base.seeks),
-                                               float(shared.seeks)),
-    }

@@ -169,10 +169,3 @@ class ServiceSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.max_arrivals_per_class < 1:
             raise ValueError("max_arrivals_per_class must be >= 1")
-
-    def class_named(self, name: str) -> ServiceClass:
-        """Look a class up by name."""
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        raise KeyError(f"no service class named {name!r}")

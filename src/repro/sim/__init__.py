@@ -15,7 +15,7 @@ insertion sequence number, so runs are fully deterministic for a fixed
 workload and seed.
 """
 
-from repro.sim.events import Event, EventQueue, Interrupt
+from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.resource import Resource
@@ -24,7 +24,6 @@ from repro.sim.timeline import StepTimeline
 __all__ = [
     "Event",
     "EventQueue",
-    "Interrupt",
     "Process",
     "Resource",
     "Simulator",

@@ -39,18 +39,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (double trigger, etc.)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting.
-
-    The interrupting party supplies a ``cause`` that the interrupted
-    process can inspect (for example, a throttle-release notification).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that simulation processes can wait on."""
 

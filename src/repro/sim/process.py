@@ -11,9 +11,9 @@ processes can wait on each other.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.sim.events import Event, Interrupt, SimulationError
+from repro.sim.events import Event, SimulationError
 
 
 class Process:
@@ -22,7 +22,7 @@ class Process:
     Do not instantiate directly — use :meth:`repro.sim.kernel.Simulator.spawn`.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_completion", "_waiting_on")
+    __slots__ = ("sim", "name", "_generator", "_completion")
 
     def __init__(self, sim: Any, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -34,7 +34,6 @@ class Process:
         self.name = name or repr(generator)
         self._generator = generator
         self._completion: Event = Event(sim)
-        self._waiting_on: Optional[Event] = None
         # Kick off the process at the current simulation time.
         sim.schedule(0.0, partial(self._step, None, False))
 
@@ -47,29 +46,6 @@ class Process:
     def alive(self) -> bool:
         """Whether the process has not yet finished."""
         return not self._completion.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait.
-
-        Interrupting a finished process is a silent no-op, and interrupting
-        a process that has not yet had its first step is deferred until it
-        would next wait.
-        """
-        if not self.alive:
-            return
-        waiting_on = self._waiting_on
-        if waiting_on is None:
-            # Not currently waiting (either not started or mid-step); defer
-            # delivery to the next scheduler slot.
-            self.sim.schedule(0.0, lambda: self.interrupt(cause))
-            return
-        self._waiting_on = None
-        # The interrupter carries on at this instant after the call, so
-        # this step may not move the clock with an inline ``Resource.hold``.
-        sim = self.sim
-        horizon, sim._hold_horizon = sim._hold_horizon, float("-inf")
-        self._step(Interrupt(cause), throw=True)
-        sim._hold_horizon = horizon
 
     def _step(self, value: Any, throw: bool) -> None:
         try:
@@ -91,19 +67,10 @@ class Process:
                 f"process {self.name!r} yielded {type(target).__name__}; "
                 "processes may only yield Event objects"
             )
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            # The process was interrupted away from this event; ignore the
-            # stale wakeup.
-            return
-        self._waiting_on = None
-        if event.failed:
-            self._step(event.value, throw=True)
-        else:
-            self._step(event.value, throw=False)
+        self._step(event.value, throw=event.failed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"

@@ -6,8 +6,7 @@ occupy a slot for a known time with :meth:`Resource.hold`.  Grants are
 strictly FIFO, which keeps simulations deterministic and avoids starvation.
 
 Every capacity change is recorded on a :class:`~repro.sim.timeline.StepTimeline`
-so that the metrics layer can later compute utilization integrals and
-derive iostat-style breakdowns.
+so that the metrics layer can later derive iostat-style breakdowns.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class Resource:
         ready lane, the next heap entry strictly later than the expiry —
         one *at* it was pushed earlier and pops first — and the expiry
         within the ``run`` bound), so the clock was moved here.  Otherwise
-        the caller yields the returned event once; the slot is freed at
-        expiry even if the caller has stopped waiting by then.
+        the caller yields the returned event once.
         """
         if not 0.0 <= seconds < _INF:
             raise SimulationError(
@@ -130,10 +128,6 @@ class Resource:
             self.sim.schedule(0.0, ev._granted)
         else:
             ev.succeed(self)
-
-    def busy_time(self, until: float) -> float:
-        """Integral of (slots in use) over time, in slot-seconds."""
-        return self.busy_timeline.integral(until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,9 +3,8 @@
 A :class:`StepTimeline` records a piecewise-constant integer level over
 simulated time — for example "CPUs busy" or "disk requests outstanding".
 The metrics layer merges several timelines to compute iostat-style
-user/system/idle/iowait breakdowns and per-bucket time series, so the
-timeline exposes integrals, bucketed averages, and a merge-friendly
-iterator of change points.
+user/system/idle/iowait breakdowns, so the timeline exposes point
+lookups and a merge-friendly iterator of change points.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ class StepTimeline:
             self.record(start, level + 1)
             self.record(end, level)
 
-    @property
-    def current_level(self) -> float:
-        """The most recently recorded level."""
-        return self._points[-1][1]
-
     def level_at(self, time: float) -> float:
         """The level in effect at ``time`` (right-continuous)."""
         level = self._points[0][1]
@@ -78,47 +72,3 @@ class StepTimeline:
     def change_points(self) -> Iterator[Tuple[float, float]]:
         """Iterate ``(time, level)`` change points in time order."""
         return iter(self._points)
-
-    def integral(self, until: float, since: float = 0.0) -> float:
-        """Integrate the level over ``[since, until]`` (level-seconds)."""
-        if until < since:
-            raise ValueError(f"integral bounds reversed: [{since}, {until}]")
-        total = 0.0
-        points = self._points
-        for i, (time, level) in enumerate(points):
-            seg_start = max(time, since)
-            seg_end = points[i + 1][0] if i + 1 < len(points) else until
-            seg_end = min(seg_end, until)
-            if seg_end > seg_start:
-                total += level * (seg_end - seg_start)
-        return total
-
-    def bucketed_integrals(self, until: float, bucket: float) -> List[float]:
-        """Integrate the level over consecutive buckets of width ``bucket``.
-
-        Returns one value per bucket covering ``[0, until]``; the final
-        bucket may be partial.
-        """
-        if bucket <= 0:
-            raise ValueError(f"bucket width must be positive, got {bucket}")
-        buckets: List[float] = []
-        start = 0.0
-        while start < until:
-            end = min(start + bucket, until)
-            buckets.append(self.integral(end, since=start))
-            start = end
-        return buckets
-
-    def time_at_or_above(self, threshold: float, until: float) -> float:
-        """Total time in ``[0, until]`` during which level >= ``threshold``."""
-        total = 0.0
-        points = self._points
-        for i, (time, level) in enumerate(points):
-            if level < threshold:
-                continue
-            seg_end = points[i + 1][0] if i + 1 < len(points) else until
-            seg_end = min(seg_end, until)
-            seg_start = min(time, until)
-            if seg_end > seg_start:
-                total += seg_end - seg_start
-        return total

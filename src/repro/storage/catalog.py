@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.buffer.page import PageKey
 from repro.storage.table import Table
@@ -46,13 +46,6 @@ class Catalog:
             raise KeyError(
                 f"no table named {name!r}; known tables: {sorted(self._tables)}"
             ) from None
-
-    def table_of_space(self, space_id: int) -> Table:
-        """Look up a table by its tablespace id."""
-        try:
-            return self._by_space[space_id]
-        except KeyError:
-            raise KeyError(f"no table in space {space_id}") from None
 
     def page_key(self, table_name: str, page_no: int) -> PageKey:
         """Page key for a table page (the interned instance)."""
@@ -106,13 +99,6 @@ class Catalog:
     def total_pages(self) -> int:
         """Sum of page counts over all tables (the 'database size')."""
         return sum(table.n_pages for table in self._tables.values())
-
-    def table_names(self) -> List[str]:
-        """All table names, sorted."""
-        return sorted(self._tables)
-
-    def __iter__(self) -> Iterator[Table]:
-        return iter(self._tables.values())
 
     def __len__(self) -> int:
         return len(self._tables)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 _KINDS = (
@@ -71,17 +71,6 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise ValueError(f"table {self.name!r} has duplicate column names: {names}")
 
-    def column(self, name: str) -> ColumnSpec:
-        """Look up a column by name."""
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise KeyError(f"table {self.name!r} has no column {name!r}")
-
-    def column_names(self) -> Sequence[str]:
-        """All column names in declaration order."""
-        return [column.name for column in self.columns]
-
     @property
     def clustering_column(self) -> Optional[ColumnSpec]:
         """The column the table is physically clustered on, if any."""
@@ -89,8 +78,3 @@ class TableSchema:
             if column.kind == "clustered":
                 return column
         return None
-
-
-def make_schema(name: str, columns: Sequence[ColumnSpec], rows_per_page: int = 100) -> TableSchema:
-    """Convenience constructor accepting any column sequence."""
-    return TableSchema(name=name, columns=tuple(columns), rows_per_page=rows_per_page)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.storage.datagen import Batch, PageGenerator
 from repro.storage.schema import TableSchema
@@ -45,11 +45,6 @@ class Table:
         return self.schema.name
 
     @property
-    def n_rows(self) -> int:
-        """Total number of rows."""
-        return self.n_pages * self.schema.rows_per_page
-
-    @property
     def n_extents(self) -> int:
         """Number of (possibly partial) extents."""
         return math.ceil(self.n_pages / self.extent_size)
@@ -67,17 +62,6 @@ class Table:
         """Extent index containing ``page_no``."""
         self._check_page(page_no)
         return page_no // self.extent_size
-
-    def extent_pages(self, extent_no: int) -> List[int]:
-        """Page numbers of one extent (the prefetch unit)."""
-        if not 0 <= extent_no < self.n_extents:
-            raise IndexError(
-                f"extent {extent_no} out of range for table {self.name!r} "
-                f"of {self.n_extents} extents"
-            )
-        start = extent_no * self.extent_size
-        end = min(start + self.extent_size, self.n_pages)
-        return list(range(start, end))
 
     def pages_for_cluster_range(self, low: float, high: float) -> Tuple[int, int]:
         """Page range ``[first, last]`` (inclusive) a clustered range scan

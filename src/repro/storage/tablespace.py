@@ -55,8 +55,3 @@ class Tablespace:
                 f"{self._size_of[key.space_id]} pages"
             )
         return base + key.page_no
-
-    @property
-    def allocated_pages(self) -> int:
-        """Total pages handed out (excluding gaps)."""
-        return sum(self._size_of.values())

@@ -40,13 +40,12 @@ from repro.trace.events import (
     TraceEvent,
 )
 from repro.trace.sinks import JsonlSink, NullSink, RingBufferSink, TraceSink
-from repro.trace.summary import attribute_by_scan, render_summary, summarize
+from repro.trace.summary import render_summary, summarize
 from repro.trace.tracer import (
     Tracer,
     TracerHandle,
     get_tracer,
     set_tracer,
-    tracer_generation,
     tracing,
 )
 
@@ -77,11 +76,9 @@ __all__ = [
     "TraceSink",
     "Tracer",
     "TracerHandle",
-    "attribute_by_scan",
     "get_tracer",
     "render_summary",
     "set_tracer",
     "summarize",
-    "tracer_generation",
     "tracing",
 ]

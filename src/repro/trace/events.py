@@ -141,7 +141,6 @@ class BufferEvict(TraceEvent):
 
     space_id: int = 0
     page_no: int = 0
-    written_back: bool = False
 
     category = "buffer"
     kind = "evict"

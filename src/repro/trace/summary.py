@@ -29,56 +29,6 @@ def summarize(events: Sequence[TraceEvent]) -> Dict[str, object]:
     }
 
 
-def attribute_by_scan(events: Sequence[TraceEvent]) -> Dict[int, Dict[str, object]]:
-    """Group manager-lifecycle events by scan id.
-
-    Interleaved multi-stream traces mix many scans' register/throttle/
-    deregister events; this pulls each scan's thread back out.  Returns
-    ``scan_id -> record`` where each record carries the table, the
-    registration/end times, how the scan ended (``"deregister"``,
-    ``"abort"``, or ``None`` while still live), the pages it reported,
-    the group it joined at registration (if any), and its throttle
-    activity (evaluation count + summed inserted wait).
-    """
-    records: Dict[int, Dict[str, object]] = {}
-
-    def record_of(scan_id: int) -> Dict[str, object]:
-        return records.setdefault(scan_id, {
-            "table": None,
-            "registered_at": None,
-            "ended_at": None,
-            "end_kind": None,
-            "pages_scanned": 0,
-            "joined_scan_id": None,
-            "throttle_evaluations": 0,
-            "throttle_wait": 0.0,
-        })
-
-    for event in events:
-        if event.category != "manager":
-            continue
-        scan_id = getattr(event, "scan_id", None)
-        if scan_id is None:
-            continue  # regroup events span all scans
-        record = record_of(scan_id)
-        if event.kind == "register":
-            record["table"] = event.table
-            record["registered_at"] = event.time
-            record["joined_scan_id"] = event.joined_scan_id
-        elif event.kind in ("deregister", "abort"):
-            record["ended_at"] = event.time
-            record["end_kind"] = event.kind
-            record["pages_scanned"] = event.pages_scanned
-            if event.kind == "deregister":
-                record["table"] = event.table or record["table"]
-        elif event.kind == "throttle":
-            record["throttle_evaluations"] = (
-                record["throttle_evaluations"] + 1
-            )
-            record["throttle_wait"] = record["throttle_wait"] + event.wait
-    return records
-
-
 def render_summary(events: Sequence[TraceEvent], total_seen: int = 0) -> str:
     """A table of event counts by category.kind, plus the time span."""
     from repro.metrics.report import format_table

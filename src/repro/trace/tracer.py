@@ -34,11 +34,6 @@ def _bump_generation() -> None:
     _generation += 1
 
 
-def tracer_generation() -> int:
-    """The current tracer/sink-change generation (for cached handles)."""
-    return _generation
-
-
 class Tracer:
     """Stamps emission order onto events and fans them out to sinks."""
 

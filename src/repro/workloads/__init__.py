@@ -32,7 +32,6 @@ from repro.workloads.loadgen import (
     generate_load,
 )
 from repro.workloads.streams import tpch_stream, tpch_streams
-from repro.workloads.synthetic import uniform_scan_query
 
 __all__ = [
     "ArrivalPlan",
@@ -55,5 +54,4 @@ __all__ = [
     "tpch_schemas",
     "tpch_stream",
     "tpch_streams",
-    "uniform_scan_query",
 ]

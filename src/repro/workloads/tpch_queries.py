@@ -667,7 +667,7 @@ def ag1(rng: np.random.Generator) -> QuerySpec:
     """Q1-shaped pricing summary under a frame budget.
 
     Same scan and aggregate shape as :func:`q1`, but the aggregation
-    negotiates a bufferpool reservation (auto-sized by the planner) and
+    negotiates a bufferpool reservation (auto-sized by the executor) and
     spills under pressure.  Group cardinality is tiny (six groups), so
     this template only spills when the pool claws its frames back — the
     clean-run digest matches the operator-memory overhead, not temp I/O.

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.buffer.pool import BufferPool
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.engine.database import Database, SystemConfig
+from repro.engine.operators import AggSpec, Operator
+from repro.engine.query import QuerySpec, ScanStep
 from repro.core.config import SharingConfig
 from repro.sim.kernel import Simulator
-from repro.workloads.synthetic import simple_table_schema
+from repro.storage.schema import ColumnSpec, TableSchema
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -52,6 +55,63 @@ def make_pool(sim: Simulator, disk: Disk, capacity: int = 32,
     return BufferPool(
         sim, disk, capacity=capacity, address_of=lambda key: key.page_no,
         policy=policy,
+    )
+
+
+class RowCounter(Operator):
+    """Terminal operator that just counts rows (a cheap test sink)."""
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.rows = 0
+
+    def required_columns(self):
+        return frozenset()
+
+    def push(self, batch, page_rows):
+        page_rows = np.atleast_1d(np.asarray(page_rows, dtype=np.int64))
+        self.rows += int(page_rows.sum())
+        return 0.1 * page_rows
+
+    def finish(self) -> object:
+        return self.rows
+
+
+def make_schema(name: str, columns, rows_per_page: int = 100) -> TableSchema:
+    """A table schema from any column sequence."""
+    return TableSchema(name=name, columns=tuple(columns), rows_per_page=rows_per_page)
+
+
+def simple_table_schema(name: str = "t", rows_per_page: int = 100) -> TableSchema:
+    """A minimal test table: a sequence key, a value, and a cluster date."""
+    return TableSchema(
+        name=name,
+        rows_per_page=rows_per_page,
+        columns=(
+            ColumnSpec("id", "sequence"),
+            ColumnSpec("value", "float_uniform", 0.0, 100.0),
+            ColumnSpec("flag", "choice", categories=("a", "b", "c")),
+            ColumnSpec("day", "clustered", 0.0, 1000.0),
+        ),
+    )
+
+
+def uniform_scan_query(table: str, lo_frac: float = 0.0, hi_frac: float = 1.0,
+                       cpu_units_per_row: float = 0.0, predicate=None,
+                       name: str = None) -> QuerySpec:
+    """A single-step row-counting scan over a fractional slice of a table."""
+    return QuerySpec(
+        name=name or f"scan-{table}-{lo_frac:.2f}-{hi_frac:.2f}",
+        steps=(
+            ScanStep(
+                table=table,
+                fraction=(lo_frac, hi_frac),
+                predicate=predicate,
+                aggregates=(AggSpec("rows", "count"),),
+                extra_units_per_row=cpu_units_per_row,
+                label=table,
+            ),
+        ),
     )
 
 

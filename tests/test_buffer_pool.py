@@ -213,24 +213,3 @@ class TestPrioritiesAndDirty:
         proc = sim.spawn(worker(sim))
         sim.run()
         assert not proc.completion.failed
-
-    def test_dirty_page_written_back_on_eviction(self, sim, disk):
-        pool = make_pool(sim, disk, capacity=4)
-
-        def worker(sim):
-            frame = yield from pool.fix(key(0))
-            assert frame is not None
-            pool.mark_dirty(key(0))
-            pool.unfix(key(0))
-            for n in range(1, 9):
-                yield from fix_and_release(pool, n)
-
-        sim.spawn(worker(sim))
-        sim.run()
-        assert disk.stats.writes == 1
-        assert pool.stats.writebacks == 1
-
-    def test_mark_dirty_requires_pin(self, sim, disk):
-        pool = make_pool(sim, disk)
-        with pytest.raises(BufferPoolError):
-            pool.mark_dirty(key(0))

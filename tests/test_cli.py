@@ -175,10 +175,25 @@ class TestSweep:
         artifact = json.loads(out_file.read_text())
         assert artifact["experiments"][0]["sweep_point"] == "scale=0.05"
 
-    def test_sweep_unknown_param_is_clean_error(self):
-        with pytest.raises(SystemExit, match="unknown sweep parameter"):
-            main(["sweep", "e1", "--param", "bogus", "--values", "1",
-                  "--no-cache"])
+    def test_sweep_unknown_param_is_clean_error(self, capsys):
+        assert main(["sweep", "e1", "--param", "bogus", "--values", "1",
+                     "--no-cache"]) == 2
+        assert "unknown sweep parameter" in capsys.readouterr().err
+
+    def test_sweep_of_a_sequence_field_is_one_line_exit_2(self, capsys):
+        assert main(["sweep", "e4", "--param", "query_names", "--values",
+                     "Q6", "--scale", "0.1", "--streams", "2",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("repro sweep: error: 'query_names' cannot be set "
+                       "from a single value\n")
+
+    def test_sweep_of_an_optional_float_field(self, capsys):
+        assert main(["sweep", "sv-steady", "--param", "service_horizon",
+                     "--values", "2.5", "--scale", "0.1", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "sv-steady[service_horizon=2.5]" in out
+        assert "(horizon 2.500s)" in out
 
     def test_sweep_empty_values_is_clean_error(self):
         with pytest.raises(SystemExit, match="at least one grid point"):

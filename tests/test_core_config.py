@@ -29,18 +29,6 @@ class TestValidation:
 
 
 class TestHelpers:
-    def test_disabled_copy(self):
-        config = SharingConfig()
-        off = config.disabled()
-        assert not off.enabled
-        assert config.enabled  # original untouched
-
-    def test_with_modifies_one_field(self):
-        config = SharingConfig()
-        changed = config.with_(throttling_enabled=False)
-        assert not changed.throttling_enabled
-        assert changed.placement_enabled == config.placement_enabled
-
     def test_presets(self):
         assert not BASELINE.enabled
         assert FULL_SHARING.enabled

@@ -8,9 +8,11 @@ from repro.core.manager import ScanSharingManager
 from repro.core.scan_state import ScanDescriptor
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
+
+from tests.conftest import make_schema
 
 
 def make_manager(config=None, table_pages=1000, pool=200, extent=16):

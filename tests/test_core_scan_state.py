@@ -67,13 +67,11 @@ class TestPosition:
         state = make_state(first=0, last=99, start=90)
         state.pages_scanned = 15  # 90..99 then wrap to 0..4
         assert state.position == 5
-        assert state.wrapped
 
     def test_not_wrapped_before_range_end(self):
         state = make_state(start=90)
         state.pages_scanned = 9
         assert state.position == 99
-        assert not state.wrapped
 
     def test_offset_range(self):
         state = make_state(first=20, last=29, start=25)

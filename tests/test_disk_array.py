@@ -8,7 +8,8 @@ from repro.disk.geometry import DiskGeometry
 from repro.engine.database import Database, SystemConfig
 from repro.engine.executor import run_workload
 from repro.sim.events import SimulationError
-from repro.workloads.synthetic import simple_table_schema, uniform_scan_query
+
+from tests.conftest import simple_table_schema, uniform_scan_query
 
 
 @pytest.fixture
@@ -30,17 +31,17 @@ class TestStriping:
     def test_locate_round_robin(self, sim, geo):
         array = make_array(sim, geo, n_disks=4, stripe=8)
         # Pages 0..7 on disk 0, 8..15 on disk 1, ..., 32..39 back on 0.
-        assert array.locate(0) == (0, 0)
-        assert array.locate(7) == (0, 7)
-        assert array.locate(8) == (1, 0)
-        assert array.locate(31) == (3, 7)
-        assert array.locate(32) == (0, 8)
+        assert array.stripe_map.locate(0) == (0, 0)
+        assert array.stripe_map.locate(7) == (0, 7)
+        assert array.stripe_map.locate(8) == (1, 0)
+        assert array.stripe_map.locate(31) == (3, 7)
+        assert array.stripe_map.locate(32) == (0, 8)
 
     def test_locate_is_injective_per_disk(self, sim, geo):
         array = make_array(sim, geo, n_disks=3, stripe=8)
         seen = set()
         for page in range(400):
-            location = array.locate(page)
+            location = array.stripe_map.locate(page)
             assert location not in seen
             seen.add(location)
 
@@ -97,7 +98,7 @@ class TestStriping:
 
         sim.spawn(reader(sim))
         sim.run()
-        assert array.outstanding_timeline.current_level == 0
+        assert array.outstanding_timeline.level_at(sim.now) == 0
 
 
 class TestDatabaseIntegration:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.config import SharingConfig
 from repro.engine.database import Database, SystemConfig
-from repro.workloads.synthetic import simple_table_schema
+
+from tests.conftest import simple_table_schema
 
 
 class TestSystemConfig:

@@ -7,9 +7,8 @@ from repro.engine.executor import execute_query, run_workload
 from repro.engine.expressions import col, lit
 from repro.engine.operators import AggSpec
 from repro.engine.query import QuerySpec, ScanStep
-from repro.workloads.synthetic import uniform_scan_query
 
-from tests.conftest import make_database
+from tests.conftest import make_database, uniform_scan_query
 
 
 def count_query(lo=0.0, hi=1.0, name="count"):
@@ -67,6 +66,19 @@ class TestExecuteQuery:
         values = proc.completion.value.values["t"]
         assert 0 < values["n"] < 128 * 100
         assert values["max_v"] < 50.0
+
+    def test_cluster_range_scans_fewer_pages_same_answer(self, small_db):
+        def run(cluster_range):
+            spec = QuerySpec(name="range-count", steps=(ScanStep(
+                table="t", predicate=col("day").between(200.0, 400.0),
+                cluster_range=cluster_range, label="t"),))
+            proc = small_db.sim.spawn(execute_query(small_db, spec))
+            small_db.sim.run()
+            return proc.completion.value
+
+        full, narrowed = run(None), run((200.0, 400.0))
+        assert narrowed.pages_scanned < full.pages_scanned
+        assert narrowed.values["t"]["rows"] == full.values["t"]["rows"] > 0
 
 
 class TestRunWorkload:

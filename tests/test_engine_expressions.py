@@ -59,10 +59,6 @@ class TestCompound:
         np.testing.assert_array_equal(
             expr.evaluate(page), [True, False, False, False, True]
         )
-        expr = ~(col("a") < lit(3))
-        np.testing.assert_array_equal(
-            expr.evaluate(page), [False, False, True, True, True]
-        )
 
 
 class TestArithmetic:

@@ -10,9 +10,9 @@ from repro.engine.operators import (
     Filter,
     GroupByAggregate,
     Pipeline,
-    Project,
-    RowCounter,
 )
+
+from tests.conftest import RowCounter
 
 COST = CostModel()
 
@@ -178,20 +178,6 @@ class TestFilter:
     def test_required_columns_includes_own_predicate(self):
         filt = Filter(col("a") < lit(3), RowCounter(), COST)
         assert filt.required_columns() == frozenset({"a"})
-
-
-class TestProject:
-    def test_adds_computed_column(self):
-        seen = {}
-
-        class Probe(RowCounter):
-            def push(self, data, n_rows):
-                seen["doubled"] = data["doubled"].copy()
-                return super().push(data, n_rows)
-
-        proj = Project({"doubled": col("a") * lit(2)}, Probe(), COST)
-        proj.push(page(4), 4)
-        np.testing.assert_array_equal(seen["doubled"], [0, 2, 4, 6])
 
 
 class TestPipeline:

@@ -70,7 +70,6 @@ class TestCoreExperiments:
     def test_e8(self):
         result = e8_per_query(TINY)
         assert set(result.gains()) == {"Q6", "Q14"}
-        assert result.regressions(tolerance_percent=1e9) == []
 
     def test_e9(self):
         result = e9_stream_scaling(TINY, stream_counts=(1, 2))

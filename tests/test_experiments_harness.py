@@ -54,7 +54,7 @@ class TestRunMode:
         assert sum(mode.cpu.as_dict().values()) == pytest.approx(1.0)
 
     def test_streams_override(self):
-        from repro.workloads.synthetic import uniform_scan_query
+        from tests.conftest import uniform_scan_query
 
         query = uniform_scan_query("lineitem", 0.0, 0.3, name="slice")
         mode = run_mode(TINY, SharingConfig(enabled=False), "x",

@@ -183,14 +183,28 @@ class TestSweep:
         assert suite.tasks[0].seed != suite.tasks[1].seed
 
     def test_coerce_matches_field_types(self):
-        assert coerce_sweep_value(TINY, "n_streams", "4") == 4
-        assert coerce_sweep_value(TINY, "scale", "0.5") == 0.5
-        assert coerce_sweep_value(TINY, "policy", "lru") == "lru"
-        assert coerce_sweep_value(TINY, "pool_pages", "128") == 128
+        assert coerce_sweep_value("n_streams", "4") == 4
+        assert coerce_sweep_value("scale", "0.5") == 0.5
+        assert coerce_sweep_value("policy", "lru") == "lru"
+        assert coerce_sweep_value("pool_pages", "128") == 128
+        assert coerce_sweep_value("push_prefetch", "on") is True
+
+    def test_coerce_optional_fields_by_declared_type(self):
+        # Defaults of None say nothing about the type: the declaration does.
+        assert coerce_sweep_value("service_horizon", "2.5") == 2.5
+        assert coerce_sweep_value("stripe_extents", "2") == 2
+        assert coerce_sweep_value("fault_spec", "leader-abort") == "leader-abort"
+        with pytest.raises(ValueError, match="needs a int"):
+            coerce_sweep_value("stripe_extents", "two")
+
+    @pytest.mark.parametrize("param", ["query_names", "sharing_overrides"])
+    def test_fields_without_a_single_value_rejected(self, param):
+        with pytest.raises(ValueError, match="cannot be set from a single value"):
+            coerce_sweep_value(param, "Q6")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
-            coerce_sweep_value(TINY, "nonsense", "1")
+            coerce_sweep_value("nonsense", "1")
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             run_sweep("e1", "nonsense", ["1"], TINY, use_cache=False)
 

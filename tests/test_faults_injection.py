@@ -12,14 +12,14 @@ from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.scans.shared_scan import SharedTableScan
+from repro.scans.table_scan import TableScan
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import flat_cost, make_database, make_pool
+from tests.conftest import flat_cost, make_database, make_pool, make_schema
 
 
 cheap = flat_cost(1e-6)
@@ -130,7 +130,8 @@ class TestPoolPressure:
             fault_plan=FaultPlan.from_spec("pool-pressure:fraction=0.9", seed=0),
         )
         scans = [
-            SharedTableScan(db, "t", 0, 127, on_run=cheap) for _ in range(2)
+            TableScan(db, "t", 0, 127, on_run=cheap, sharing=db.sharing)
+            for _ in range(2)
         ]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
         db.sim.run()
@@ -143,7 +144,7 @@ class TestPoolPressure:
 class TestScanKills:
     def run_scans(self, db, n_scans, n_pages=128):
         scans = [
-            SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
+            TableScan(db, "t", 0, n_pages - 1, on_run=cheap, sharing=db.sharing)
             for _ in range(n_scans)
         ]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
@@ -322,7 +323,8 @@ class TestDeterminism:
                 ),
             )
             scans = [
-                SharedTableScan(db, "t", 0, 127, on_run=cheap) for _ in range(3)
+                TableScan(db, "t", 0, 127, on_run=cheap, sharing=db.sharing)
+                for _ in range(3)
             ]
             procs = [db.sim.spawn(scan.run()) for scan in scans]
             db.sim.run()

@@ -16,14 +16,14 @@ from repro.core.manager import ScanSharingManager
 from repro.core.scan_state import ScanDescriptor
 from repro.faults.invariants import InvariantChecker, InvariantViolation
 from repro.faults.plan import FaultPlan
-from repro.scans.shared_scan import SharedTableScan
+from repro.scans.table_scan import TableScan
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import flat_cost, make_database
+from tests.conftest import flat_cost, make_database, make_schema
 
 
 cheap = flat_cost(1e-6)
@@ -129,7 +129,7 @@ class TestCheckerDetectsCorruption:
 
     def test_accounting_identity_breakage_detected(self):
         db = make_database(n_pages=64)
-        scan = SharedTableScan(db, "t", 0, 63, on_run=cheap)
+        scan = TableScan(db, "t", 0, 63, on_run=cheap, sharing=db.sharing)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert not proc.completion.failed
@@ -155,7 +155,7 @@ def run_chaos_workload(fault_spec, seed, n_scans, n_pages=128):
         fault_plan=FaultPlan.from_spec(fault_spec, seed=seed),
     )
     scans = [
-        SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
+        TableScan(db, "t", 0, n_pages - 1, on_run=cheap, sharing=db.sharing)
         for _ in range(n_scans)
     ]
     procs = [db.sim.spawn(scan.run()) for scan in scans]

@@ -134,12 +134,6 @@ class TestFaultPlan:
         assert FaultPlan.from_spec("leader-abort", seed=3) != \
             FaultPlan.from_spec("trailer-abort", seed=3)
 
-    def test_describe_names_every_clause(self):
-        plan = FaultPlan.from_spec("scan-kill:target=leader; disk-delay", seed=0)
-        text = plan.describe()
-        assert "scan-kill" in text and "disk-delay" in text
-        assert "target=leader" in text
-
 
 class TestForReplica:
     SPEC = ("scan-kill:replica=0; disk-delay:factor=2.0,replica=1; "

@@ -15,10 +15,9 @@ from repro.core.config import SharingConfig
 from repro.engine.database import SystemConfig
 from repro.engine.executor import run_workload
 from repro.workloads.streams import tpch_streams
-from repro.workloads.synthetic import uniform_scan_query
 from repro.workloads.tpch_schema import make_tpch_database
 
-from tests.conftest import make_database
+from tests.conftest import make_database, uniform_scan_query
 
 
 def run_tpch(enabled, n_streams=3, query_names=("Q21", "Q18", "Q9", "Q17"),

@@ -1,9 +1,9 @@
 """Unit tests for the metrics layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.metrics.collector import MetricsCollector, QueryRecord
-from repro.metrics.cpu import compute_cpu_breakdown
+from repro.metrics.cpu import _merged_changes, compute_cpu_breakdown
 from repro.metrics.report import (
     fleet_aggregate_row,
     format_series,
@@ -13,49 +13,6 @@ from repro.metrics.report import (
     percentile,
 )
 from repro.sim.timeline import StepTimeline
-
-
-def record(stream=0, name="Q1", start=0.0, end=1.0):
-    return QueryRecord(
-        stream_id=stream, query_name=name, started_at=start, finished_at=end,
-        pages_scanned=10, cpu_seconds=0.1, throttle_seconds=0.0,
-    )
-
-
-class TestCollector:
-    def test_elapsed(self):
-        assert record(start=1.0, end=3.5).elapsed == pytest.approx(2.5)
-
-    def test_by_stream_and_name(self):
-        collector = MetricsCollector()
-        collector.record_query(record(stream=0, name="Q1"))
-        collector.record_query(record(stream=1, name="Q1"))
-        collector.record_query(record(stream=0, name="Q2"))
-        assert len(collector.by_stream()[0]) == 2
-        assert len(collector.by_query_name()["Q1"]) == 2
-
-    def test_stream_elapsed_spans_queries(self):
-        collector = MetricsCollector()
-        collector.record_query(record(stream=0, start=1.0, end=2.0))
-        collector.record_query(record(stream=0, start=3.0, end=7.0))
-        assert collector.stream_elapsed(0) == pytest.approx(6.0)
-
-    def test_stream_elapsed_unknown_raises(self):
-        with pytest.raises(KeyError):
-            MetricsCollector().stream_elapsed(0)
-
-    def test_mean_query_elapsed(self):
-        collector = MetricsCollector()
-        collector.record_query(record(name="Q6", start=0.0, end=1.0))
-        collector.record_query(record(name="Q6", start=0.0, end=3.0))
-        assert collector.mean_query_elapsed("Q6") == pytest.approx(2.0)
-
-    def test_makespan(self):
-        collector = MetricsCollector()
-        assert collector.makespan() == 0.0
-        collector.record_query(record(start=1.0, end=2.0))
-        collector.record_query(record(start=0.5, end=4.0))
-        assert collector.makespan() == pytest.approx(3.5)
 
 
 class TestCpuBreakdown:
@@ -122,6 +79,96 @@ class TestCpuBreakdown:
     def test_as_dict(self):
         b = compute_cpu_breakdown(StepTimeline(), StepTimeline(), cores=1, until=1.0)
         assert set(b.as_dict()) == {"user", "system", "idle", "iowait"}
+
+
+def _merged_changes_by_lookup(a, b, until):
+    """The segment merge as it was: one ``level_at`` scan per segment."""
+    points_a = list(a.change_points())
+    points_b = list(b.change_points())
+    times = sorted({t for t, _ in points_a} | {t for t, _ in points_b} | {0.0, until})
+    segments = []
+    for i in range(len(times) - 1):
+        start, end = times[i], times[i + 1]
+        if start >= until:
+            break
+        end = min(end, until)
+        if end <= start:
+            continue
+        segments.append((start, end, a.level_at(start), b.level_at(start)))
+    return segments
+
+
+def _breakdown_by_lookup(cpu_busy, disk_outstanding, cores, until,
+                         io_requests, syscall_cost):
+    """``compute_cpu_breakdown`` over the old merge, same summation order."""
+    capacity = cores * until
+    user_time = 0.0
+    iowait_time = 0.0
+    for start, end, busy, outstanding in _merged_changes_by_lookup(
+        cpu_busy, disk_outstanding, until
+    ):
+        duration = end - start
+        user_time += min(busy, cores) * duration
+        if outstanding > 0:
+            iowait_time += max(0.0, cores - busy) * duration
+    system_time = min(io_requests * syscall_cost, max(0.0, capacity - user_time))
+    iowait_time = max(0.0, iowait_time - system_time)
+    idle_time = max(0.0, capacity - user_time - system_time - iowait_time)
+    return (user_time / capacity, system_time / capacity,
+            idle_time / capacity, iowait_time / capacity)
+
+
+class TestCpuBreakdownMerge:
+    """The one-pass merge is bit-identical to a ``level_at`` per segment."""
+
+    # A coarse grid of steps so change points tie across the two
+    # timelines, collapse at one instant, and sit on ``until``.
+    steps = st.lists(
+        st.tuples(st.sampled_from(["record", "pulse"]),
+                  st.sampled_from([0.0, 0.0, 1e-13, 0.1, 0.25, 0.5, 1.0]),
+                  st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+                  st.integers(0, 4)),
+        max_size=25,
+    )
+
+    @staticmethod
+    def build(start_time, initial, steps):
+        timeline = StepTimeline(initial=initial, start_time=start_time)
+        now = start_time
+        for kind, gap, length, level in steps:
+            now += gap
+            if kind == "record":
+                timeline.record(now, level)
+            else:
+                timeline.pulse(now, now + length, level)
+                now += length
+        return timeline
+
+    @given(
+        start_a=st.sampled_from([0.0, 0.3]), start_b=st.sampled_from([0.0, 0.3]),
+        initial_a=st.integers(0, 2), initial_b=st.integers(0, 2),
+        steps_a=steps, steps_b=steps,
+        until=st.sampled_from([0.05, 0.5, 1.0, 2.0, 3.7, 50.0]),
+        cores=st.integers(1, 4),
+        io_requests=st.integers(0, 50),
+        syscall_cost=st.sampled_from([0.0, 1e-3, 0.05]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_segments_and_breakdown_bit_identical(
+        self, start_a, start_b, initial_a, initial_b, steps_a, steps_b, until,
+        cores, io_requests, syscall_cost,
+    ):
+        cpu = self.build(start_a, initial_a, steps_a)
+        disk = self.build(start_b, initial_b, steps_b)
+        assert _merged_changes(cpu, disk, until) == _merged_changes_by_lookup(
+            cpu, disk, until
+        )
+        new = compute_cpu_breakdown(cpu, disk, cores, until,
+                                    io_requests, syscall_cost)
+        old = _breakdown_by_lookup(cpu, disk, cores, until,
+                                   io_requests, syscall_cost)
+        assert [x.hex() for x in (new.user, new.system, new.idle, new.iowait)] \
+            == [x.hex() for x in old]
 
 
 class TestReport:

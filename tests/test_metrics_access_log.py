@@ -5,12 +5,9 @@ import pytest
 from repro.core.config import SharingConfig
 from repro.engine.database import Database, SystemConfig
 from repro.engine.executor import run_workload
-from repro.metrics.access_log import (
-    analyze_sharing_potential,
-    collect_scans,
-    scan_interval_table,
-)
-from repro.workloads.synthetic import simple_table_schema, uniform_scan_query
+from repro.metrics.access_log import analyze_sharing_potential, collect_scans
+
+from tests.conftest import simple_table_schema, uniform_scan_query
 
 
 def run_recorded(record=True, n_streams=3):
@@ -31,15 +28,6 @@ class TestCollect:
         scans = collect_scans(workload)
         assert len(scans) == 3
         assert all(scan.table_name == "t" for scan in scans)
-
-    def test_interval_table(self):
-        workload = run_recorded()
-        rows = scan_interval_table(workload)
-        assert len(rows) == 3
-        for table, start, end, pages in rows:
-            assert table == "t"
-            assert end > start
-            assert pages == 32
 
 
 class TestAnalyze:

@@ -25,8 +25,6 @@ from repro.engine.operators import (
     GroupByAggregate,
     PageFeed,
     Pipeline,
-    Project,
-    RowCounter,
 )
 from repro.engine.spill import (
     N_PARTITIONS,
@@ -251,38 +249,6 @@ class TestRunEqualsPages:
         if predicate == "none":
             expected = sum(table.get(key, 0) for key in batch["i"].tolist())
             assert totals[0][0] == expected
-
-    @settings(max_examples=50, deadline=None)
-    @given(run=runs(), predicate=st.sampled_from(sorted(PREDICATES)))
-    def test_project_and_row_counter(self, run, predicate):
-        batch, page_rows = run
-
-        def build():
-            project = Project(
-                {"c": col("i") + lit(1), "twice": col("v") * lit(2.0)},
-                RowCounter(), COST)
-            return build_pipeline(PREDICATES[predicate], project)
-
-        whole, paged = build(), build()
-        assert list(whole.process_run(0, batch, page_rows)) == [
-            one_page(paged, *page) for page in pages_of(batch, page_rows)]
-        assert whole.result() == paged.result()
-
-    def test_project_drops_codes_of_a_replaced_column(self):
-        seen = {}
-
-        class Probe(RowCounter):
-            def required_columns(self):
-                return None
-
-            def push(self, batch, page_rows):
-                seen.update(batch.codes)
-                return super().push(batch, page_rows)
-
-        batch = Batch({"c": CATEGORIES[[0, 1]], "d": CATEGORIES[[1, 1]]},
-                      {"c": np.array([0, 1]), "d": np.array([1, 1])})
-        Project({"c": lit(7)}, Probe(), COST).push(batch, 2)
-        assert set(seen) == {"d"}
 
 
 class BudgetedRun:

@@ -14,9 +14,8 @@ from repro.core.grouping import form_groups
 from repro.core.scan_state import ScanDescriptor, ScanState
 from repro.core.throttle import evaluate_throttle
 from repro.engine.executor import run_workload
-from repro.workloads.synthetic import uniform_scan_query
 
-from tests.conftest import make_database
+from tests.conftest import make_database, uniform_scan_query
 
 
 # Strategy: a small set of scans with fractional ranges and CPU weights.

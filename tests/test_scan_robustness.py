@@ -7,12 +7,9 @@ from repro.engine.executor import execute_query, run_workload
 from repro.engine.query import QuerySpec, ScanStep
 from repro.faults.plan import FaultPlan
 from repro.scans.base import LazyPages
-from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
-from repro.sim.events import Interrupt
-from repro.workloads.synthetic import uniform_scan_query
 
-from tests.conftest import flat_cost, make_database
+from tests.conftest import flat_cost, make_database, uniform_scan_query
 
 
 def exploding_on_run(fail_at_page):
@@ -38,8 +35,8 @@ class TestPinLeaks:
     @pytest.mark.parametrize("shared", [False, True])
     def test_failing_scan_releases_all_pins(self, shared):
         db = make_database(n_pages=64, sharing=SharingConfig(enabled=shared))
-        cls = SharedTableScan if shared else TableScan
-        scan = cls(db, "t", 0, 63, on_run=exploding_on_run(20))
+        scan = TableScan(db, "t", 0, 63, on_run=exploding_on_run(20),
+                         sharing=db.sharing if shared else None)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -49,11 +46,12 @@ class TestPinLeaks:
         """A crashed scan must not poison the pool for later scans."""
         db = make_database(n_pages=64, pool_pages=16,
                            sharing=SharingConfig(enabled=True))
-        bad = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(5))
+        bad = TableScan(db, "t", 0, 63, on_run=exploding_on_run(5),
+                        sharing=db.sharing)
         proc_bad = db.sim.spawn(bad.run())
         db.sim.run()
         assert proc_bad.completion.failed
-        good = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-6))
+        good = TableScan(db, "t", 0, 63, on_run=flat_cost(1e-6), sharing=db.sharing)
         proc_good = db.sim.spawn(good.run())
         db.sim.run()
         assert not proc_good.completion.failed
@@ -62,7 +60,8 @@ class TestPinLeaks:
 
     def test_manager_clean_after_failure(self):
         db = make_database(n_pages=64)
-        scan = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(9))
+        scan = TableScan(db, "t", 0, 63, on_run=exploding_on_run(9),
+                         sharing=db.sharing)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -84,7 +83,8 @@ class TestCoreLeaks:
                 "scan-kill:target=any,at=0.5,count=2", seed=0
             ),
         )
-        scans = [SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-3))
+        scans = [TableScan(db, "t", 0, 127, on_run=flat_cost(1e-3),
+                           sharing=db.sharing)
                  for _ in range(2)]
         procs = [db.sim.spawn(scan.run()) for scan in scans]
         db.sim.run()
@@ -93,36 +93,12 @@ class TestCoreLeaks:
 
     def test_scan_failing_while_a_page_is_pinned(self):
         db = make_database(n_pages=64, n_cpus=1)
-        bad = SharedTableScan(db, "t", 0, 63, on_run=exploding_on_run(20))
-        good = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-3))
+        bad = TableScan(db, "t", 0, 63, on_run=exploding_on_run(20),
+                        sharing=db.sharing)
+        good = TableScan(db, "t", 0, 63, on_run=flat_cost(1e-3), sharing=db.sharing)
         procs = [db.sim.spawn(scan.run()) for scan in (bad, good)]
         db.sim.run()
         assert procs[0].completion.failed and not procs[1].completion.failed
-        self.assert_clean(db)
-
-    def test_scans_interrupted_mid_charge(self):
-        """One scan is thrown out while it holds the only core and one
-        while it queues for it: each page is unpinned at once and the
-        core comes back when the charge expires."""
-        db = make_database(n_pages=64, n_cpus=1)
-        # CPU-bound: a page costs far more CPU than I/O, so at any moment
-        # one scan holds the core and the other waits for it.
-        scans = [SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-2))
-                 for _ in range(2)]
-        procs = [db.sim.spawn(scan.run()) for scan in scans]
-        db.sim.run(until=0.2)
-        assert db.cpu.in_use == 1 and db.cpu.queue_length == 1
-        for proc in procs:
-            proc.interrupt("cancelled")
-        assert_no_pins(db)
-        assert db.sharing.active_scan_count == 0
-        db.sim.run()
-        assert all(isinstance(proc.completion.value, Interrupt) for proc in procs)
-        self.assert_clean(db)
-        # The pool and the core still serve a later scan.
-        later = db.sim.spawn(TableScan(db, "t", 0, 63, on_run=flat_cost(1e-3)).run())
-        db.sim.run()
-        assert later.completion.value.pages_scanned == 64
         self.assert_clean(db)
 
 
@@ -132,7 +108,7 @@ class TestRequiresOrder:
         sharing enabled: it always starts at its range's first page."""
         db = make_database(n_pages=64, sharing=SharingConfig(enabled=True))
         # Prime an ongoing scan so placement WOULD relocate a new scan.
-        warm = SharedTableScan(db, "t", 0, 63, on_run=flat_cost(1e-4))
+        warm = TableScan(db, "t", 0, 63, on_run=flat_cost(1e-4), sharing=db.sharing)
         db.sim.spawn(warm.run())
         db.sim.run(until=0.01)
 
@@ -147,7 +123,7 @@ class TestRequiresOrder:
 
     def test_unordered_step_may_relocate(self):
         db = make_database(n_pages=128, sharing=SharingConfig(enabled=True))
-        warm = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-4))
+        warm = TableScan(db, "t", 0, 127, on_run=flat_cost(1e-4), sharing=db.sharing)
         db.sim.spawn(warm.run())
         db.sim.run(until=0.02)
         unordered = uniform_scan_query("t", name="unordered")

@@ -22,7 +22,6 @@ from repro.engine.operators import AggSpec, Filter, GroupByAggregate, Pipeline
 from repro.engine.query import QuerySpec, ScanStep
 from repro.faults.plan import FaultPlan
 from repro.scans.base import LazyPages, scan_order, scan_runs
-from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 
 from tests.conftest import make_database
@@ -120,11 +119,11 @@ def run_scans(by_run, n_pages, first, last, delay, shared):
         sharing=SharingConfig(enabled=shared, update_interval_pages=3,
                               min_share_pages=1),
     )
-    cls = SharedTableScan if shared else TableScan
     charges = [Charges(db, make_pipeline()) for _ in range(2)]
     scans = [
-        cls(db, "t", first, last, record_visits=True,
-            on_run=c.on_run if by_run else c.page_at_a_time)
+        TableScan(db, "t", first, last, record_visits=True,
+                  on_run=c.on_run if by_run else c.page_at_a_time,
+                  sharing=db.sharing if shared else None)
         for c in charges
     ]
 
@@ -197,7 +196,8 @@ class TestKillMidRun:
             fault_plan=FaultPlan.from_spec("scan-kill:target=any,at=0.3", seed=0),
         )
         pipeline = make_pipeline()
-        scan = SharedTableScan(db, "t", 0, 63, on_run=pipeline.process_run)
+        scan = TableScan(db, "t", 0, 63, on_run=pipeline.process_run,
+                         sharing=db.sharing)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert not proc.completion.failed

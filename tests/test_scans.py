@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import SharingConfig
 from repro.scans.base import scan_order
-from repro.scans.shared_scan import SharedTableScan
 from repro.scans.table_scan import TableScan
 
 from tests.conftest import flat_cost, make_database
@@ -85,12 +84,14 @@ class TestSharedTableScan:
         db = make_database(n_pages=64)
         # Prime the manager with a scan in progress so the next placement
         # lands mid-range.
-        first = SharedTableScan(db, "t", 0, 63, on_run=cheap, record_visits=True)
+        first = TableScan(db, "t", 0, 63, on_run=cheap, record_visits=True,
+                          sharing=db.sharing)
         second_holder = {}
 
         def start_second(sim):
             yield sim.timeout(0.005)
-            scan = SharedTableScan(db, "t", 0, 63, on_run=cheap, record_visits=True)
+            scan = TableScan(db, "t", 0, 63, on_run=cheap, record_visits=True,
+                             sharing=db.sharing)
             result = yield from scan.run()
             second_holder["result"] = result
 
@@ -103,7 +104,7 @@ class TestSharedTableScan:
 
     def test_manager_sees_start_and_end(self):
         db = make_database(n_pages=32)
-        scan = SharedTableScan(db, "t", 0, 31, on_run=cheap)
+        scan = TableScan(db, "t", 0, 31, on_run=cheap, sharing=db.sharing)
         run_scan(db, scan)
         assert db.sharing.stats.scans_started == 1
         assert db.sharing.stats.scans_finished == 1
@@ -115,7 +116,7 @@ class TestSharedTableScan:
         def explode(first_page, batch, page_rows):
             raise RuntimeError("page processing failed")
 
-        scan = SharedTableScan(db, "t", 0, 31, on_run=explode)
+        scan = TableScan(db, "t", 0, 31, on_run=explode, sharing=db.sharing)
         proc = db.sim.spawn(scan.run())
         db.sim.run()
         assert proc.completion.failed
@@ -125,8 +126,8 @@ class TestSharedTableScan:
         """Sharing must never change which pages a scan processes."""
         shared_db = make_database(n_pages=48)
         base_db = make_database(n_pages=48, sharing=SharingConfig(enabled=False))
-        shared = SharedTableScan(shared_db, "t", 0, 47, on_run=cheap,
-                                 record_visits=True)
+        shared = TableScan(shared_db, "t", 0, 47, on_run=cheap,
+                           record_visits=True, sharing=shared_db.sharing)
         plain = TableScan(base_db, "t", 0, 47, on_run=cheap, record_visits=True)
         shared_result = run_scan(shared_db, shared)
         plain_result = run_scan(base_db, plain)
@@ -138,7 +139,7 @@ class TestSharedTableScan:
         db = make_database(n_pages=64, pool_pages=32)
 
         def spawn_scan():
-            scan = SharedTableScan(db, "t", 0, 63, on_run=cheap)
+            scan = TableScan(db, "t", 0, 63, on_run=cheap, sharing=db.sharing)
             return db.sim.spawn(scan.run())
 
         procs = [spawn_scan(), spawn_scan()]
@@ -152,8 +153,8 @@ class TestSharedTableScan:
     def test_throttle_seconds_reported(self):
         db = make_database(n_pages=128, pool_pages=64)
         # A fast scan and a slow scan: the fast one must get throttled.
-        fast = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(1e-6))
-        slow = SharedTableScan(db, "t", 0, 127, on_run=flat_cost(2e-3))
+        fast = TableScan(db, "t", 0, 127, on_run=flat_cost(1e-6), sharing=db.sharing)
+        slow = TableScan(db, "t", 0, 127, on_run=flat_cost(2e-3), sharing=db.sharing)
         proc_fast = db.sim.spawn(fast.run())
         proc_slow = db.sim.spawn(slow.run())
         db.sim.run()

@@ -88,9 +88,7 @@ class TestControllerConfig:
 class TestServiceSpec:
     def test_minimal_spec(self):
         spec = ServiceSpec(classes=(ServiceClass(name="a"),))
-        assert spec.class_named("a").name == "a"
-        with pytest.raises(KeyError):
-            spec.class_named("b")
+        assert [cls.name for cls in spec.classes] == ["a"]
 
     def test_rejects_empty_classes(self):
         with pytest.raises(ValueError):

@@ -28,11 +28,11 @@ from repro.core.scan_state import ScanDescriptor
 from repro.faults.invariants import InvariantChecker, InvariantViolation
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import flat_cost, make_database
+from tests.conftest import flat_cost, make_database, make_schema
 
 
 def make_catalog(table_pages=1000, extent=16):
@@ -192,11 +192,9 @@ class TestPbmManager:
         state = manager.start_scan(full_scan(speed=100.0))
         space = manager.catalog.table("t").space_id
         # Ahead of the scan: distance / speed.
-        assert manager.next_consumption_distance(PageKey(space, 50)) == 50
         assert manager.next_consumption_time(PageKey(space, 50)) == pytest.approx(0.5)
         sim._now = 1.0
         manager.update_location(state.scan_id, 100)
-        assert manager.next_consumption_distance(PageKey(space, 50)) is None
         assert manager.next_consumption_time(PageKey(space, 50)) == math.inf
 
     def test_reuse_time_is_min_over_scans(self):
@@ -220,7 +218,7 @@ class TestPbmManager:
         sim._now = 1.0
         manager.update_location(state.scan_id, 500)
         space = manager.catalog.table("t").space_id
-        assert manager.next_consumption_distance(PageKey(space, 100)) is None
+        assert manager.next_consumption_time(PageKey(space, 100)) == math.inf
 
     def test_end_scan_drops_reuse_entries(self):
         """PBM reuse-time map drops entries on end_scan (satellite)."""
@@ -387,7 +385,7 @@ class TestSharedScanUnderRivalPolicies:
 
     @pytest.mark.parametrize("name", SHARING_POLICY_NAMES)
     def test_two_overlapping_scans_complete(self, name):
-        from repro.scans.shared_scan import SharedTableScan
+        from repro.scans.table_scan import TableScan
 
         db = make_database(sharing_policy=name)
         results = []
@@ -395,8 +393,8 @@ class TestSharedScanUnderRivalPolicies:
         def spawn(delay):
             def process():
                 yield db.sim.timeout(delay)
-                scan = SharedTableScan(
-                    db, "t", 0, 127, on_run=flat_cost(1e-6)
+                scan = TableScan(
+                    db, "t", 0, 127, on_run=flat_cost(1e-6), sharing=db.sharing
                 )
                 result = yield from scan.run()
                 results.append(result)
@@ -404,7 +402,7 @@ class TestSharedScanUnderRivalPolicies:
 
         spawn(0.0)
         spawn(0.05)
-        db.run()
+        db.sim.run()
         assert len(results) == 2
         assert all(r.pages_scanned == 128 for r in results)
         assert db.sharing.active_scan_count == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Interrupt, SimulationError
+from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 
 
@@ -86,63 +86,3 @@ class TestProcessBasics:
         proc = sim.spawn(worker(sim))
         sim.run()
         assert proc.completion.value is None
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_waiting_process(self, sim):
-        finished_at = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as interrupt:
-                finished_at.append(sim.now)
-                return f"interrupted:{interrupt.cause}"
-
-        proc = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            proc.interrupt("wakeup")
-
-        sim.spawn(interrupter(sim))
-        sim.run()
-        assert proc.completion.value == "interrupted:wakeup"
-        # The interrupted process finished at t=1, not t=100 (the abandoned
-        # timer still drains through the queue afterwards).
-        assert finished_at == [1.0]
-
-    def test_interrupt_finished_process_is_noop(self, sim):
-        def quick(sim):
-            yield sim.timeout(0.1)
-
-        proc = sim.spawn(quick(sim))
-        sim.run()
-        proc.interrupt("too late")  # must not raise
-        sim.run()
-
-    def test_stale_wakeup_after_interrupt_is_ignored(self, sim):
-        """The original timeout firing after an interrupt must not resume
-        the process twice."""
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(5.0)
-                log.append("timeout")
-            except Interrupt:
-                log.append("interrupt")
-                yield sim.timeout(10.0)
-                log.append("second sleep done")
-
-        proc = sim.spawn(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.spawn(interrupter(sim))
-        sim.run()
-        assert log == ["interrupt", "second sleep done"]
-        assert sim.now == 11.0

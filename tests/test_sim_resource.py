@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import Interrupt, SimulationError
+from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.resource import Resource
 
@@ -63,7 +63,10 @@ class TestResource:
         sim.spawn(hold(sim, res, 4.0, log, "b"))
         sim.run()
         # a holds for 2s, b for 4s -> 6 slot-seconds.
-        assert res.busy_time(sim.now) == pytest.approx(6.0)
+        points = list(res.busy_timeline.change_points())
+        busy = sum(level * (end - start)
+                   for (start, level), (end, _next) in zip(points, points[1:]))
+        assert busy == pytest.approx(6.0)
 
     def test_busy_timeline_levels(self, sim):
         res = Resource(sim, 2)
@@ -252,53 +255,6 @@ class TestHoldEvent:
         assert [(n, t) for kind, n, t in log if kind == "end"] == [
             ("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)
         ]
-
-    def test_slot_is_released_when_the_holder_is_interrupted_away(self, sim):
-        res = Resource(sim, 1)
-        log = []
-
-        def victim():
-            try:
-                yield res.hold(2.0)
-            except Interrupt:
-                log.append(("interrupted", sim.now))
-
-        def bystander():
-            yield sim.timeout(0.5)
-            proc.interrupt()
-            log.append(("bystander", sim.now))
-
-        proc = sim.spawn(victim())
-        sim.spawn(bystander())
-        sim.spawn(hold(sim, res, 1.0, log, "next"))
-        sim.run()
-        # The charge runs to its expiry; only then does the next one start.
-        assert log == [("interrupted", 0.5), ("bystander", 0.5),
-                       ("start", "next", 2.0), ("end", "next", 3.0)]
-        assert res.in_use == 0
-
-    def test_interrupted_step_does_not_move_the_interrupters_clock(self, sim):
-        res = Resource(sim, 1)
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                held = res.hold(1.0)  # quiet, but someone is mid-callback
-                assert held is not None
-                yield held
-                log.append(("victim", sim.now))
-
-        def interrupter():
-            yield sim.timeout(0.5)
-            proc.interrupt()
-            log.append(("interrupter", sim.now))
-
-        proc = sim.spawn(victim())
-        sim.spawn(interrupter())
-        sim.run(until=5.0)
-        assert log == [("interrupter", 0.5), ("victim", 1.5)]
 
 
 class TestHoldEquivalence:

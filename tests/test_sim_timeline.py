@@ -9,7 +9,6 @@ from repro.sim.timeline import StepTimeline
 class TestStepTimeline:
     def test_initial_level(self):
         timeline = StepTimeline(initial=3)
-        assert timeline.current_level == 3
         assert timeline.level_at(100.0) == 3
 
     def test_record_changes_level(self):
@@ -36,82 +35,6 @@ class TestStepTimeline:
         timeline = StepTimeline(initial=1)
         timeline.record(1.0, 1)
         assert len(list(timeline.change_points())) == 1
-
-    def test_integral_simple(self):
-        timeline = StepTimeline()
-        timeline.record(1.0, 2)
-        timeline.record(3.0, 0)
-        # 0 for [0,1), 2 for [1,3), 0 after.
-        assert timeline.integral(5.0) == pytest.approx(4.0)
-
-    def test_integral_with_since(self):
-        timeline = StepTimeline(initial=2)
-        assert timeline.integral(4.0, since=1.0) == pytest.approx(6.0)
-
-    def test_integral_reversed_bounds_raises(self):
-        with pytest.raises(ValueError):
-            StepTimeline().integral(1.0, since=2.0)
-
-    def test_bucketed_integrals(self):
-        timeline = StepTimeline()
-        timeline.record(0.0, 1)
-        timeline.record(2.0, 3)
-        buckets = timeline.bucketed_integrals(until=4.0, bucket=2.0)
-        assert buckets == [pytest.approx(2.0), pytest.approx(6.0)]
-
-    def test_bucket_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StepTimeline().bucketed_integrals(until=1.0, bucket=0.0)
-
-    def test_time_at_or_above(self):
-        timeline = StepTimeline()
-        timeline.record(1.0, 2)
-        timeline.record(2.0, 1)
-        timeline.record(3.0, 3)
-        assert timeline.time_at_or_above(2, until=4.0) == pytest.approx(2.0)
-
-
-class TestTimelineProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.001, max_value=10.0),
-                st.integers(min_value=0, max_value=8),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_integral_equals_sum_of_buckets(self, steps):
-        """Bucketing must partition the integral exactly."""
-        timeline = StepTimeline()
-        t = 0.0
-        for delta, level in steps:
-            t += delta
-            timeline.record(t, level)
-        until = t + 1.0
-        total = timeline.integral(until)
-        buckets = timeline.bucketed_integrals(until, bucket=0.7)
-        assert sum(buckets) == pytest.approx(total, rel=1e-9, abs=1e-9)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.001, max_value=10.0),
-                st.integers(min_value=0, max_value=8),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        st.floats(min_value=0.0, max_value=50.0),
-    )
-    def test_integral_is_monotone_in_upper_bound(self, steps, extra):
-        timeline = StepTimeline()
-        t = 0.0
-        for delta, level in steps:
-            t += delta
-            timeline.record(t, level)
-        assert timeline.integral(t + extra) >= timeline.integral(t) - 1e-12
 
 
 def _reference_record(points, time, level):

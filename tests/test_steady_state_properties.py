@@ -14,7 +14,7 @@ pytestmark = pytest.mark.slow
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SharingConfig
-from repro.scans.shared_scan import SharedTableScan
+from repro.scans.table_scan import TableScan
 
 from tests.conftest import flat_cost, make_database
 
@@ -31,8 +31,8 @@ def run_scans(costs, n_pages=96, pool=48, config=None):
                        sharing=config or SharingConfig())
     procs = []
     for cost in costs:
-        scan = SharedTableScan(db, "t", 0, n_pages - 1,
-                               on_run=flat_cost(cost))
+        scan = TableScan(db, "t", 0, n_pages - 1,
+                         on_run=flat_cost(cost), sharing=db.sharing)
         procs.append(db.sim.spawn(scan.run()))
     db.sim.run()
     results = []

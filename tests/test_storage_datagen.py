@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.datagen import PageGenerator
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
+
+from tests.conftest import make_schema
 
 
 def schema():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.storage.schema import ColumnSpec, TableSchema, make_schema
+from repro.storage.schema import ColumnSpec, TableSchema
+
+from tests.conftest import make_schema
 
 
 class TestColumnSpec:
@@ -43,18 +45,6 @@ class TestTableSchema:
                 "t",
                 columns=(ColumnSpec("a", "sequence"), ColumnSpec("a", "sequence")),
             )
-
-    def test_column_lookup(self):
-        schema = make_schema("t", [ColumnSpec("a", "sequence")])
-        assert schema.column("a").kind == "sequence"
-        with pytest.raises(KeyError):
-            schema.column("missing")
-
-    def test_column_names_order(self):
-        schema = make_schema(
-            "t", [ColumnSpec("b", "sequence"), ColumnSpec("a", "sequence")]
-        )
-        assert schema.column_names() == ["b", "a"]
 
     def test_clustering_column_found(self):
         schema = make_schema(

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
+
+from tests.conftest import make_schema
 
 
 def make_table(n_pages=100, extent_size=16):
@@ -17,10 +19,6 @@ def make_table(n_pages=100, extent_size=16):
 
 
 class TestBasics:
-    def test_row_count(self):
-        table = make_table(n_pages=10)
-        assert table.n_rows == 500
-
     def test_extent_count_rounds_up(self):
         assert make_table(n_pages=100, extent_size=16).n_extents == 7
 
@@ -29,19 +27,6 @@ class TestBasics:
         assert table.extent_of(0) == 0
         assert table.extent_of(15) == 0
         assert table.extent_of(16) == 1
-
-    def test_extent_pages_full(self):
-        table = make_table(extent_size=16)
-        assert table.extent_pages(1) == list(range(16, 32))
-
-    def test_extent_pages_partial_tail(self):
-        table = make_table(n_pages=100, extent_size=16)
-        assert table.extent_pages(6) == list(range(96, 100))
-
-    def test_extent_out_of_range(self):
-        table = make_table()
-        with pytest.raises(IndexError):
-            table.extent_pages(99)
 
     def test_page_out_of_range(self):
         table = make_table(n_pages=10)

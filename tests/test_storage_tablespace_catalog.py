@@ -4,9 +4,11 @@ import pytest
 
 from repro.buffer.page import PageKey
 from repro.storage.catalog import Catalog
-from repro.storage.schema import ColumnSpec, make_schema
+from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
+
+from tests.conftest import make_schema
 
 
 def make_table(name, n_pages=10):
@@ -46,12 +48,6 @@ class TestTablespace:
         with pytest.raises(ValueError):
             ts.allocate(50)
 
-    def test_allocated_pages_excludes_gaps(self):
-        ts = Tablespace(total_disk_pages=1000, inter_table_gap=10)
-        ts.allocate(30)
-        ts.allocate(20)
-        assert ts.allocated_pages == 50
-
 
 class TestCatalog:
     def test_create_and_lookup(self):
@@ -72,13 +68,6 @@ class TestCatalog:
         with pytest.raises(KeyError, match="'a'"):
             catalog.table("missing")
 
-    def test_table_of_space(self):
-        catalog = Catalog(Tablespace(1000))
-        table = catalog.create_table(make_table("t"))
-        assert catalog.table_of_space(table.space_id) is table
-        with pytest.raises(KeyError):
-            catalog.table_of_space(999)
-
     def test_page_key_validates_range(self):
         catalog = Catalog(Tablespace(1000))
         catalog.create_table(make_table("t", n_pages=10))
@@ -93,8 +82,6 @@ class TestCatalog:
         catalog.create_table(make_table("b", 20))
         assert catalog.total_pages == 30
         assert len(catalog) == 2
-        assert catalog.table_names() == ["a", "b"]
-        assert {t.name for t in catalog} == {"a", "b"}
 
     def test_address_of_distinct_tables_never_collides(self):
         catalog = Catalog(Tablespace(10_000))

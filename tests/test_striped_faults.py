@@ -16,7 +16,7 @@ from repro.disk.array import DiskArray
 from repro.disk.geometry import DiskGeometry
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpecError, parse_fault_spec
-from repro.scans.shared_scan import SharedTableScan
+from repro.scans.table_scan import TableScan
 from repro.sim.kernel import Simulator
 
 from tests.conftest import flat_cost, make_database
@@ -114,7 +114,7 @@ def run_push_chaos(fault_spec, seed=11, n_scans=3, n_pages=256):
         fault_plan=FaultPlan.from_spec(fault_spec, seed=seed),
     )
     scans = [
-        SharedTableScan(db, "t", 0, n_pages - 1, on_run=cheap)
+        TableScan(db, "t", 0, n_pages - 1, on_run=cheap, sharing=db.sharing)
         for _ in range(n_scans)
     ]
     procs = [db.sim.spawn(scan.run()) for scan in scans]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import SharingConfig
 from repro.engine.executor import run_workload
-from repro.metrics.export import trace_to_jsonl
 from repro.sim.kernel import Simulator
 from repro.trace import (
     BufferFix,
@@ -21,9 +20,8 @@ from repro.trace import (
     summarize,
     tracing,
 )
-from repro.workloads.synthetic import uniform_scan_query
 
-from tests.conftest import make_database
+from tests.conftest import make_database, uniform_scan_query
 
 
 def fix_event(i):
@@ -184,16 +182,6 @@ class TestJsonlSink:
         assert parsed == [e.to_dict() for e in ring.events()]
         for record in parsed:
             assert {"seq", "category", "kind", "time"} <= record.keys()
-
-    def test_trace_to_jsonl_matches_to_dict(self):
-        events = [fix_event(0), SimDispatch(time=1.0, queue_len=2)]
-        tracer = Tracer([NullSink()])
-        for event in events:
-            tracer.emit(event)
-        lines = trace_to_jsonl(events).splitlines()
-        assert [json.loads(line) for line in lines] == [
-            e.to_dict() for e in events
-        ]
 
 
 class TestSummary:

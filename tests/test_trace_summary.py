@@ -1,8 +1,7 @@
 """Trace-summary tests under interleaved multi-stream runs.
 
 ``summarize``/``render_summary`` were previously only exercised on toy
-hand-built traces; here they (and the per-scan attribution helper) run
-against real interleaved workloads — six staggered streams over a small
+hand-built traces; here they run against real interleaved workloads — six staggered streams over a small
 pool, and a full service-scenario run — where many scans' register /
 throttle / deregister threads overlap in one event stream.
 """
@@ -13,10 +12,9 @@ import pytest
 
 from repro.core.config import SharingConfig
 from repro.engine.executor import run_workload
-from repro.trace import RingBufferSink, attribute_by_scan, summarize, tracing
-from repro.workloads.synthetic import uniform_scan_query
+from repro.trace import RingBufferSink, summarize, tracing
 
-from tests.conftest import make_database
+from tests.conftest import make_database, uniform_scan_query
 
 
 @pytest.fixture(scope="module")
@@ -67,59 +65,6 @@ class TestInterleavedOrdering:
         assert summary["counts"]["manager.register"] == registers == 6
 
 
-class TestAttributeByScan:
-    def test_every_stream_attributed(self, interleaved_events):
-        records = attribute_by_scan(interleaved_events)
-        assert len(records) == 6
-
-    def test_records_internally_consistent(self, interleaved_events):
-        records = attribute_by_scan(interleaved_events)
-        for scan_id, record in records.items():
-            assert record["table"] == "t"
-            assert record["registered_at"] is not None
-            assert record["end_kind"] == "deregister"
-            assert record["ended_at"] >= record["registered_at"]
-            assert record["pages_scanned"] == 96
-            assert record["throttle_wait"] >= 0.0
-
-    def test_joins_reference_earlier_scans(self, interleaved_events):
-        records = attribute_by_scan(interleaved_events)
-        joined = {
-            scan_id: record["joined_scan_id"]
-            for scan_id, record in records.items()
-            if record["joined_scan_id"] is not None
-        }
-        # With six near-simultaneous same-table scans, sharing must kick in.
-        assert joined
-        for scan_id, target in joined.items():
-            assert target in records
-            assert records[target]["registered_at"] <= (
-                records[scan_id]["registered_at"]
-            )
-
-    def test_pages_are_per_scan_not_pooled(self, interleaved_events):
-        # The classic attribution bug: crediting one scan with the whole
-        # group's page count.  Each scan reports its own full pass.
-        records = attribute_by_scan(interleaved_events)
-        total = sum(r["pages_scanned"] for r in records.values())
-        assert total == 6 * 96
-
-    def test_live_scan_has_open_record(self):
-        from repro.trace.events import ScanRegistered
-
-        events = [ScanRegistered(time=1.0, scan_id=7, table="x",
-                                 joined_scan_id=None)]
-        records = attribute_by_scan(events)
-        assert records[7]["end_kind"] is None
-        assert records[7]["ended_at"] is None
-
-    def test_ignores_non_manager_categories(self, interleaved_events):
-        only_manager = [e for e in interleaved_events
-                        if e.category == "manager"]
-        assert (attribute_by_scan(interleaved_events)
-                == attribute_by_scan(only_manager))
-
-
 class TestServiceRunAttribution:
     def test_service_scenario_trace_attributes_cleanly(self):
         from repro.experiments.harness import ExperimentSettings
@@ -129,12 +74,13 @@ class TestServiceRunAttribution:
         with tracing(sink):
             result = run_scenario("steady", ExperimentSettings(scale=0.1, seed=42))
         events = sink.events()
-        records = attribute_by_scan(events)
-        # Every admitted request ran >= 1 scan; each attributed scan
-        # either completed (deregister/abort) or was still live at drain.
-        assert len(records) >= result.n_completed
-        ended = [r for r in records.values() if r["end_kind"] is not None]
-        assert ended and all(r["end_kind"] in ("deregister", "abort")
-                             for r in ended)
+        manager = [e for e in events if e.category == "manager"]
+        registered = {e.scan_id for e in manager if e.kind == "register"}
+        ended = [e.scan_id for e in manager if e.kind in ("deregister", "abort")]
+        # Every admitted request ran >= 1 scan; each scan that ended was
+        # registered first, and none ended twice.
+        assert len(registered) >= result.n_completed
+        assert ended and set(ended) <= registered
+        assert len(ended) == len(set(ended))
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
