@@ -20,6 +20,7 @@ from repro.disk.array import DiskArray
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.engine.costs import CostModel
+from repro.engine.run_cache import BoundedCache
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
@@ -182,6 +183,11 @@ class Database:
         self._temp = None
         self._block_indexes: dict = {}
         self._index_managers: dict = {}
+        #: Classic pipelines' run results and shared steps' speed
+        #: estimates, keyed by ``ScanStep.run_key``: pure functions of the
+        #: step and this database's data, cost model and geometry.
+        self.run_cache = BoundedCache()
+        self.speed_estimates = BoundedCache()
 
     # ------------------------------------------------------------------
     # Schema management

@@ -230,7 +230,8 @@ def _execute_step(
     else:
         memory = _negotiate_memory(db, step, label, "agg")
     pipeline = step.build_pipeline(
-        db.cost, memory=memory, agg_strategy=db.config.agg_strategy
+        db.cost, memory=memory, agg_strategy=db.config.agg_strategy,
+        run_cache=db.run_cache,
     )
     scan_result = yield from _run_step_scan(
         db, step, pipeline, table, first_page, last_page
@@ -345,7 +346,7 @@ def _execute_index_step(db: Database, step: ScanStep, index: int) -> Generator:
     else:
         lo_frac, hi_frac = 0.0, 1.0
     first_entry, last_entry = block_index.entries_for_key_fraction(lo_frac, hi_frac)
-    pipeline = step.build_pipeline(db.cost)
+    pipeline = step.build_pipeline(db.cost, run_cache=db.run_cache)
     if db.sharing_enabled and not step.requires_order:
         scan = SharedIndexScan(
             db, block_index, db.index_sharing_manager(step.table),
@@ -377,11 +378,19 @@ def _execute_index_step(db: Database, step: ScanStep, index: int) -> Generator:
 
 
 def _estimate_scan_speed(db: Database, step: ScanStep, rows_per_page: int) -> float:
-    """Optimizer-style speed estimate: bounded by CPU or I/O per page."""
-    pipeline = step.build_pipeline(db.cost)
-    cpu_per_page = db.cost.seconds(pipeline.estimated_units_per_page(rows_per_page))
-    io_per_page = db.config.geometry.transfer_time(1)
-    return 1.0 / max(cpu_per_page, io_per_page)
+    """Optimizer-style speed estimate: bounded by CPU or I/O per page
+    (memoised per database, as every execution of a step asks)."""
+    key = (step.run_key, rows_per_page)
+    speed = db.speed_estimates.get(key)
+    if speed is None:
+        pipeline = step.build_pipeline(db.cost)
+        cpu_per_page = db.cost.seconds(
+            pipeline.estimated_units_per_page(rows_per_page)
+        )
+        io_per_page = db.config.geometry.transfer_time(1)
+        speed = 1.0 / max(cpu_per_page, io_per_page)
+        db.speed_estimates.put(key, speed)
+    return speed
 
 
 def run_stream(

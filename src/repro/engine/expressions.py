@@ -13,15 +13,29 @@ Example::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Sequence
+from typing import FrozenSet, Hashable, Sequence, Tuple
 
 import numpy as np
 
 from repro.storage.datagen import PageData
 
 
+def value_key(value: object) -> Tuple[type, Hashable]:
+    """Hashable identity of a constant.  The type keeps ``1``, ``1.0``
+    and ``True`` apart, and a float goes by its bits, so ``0.0`` and
+    ``-0.0`` differ too."""
+    if isinstance(value, float):
+        return (type(value), value.hex())
+    return (type(value), value)
+
+
 class Expression(ABC):
     """A vectorized expression over page columns."""
+
+    #: Structural identity, built once per node from its children's keys:
+    #: expressions with equal keys evaluate to the same values at the
+    #: same cost on the same rows.
+    key: Tuple
 
     @abstractmethod
     def evaluate(self, data: PageData) -> np.ndarray:
@@ -84,6 +98,7 @@ class Column(Expression):
 
     def __init__(self, name: str):
         self.name = name
+        self.key = ("col", name)
 
     def evaluate(self, data: PageData) -> np.ndarray:
         try:
@@ -106,6 +121,7 @@ class Literal(Expression):
 
     def __init__(self, value: object):
         self.value = value
+        self.key = ("lit", value_key(value))
 
     def evaluate(self, data: PageData) -> np.ndarray:
         return self.value  # type: ignore[return-value] — broadcasting handles it
@@ -136,6 +152,7 @@ class Comparison(Expression):
         self.op = op
         self.left = left
         self.right = right
+        self.key = (op, left.key, right.key)
 
     def evaluate(self, data: PageData) -> np.ndarray:
         return self._OPS[self.op](self.left.evaluate(data), self.right.evaluate(data))
@@ -155,6 +172,7 @@ class Between(Expression):
         self.operand = operand
         self.low = low
         self.high = high
+        self.key = ("between", operand.key, value_key(low), value_key(high))
 
     def evaluate(self, data: PageData) -> np.ndarray:
         values = self.operand.evaluate(data)
@@ -174,6 +192,7 @@ class InSet(Expression):
     def __init__(self, operand: Expression, values: Sequence):
         self.operand = operand
         self.values = tuple(values)
+        self.key = ("isin", operand.key, tuple(map(value_key, self.values)))
 
     def evaluate(self, data: PageData) -> np.ndarray:
         return np.isin(self.operand.evaluate(data), self.values)
@@ -195,6 +214,7 @@ class BooleanOp(Expression):
         self.op = op
         self.left = left
         self.right = right
+        self.key = (op, left.key, right.key)
 
     def evaluate(self, data: PageData) -> np.ndarray:
         left = self.left.evaluate(data)
@@ -220,6 +240,7 @@ class Arithmetic(Expression):
         self.op = op
         self.left = left
         self.right = right
+        self.key = (op, left.key, right.key)
 
     def evaluate(self, data: PageData) -> np.ndarray:
         return self._OPS[self.op](self.left.evaluate(data), self.right.evaluate(data))

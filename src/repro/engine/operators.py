@@ -15,13 +15,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
 
 from repro.engine.costs import CostModel
 from repro.engine.expressions import Expression
+from repro.engine.run_cache import BoundedCache, RunResult
 from repro.scans.base import LazyPages
 from repro.storage.datagen import PageData, take_rows
 
@@ -323,6 +325,8 @@ class GroupByAggregate(Operator):
             self._row_units.append(self.cost.group_key_units)
         # rows on a page -> units charged for it (a pure function).
         self._units_of: Dict[int, float] = {}
+        #: The partials the latest push merged (a Pipeline caches them).
+        self.last_partials: Sequence[Tuple[Tuple, Sequence]] = ()
 
     def required_columns(self) -> Optional[FrozenSet[str]]:
         needed = set(self.group_by)
@@ -335,7 +339,8 @@ class GroupByAggregate(Operator):
         page_rows = _as_page_rows(page_rows)
         n_rows = int(page_rows.sum())
         if n_rows:
-            self._absorb(batch, n_rows)
+            self.last_partials = self._partials(batch, n_rows)
+            self._merge(self.last_partials)
         units_of = self._units_of
         per_page = []
         for rows in page_rows.tolist():
@@ -348,8 +353,11 @@ class GroupByAggregate(Operator):
             per_page.append(units)
         return np.array(per_page)
 
-    def _absorb(self, batch: PageData, n_rows: int) -> None:
-        """Fold a non-empty batch into the group accumulators."""
+    def _partials(
+        self, batch: PageData, n_rows: int
+    ) -> List[Tuple[Tuple, Sequence]]:
+        """A non-empty batch's ``(group key, slots)`` accumulators, in
+        first-appearance order, for :meth:`_merge` to fold in."""
         if self.group_by:
             order, starts = _sort_by_key(batch, self.group_by)
             first_rows = order[starts]
@@ -397,7 +405,7 @@ class GroupByAggregate(Operator):
                 if agg.func == "avg":
                     partials.append(sizes)
         rows = list(zip(*partials))
-        self._merge([(keys[group], rows[group]) for group in visit])
+        return [(keys[group], rows[group]) for group in visit]
 
     def _merge(self, partials: Iterable[Tuple[Tuple, Sequence]]) -> None:
         """Fold ``(key, slots)`` partial accumulators into the groups."""
@@ -472,10 +480,19 @@ class Pipeline:
 
     ``process_run`` is the scan's per-run callback target; it returns
     the simulated CPU seconds of each page of the run.
+
+    A classic chain — an optional :class:`Filter` into a
+    :class:`GroupByAggregate` — computes a pure function of its run, so
+    given a ``run_cache`` it looks each run up under ``(run_key,
+    first_page, n_pages)`` and replays the stored :class:`RunResult` onto
+    its own operators.  ``run_key`` must identify everything the chain
+    computes with, and ``(first_page, n_pages)`` the run's rows.
     """
 
     def __init__(self, entry: Operator, cost: CostModel,
-                 extra_units_per_row: float = 0.0):
+                 extra_units_per_row: float = 0.0,
+                 run_cache: Optional[BoundedCache] = None,
+                 run_key: Hashable = None):
         # A page-timed sink is fed through a PageFeed, spliced in here so
         # that no hand-built chain can forget it.
         above, sink = None, entry
@@ -491,6 +508,12 @@ class Pipeline:
         self.extra_units_per_row = extra_units_per_row
         self.pages = 0
         self.rows = 0
+        self._filter = entry if isinstance(entry, Filter) else None
+        self._sink = entry.downstream if self._filter is not None else entry
+        if type(self._sink) is not GroupByAggregate:
+            run_cache = None
+        self._run_cache = run_cache
+        self._run_key = run_key
 
     def process_run(
         self, first_page: int, batch: PageData, page_rows: np.ndarray
@@ -501,7 +524,34 @@ class Pipeline:
         there: a list when the whole run could be processed up front,
         :class:`~repro.scans.base.LazyPages` when the sink is page-timed.
         """
-        del first_page  # operators do not care where the rows came from
+        cache = self._run_cache
+        if cache is None:
+            return self._push(batch, page_rows)
+        key = (self._run_key, first_page, len(page_rows))
+        run = cache.get(key)
+        if run is None:
+            run = self._record(batch, page_rows)
+            cache.put(key, run)
+            return run.seconds
+        if self._filter is not None:
+            self._filter.rows_in += run.rows
+            self._filter.rows_out += run.rows_out
+        self._sink._merge(run.partials)
+        self.pages += len(run.seconds)
+        self.rows += run.rows
+        return run.seconds
+
+    def _record(self, batch: PageData, page_rows: np.ndarray) -> RunResult:
+        """Push a run through the classic chain, noting its effects."""
+        filt, sink = self._filter, self._sink
+        rows, passed = self.rows, filt.rows_out if filt is not None else 0
+        sink.last_partials = ()  # a filter that empties the run skips the sink
+        seconds = self._push(batch, page_rows)
+        if filt is not None:
+            passed = filt.rows_out - passed
+        return RunResult(seconds, self.rows - rows, passed, sink.last_partials)
+
+    def _push(self, batch: PageData, page_rows: np.ndarray) -> Sequence[float]:
         units = self.entry.push(batch, page_rows)
         units = units + self.cost.per_page_units
         units = units + page_rows * self.extra_units_per_row

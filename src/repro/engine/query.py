@@ -12,12 +12,17 @@ table ranges are being scanned concurrently, at which speeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.engine.costs import CostModel
-from repro.engine.expressions import Expression
+from repro.engine.expressions import Expression, value_key
 from repro.engine.operators import AggSpec, Filter, GroupByAggregate, Pipeline
+from repro.engine.run_cache import BoundedCache
 from repro.storage.table import Table
+
+#: What a step without aggregates computes.
+_DEFAULT_AGGREGATES = (AggSpec("rows", "count"),)
 
 
 @dataclass(frozen=True)
@@ -118,12 +123,32 @@ class ScanStep:
             return table.pages_for_fraction(*self.fraction)
         return (0, table.n_pages - 1)
 
+    @cached_property
+    def run_key(self) -> Tuple:
+        """What :meth:`build_pipeline` reads of this step: the identity
+        under which a database caches the step's run results and speed
+        estimate.  Aggregate names are left out — they only label the
+        answer."""
+        return (
+            self.table,
+            self.predicate.key if self.predicate is not None else None,
+            tuple(
+                (agg.func, agg.expr.key if agg.expr is not None else None)
+                for agg in self.aggregates or _DEFAULT_AGGREGATES
+            ),
+            tuple(self.group_by),
+            value_key(self.extra_units_per_row),
+            self.join_build_key,
+            self.join_probe_key,
+        )
+
     def build_pipeline(
         self,
         cost: CostModel,
         memory=None,
         agg_strategy: str = "hash",
         join_table=None,
+        run_cache: Optional[BoundedCache] = None,
     ) -> Pipeline:
         """Construct a fresh pipeline for one execution of this step.
 
@@ -131,8 +156,10 @@ class ScanStep:
         built.  The executor passes ``memory`` (a negotiated
         :class:`~repro.engine.memory.OperatorMemory`) to get the
         budgeted spillable terminal instead, ``join_table`` (the build
-        table, or one multibuffer chunk of it) for probe passes, and
-        ``agg_strategy`` to pick the hash or sort spill flavor.
+        table, or one multibuffer chunk of it) for probe passes,
+        ``agg_strategy`` to pick the hash or sort spill flavor, and its
+        database's ``run_cache``, which a classic pipeline shares run
+        results through.
         """
         terminal: object
         if self.join_build_key is not None:
@@ -147,7 +174,7 @@ class ScanStep:
                 build_table=join_table if join_table is not None else {},
             )
         else:
-            aggregates = self.aggregates or (AggSpec("rows", "count"),)
+            aggregates = self.aggregates or _DEFAULT_AGGREGATES
             if memory is not None and self.agg_budget_pages is not None:
                 from repro.engine.spill import BudgetedGroupBy, SortSpillGroupBy
 
@@ -166,7 +193,10 @@ class ScanStep:
             entry = Filter(self.predicate, terminal, cost)
         else:
             entry = terminal
-        return Pipeline(entry, cost, extra_units_per_row=self.extra_units_per_row)
+        return Pipeline(
+            entry, cost, extra_units_per_row=self.extra_units_per_row,
+            run_cache=run_cache, run_key=self.run_key,
+        )
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,15 @@ def runs(draw, max_pages=6, max_rows=12):
     """``(batch, page_rows)``: a few pages of random rows, some empty."""
     page_rows = draw(st.lists(st.integers(0, max_rows), min_size=1,
                               max_size=max_pages))
-    n = sum(page_rows)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    batch = random_batch(draw(st.integers(0, 2 ** 32 - 1)), sum(page_rows),
+                         coded=draw(st.booleans()))
+    return batch, np.asarray(page_rows, dtype=np.int64)
+
+
+def random_batch(seed, n, coded):
+    """``n`` random rows over the columns the strategies here read;
+    ``coded`` ones carry dictionary codes, as generated tables do."""
+    rng = np.random.default_rng(seed)
     codes = rng.integers(0, len(CATEGORIES), size=n).astype(np.uint8)
     x = rng.uniform(0.0, 1.0, size=n)
     x[rng.random(n) < 0.3] = np.nan
@@ -87,10 +94,7 @@ def runs(draw, max_pages=6, max_rows=12):
         "v": rng.uniform(0.0, 100.0, size=n),
         "x": x,
     }
-    # Generated tables carry dictionary codes; hand-made pages do not.
-    coded = draw(st.booleans())
-    batch = Batch(columns, {"c": codes}) if coded else columns
-    return batch, np.asarray(page_rows, dtype=np.int64)
+    return Batch(columns, {"c": codes}) if coded else columns
 
 
 def pages_of(batch, page_rows):
