@@ -70,12 +70,15 @@ class TempSpace:
 
         The returned address can be passed to :meth:`read_run` to read
         the run back.  The event is the disk completion; callers that
-        cannot yield store it and drain later.
+        cannot yield store it and drain later.  A run larger than the
+        whole region raises ``ValueError``.
         """
         if n_pages < 1:
             raise ValueError(f"temp write needs n_pages >= 1, got {n_pages}")
+        if n_pages > self.n_pages:
+            raise ValueError(f"temp run of {n_pages} pages does not fit "
+                             f"the {self.n_pages}-page temp space")
         self._ensure()
-        n_pages = min(n_pages, self.n_pages)
         if self._cursor + n_pages > self.n_pages:
             self._cursor = 0
         addr = self._base + self._cursor

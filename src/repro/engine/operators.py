@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence,
-    Tuple, Union,
+    Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -78,21 +79,6 @@ def _page_bounds(page_rows: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(page_rows)))
 
 
-def split_pages(
-    batch: PageData, page_rows: np.ndarray
-) -> Iterator[Tuple[PageData, np.ndarray]]:
-    """The one-page runs that make up a run, in order."""
-    if len(page_rows) == 1:
-        yield batch, page_rows
-        return
-    bounds = _page_bounds(page_rows).tolist()
-    for index in range(len(page_rows)):
-        yield (
-            take_rows(batch, slice(bounds[index], bounds[index + 1])),
-            page_rows[index:index + 1],
-        )
-
-
 def _dense_codes(values: np.ndarray) -> np.ndarray:
     """Small integers equal exactly where the column's values are equal.
 
@@ -109,9 +95,9 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     )
 
 
-def _key_codes(batch: PageData, names: Sequence[str]) -> np.ndarray:
-    """One integer per row, equal exactly for rows with equal group keys:
-    the key columns' codes combined in mixed radix."""
+def _key_codes(batch: PageData, names: Sequence[str]) -> Tuple[np.ndarray, int]:
+    """``(codes, span)``: one integer in ``[0, span)`` per row, equal exactly
+    for rows with equal group keys: the key columns' codes in mixed radix."""
     coded = getattr(batch, "codes", None) or {}
     combined, span = None, 1
     for name in names:
@@ -134,18 +120,26 @@ def _key_codes(batch: PageData, names: Sequence[str]) -> np.ndarray:
             span = int(combined.max()) + 1
         combined = combined * width + codes
         span *= width
-    if span <= _RADIX_SORT_SPAN:
-        combined = combined.astype(np.int16)
-    return combined
+    return combined, span
 
 
 def _sort_by_key(
-    batch: PageData, names: Sequence[str]
+    batch: PageData, names: Sequence[str], page_rows: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(order, starts)``: a stable order of the batch's rows by group
-    key, and the positions in it where each group begins.  Stability
-    makes ``order[starts]`` every group's first row."""
-    codes = _key_codes(batch, names)
+    """``(order, starts)``: a stable order of the batch's rows by page of
+    ``page_rows``, then by group key, and the positions in it where each
+    group begins.  Stability makes ``order[starts]`` every group's first row."""
+    codes, span = _key_codes(batch, names)
+    n_pages = len(page_rows)
+    if n_pages > 1:
+        if n_pages * span > _MAX_KEY_SPAN:
+            codes = _dense_codes(codes)
+            span = int(codes.max()) + 1
+        codes = codes + np.repeat(
+            np.arange(0, n_pages * span, span, dtype=np.int64), page_rows)
+        span *= n_pages
+    if span <= _RADIX_SORT_SPAN:
+        codes = codes.astype(np.int16)
     order = np.argsort(codes, kind="stable")
     ordered = codes[order]
     starts = np.flatnonzero(
@@ -339,27 +333,30 @@ class GroupByAggregate(Operator):
         page_rows = _as_page_rows(page_rows)
         n_rows = int(page_rows.sum())
         if n_rows:
-            self.last_partials = self._partials(batch, n_rows)
+            (self.last_partials,) = self._partials(batch, [n_rows])
             self._merge(self.last_partials)
-        units_of = self._units_of
-        per_page = []
-        for rows in page_rows.tolist():
-            units = units_of.get(rows)
-            if units is None:
-                units = rows * self.cost.agg_units * len(self.aggregates)
-                for row_units in self._row_units:
-                    units += rows * row_units
-                units_of[rows] = units
-            per_page.append(units)
-        return np.array(per_page)
+        return np.array([self._units(rows) for rows in page_rows.tolist()])
+
+    def _units(self, rows: int) -> float:
+        """CPU units charged for a page of ``rows`` rows."""
+        units = self._units_of.get(rows)
+        if units is None:
+            units = rows * self.cost.agg_units * len(self.aggregates)
+            for row_units in self._row_units:
+                units += rows * row_units
+            self._units_of[rows] = units
+        return units
 
     def _partials(
-        self, batch: PageData, n_rows: int
-    ) -> List[Tuple[Tuple, Sequence]]:
-        """A non-empty batch's ``(group key, slots)`` accumulators, in
-        first-appearance order, for :meth:`_merge` to fold in."""
+        self, batch: PageData, page_rows: Sequence[int]
+    ) -> List[List[Tuple[Tuple, Sequence]]]:
+        """Each page's ``(group key, slots)`` accumulators for :meth:`_merge`,
+        in first-appearance order: what the page alone gives (``[]`` if
+        empty).  ``[n_rows]`` takes the whole non-empty batch as one page."""
+        bounds = [0, *accumulate(page_rows)]
+        n_rows = bounds[-1]
         if self.group_by:
-            order, starts = _sort_by_key(batch, self.group_by)
+            order, starts = _sort_by_key(batch, self.group_by, page_rows)
             first_rows = order[starts]
             keys = list(zip(*[
                 _canonical_key_column(batch[name][first_rows])
@@ -371,10 +368,15 @@ class GroupByAggregate(Operator):
             def reduce(ufunc: np.ufunc, values: np.ndarray) -> List:
                 return ufunc.reduceat(values[order], starts).tolist()
         else:
-            keys, visit, sizes = [()], [0], [n_rows]
+            # One global group per non-empty page, each reduced on its
+            # own: ``reduce`` sums pairwise, ``reduceat`` would not.
+            pages = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+            starts = [page.start for page in pages]
+            keys, visit = [()] * len(pages), range(len(pages))
+            sizes = [page.stop - page.start for page in pages]
 
             def reduce(ufunc: np.ufunc, values: np.ndarray) -> List:
-                return [ufunc.reduce(values).item()]
+                return [ufunc.reduce(values[page]).item() for page in pages]
 
         # Evaluate aggregate inputs once per batch; one list per slot.
         partials: List[List] = []
@@ -405,7 +407,12 @@ class GroupByAggregate(Operator):
                 if agg.func == "avg":
                     partials.append(sizes)
         rows = list(zip(*partials))
-        return [(keys[group], rows[group]) for group in visit]
+        ordered = [(keys[group], rows[group]) for group in visit]
+        if len(page_rows) == 1:
+            return [ordered]
+        # Groups start page by page: a page's start inside its rows.
+        cuts = np.searchsorted(starts, bounds).tolist()
+        return [ordered[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
     def _merge(self, partials: Iterable[Tuple[Tuple, Sequence]]) -> None:
         """Fold ``(key, slots)`` partial accumulators into the groups."""
@@ -447,10 +454,11 @@ class PageFeed(Operator):
     """Hands a sink each page of a run when the scan reaches that page.
 
     :class:`Pipeline` puts one in front of a :attr:`~Operator.page_timed`
-    sink.  Whatever is upstream (predicate, compaction) still runs once
-    per run; the sink gets its slice of the prepared rows — and decides
-    whether to spill — at the page's own simulated time, exactly as if
-    the scan had delivered the pages one by one.
+    sink.  Whatever is upstream, and the sink's pure ``prepare(batch,
+    page_rows)`` (one prepared value per page), run once per run; its
+    stateful ``absorb(prepared, rows)`` — the merge and the decision
+    whether to spill — runs at each page's own simulated time, exactly
+    as if the scan had delivered the pages one by one.
     """
 
     def __init__(self, sink: Operator):
@@ -462,17 +470,9 @@ class PageFeed(Operator):
 
     def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
         sink = self.downstream
-        columns = self._columns
-        bounds = _page_bounds(page_rows).tolist()
-
-        def page_units(index: int) -> float:
-            start, stop = bounds[index], bounds[index + 1]
-            if start == stop:
-                return 0.0  # an emptied page never reaches the sink
-            page = take_rows(batch, slice(start, stop), columns)
-            return sink.push(page, page_rows[index:index + 1]).item()
-
-        return LazyPages(page_units)
+        rows = _as_page_rows(page_rows).tolist()
+        prepared = sink.prepare(batch, rows)
+        return LazyPages(lambda index: sink.absorb(prepared[index], rows[index]))
 
 
 class Pipeline:

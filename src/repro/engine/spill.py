@@ -26,7 +26,7 @@ cuts translate into spill I/O on the shared disk.
 from __future__ import annotations
 
 import zlib
-from itertools import repeat
+from itertools import islice, repeat
 from math import ceil, log2
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
@@ -41,7 +41,7 @@ from repro.engine.operators import (
     PageUnits,
     _as_page_rows,
     _canonical_key_column,
-    split_pages,
+    _page_bounds,
 )
 from repro.storage.datagen import PageData
 
@@ -86,25 +86,19 @@ def chunk_factor(pages_needed: int, pages_granted: int) -> int:
     return max(1, ceil(pages_needed / max(1, pages_granted)))
 
 
-def _pop_largest_partition(state: dict, partitions: Dict[object, int]) -> dict:
+def _spill_victim(state: dict, buckets: List[List[object]]) -> dict:
     """Remove and return the fullest hash partition of ``state`` (ties go
-    to the lowest partition id).
-
-    ``partitions`` remembers the partition of every key that is live in
-    ``state``, so each spill hashes only the keys that arrived since the
-    last one.  A spilled key is forgotten: should it come back, it is
-    hashed again from whatever object then represents it.
-    """
-    buckets: Dict[int, List[object]] = {}
-    for key in state:
-        partition = partitions.get(key)
-        if partition is None:
-            partition = partitions[key] = partition_of(key, N_PARTITIONS)
-        buckets.setdefault(partition, []).append(key)
-    victim = max(buckets, key=lambda pid: (len(buckets[pid]), -pid))
-    for key in buckets[victim]:
-        del partitions[key]
-    return {key: state.pop(key) for key in buckets[victim]}
+    to the lowest partition id), in ``state``'s order.  ``buckets`` hold
+    its live keys by partition, in insertion order; a table only gains
+    keys, at its end, between spills, so only the tail no bucket holds
+    yet is hashed — the key objects the table stores — and the victim
+    costs O(:data:`N_PARTITIONS`), not O(live keys)."""
+    tail = islice(reversed(state), len(state) - sum(map(len, buckets)))
+    for key in reversed(list(tail)):
+        buckets[partition_of(key, N_PARTITIONS)].append(key)
+    victim = max(range(N_PARTITIONS), key=lambda pid: len(buckets[pid]))
+    keys, buckets[victim] = buckets[victim], []
+    return {key: state.pop(key) for key in keys}
 
 
 def _write_run(operator, payload: dict, n_pages: int) -> float:
@@ -170,7 +164,37 @@ class SpillStats:
         }
 
 
-class BudgetedGroupBy(GroupByAggregate):
+class _PageTimedSink:
+    """A sink whose spills feed back into the simulation: a pure
+    ``prepare(batch, page_rows)`` does a run's numpy work once, one
+    prepared value per page, and ``absorb(prepared, rows)`` folds a page
+    in and checks the budget when the scan reaches it (see
+    :class:`~repro.engine.operators.PageFeed`)."""
+
+    page_timed = True
+
+    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+        """A run taken as so many pages delivered now."""
+        rows = _as_page_rows(page_rows).tolist()
+        return np.array(list(map(self.absorb, self.prepare(batch, rows), rows)))
+
+    def _spill_while_over(self, state: dict, units: float) -> float:
+        """``units`` plus those of spilling while over budget or clawed."""
+        memory = self.memory
+        while state and (
+            memory.spill_requested
+            or self._pages_for(len(state)) > max(1, memory.pages)
+        ):
+            units += self._spill_one_partition(state)
+        return units
+
+    def _spill_one_partition(self, state: dict) -> float:
+        """Evict the largest partition to temp space; returns CPU units."""
+        payload = _spill_victim(state, self._buckets)
+        return _write_run(self, payload, self._pages_for(len(payload)))
+
+
+class BudgetedGroupBy(_PageTimedSink, GroupByAggregate):
     """Hash aggregation under a frame budget (the ``hash`` strategy).
 
     Behaves exactly like :class:`GroupByAggregate` until the in-memory
@@ -181,12 +205,8 @@ class BudgetedGroupBy(GroupByAggregate):
     unbudgeted operator — only the simulated cost differs.
 
     The budget is checked after every page, against the group count and
-    the claw-back flag as they stand at that moment — hence
-    :attr:`page_timed`: a pipeline delivers the pages of a run one by
-    one, each at its own simulated time.
+    the claw-back flag as they stand at that moment.
     """
-
-    page_timed = True
 
     def __init__(
         self,
@@ -203,34 +223,24 @@ class BudgetedGroupBy(GroupByAggregate):
         # bytes — but it is *removed* from the live table, so accumulator
         # state genuinely shrinks and later batches re-create groups.
         self._runs: List[Tuple[int, int, Dict[Tuple, List[float]]]] = []
-        # Hash partition of each live group, filled in by spills.
-        self._partitions: Dict[Tuple, int] = {}
+        self._buckets: List[List[object]] = [[] for _ in range(N_PARTITIONS)]
 
     def _pages_for(self, n_groups: int) -> int:
         return ceil(n_groups / GROUPS_PER_PAGE) if n_groups else 0
 
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        return np.array([
-            self._push_page(page, rows)
-            for page, rows in split_pages(batch, _as_page_rows(page_rows))
-        ])
+    def prepare(self, batch: PageData, page_rows: Sequence[int]) -> List[List]:
+        """Each page's ``(group key, slots)`` partials."""
+        if not sum(page_rows):
+            return [[]] * len(page_rows)
+        return self._partials(batch, page_rows)
 
-    def _push_page(self, page: PageData, rows: np.ndarray) -> float:
-        if not rows[0]:
+    def absorb(self, partials: List, rows: int) -> float:
+        """Merge one page's partials; returns the page's CPU units."""
+        if not rows:
             return 0.0
-        units = super().push(page, rows).item()
+        self._merge(partials)
         self.spill.peak_state = max(self.spill.peak_state, len(self._groups))
-        while self._groups and (
-            self.memory.spill_requested
-            or self._pages_for(len(self._groups)) > max(1, self.memory.pages)
-        ):
-            units += self._spill_one_partition()
-        return units
-
-    def _spill_one_partition(self) -> float:
-        """Evict the largest partition to temp space; returns CPU units."""
-        payload = _pop_largest_partition(self._groups, self._partitions)
-        return _write_run(self, payload, self._pages_for(len(payload)))
+        return self._spill_while_over(self._groups, self._units(rows))
 
     def finalize_sim(self, db) -> Generator:
         """Post-scan merge: read the spilled partitions back and fold them in."""
@@ -246,18 +256,18 @@ class SortSpillGroupBy(BudgetedGroupBy):
     shape.  Runs merge back in the finalize phase like the hash variant.
     """
 
-    def _spill_one_partition(self) -> float:
-        n_groups = len(self._groups)
+    def _spill_one_partition(self, state: dict) -> float:
+        n_groups = len(state)
         # Total order even for NaN-bearing keys: sort by repr.
-        payload = dict(sorted(self._groups.items(), key=lambda kv: repr(kv[0])))
-        self._groups.clear()
+        payload = dict(sorted(state.items(), key=lambda kv: repr(kv[0])))
+        state.clear()
         sort_units = n_groups * max(1.0, log2(max(2, n_groups))) * (
             self.cost.sort_run_units
         )
         return _write_run(self, payload, self._pages_for(n_groups)) + sort_units
 
 
-class HashBuildSink(Operator):
+class HashBuildSink(_PageTimedSink, Operator):
     """Terminal build side of a budgeted hash join.
 
     Collects per-key row counts into a hash table bounded by the
@@ -265,10 +275,8 @@ class HashBuildSink(Operator):
     ``finish()`` (after :meth:`finalize_sim` merged every spill back)
     returns the complete ``key -> build row count`` table the probe side
     consumes.  Like :class:`BudgetedGroupBy` it checks its budget after
-    every page and is therefore :attr:`page_timed`.
+    every page.
     """
-
-    page_timed = True
 
     def __init__(self, key_column: str, cost: CostModel,
                  memory: Optional[OperatorMemory] = None):
@@ -280,8 +288,7 @@ class HashBuildSink(Operator):
         self.rows_in = 0
         self.spill = SpillStats()
         self._runs: List[Tuple[int, int, Dict[object, int]]] = []
-        # Hash partition of each live key, filled in by spills.
-        self._partitions: Dict[object, int] = {}
+        self._buckets: List[List[object]] = [[] for _ in range(N_PARTITIONS)]
 
     def required_columns(self) -> Optional[FrozenSet[str]]:
         return frozenset((self.key_column,))
@@ -299,33 +306,23 @@ class HashBuildSink(Operator):
         total = len(self.table) + sum(len(p) for _, _, p in self._runs)
         return self._pages_for(total)
 
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        return np.array([
-            self._push_page(page, rows)
-            for page, rows in split_pages(batch, _as_page_rows(page_rows))
-        ])
+    def prepare(self, batch: PageData, page_rows: Sequence[int]) -> List[List]:
+        """Each page's canonical build keys."""
+        keys = _canonical_key_column(batch[self.key_column])
+        bounds = _page_bounds(page_rows).tolist()
+        return [keys[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
-    def _push_page(self, page: PageData, rows: np.ndarray) -> float:
-        n_rows = int(rows[0])
-        if n_rows == 0:
+    def absorb(self, keys: List, rows: int) -> float:
+        """Count one page's keys; returns the page's CPU units."""
+        if not rows:
             return 0.0
-        units = n_rows * self.cost.join_build_units
         table = self.table
-        for key in _canonical_key_column(page[self.key_column]):
+        for key in keys:
             table[key] = table.get(key, 0) + 1
-        self.rows_in += n_rows
+        self.rows_in += rows
         self.spill.peak_state = max(self.spill.peak_state, len(table))
-        if self.memory is not None:
-            while table and (
-                self.memory.spill_requested
-                or self._pages_for(len(table)) > max(1, self.memory.pages)
-            ):
-                units += self._spill_one_partition()
-        return units
-
-    def _spill_one_partition(self) -> float:
-        payload = _pop_largest_partition(self.table, self._partitions)
-        return _write_run(self, payload, self._pages_for(len(payload)))
+        units = rows * self.cost.join_build_units
+        return units if self.memory is None else self._spill_while_over(table, units)
 
     def finalize_sim(self, db) -> Generator:
         """Read spilled build partitions back and merge their counts."""

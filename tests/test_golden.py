@@ -10,6 +10,10 @@ single number or event count fails here with the exact diverging field.
 digest of every registered experiment at the quick geometry (``run-all
 --scale 0.1 --streams 2``) plus the suite digest over them.  One
 ``slow`` test reruns the suite and names the experiments that moved.
+The manifest runs every experiment at the default ``agg_strategy``
+(``hash``); ``tests/golden/sort_strategy.json`` pins the two budgeted
+aggregation experiments at the same geometry under ``sort``, so the
+sort-spill path has a digest of its own.
 
 To bless an intentional change::
 
@@ -44,6 +48,9 @@ N_RUNS = 2
 MANIFEST_FILE = GOLDEN_DIR / "manifest.json"
 #: ``python -m repro run-all --scale 0.1 --streams 2`` (default seed).
 QUICK_GEOMETRY = ExperimentSettings(scale=0.1, n_streams=2)
+
+SORT_STRATEGY_FILE = GOLDEN_DIR / "sort_strategy.json"
+SORT_STRATEGY_EXPERIMENTS = ("ag-compete", "ag-mix")
 
 
 def _run_scenario() -> dict:
@@ -134,3 +141,29 @@ def test_suite_digests_match_manifest(regen_golden):
         f"REPRO_REGEN_GOLDEN=1) and commit it"
     )
     assert actual["suite_digest"] == golden["suite_digest"]
+
+
+def test_sort_strategy_digests_match_golden(regen_golden):
+    """The budgeted aggregation experiments under ``agg_strategy="sort"``,
+    which spill whole sorted tables instead of hash partitions."""
+    settings = QUICK_GEOMETRY.with_(agg_strategy="sort")
+    suite = run_suite(settings, SORT_STRATEGY_EXPERIMENTS, use_cache=False)
+    actual = {
+        "geometry": {
+            "scale": settings.scale,
+            "n_streams": settings.n_streams,
+            "seed": settings.seed,
+            "agg_strategy": settings.agg_strategy,
+        },
+        "experiments": {task.label: task.digest for task in suite.tasks},
+    }
+    if regen_golden:
+        SORT_STRATEGY_FILE.write_text(json.dumps(actual, indent=2) + "\n")
+        return
+    golden = json.loads(SORT_STRATEGY_FILE.read_text())
+    assert actual == golden, (
+        f"sort-strategy digests diverged from tests/golden/"
+        f"{SORT_STRATEGY_FILE.name}; if this change is intentional, "
+        f"regenerate with --regen-golden (or REPRO_REGEN_GOLDEN=1) and "
+        f"commit it"
+    )

@@ -20,6 +20,7 @@ from repro.engine.expressions import col, lit
 from repro.engine.memory import OperatorMemory
 from repro.engine.operators import (
     _CANONICAL_NAN,
+    _canonical_key_column,
     AggSpec,
     Filter,
     GroupByAggregate,
@@ -32,7 +33,7 @@ from repro.engine.spill import (
     HashBuildSink,
     HashProbe,
     SortSpillGroupBy,
-    _pop_largest_partition,
+    _spill_victim,
     partition_of,
     split_chunks,
 )
@@ -89,6 +90,9 @@ def random_batch(seed, n, coded):
     columns = {
         "i": rng.integers(-3, 4, size=n),
         "w": rng.integers(-2 ** 62, 2 ** 62, size=3)[rng.integers(0, 3, size=n)],
+        # Exactly 2^31 wide, so kept as is: the two together span 2^62.
+        "h": np.array([-2 ** 30, 0, 2 ** 30 - 1])[rng.integers(0, 3, size=n)],
+        "g": np.array([0, 7, 2 ** 31 - 1])[rng.integers(0, 3, size=n)],
         "f": np.asarray(KEY_FLOATS)[rng.integers(0, len(KEY_FLOATS), size=n)],
         "c": CATEGORIES[codes],
         "v": rng.uniform(0.0, 100.0, size=n),
@@ -378,6 +382,96 @@ class TestPageTimedSinks:
         assert seconds[2] > 0 and sink.rows_in == 30
 
 
+def spelled(partials):
+    """``(key, slots)`` partials with every value typed and, for floats,
+    spelled bit for bit."""
+    def spell(value):
+        return (type(value), value.hex() if type(value) is float else repr(value))
+
+    return [(tuple(map(spell, key)), tuple(map(spell, slots)))
+            for key, slots in partials]
+
+
+def global_partials(specs, page, n_rows):
+    """A page's one global accumulator, each slot reduced over the page
+    by ``ufunc.reduce`` (pairwise for sums, unlike ``reduceat``)."""
+    slots = []
+    for agg in specs:
+        if agg.expr is None:
+            slots.append(n_rows)
+            continue
+        values = np.broadcast_to(agg.expr.evaluate(page), (n_rows,))
+        if agg.func == "count":
+            slots.append(np.add.reduce((~np.isnan(values)).astype(np.int64)).item()
+                         if values.dtype.kind == "f" else n_rows)
+            continue
+        ufunc = {"min": np.minimum, "max": np.maximum}.get(agg.func, np.add)
+        slots.append(ufunc.reduce(values.astype(np.float64)).item())
+        if agg.func == "avg":
+            slots.append(n_rows)
+    return [((), tuple(slots))]
+
+
+class TestPreparedPages:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        run=runs(max_rows=40),
+        group_by=st.lists(st.sampled_from(["i", "w", "f", "c", "h", "g"]),
+                          unique=True, max_size=3),
+        aggregates=st.lists(st.sampled_from(sorted(AGGREGATES)), unique=True,
+                            min_size=1, max_size=5),
+    )
+    def test_each_page_equals_the_partials_of_that_page_alone(
+            self, run, group_by, aggregates):
+        """One sort over the run, split by page, gives every page exactly
+        the partials — keys, their order and the slot bits — that page
+        alone gives; an empty page gets none."""
+        batch, page_rows = run
+        specs = [AGGREGATES[name] for name in aggregates]
+        sink = BudgetedGroupBy(specs, COST, memory=None, group_by=group_by)
+        prepared = sink.prepare(batch, page_rows.tolist())
+        assert len(prepared) == len(page_rows)
+        for (_, page, n_rows), partials in zip(pages_of(batch, page_rows),
+                                               prepared):
+            if n_rows == 0:
+                assert partials == []
+                continue
+            (alone,) = sink._partials(page, [n_rows])
+            assert spelled(partials) == spelled(alone)
+            if not group_by:
+                assert spelled(partials) == spelled(
+                    global_partials(specs, page, n_rows))
+            for key, _ in partials:
+                assert all(part is _CANONICAL_NAN for part in key
+                           if part != part)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keys_spanning_2_62_over_many_pages(self, seed):
+        """Three pages of a key already 2^62 wide: prefixing the page
+        index must not overflow int64."""
+        batch = random_batch(seed, 60, coded=False)
+        batch["h"][:2] = (-2 ** 30, 2 ** 30 - 1)    # both columns' extremes
+        batch["g"][:2] = (0, 2 ** 31 - 1)
+        page_rows = np.array([15, 20, 25])
+        sink = BudgetedGroupBy([AGGREGATES["n"], AGGREGATES["total"]], COST,
+                               memory=None, group_by=["h", "g"])
+        prepared = sink.prepare(batch, page_rows.tolist())
+        for (_, page, n_rows), partials in zip(pages_of(batch, page_rows),
+                                               prepared):
+            assert spelled(partials) == spelled(sink._partials(page, [n_rows])[0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(run=runs(max_rows=40))
+    def test_build_keys_equal_those_of_each_page_alone(self, run):
+        batch, page_rows = run
+        sink = HashBuildSink("f", COST)
+        prepared = sink.prepare(batch, page_rows.tolist())
+        for (_, page, _), keys in zip(pages_of(batch, page_rows), prepared):
+            alone = _canonical_key_column(page["f"])
+            assert spelled([(keys, ())]) == spelled([(alone, ())])
+            assert all(key is _CANONICAL_NAN for key in keys if key != key)
+
+
 class TestGroupKeys:
     def test_nan_keys_form_one_group_across_batches(self):
         agg = GroupByAggregate([AggSpec("n", "count")], COST, group_by=["f"])
@@ -445,12 +539,30 @@ class TestCountExpr:
 
 
 def reference_spill(state):
-    """The partition a spill evicted before partitions were memoised."""
+    """The partition a spill evicts, recomputed from the whole table."""
     buckets = {}
     for key in state:
         buckets.setdefault(partition_of(key, N_PARTITIONS), []).append(key)
     victim = max(buckets, key=lambda pid: (len(buckets[pid]), -pid))
     return {key: state.pop(key) for key in buckets[victim]}
+
+
+def object_column(values):
+    """``values`` as a 1-d object array (tuples stay scalars)."""
+    column = np.empty(len(values), dtype=object)
+    for index, value in enumerate(values):
+        column[index] = value
+    return column
+
+
+#: Spillable sinks over one object key column ``k``.
+KEYED_SINKS = {
+    "hash-agg": lambda memory: BudgetedGroupBy(
+        [AGGREGATES["n"]], COST, memory, group_by=["k"]),
+    "sort-agg": lambda memory: SortSpillGroupBy(
+        [AGGREGATES["n"]], COST, memory, group_by=["k"]),
+    "join-build": lambda memory: HashBuildSink("k", COST, memory=memory),
+}
 
 
 class TestMemoisedPartitions:
@@ -461,23 +573,65 @@ class TestMemoisedPartitions:
         st.sampled_from([1.0, True, 0.0, -0.0, 2.0, "a", ("a", 1), ("a", 1.0)]),
         st.tuples(st.integers(0, 5), st.sampled_from(["x", "y"])),
     )
+    #: Pages of keys, interleaved with spills (``None``).
+    scripts = st.lists(st.one_of(st.lists(keys, max_size=30), st.none()),
+                       max_size=12)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.one_of(st.lists(keys, max_size=30), st.none()),
-                    max_size=12))
+    @given(scripts)
     def test_spills_match_unmemoised_computation(self, script):
         """Inserts interleaved with spills: always the same victim, even
         when a spilled key returns under an equal but different object."""
-        state, reference, partitions = {}, {}, {}
+        state, reference = {}, {}
+        buckets = [[] for _ in range(N_PARTITIONS)]
         for step in script:
             if step is None:
                 if state:
-                    spilled = _pop_largest_partition(state, partitions)
+                    spilled = _spill_victim(state, buckets)
                     expected = reference_spill(reference)
                     assert list(map(repr, spilled)) == list(map(repr, expected))
                 continue
             for key in step:
                 for table in (state, reference):
                     table[key] = table.get(key, 0) + 1
-            assert set(partitions) <= set(state)
+            assert all(key in state for bucket in buckets for key in bucket)
         assert list(map(repr, state)) == list(map(repr, reference))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sink=st.sampled_from(sorted(KEYED_SINKS)), script=scripts)
+    def test_sinks_spill_what_a_rescan_would(self, sink, script):
+        """The same script through the spillable sinks: every hash spill
+        evicts the partition a from-scratch pass over the live table
+        picks, a sort spill takes the whole table in ``repr`` order and
+        later pages start it afresh, and the merged answer counts every
+        key."""
+        run = BudgetedRun(KEYED_SINKS[sink], None, budget=16)
+        state = run.sink.table if sink == "join-build" else run.sink._groups
+        counts, spills = {}, 0
+        for step in script:
+            if step is None:
+                if not state:
+                    continue
+                live = dict(state)
+                run.sink._spill_one_partition(state)
+                spills += 1
+                if sink == "sort-agg":
+                    expected = dict(sorted(live.items(),
+                                           key=lambda kv: repr(kv[0])))
+                    live = {}
+                else:
+                    expected = reference_spill(live)
+                spilled = run.sink._runs[-1][2]
+                assert list(map(repr, spilled)) == list(map(repr, expected))
+                assert list(map(repr, state)) == list(map(repr, live))
+                continue
+            units = run.sink.push({"k": object_column(step)},
+                                  np.array([len(step)]))
+            assert (units[0] > 0) == bool(step)
+            for key in step:
+                counts[key] = counts.get(key, 0) + 1
+        assert run.sink.spill.spill_events == spills
+        result = run.finish()
+        if sink != "join-build":
+            result = {key: values["n"] for (key,), values in result.items()}
+        assert result == counts

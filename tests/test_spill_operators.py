@@ -21,6 +21,8 @@ from repro.engine.spill import (
     HashBuildSink,
     HashProbe,
     SortSpillGroupBy,
+    SpillStats,
+    _write_run,
     chunk_factor,
     partition_of,
     split_chunks,
@@ -236,6 +238,22 @@ class TestTempSpace:
         addr_b, _ = temp.write_run(6)      # would overflow: wraps to base
         assert addr_b == addr_a
         assert temp.pages_written == 12
+        db.sim.run()
+
+    def test_rejects_a_run_larger_than_the_region(self):
+        """A 12-page run in a 10-page region is an error, not a silent
+        10-page write the spill counters and the read-back disagree with."""
+        db = make_database(pool_pages=32, temp_space_pages=10)
+        memory = OperatorMemory(db, "join", budget_pages=2)
+        memory.negotiate()
+        sink = HashBuildSink("k", COST, memory=memory)
+        with pytest.raises(ValueError, match="12 pages .* 10-page temp space"):
+            _write_run(sink, {0: 1}, 12)
+        assert sink.spill.as_dict() == SpillStats().as_dict()
+        assert sink._runs == []
+        assert db.temp.stats()["temp_pages_written"] == 0
+        addr, _ = db.temp.write_run(10)    # the whole region still fits
+        assert db.temp.pages_written == 10
         db.sim.run()
 
     def test_rejects_bad_sizes(self):
