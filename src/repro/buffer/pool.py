@@ -21,17 +21,19 @@ Two properties matter for reproducing the paper's numbers:
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
     Generator,
-    Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
+import repro.trace.tracer as trace_slot
 from repro.buffer.page import Frame, PageKey, Priority
 from repro.buffer.replacement import ReplacementPolicy, make_policy
 from repro.buffer.stats import BufferStats
@@ -39,7 +41,6 @@ from repro.disk.device import Disk
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.trace.events import BufferEvict, BufferFix, BufferRelease
-from repro.trace.tracer import TracerHandle
 
 AddressOf = Callable[[PageKey], int]
 
@@ -51,11 +52,6 @@ _NO_KEY = PageKey(-1, -1)
 #: simulator can hold and hashes as a plain int (identity hash) instead of
 #: a two-element tuple.
 _PAGE_BITS = 48
-
-#: Cached tracer reference shared by every pool hot path (``try_fix``,
-#: ``unfix``, ``_trace_fix``, ``_evict``) — one generation-checked handle
-#: instead of a ``get_tracer()`` registry lookup per event.
-_TRACER = TracerHandle()
 
 
 class BufferPoolError(RuntimeError):
@@ -308,10 +304,8 @@ class BufferPool:
         stats.logical_reads += 1
         stats.hits += 1
         frame.pin_count += 1
-        frame.last_used_at = self.sim.now
-        frame.access_count += 1
         self.policy.on_hit(key)
-        tracer = _TRACER.active()
+        tracer = trace_slot.active
         if tracer is not None:
             tracer.emit(BufferFix(
                 time=self.sim.now, space_id=key.space_id, page_no=key.page_no,
@@ -325,9 +319,9 @@ class BufferPool:
         """Pin ``key`` into the pool, reading from disk if necessary.
 
         This is a simulation generator: drive it with ``yield from`` inside
-        a process.  ``prefetch`` is an optional run of keys (must contain
-        ``key``, contiguous in disk address) that a miss is allowed to read
-        in one request.
+        a process.  ``prefetch`` is an optional run of keys (one table's
+        consecutive pages, containing ``key``) that a miss is allowed to
+        read in one request.
         """
         self.stats.logical_reads += 1
         # Each fix is classified (hit / miss / in-flight wait) by the FIRST
@@ -343,8 +337,6 @@ class BufferPool:
             if slot is not None:
                 frame = self._slots[slot]
                 frame.pin_count += 1
-                frame.last_used_at = self.sim.now
-                frame.access_count += 1
                 self.policy.on_hit(key)
                 if not classified:
                     self.stats.hits += 1
@@ -369,8 +361,6 @@ class BufferPool:
             if slot is not None:
                 frame = self._slots[slot]
                 frame.pin_count += 1
-                frame.last_used_at = self.sim.now
-                frame.access_count += 1
                 return frame
             # Evicted between I/O completion and our resumption; retry.
         raise BufferPoolError(
@@ -387,9 +377,8 @@ class BufferPool:
         if frame.pin_count <= 0:
             raise BufferPoolError(f"unfix of unpinned page {key}")
         frame.pin_count -= 1
-        frame.priority = priority
         self.policy.on_release(key, priority)
-        tracer = _TRACER.active()
+        tracer = trace_slot.active
         if tracer is not None:
             tracer.emit(BufferRelease(
                 time=self.sim.now, space_id=key.space_id, page_no=key.page_no,
@@ -400,7 +389,7 @@ class BufferPool:
     release = unfix
 
     def _trace_fix(self, key: PageKey, outcome: str) -> None:
-        tracer = _TRACER.active()
+        tracer = trace_slot.active
         if tracer is not None:
             tracer.emit(BufferFix(
                 time=self.sim.now, space_id=key.space_id, page_no=key.page_no,
@@ -467,28 +456,26 @@ class BufferPool:
 
     def _evict(self, count: int) -> int:
         """Evict up to ``count`` unpinned pages; returns how many were freed."""
-        freed = 0
-        tracer = _TRACER.active()
-        while freed < count:
-            victim_key = self.policy.choose_victim(self._evictable)
-            if victim_key is None:
-                break
-            self._free.append(self._slot_map.pop(
+        victims = self.policy.evict_victims(self._evictable, count)
+        slot_map_pop = self._slot_map.pop
+        free = self._free
+        for victim_key in victims:
+            free.append(slot_map_pop(
                 victim_key.space_id << _PAGE_BITS | victim_key.page_no
             ))
-            self.policy.on_evict(victim_key)
-            self.stats.evictions += 1
-            freed += 1
-            if tracer is not None:
+        self.stats.evictions += len(victims)
+        tracer = trace_slot.active
+        if tracer is not None:
+            for victim_key in victims:
                 tracer.emit(BufferEvict(
                     time=self.sim.now, space_id=victim_key.space_id,
                     page_no=victim_key.page_no,
                 ))
-        return freed
+        return len(victims)
 
     def _evictable(self, key: PageKey) -> bool:
-        frame = self.frame_of(key)
-        return frame is not None and not frame.pinned
+        slot = self._slot_map.get(key.space_id << _PAGE_BITS | key.page_no)
+        return slot is not None and not self._slots[slot].pin_count
 
     # ------------------------------------------------------------------
     # Miss path
@@ -544,12 +531,11 @@ class BufferPool:
         yield completion
 
     def _admit_run(self, run: List[PageKey], completion: Event) -> None:
-        now = self.sim.now
         slot_map = self._slot_map
         slots = self._slots
         free = self._free
         inflight_pop = self._inflight.pop
-        on_admit = self.policy.on_admit
+        admitted: List[PageKey] = []
         for run_key in run:
             inflight_pop(run_key, None)
             slot_key = run_key.space_id << _PAGE_BITS | run_key.page_no
@@ -561,61 +547,62 @@ class BufferPool:
                     f"{run_key}: {len(slot_map)} resident of {self.capacity}"
                 )
             slot = free.pop()
-            slots[slot].reset(run_key, now)
+            slots[slot].key = run_key
             slot_map[slot_key] = slot
-            on_admit(run_key)
+            admitted.append(run_key)
+        self.policy.on_admit_run(admitted)
         completion.succeed(run)
 
     def _plan_run(
         self, key: PageKey, prefetch: Optional[Sequence[PageKey]]
     ) -> List[PageKey]:
-        """Choose the contiguous run of absent pages to read for a miss."""
+        """The stretch of absent pages around (absent) ``key`` to read."""
         if not prefetch:
             return [key]
-        candidates = list(prefetch)
-        if key not in candidates:
-            raise BufferPoolError(f"prefetch run must contain the demanded page {key}")
-        # Keep only pages that actually need reading.
-        segments = self._absent_segments(candidates)
-        for segment in segments:
-            if key in segment:
-                return segment
-        # The demanded page became resident while planning — read just it;
-        # the caller's retry loop will then hit.
-        return [key]
+        start = index = _run_index(key, prefetch)
+        absent = self._absence(prefetch)
+        while start and absent[start - 1]:
+            start -= 1
+        stop = index + 1
+        while stop < len(absent) and absent[stop]:
+            stop += 1
+        return list(prefetch[start:stop])
 
-    def _absent_segments(self, candidates: Iterable[PageKey]) -> List[List[PageKey]]:
-        """Split candidates into address-contiguous runs of absent pages."""
-        segments: List[List[PageKey]] = []
-        current: List[PageKey] = []
-        prev_addr: Optional[int] = None
+    def _absent_segments(self, keys: Sequence[PageKey]) -> List[List[PageKey]]:
+        """Split a run of consecutive pages into its stretches of absent
+        pages (each one address-contiguous, so one disk read)."""
+        _run_index(keys[0], keys)
+        stretches = groupby(zip(self._absence(keys), keys), itemgetter(0))
+        return [[key for _, key in stretch] for absent, stretch in stretches if absent]
+
+    def _absence(self, keys: Sequence[PageKey]) -> List[bool]:
+        """Whether each of one table's pages is neither resident nor in flight."""
         slot_map = self._slot_map
         inflight = self._inflight
-        for candidate in candidates:
-            absent = (
-                (candidate.space_id << _PAGE_BITS | candidate.page_no)
-                not in slot_map
-                and candidate not in inflight
-            )
-            addr = self.address_of(candidate)
-            contiguous = prev_addr is not None and addr == prev_addr + 1
-            if absent and current and contiguous:
-                current.append(candidate)
-            elif absent:
-                if current:
-                    segments.append(current)
-                current = [candidate]
-            else:
-                if current:
-                    segments.append(current)
-                current = []
-            prev_addr = addr if absent else None
-        if current:
-            segments.append(current)
-        return segments
+        space = keys[0].space_id << _PAGE_BITS
+        return [
+            (space | key.page_no) not in slot_map and key not in inflight
+            for key in keys
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BufferPool {self.name} {len(self._slot_map)}/{self.capacity} "
             f"resident, {len(self._inflight)} in flight>"
         )
+
+
+def _run_index(key: PageKey, run: Sequence[PageKey]) -> int:
+    """``key``'s index in ``run``: one table's consecutive pages (so disk
+    addresses) holding ``key``, checked at the ends and at ``key`` only."""
+    index = key.page_no - run[0].page_no
+    if not (
+        0 <= index < len(run)
+        and run[index] == key
+        and run[-1] == (key.space_id, run[0].page_no + len(run) - 1)
+    ):
+        raise BufferPoolError(
+            f"prefetch run must be one table's consecutive pages holding the "
+            f"demanded page {key}"
+        )
+    return index

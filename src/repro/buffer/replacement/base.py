@@ -1,8 +1,8 @@
 """Replacement-policy interface.
 
 The pool tells the policy about page lifecycle events (admit / hit /
-release / evict); when the pool needs a free frame it asks the policy to
-:meth:`~ReplacementPolicy.choose_victim` among currently evictable pages.
+release / evict); when the pool needs free frames it asks the policy for
+:meth:`~ReplacementPolicy.evict_victims` among currently evictable pages.
 Policies never see pin counts or I/O — that separation mirrors the paper's
 "caching system as a black box" requirement and lets every policy be unit
 tested without a pool.
@@ -11,7 +11,7 @@ tested without a pool.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.buffer.page import PageKey, Priority
 
@@ -52,6 +52,23 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def on_evict(self, key: PageKey) -> None:
         """The pool has discarded the page chosen by :meth:`choose_victim`."""
+
+    def on_admit_run(self, keys: Sequence[PageKey]) -> None:
+        """:meth:`on_admit` for each page one read brought in, in order."""
+        for key in keys:
+            self.on_admit(key)
+
+    def evict_victims(self, evictable: EvictablePredicate, count: int) -> List[PageKey]:
+        """Up to ``count`` victims, in the order :meth:`choose_victim` then
+        :meth:`on_evict` rounds pick and forget them."""
+        victims: List[PageKey] = []
+        while len(victims) < count:
+            key = self.choose_victim(evictable)
+            if key is None:
+                break
+            self.on_evict(key)
+            victims.append(key)
+        return victims
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"

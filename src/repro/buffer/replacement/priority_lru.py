@@ -11,7 +11,8 @@ with a new priority moves the page between levels, which is exactly the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from itertools import islice
+from typing import Dict, List, Optional, Sequence
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.replacement.base import EvictablePredicate, ReplacementPolicy
@@ -30,6 +31,13 @@ class PriorityLruPolicy(ReplacementPolicy):
 
     def on_admit(self, key: PageKey) -> None:
         self._place(key, Priority.NORMAL)
+
+    def on_admit_run(self, keys: Sequence[PageKey]) -> None:
+        normal = self._levels[Priority.NORMAL]
+        for key in keys:
+            normal[key] = None
+            normal.move_to_end(key)
+        self._priority_of.update(dict.fromkeys(keys, Priority.NORMAL))
 
     def on_hit(self, key: PageKey) -> None:
         level = self._priority_of.get(key)
@@ -61,6 +69,19 @@ class PriorityLruPolicy(ReplacementPolicy):
         level = self._priority_of.pop(key, None)
         if level is not None:
             self._levels[level].pop(key, None)
+
+    def evict_victims(self, evictable: EvictablePredicate, count: int) -> List[PageKey]:
+        # One LOW -> HIGH walk: each choose_victim would resume it where
+        # the previous victim left it.
+        victims: List[PageKey] = []
+        priority_of = self._priority_of
+        for order in self._levels.values():
+            chosen = list(islice(filter(evictable, order), count - len(victims)))
+            for key in chosen:
+                del order[key]
+                del priority_of[key]
+            victims += chosen
+        return victims
 
     def _place(self, key: PageKey, priority: Priority) -> None:
         self._levels[priority][key] = None

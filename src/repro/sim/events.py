@@ -134,6 +134,39 @@ class Timeout(Event):
         self.succeed(self._scheduled_value)
 
 
+class _Hold(Event):
+    """What :meth:`~repro.sim.resource.Resource.hold` returns when it cannot
+    run inline; like :class:`Timeout`, its own expiry callback.  Its grant
+    (:meth:`_granted`), expiry and :meth:`_finish` hops sit where acquire ->
+    timeout -> release queued the holder's resumes; ``hold`` and the event
+    loop elide the first two where nothing could run in between.  It has
+    one waiter, resumed in the finish's dispatch."""
+
+    __slots__ = ("_resource", "_seconds")
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        if self._callbacks or self._triggered:
+            raise SimulationError("a hold has one waiter, added before it ends")
+        self._callbacks.append(callback)
+
+    def _granted(self) -> None:
+        # The clock starts only now, so the expiry gets the heap sequence
+        # number the timeout used to get.
+        sim = self.sim
+        sim._queue.push(sim._now + self._seconds, self)
+
+    def __call__(self) -> None:
+        self.sim._queue.push(self.sim._now, self._finish)
+
+    def _finish(self) -> None:
+        # Release first (a waiter's grant queues ahead of whatever the
+        # holder does next), then resume the holder in this dispatch.
+        self._resource.release()
+        self._triggered = True
+        for callback in self._callbacks:
+            callback(self)
+
+
 #: A raw heap entry: ``(time, seq, callback)``.  ``seq`` breaks time
 #: ties in insertion order and is internal to the queue.
 QueueEntry = Tuple[float, int, Callable[[], None]]

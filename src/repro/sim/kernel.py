@@ -5,15 +5,10 @@ from __future__ import annotations
 from heapq import heappop
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.sim.events import Event, EventQueue, SimulationError, Timeout
+import repro.trace.tracer as trace_slot
+from repro.sim.events import Event, EventQueue, SimulationError, Timeout, _Hold
 from repro.sim.process import Process
 from repro.trace.events import SimDispatch
-from repro.trace.tracer import TracerHandle
-
-#: Cached tracer reference for the dispatch loop, revalidated against the
-#: tracer generation counter — one integer compare per dispatch instead of
-#: a ``get_tracer()`` call, while sink swaps mid-run are still picked up.
-_TRACER = TracerHandle()
 
 _INF = float("inf")
 
@@ -161,9 +156,11 @@ class Simulator:
         each — no heap op, no ``until`` re-check, no time comparison);
         the clock, the ``until`` bound and the queue's time cursor are
         updated once per distinct timestamp, when that timestamp's heap
-        entries move onto the slab.  A callback may move the clock itself
-        (an inline :meth:`~repro.sim.resource.Resource.hold`), so the loop
-        reads it from ``self``, never from a local copy.
+        entries move onto the slab.  A hold expiry that leads its batch is
+        never dispatched: its finish goes straight behind the batch, where
+        the expiry's one action would have put it.  A callback may move the
+        clock itself (an inline :meth:`~repro.sim.resource.Resource.hold`),
+        so the loop reads it from ``self``, never from a local copy.
         """
         if self._running:
             raise SimulationError("Simulator.run called re-entrantly")
@@ -183,7 +180,6 @@ class Simulator:
             pop_ready = ready.popleft
             sample = self.trace_dispatch_sample
             countdown = self._trace_countdown
-            tracer_of = _TRACER.active
             while True:
                 while ready:
                     callback = pop_ready()
@@ -191,7 +187,7 @@ class Simulator:
                         countdown -= 1
                         if countdown <= 0:
                             countdown = sample
-                            tracer = tracer_of()
+                            tracer = trace_slot.active
                             if tracer is not None:
                                 tracer.emit(SimDispatch(
                                     time=self._now,
@@ -202,9 +198,21 @@ class Simulator:
                     break
                 self._now = queue._time = time = heap[0][0]
                 # The heap's entries for ``time`` were pushed before the clock
-                # got there: they run ahead of what they schedule for ``time``.
-                while heap and heap[0][0] == time:
-                    ready.append(heappop(heap)[2])
+                # got there: they run ahead of what they schedule for ``time``;
+                # leading hold expiries are replaced by their finishes.
+                callback = heappop(heap)[2]
+                while type(callback) is _Hold:
+                    ready.append(callback._finish)
+                    if not heap or heap[0][0] != time:
+                        break
+                    callback = heappop(heap)[2]
+                else:
+                    leading = len(ready)
+                    ready.append(callback)
+                    while heap and heap[0][0] == time:
+                        ready.append(heappop(heap)[2])
+                    if leading:
+                        ready.rotate(-leading)
             if until is not None and until > self._now:
                 self._now = until
             self._trace_countdown = countdown

@@ -56,10 +56,11 @@ class Process:
         except StopIteration as stop:
             self._completion.succeed(stop.value)
             return
-        except BaseException as error:  # noqa: BLE001 - deliberate boundary
+        except Exception as error:  # noqa: BLE001 - deliberate boundary
             # An exception escaping the process body fails its completion
             # event, so waiters (and only waiters) observe the failure
-            # instead of the whole simulation crashing mid-callback.
+            # instead of the whole simulation crashing mid-callback.  An
+            # interrupt (KeyboardInterrupt, SystemExit) leaves ``run``.
             self._completion.fail(error)
             return
         if not isinstance(target, Event):

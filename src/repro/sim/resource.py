@@ -14,34 +14,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.sim.events import _INF, Event, SimulationError
+from repro.sim.events import _INF, Event, SimulationError, _Hold
 from repro.sim.kernel import Simulator
 from repro.sim.timeline import StepTimeline
-
-
-class _Hold(Event):
-    """What :meth:`Resource.hold` returns when it cannot run inline.  Its
-    steps are queued where acquire -> timeout -> release queued the holder's
-    resume (ready lane), the timeout's expiry (heap) and the resume again."""
-
-    __slots__ = ("_resource", "_seconds")
-
-    def _granted(self) -> None:
-        # The clock starts only now, so the expiry gets the heap sequence
-        # number the timeout used to get.
-        sim = self.sim
-        sim._queue.push(sim._now + self._seconds, self._expired)
-
-    def _expired(self) -> None:
-        self.sim.schedule(0.0, self._finish)
-
-    def _finish(self) -> None:
-        # Release first (a waiter's grant queues ahead of whatever the
-        # holder does next), then resume the holder in this dispatch.
-        self._resource.release()
-        self._triggered = True
-        for callback in self._callbacks:
-            callback(self)
 
 
 class Resource:
@@ -80,26 +55,31 @@ class Resource:
         ready lane, the next heap entry strictly later than the expiry —
         one *at* it was pushed earlier and pops first — and the expiry
         within the ``run`` bound), so the clock was moved here.  Otherwise
-        the caller yields the returned event once.
+        the caller yields the returned event at once, before scheduling
+        anything, so a grant with an empty ready lane can push the expiry.
         """
         if not 0.0 <= seconds < _INF:
             raise SimulationError(
                 f"hold seconds must be finite and >= 0, got {seconds!r}"
             )
-        if self._in_use < self.capacity and not self._waiters:
-            sim = self.sim
-            queue = sim._queue
+        sim = self.sim
+        queue = sim._queue
+        end = sim._now + seconds
+        if self._in_use < self.capacity and not self._waiters and not queue._ready:
             heap = queue._heap
-            end = sim._now + seconds
-            if (
-                end <= sim._hold_horizon
-                and not queue._ready
-                and (not heap or heap[0][0] > end)
-            ):
+            if end <= sim._hold_horizon and (not heap or heap[0][0] > end):
                 self.busy_timeline.pulse(sim._now, end, self._in_use)
                 sim._now = queue._time = end
                 return None
-        held = _Hold(self.sim)
+            if sim._running:
+                # Nothing runs before the caller yields: no grant hop.
+                held = _Hold(sim)
+                held._resource = self
+                self._in_use += 1
+                self.busy_timeline.record(sim._now, self._in_use)
+                queue.push(end, held)
+                return held
+        held = _Hold(sim)
         held._resource = self
         held._seconds = seconds
         return self._request(held)
@@ -116,15 +96,17 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release on idle resource {self.name!r}")
         self._in_use -= 1
-        self.busy_timeline.record(self.sim.now, self._in_use)
+        self.busy_timeline.record(self.sim._now, self._in_use)
         if self._waiters and self._in_use < self.capacity:
             self._grant(self._waiters.popleft())
 
     def _grant(self, ev: Event) -> None:
         self._in_use += 1
-        self.busy_timeline.record(self.sim.now, self._in_use)
+        self.busy_timeline.record(self.sim._now, self._in_use)
         if type(ev) is _Hold:
             # The ready-lane entry where the holder's resume used to sit.
+            # A grant from release() keeps it: the releasing holder resumes
+            # in this dispatch and may push at the waiter's expiry instant.
             self.sim.schedule(0.0, ev._granted)
         else:
             ev.succeed(self)

@@ -43,7 +43,6 @@ from repro.trace.sinks import JsonlSink, NullSink, RingBufferSink, TraceSink
 from repro.trace.summary import render_summary, summarize
 from repro.trace.tracer import (
     Tracer,
-    TracerHandle,
     get_tracer,
     set_tracer,
     tracing,
@@ -75,7 +74,6 @@ __all__ = [
     "TraceEvent",
     "TraceSink",
     "Tracer",
-    "TracerHandle",
     "get_tracer",
     "render_summary",
     "set_tracer",

@@ -50,7 +50,9 @@ class TraceEvent:
 @dataclass
 class SimDispatch(TraceEvent):
     """One callback popped off the event queue at ``time``.  A
-    ``Resource.hold`` served inline pops nothing, so it is not a dispatch."""
+    ``Resource.hold`` served inline pops nothing, so it is not a dispatch;
+    nor is a hop the kernel elides (a hold's grant with an empty ready
+    lane, or its expiry leading its batch)."""
 
     queue_len: int = 0
 

@@ -22,18 +22,6 @@ from repro.trace.events import TraceEvent
 from repro.trace.sinks import TraceSink
 
 
-#: Monotonic counter bumped whenever the process-wide tracer is swapped
-#: or any tracer's sink set changes.  Hot paths cache a tracer reference
-#: in a :class:`TracerHandle` and revalidate it with one integer compare
-#: instead of calling :func:`get_tracer` on every potential event.
-_generation = 0
-
-
-def _bump_generation() -> None:
-    global _generation
-    _generation += 1
-
-
 class Tracer:
     """Stamps emission order onto events and fans them out to sinks."""
 
@@ -65,57 +53,36 @@ class Tracer:
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Attach a sink (enabling the tracer); returns it for chaining."""
         self._sinks.append(sink)
-        _bump_generation()
+        _update_active()
         return sink
 
     def remove_sink(self, sink: TraceSink) -> None:
         """Detach a sink; the tracer disables itself when none remain."""
         self._sinks.remove(sink)
-        _bump_generation()
+        _update_active()
 
     def close(self) -> None:
         """Close every sink and detach them all."""
         for sink in self._sinks:
             sink.close()
         self._sinks = []
-        _bump_generation()
-
-
-class TracerHandle:
-    """A cached reference to the process-wide tracer for hot paths.
-
-    ``get_tracer()`` plus the ``enabled`` property cost a function call
-    and a descriptor lookup per potential event; a handle amortizes both
-    to one integer compare.  The cache is revalidated against the module
-    generation counter, so swapping tracers (``set_tracer``/``tracing``)
-    or mutating any tracer's sink set mid-run is picked up on the very
-    next event::
-
-        _TRACER = TracerHandle()          # module level, next to imports
-
-        tracer = _TRACER.active()         # in the hot path
-        if tracer is not None:
-            tracer.emit(...)
-    """
-
-    __slots__ = ("_tracer", "_generation")
-
-    def __init__(self) -> None:
-        self._tracer: Optional[Tracer] = None
-        self._generation = -1
-
-    def active(self) -> Optional[Tracer]:
-        """The current tracer if it has at least one sink, else ``None``."""
-        if self._generation != _generation:
-            self._tracer = _tracer
-            self._generation = _generation
-        tracer = self._tracer
-        return tracer if tracer._sinks else None
+        _update_active()
 
 
 #: The process-wide tracer.  Disabled (no sinks) by default, so tracing
 #: is a no-op unless a sink is installed.
 _tracer = Tracer()
+
+#: The installed tracer when it has a sink, else ``None``: what hot paths
+#: read (``trace_slot.active`` after ``import repro.trace.tracer as
+#: trace_slot``) instead of calling :func:`get_tracer`.  Every tracer swap
+#: and sink change updates it, so the very next event sees the change.
+active: Optional[Tracer] = None
+
+
+def _update_active() -> None:
+    global active
+    active = _tracer if _tracer._sinks else None
 
 
 def get_tracer() -> Tracer:
@@ -128,7 +95,7 @@ def set_tracer(tracer: Tracer) -> Tracer:
     global _tracer
     previous = _tracer
     _tracer = tracer
-    _bump_generation()
+    _update_active()
     return previous
 
 

@@ -46,7 +46,7 @@ class TestFixBasics:
 
         def worker(sim):
             pinned = yield from pool.fix(key(0))
-            assert pinned.pinned
+            assert pinned.pin_count
             # Fill the rest of the pool; key 0 must survive because pinned.
             for n in range(1, 10):
                 yield from fix_and_release(pool, n)
@@ -178,6 +178,18 @@ class TestPrefetch:
         sim.run()
         assert proc.completion.failed
         assert isinstance(proc.completion.value, BufferPoolError)
+
+    def test_prefetch_must_be_consecutive_pages(self, sim, disk):
+        pool = make_pool(sim, disk)
+
+        def worker(sim):
+            yield from pool.fix(key(2), prefetch=[key(0), key(2), key(4)])
+
+        proc = sim.spawn(worker(sim))
+        sim.run()
+        assert proc.completion.failed
+        assert isinstance(proc.completion.value, BufferPoolError)
+        assert disk.stats.reads == 0
 
     def test_prefetch_shrinks_when_pool_nearly_full(self, sim, disk):
         pool = make_pool(sim, disk, capacity=4)

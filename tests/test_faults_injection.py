@@ -218,7 +218,7 @@ class TestScanKills:
         )
         self.run_scans(db, 2)
         for key in db.pool.resident_keys():
-            assert not db.pool.frame_of(key).pinned
+            assert not db.pool.frame_of(key).pin_count
 
 
 def make_manager(config=None, table_pages=1000, pool=200, extent=16):

@@ -45,7 +45,7 @@ class TestPoolModel:
                 frame = yield from pool.fix(key)
                 # Invariant: fix returns the demanded, pinned, resident frame.
                 assert frame.key == key
-                assert frame.pinned
+                assert frame.pin_count
                 assert pool.is_resident(key)
                 for _ in range(hold):
                     yield sim.timeout(0.0001)
@@ -69,7 +69,7 @@ class TestPoolModel:
         assert stats.logical_reads == stats.hits + stats.misses + stats.inflight_waits
         # All pins released.
         for key in pool.resident_keys():
-            assert not pool.frame_of(key).pinned
+            assert not pool.frame_of(key).pin_count
         assert pool.inflight_count == 0
         # Physical reads cover exactly the distinct pages that ever
         # missed (no page read without a logical demand).

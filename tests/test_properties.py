@@ -95,7 +95,7 @@ class TestWorkloadProperties:
         assert db.pool.resident_count <= db.pool.capacity
         assert db.pool.inflight_count == 0
         for key in db.pool.resident_keys():
-            assert not db.pool.frame_of(key).pinned
+            assert not db.pool.frame_of(key).pin_count
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -28,7 +28,7 @@ def exploding_on_run(fail_at_page):
 
 def assert_no_pins(db):
     for key in db.pool.resident_keys():
-        assert not db.pool.frame_of(key).pinned, f"leaked pin on {key}"
+        assert not db.pool.frame_of(key).pin_count, f"leaked pin on {key}"
 
 
 class TestPinLeaks:

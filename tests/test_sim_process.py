@@ -86,3 +86,22 @@ class TestProcessBasics:
         proc = sim.spawn(worker(sim))
         sim.run()
         assert proc.completion.value is None
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_in_a_body_propagates_out_of_run(self, sim, interrupt):
+        """The process boundary stores a body's failure, not an interrupt:
+        that stops ``run`` at the instant it was raised."""
+
+        def interrupted(sim):
+            yield sim.timeout(1.0)
+            raise interrupt()
+
+        def bystander(sim):
+            yield sim.timeout(3.0)
+
+        proc = sim.spawn(interrupted(sim))
+        sim.spawn(bystander(sim))
+        with pytest.raises(interrupt):
+            sim.run()
+        assert sim.now == 1.0
+        assert not proc.completion.triggered

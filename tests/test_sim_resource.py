@@ -1,7 +1,7 @@
 """Unit tests for counted FIFO resources."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import SimulationError
@@ -239,6 +239,15 @@ class TestHoldInline:
 
 
 class TestHoldEvent:
+    def test_a_hold_has_one_waiter(self, sim):
+        res = Resource(sim, 1)
+        held = res.hold(1.0)
+        held.add_callback(lambda _ev: None)
+        with pytest.raises(SimulationError, match="one waiter"):
+            held.add_callback(lambda _ev: None)
+        sim.run()
+        assert held.triggered and res.in_use == 0
+
     def test_hold_and_acquire_share_one_fifo(self, sim):
         res = Resource(sim, 1)
         log = []
@@ -258,14 +267,30 @@ class TestHoldEvent:
 
 
 class TestHoldEquivalence:
-    """Random programs run the same with ``hold`` as with the three steps."""
+    """Random programs run the same with ``hold`` as with the three steps.
+
+    ``hold`` skips two of the written-out form's queue hops where nothing
+    can run in between: a grant made with an empty ready lane pushes its
+    expiry at once, and an expiry leading its timestamp's batch has its
+    finish appended directly.  The programs force both against their
+    neighbours: expiries tie with plain timeouts (pushed before and after
+    them), holds start with empty and non-empty ready lanes (``nudge``
+    queues a zero-delay callback first), and a release grants a queued
+    waiter while the releaser then sleeps to the waiter's expiry.  Each
+    wrong elision fails it: every expiry treated as leading, a direct
+    expiry push with a non-empty ready lane, a direct push for a grant
+    made by ``release()``.
+    """
 
     #: A coarse grid so expiries tie with each other, with plain
     #: timeouts and with the ``until`` cuts; 0 and a delay too small to
     #: move the clock are the edge cases.
     delays = st.sampled_from([0.0, 1e-18, 0.25, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0])
     steps = st.lists(
-        st.tuples(st.sampled_from(["hold", "hold", "sleep", "manual"]), delays),
+        st.tuples(
+            st.sampled_from(["hold", "hold", "sleep", "manual", "nudge"]),
+            delays,
+        ),
         max_size=6,
     )
     programs = st.lists(st.tuples(delays, steps), min_size=1, max_size=5)
@@ -281,7 +306,10 @@ class TestHoldEquivalence:
         def body(name, start, steps):
             yield sim.timeout(start)
             for kind, delay in steps:
-                if kind == "hold":
+                if kind == "nudge":
+                    sim.schedule(0.0, lambda: None)
+                    yield from charge(sim, res, delay)
+                elif kind == "hold":
                     yield from charge(sim, res, delay)
                 elif kind == "manual":
                     yield from three_step(sim, res, delay)
@@ -299,6 +327,19 @@ class TestHoldEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), programs, cuts)
+    # A timeout pushed before a hold's expiry at the same instant: the
+    # expiry does not lead its batch and keeps its hop.
+    @example(1, [(0.0, [("sleep", 1.0)]), (0.0, [("hold", 1.0)])], [])
+    # A hold's expiry pushed before a timeout at the same instant: it leads.
+    @example(1, [(0.0, [("hold", 1.0)]), (0.5, [("sleep", 0.5)])], [])
+    # A grant with the other process's resume still on the ready lane:
+    # that resume pushes its timeout first.
+    @example(1, [(0.0, [("hold", 1.0)]), (0.0, [("sleep", 1.0)])], [])
+    @example(2, [(0.0, [("nudge", 1.0)]), (0.0, [("sleep", 1.0)])], [])
+    # release() grants the queued hold, then the releaser sleeps to the
+    # waiter's expiry instant: the releaser's timeout is pushed first.
+    @example(1, [(0.0, [("hold", 1.0), ("sleep", 1.0)]),
+                 (0.0, [("hold", 1.0)])], [])
     def test_same_resumes_clock_and_timeline(self, capacity, program, cuts):
         expected = self.execute(three_step, capacity, program, cuts)
         assert self.execute(one_call, capacity, program, cuts) == expected
