@@ -6,10 +6,10 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 18907
+SRC_LOC_BUDGET := 18601
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
-.PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke serve-quick serve-soak
+.PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
 
 test:            ## full tier-1 suite
 	$(PYTHON) -m pytest -x -q
@@ -38,36 +38,45 @@ policy-smoke:    ## three sharing policies on the quick staggered scenario, dige
 	$(PYTHON) -m repro sweep e2 --param sharing_policy \
 		--values grouping-throttling,cooperative,pbm \
 		--scale 0.1 --streams 2 --jobs 3 --no-cache --out policy-parallel.json
-	$(PYTHON) -c "import json; s=json.load(open('policy-serial.json')); \
-		p=json.load(open('policy-parallel.json')); \
-		assert s['suite_digest'] == p['suite_digest'], 'policy sweep diverged under --jobs'; \
-		assert len(s['experiments']) == 3, 'policy sweep lost a grid point'; \
-		print('policy smoke OK:', s['suite_digest'][:12])"
+	$(PYTHON) tools/same_digest.py policy policy-serial.json policy-parallel.json --points 3
 
-agg-smoke:       ## budgeted-aggregation mix across three policies, digest-checked
+agg-smoke:       ## budgeted-aggregation mix across three policies, digest-checked, must spill
 	$(PYTHON) -m repro sweep ag-mix --param sharing_policy \
 		--values grouping-throttling,cooperative,pbm \
 		--scale 0.1 --streams 2 --jobs 1 --no-cache --out agg-serial.json
 	$(PYTHON) -m repro sweep ag-mix --param sharing_policy \
 		--values grouping-throttling,cooperative,pbm \
 		--scale 0.1 --streams 2 --jobs 3 --no-cache --out agg-parallel.json
+	$(PYTHON) tools/same_digest.py agg agg-serial.json agg-parallel.json
 	$(PYTHON) -c "import json; s=json.load(open('agg-serial.json')); \
-		p=json.load(open('agg-parallel.json')); \
-		assert s['suite_digest'] == p['suite_digest'], 'agg sweep diverged under --jobs'; \
 		spilled = sum(pt['metrics'].get('spilled_partitions', 0) for pt in s['experiments']); \
 		assert spilled > 0, 'agg smoke never spilled'; \
-		print('agg smoke OK:', s['suite_digest'][:12], f'({spilled:.0f} partitions spilled)')"
+		print(f'{spilled:.0f} partitions spilled')"
 
-cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest
+cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every run drained
 	$(PYTHON) -m repro cluster-sim steady,skew --quick --replicas 2 \
 		--jobs 1 --no-cache --out cluster-serial.json
 	$(PYTHON) -m repro cluster-sim steady,skew --quick --replicas 2 \
 		--jobs 2 --no-cache --out cluster-parallel.json
+	$(PYTHON) tools/same_digest.py cluster cluster-serial.json cluster-parallel.json
 	$(PYTHON) -c "import json; s=json.load(open('cluster-serial.json')); \
-		p=json.load(open('cluster-parallel.json')); \
-		assert s['suite_digest'] == p['suite_digest'], 'cluster sims diverged under --jobs'; \
-		assert all(pt['metrics']['drained'] for pt in s['experiments']), 'a cluster run failed to drain'; \
-		print('cluster smoke OK:', s['suite_digest'][:12])"
+		assert all(pt['metrics']['drained'] for pt in s['experiments']), 'a cluster run failed to drain'"
+
+striped-smoke:   ## push pipeline over 1 and 2 devices, serial digest == --jobs digest
+	$(PYTHON) -m repro sweep st-push --param device_count --values 1,2 \
+		--scale 0.1 --streams 2 --jobs 1 --no-cache --out striped-serial.json
+	$(PYTHON) -m repro sweep st-push --param device_count --values 1,2 \
+		--scale 0.1 --streams 2 --jobs 2 --no-cache --out striped-parallel.json
+	$(PYTHON) tools/same_digest.py striped striped-serial.json striped-parallel.json --points 2
+
+runall-smoke:    ## run-all determinism: --jobs 2 == --jobs 1, then a cached re-run hits both entries
+	$(PYTHON) -m repro run-all --only e1,e4 --scale 0.1 --streams 2 \
+		--jobs 1 --no-cache --out runall-serial.json
+	$(PYTHON) -m repro run-all --only e1,e4 --scale 0.1 --streams 2 \
+		--jobs 2 --no-cache --out runall-parallel.json
+	$(PYTHON) tools/same_digest.py run-all runall-serial.json runall-parallel.json
+	$(PYTHON) -m repro run-all --only e1,e4 --scale 0.1 --streams 2
+	$(PYTHON) -m repro run-all --only e1,e4 --scale 0.1 --streams 2 | grep "2 cache hits"
 
 serve-quick:     ## service-layer smoke: steady scenario, bounds asserted
 	$(PYTHON) -m repro serve-sim steady --quick --no-cache --assert-bounded

@@ -46,12 +46,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import (
-    UnknownExperimentError,
-    all_experiments,
-    get,
-    render_result,
-)
+from repro.experiments.registry import UnknownExperimentError, all_experiments, get
 from repro.metrics.report import format_table
 
 
@@ -240,23 +235,38 @@ def _parse_sharing_overrides(spec: str) -> Tuple[Tuple[str, object], ...]:
         name, sep, raw = token.partition("=")
         name = name.strip()
         if not sep:
-            raise SystemExit(
-                f"repro: error: malformed --sharing token {token!r} "
-                f"(expected key=value)"
+            raise UsageError(
+                f"malformed --sharing token {token!r} (expected key=value)"
             )
         if name not in known:
-            raise SystemExit(
-                f"repro: error: unknown SharingConfig field {name!r} "
+            raise UsageError(
+                f"unknown SharingConfig field {name!r} "
                 f"(known: {', '.join(sorted(known))})"
             )
         try:
             overrides[name] = parse_field_value(SharingConfig, name, raw.strip())
         except ValueError as exc:
-            raise SystemExit(f"repro: error: --sharing field {exc}") from None
+            raise UsageError(f"--sharing field {exc}") from None
     return tuple(sorted(overrides.items()))
 
 
+def _check_size(args: argparse.Namespace) -> None:
+    if args.scale <= 0:
+        raise UsageError(f"--scale must be positive, got {args.scale}")
+    if args.streams < 1:
+        raise UsageError(f"--streams must be >= 1, got {args.streams}")
+
+
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
+    """The settings the shared flags describe; a bad value raises
+    :class:`UsageError` before any simulation starts."""
+    from repro.buffer.replacement import make_policy
+
+    _check_size(args)
+    try:
+        make_policy(args.policy, capacity=1)
+    except ValueError as exc:
+        raise UsageError(f"bad --policy: {exc}") from None
     sharing_overrides = None
     if getattr(args, "sharing", None):
         sharing_overrides = _parse_sharing_overrides(args.sharing)
@@ -267,24 +277,22 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         try:
             parse_fault_spec(fault_spec)  # fail fast with a clean error
         except FaultSpecError as exc:
-            raise SystemExit(f"repro: error: bad --faults spec: {exc}")
+            raise UsageError(f"bad --faults spec: {exc}") from None
     sharing_policy = getattr(args, "sharing_policy", "grouping-throttling")
     from repro.core.policy import SHARING_POLICY_NAMES
 
     if sharing_policy not in SHARING_POLICY_NAMES:
-        raise SystemExit(
-            f"repro: error: unknown --sharing-policy {sharing_policy!r} "
+        raise UsageError(
+            f"unknown --sharing-policy {sharing_policy!r} "
             f"(known: {', '.join(SHARING_POLICY_NAMES)})"
         )
     device_count = getattr(args, "device_count", 1)
     if device_count < 1:
-        raise SystemExit(
-            f"repro: error: --device-count must be >= 1, got {device_count}"
-        )
+        raise UsageError(f"--device-count must be >= 1, got {device_count}")
     stripe_extents = getattr(args, "stripe_extents", None)
     if stripe_extents is not None and stripe_extents < 1:
-        raise SystemExit(
-            f"repro: error: --stripe-extents must be >= 1, got {stripe_extents}"
+        raise UsageError(
+            f"--stripe-extents must be >= 1, got {stripe_extents}"
         )
     return ExperimentSettings(
         scale=args.scale, n_streams=args.streams, seed=args.seed,
@@ -310,7 +318,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
         f"{spec.name.upper()} — {spec.description} "
         f"(scale {args.scale}, {args.streams} streams)"
     )
-    return header + "\n" + render_result(spec.execute(settings))
+    return header + "\n" + spec.run(settings).render()
 
 
 def _suite_report(suite, header: str) -> str:
@@ -360,8 +368,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     spec = get(args.experiment)
     values = [token.strip() for token in args.values.split(",") if token.strip()]
     if not values:
-        raise SystemExit("repro sweep: error: --values must name at least "
-                         "one grid point")
+        raise UsageError("--values must name at least one grid point")
     try:
         suite = run_sweep(
             spec.name, args.param, values, settings, jobs=args.jobs,
@@ -414,18 +421,16 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     settings = _settings_from_args(args)
     spec = get(args.experiment)
     if args.ring < 1:
-        raise SystemExit(f"repro trace: error: --ring must be >= 1, got {args.ring}")
+        raise UsageError(f"--ring must be >= 1, got {args.ring}")
     ring = RingBufferSink(capacity=args.ring)
     sinks = [ring]
     if args.out:
         try:
             sinks.append(JsonlSink(args.out))
         except OSError as exc:
-            raise SystemExit(
-                f"repro trace: error: cannot open --out {args.out!r}: {exc}"
-            )
+            raise UsageError(f"cannot open --out {args.out!r}: {exc}") from None
     with tracing(*sinks):
-        body = render_result(spec.execute(settings))
+        body = spec.run(settings).render()
     header = (
         f"{spec.name.upper()} — {spec.description} "
         f"(scale {args.scale}, {args.streams} streams, traced)"
@@ -445,7 +450,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """
     from collections import Counter
 
-    from repro.experiments.registry import metrics_of
     from repro.experiments.runner import metrics_digest
     from repro.faults.invariants import InvariantViolation
     from repro.trace import tracing
@@ -476,12 +480,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         counter = KindCounter()
         try:
             with tracing(counter):
-                result = spec.execute(settings.with_(fault_spec=plan))
+                result = spec.run(settings.with_(fault_spec=plan))
         except InvariantViolation as exc:
             violations += 1
             print(f"  INVARIANT VIOLATION: {exc}", file=sys.stderr)
             continue
-        digest = metrics_digest(metrics_of(result))
+        digest = metrics_digest(result.metrics())
         injected = ", ".join(
             f"{kind}={count}"
             for (category, kind), count in sorted(counter.counts.items())
@@ -501,27 +505,24 @@ def _cmd_scenarios(
 
     ``serve-sim`` and ``cluster-sim`` are this one command over different
     scenario tables (``prefix`` + scenario name is the experiment id).
-    Returns an exit code directly: 0 on success, 2 on an unknown
-    scenario or bad argument, 4 on an invariant violation (chaos runs),
-    5 when ``--assert-bounded`` found unbounded behaviour.
+    Returns an exit code directly: 0 on success, 4 on an invariant
+    violation (chaos runs), 5 when ``--assert-bounded`` found unbounded
+    behaviour; an unknown scenario or bad argument raises
+    :class:`UsageError`.
     """
     from repro.experiments.runner import ExperimentTask, run_tasks
     from repro.faults.invariants import InvariantViolation
     from repro.metrics.export import write_suite_json
-
-    def usage_error(message: str) -> int:
-        print(f"repro {args.command}: error: {message}", file=sys.stderr)
-        return 2
 
     if args.list_scenarios:
         print(format_table(["scenario", "description"], sorted(scenarios.items())))
         return 0
     names = [n.strip() for n in args.scenario.split(",") if n.strip()]
     if not names:
-        return usage_error("no scenario named")
+        raise UsageError("no scenario named")
     for name in names:
         if name not in scenarios:
-            return usage_error(
+            raise UsageError(
                 f"unknown scenario {name!r} "
                 f"(known: {', '.join(sorted(scenarios))})"
             )
@@ -539,7 +540,7 @@ def _cmd_scenarios(
         if value is None:
             continue
         if value <= 0:
-            return usage_error(f"--{flag} must be {need}, got {value}")
+            raise UsageError(f"--{flag} must be {need}, got {value}")
         settings = settings.with_(**{field: value})
     tasks = [
         ExperimentTask(experiment=f"{prefix}{name}", settings=settings)
@@ -581,6 +582,7 @@ def _cmd_scenarios(
 def _cmd_quickstart(args: argparse.Namespace) -> str:
     from repro.experiments.harness import compare_modes
 
+    _check_size(args)
     settings = ExperimentSettings(scale=args.scale, n_streams=args.streams)
     comparison = compare_modes(settings)
     rows = [
@@ -597,20 +599,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "chaos":
-        try:
-            return _cmd_chaos(args)
-        except UnknownExperimentError as exc:
-            print(f"repro chaos: error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "serve-sim":
-        from repro.service.scenarios import SCENARIOS
-
-        return _cmd_scenarios(args, SCENARIOS, "sv-")
-    if args.command == "cluster-sim":
-        from repro.cluster.scenarios import CLUSTER_SCENARIOS
-
-        return _cmd_scenarios(args, CLUSTER_SCENARIOS, "sv-cluster-")
     commands = {
         "list": lambda: _cmd_list(),
         "run": lambda: _cmd_run(args),
@@ -620,6 +608,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "quickstart": lambda: _cmd_quickstart(args),
     }
     try:
+        if args.command == "chaos":
+            return _cmd_chaos(args)
+        if args.command == "serve-sim":
+            from repro.service.scenarios import SCENARIOS
+
+            return _cmd_scenarios(args, SCENARIOS, "sv-")
+        if args.command == "cluster-sim":
+            from repro.cluster.scenarios import CLUSTER_SCENARIOS
+
+            return _cmd_scenarios(args, CLUSTER_SCENARIOS, "sv-cluster-")
         print(commands[args.command]())
     except (UnknownExperimentError, UsageError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)

@@ -2,100 +2,12 @@
 
 Each experiment builds matched "Base" (vanilla) and "SS" (scan sharing)
 database instances, runs the same workload on both, and returns a typed
-result object whose ``render()`` reproduces the corresponding table or
-figure as text.  EXPERIMENTS.md records paper-vs-measured for each.
+result object whose ``metrics()`` is the JSON-safe dict the runner
+caches and digests and whose ``render()`` reproduces the corresponding
+table or figure as text.  EXPERIMENTS.md records paper-vs-measured for
+each.
+
+Import what you need from the submodules: ``harness`` (settings,
+``run_mode``), ``experiments``/``policies``/``striped``/``aggregation``
+(the experiment functions), ``registry`` (ids) and ``runner`` (suites).
 """
-
-from repro.experiments.harness import (
-    Comparison,
-    ExperimentSettings,
-    ModeResult,
-    compare_modes,
-    run_mode,
-)
-from repro.experiments.policies import (
-    PolicyComparisonResult,
-    PolicyMixResult,
-    pl_head2head,
-    pl_mix,
-)
-from repro.experiments.registry import (
-    REGISTRY,
-    ExperimentSpec,
-    UnknownExperimentError,
-    all_experiments,
-    metrics_of,
-    render_result,
-)
-from repro.experiments.runner import (
-    ExperimentTask,
-    ResultCache,
-    SuiteResult,
-    TaskResult,
-    derive_seed,
-    execute_task,
-    run_suite,
-    run_sweep,
-)
-from repro.experiments.experiments import (
-    ablation_bufferpool_sweep,
-    ablation_disk_array,
-    ablation_disk_scheduler,
-    ablation_fairness_cap,
-    ablation_policies,
-    ablation_priority,
-    ablation_threshold,
-    ablation_throttling,
-    e1_overhead,
-    e2_staggered_q6,
-    e3_staggered_q1,
-    e4_throughput,
-    e5_reads_timeline,
-    e6_seeks_timeline,
-    e7_per_stream,
-    e8_per_query,
-    e9_stream_scaling,
-)
-
-__all__ = [
-    "Comparison",
-    "ExperimentSettings",
-    "ExperimentSpec",
-    "ExperimentTask",
-    "ModeResult",
-    "PolicyComparisonResult",
-    "PolicyMixResult",
-    "REGISTRY",
-    "ResultCache",
-    "SuiteResult",
-    "TaskResult",
-    "UnknownExperimentError",
-    "all_experiments",
-    "derive_seed",
-    "execute_task",
-    "metrics_of",
-    "render_result",
-    "run_suite",
-    "run_sweep",
-    "ablation_bufferpool_sweep",
-    "ablation_disk_array",
-    "ablation_disk_scheduler",
-    "ablation_fairness_cap",
-    "ablation_policies",
-    "ablation_priority",
-    "ablation_threshold",
-    "ablation_throttling",
-    "pl_head2head",
-    "pl_mix",
-    "compare_modes",
-    "e1_overhead",
-    "e2_staggered_q6",
-    "e3_staggered_q1",
-    "e4_throughput",
-    "e5_reads_timeline",
-    "e6_seeks_timeline",
-    "e7_per_stream",
-    "e8_per_query",
-    "e9_stream_scaling",
-    "run_mode",
-]

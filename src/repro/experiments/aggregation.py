@@ -21,7 +21,7 @@ so the experiments stay cache/digest-compatible with the runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.config import SharingConfig
 from repro.experiments.harness import (
@@ -31,18 +31,8 @@ from repro.experiments.harness import (
     compare_modes,
     run_mode,
 )
-from repro.metrics.report import format_policy_table, format_table, percent_gain
+from repro.metrics.report import format_policy_table, format_table
 from repro.workloads.streams import tpch_streams
-
-__all__ = [
-    "AggCompeteResult",
-    "AggMixResult",
-    "JoinResult",
-    "ag_compete",
-    "ag_mix",
-    "collect_operator_stats",
-    "mj_join",
-]
 
 #: Default scans-plus-aggregation mix: two classic scan templates and
 #: the two budgeted aggregations, so budgeted and classic queries fight
@@ -64,14 +54,9 @@ SPILL_KEYS = (
 )
 
 
-def collect_operator_stats(mode: ModeResult) -> Dict[str, float]:
-    """Summed operator counters over every query of one mode's run."""
-    totals: Dict[str, float] = {}
-    for stream in mode.workload.streams:
-        for query in stream.queries:
-            for key, value in query.operator_stats().items():
-                totals[key] = totals.get(key, 0) + value
-    return totals
+def _spill(stats: Dict[str, float]) -> Dict[str, float]:
+    """The :data:`SPILL_KEYS` counters of one run's operator totals."""
+    return {key: stats.get(key, 0) for key in SPILL_KEYS}
 
 
 def _mix_streams(settings: ExperimentSettings, default_names) -> list:
@@ -88,8 +73,6 @@ class AggCompeteResult:
     """``ag-compete``: budgeted aggregation vs scans, Base vs SS."""
 
     comparison: Comparison
-    base_stats: Dict[str, float]
-    shared_stats: Dict[str, float]
     agg_strategy: str
 
     def metrics(self) -> Dict[str, Any]:
@@ -102,20 +85,17 @@ class AggCompeteResult:
             "shared_pages_read": shared.pages_read,
             "end_to_end_gain_percent": self.comparison.end_to_end_gain,
             "disk_read_gain_percent": self.comparison.disk_read_gain,
-            "base_spill": {
-                key: self.base_stats.get(key, 0) for key in SPILL_KEYS
-            },
-            "shared_spill": {
-                key: self.shared_stats.get(key, 0) for key in SPILL_KEYS
-            },
+            "base_spill": _spill(base.operator_totals()),
+            "shared_spill": _spill(shared.operator_totals()),
         }
 
     def render(self) -> str:
         rows = []
-        for label, mode, stats in (
-            ("Base", self.comparison.base, self.base_stats),
-            ("SS", self.comparison.shared, self.shared_stats),
+        for label, mode in (
+            ("Base", self.comparison.base),
+            ("SS", self.comparison.shared),
         ):
+            stats = mode.operator_totals()
             rows.append([
                 label,
                 mode.makespan,
@@ -131,12 +111,9 @@ class AggCompeteResult:
              "spill wr", "spill rd", "granted", "clawed"],
             rows,
         )
-        gain = percent_gain(
-            self.comparison.base.makespan, self.comparison.shared.makespan
-        )
         return (
             f"{table}\nagg strategy: {self.agg_strategy}; "
-            f"end-to-end gain: {gain:.1f} %"
+            f"end-to-end gain: {self.comparison.end_to_end_gain:.1f} %"
         )
 
 
@@ -146,11 +123,8 @@ def ag_compete(
     """AG-COMPETE: spillable aggregation competing with scans, Base/SS."""
     settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, AGG_MIX_QUERIES)
-    comparison = compare_modes(settings, streams=streams)
     return AggCompeteResult(
-        comparison=comparison,
-        base_stats=collect_operator_stats(comparison.base),
-        shared_stats=collect_operator_stats(comparison.shared),
+        comparison=compare_modes(settings, streams=streams),
         agg_strategy=settings.agg_strategy,
     )
 
@@ -159,29 +133,27 @@ def ag_compete(
 class AggMixResult:
     """``ag-mix``: the aggregation mix under one sharing policy.
 
-    Metric shape deliberately matches :class:`~repro.experiments.\
-policies.PolicyRunResult` (``policy`` + ``makespan`` + …) so the CLI's
-    sharing-policy sweep table aggregates ``ag-mix`` grid points exactly
-    as it does ``pl-mix`` ones; the spill counters ride along as extra
-    keys the table formatter ignores.
+    Metric shape deliberately matches ``pl-mix`` (the
+    :meth:`~repro.experiments.harness.ModeResult.policy_row` keys) so
+    the CLI's sharing-policy sweep table aggregates ``ag-mix`` grid
+    points exactly as it does ``pl-mix`` ones; the spill counters ride
+    along as extra keys the table formatter ignores.
     """
 
-    policy: str
+    mode: ModeResult
     agg_strategy: str
-    mode_metrics: Dict[str, Any]
-    spill_stats: Dict[str, float]
 
     def metrics(self) -> Dict[str, Any]:
-        merged = dict(self.mode_metrics)
+        merged = self.mode.policy_row()
         merged["agg_strategy"] = self.agg_strategy
-        for key in SPILL_KEYS:
-            merged[key] = self.spill_stats.get(key, 0)
+        merged.update(_spill(self.mode.operator_totals()))
         return merged
 
     def render(self) -> str:
-        table = format_policy_table([self.mode_metrics])
+        table = format_policy_table([self.mode.policy_row()])
         spill = ", ".join(
-            f"{key}={int(self.spill_stats.get(key, 0))}" for key in SPILL_KEYS
+            f"{key}={int(value)}"
+            for key, value in _spill(self.mode.operator_totals()).items()
         )
         return f"{table}\nspill [{self.agg_strategy}]: {spill}"
 
@@ -190,23 +162,11 @@ def ag_mix(settings: Optional[ExperimentSettings] = None) -> AggMixResult:
     """AG-MIX: scans-plus-aggregation under ``settings.sharing_policy``."""
     settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, AGG_MIX_QUERIES)
-    mode = run_mode(
-        settings, SharingConfig(), settings.sharing_policy, streams=streams
-    )
     return AggMixResult(
-        policy=settings.sharing_policy,
+        mode=run_mode(
+            settings, SharingConfig(), settings.sharing_policy, streams=streams
+        ),
         agg_strategy=settings.agg_strategy,
-        mode_metrics={
-            "policy": settings.sharing_policy,
-            "makespan": mode.makespan,
-            "pages_read": mode.pages_read,
-            "seeks": mode.seeks,
-            "hit_percent": 100.0 * mode.workload.buffer_hit_ratio,
-            "throttle_waits": mode.throttle_waits,
-            "scans_joined": mode.scans_joined,
-            "throttle_seconds": mode.workload.throttle_seconds,
-        },
-        spill_stats=collect_operator_stats(mode),
     )
 
 
@@ -214,37 +174,33 @@ def ag_mix(settings: Optional[ExperimentSettings] = None) -> AggMixResult:
 class JoinResult:
     """``mj-join``: multibuffer hash joins among range scans."""
 
-    policy: str
-    makespan: float
-    pages_read: int
-    join_chunks: float
-    build_pages_needed: float
-    spill_stats: Dict[str, float]
+    mode: ModeResult
 
     def metrics(self) -> Dict[str, Any]:
+        stats = self.mode.operator_totals()
         merged = {
-            "policy": self.policy,
-            "makespan": self.makespan,
-            "pages_read": self.pages_read,
-            "join_chunks": self.join_chunks,
-            "build_pages_needed": self.build_pages_needed,
+            "policy": self.mode.label,
+            "makespan": self.mode.makespan,
+            "pages_read": self.mode.pages_read,
+            "join_chunks": stats.get("join_chunks", 0),
+            "build_pages_needed": stats.get("build_pages_needed", 0),
         }
-        for key in SPILL_KEYS:
-            merged[key] = self.spill_stats.get(key, 0)
+        merged.update(_spill(stats))
         return merged
 
     def render(self) -> str:
+        stats = self.mode.operator_totals()
         return format_table(
             ["policy", "makespan (s)", "pages read", "probe passes",
              "build frames", "spills", "spill wr"],
             [[
-                self.policy,
-                self.makespan,
-                self.pages_read,
-                int(self.join_chunks),
-                int(self.build_pages_needed),
-                int(self.spill_stats.get("spill_events", 0)),
-                int(self.spill_stats.get("spill_pages_written", 0)),
+                self.mode.label,
+                self.mode.makespan,
+                self.mode.pages_read,
+                int(stats.get("join_chunks", 0)),
+                int(stats.get("build_pages_needed", 0)),
+                int(stats.get("spill_events", 0)),
+                int(stats.get("spill_pages_written", 0)),
             ]],
         )
 
@@ -253,15 +209,6 @@ def mj_join(settings: Optional[ExperimentSettings] = None) -> JoinResult:
     """MJ-JOIN: multibuffer joins sharing the pool with range scans."""
     settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, JOIN_MIX_QUERIES)
-    mode = run_mode(
+    return JoinResult(mode=run_mode(
         settings, SharingConfig(), settings.sharing_policy, streams=streams
-    )
-    stats = collect_operator_stats(mode)
-    return JoinResult(
-        policy=settings.sharing_policy,
-        makespan=mode.makespan,
-        pages_read=mode.pages_read,
-        join_chunks=stats.get("join_chunks", 0),
-        build_pages_needed=stats.get("build_pages_needed", 0),
-        spill_stats=stats,
-    )
+    ))

@@ -1,28 +1,34 @@
 """One function per table/figure of the evaluation (plus ablations).
 
-Every function returns a result object with a ``render()`` method that
-prints the same rows/series the paper reports.  See DESIGN.md for the
-experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
+Every function returns a result object with ``metrics()`` (the JSON-safe
+dict the runner caches and digests) and ``render()`` (the same
+rows/series the paper reports).  See DESIGN.md for the experiment index
+and EXPERIMENTS.md for paper-vs-measured numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SharingConfig
-from repro.engine.query import QuerySpec
+from repro.engine.expressions import col, lit
+from repro.engine.operators import AggSpec
+from repro.engine.query import QuerySpec, ScanStep
 from repro.experiments.harness import (
     Comparison,
     ExperimentSettings,
     ModeResult,
     compare_modes,
+    expected_pool_pages,
+    expected_table_pages,
     run_mode,
 )
 from repro.metrics.report import format_series, format_table, percent_gain
 from repro.workloads.tpch_queries import make_query
+from repro.workloads.tpch_schema import DATE_RANGE_DAYS, TPCH_BASE_PAGES
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +46,11 @@ class OverheadResult:
     def overhead_percent(self) -> float:
         """Positive = SS slower than Base (this is overhead, not gain)."""
         return -self.comparison.end_to_end_gain
+
+    def metrics(self) -> Dict[str, Any]:
+        metrics = self.comparison.metrics()
+        metrics["overhead_percent"] = self.overhead_percent
+        return metrics
 
     def render(self) -> str:
         rows = [
@@ -76,6 +87,14 @@ class StaggeredResult:
             percent_gain(base, shared)
             for base, shared in zip(self.per_run_base, self.per_run_shared)
         ]
+
+    def metrics(self) -> Dict[str, Any]:
+        metrics = self.comparison.metrics()
+        metrics["query"] = self.query_name
+        metrics["per_run_base"] = list(self.per_run_base)
+        metrics["per_run_shared"] = list(self.per_run_shared)
+        metrics["per_run_gain_percent"] = self.per_run_gains()
+        return metrics
 
     def render(self) -> str:
         cpu_rows = []
@@ -114,12 +133,6 @@ def _staggered_query(query_name: str, settings: ExperimentSettings) -> QuerySpec
     the experiment degenerates; we therefore size the scanned range to
     the same multiple of the actual pool.
     """
-    from repro.engine.expressions import col
-    from repro.engine.operators import AggSpec
-    from repro.engine.query import ScanStep
-    from repro.experiments.harness import expected_pool_pages, expected_table_pages
-    from repro.workloads.tpch_schema import DATE_RANGE_DAYS
-
     rng = np.random.default_rng(settings.seed)
     if query_name != "Q6":
         return make_query(query_name, rng)
@@ -136,7 +149,7 @@ def _staggered_query(query_name: str, settings: ExperimentSettings) -> QuerySpec
                 cluster_range=(start, DATE_RANGE_DAYS),
                 predicate=(
                     col("l_discount").between(0.05, 0.07)
-                    & (col("l_quantity") < _lit24())
+                    & (col("l_quantity") < lit(24))
                 ),
                 aggregates=(
                     AggSpec("revenue", "sum",
@@ -146,12 +159,6 @@ def _staggered_query(query_name: str, settings: ExperimentSettings) -> QuerySpec
             ),
         ),
     )
-
-
-def _lit24():
-    from repro.engine.expressions import lit
-
-    return lit(24)
 
 
 def _staggered(
@@ -212,41 +219,11 @@ def e3_staggered_q1(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ThroughputResult:
-    """E4 (and the data behind E5–E8): the full throughput comparison."""
-
-    comparison: Comparison
-
-    @property
-    def end_to_end_gain(self) -> float:
-        return self.comparison.end_to_end_gain
-
-    @property
-    def disk_read_gain(self) -> float:
-        return self.comparison.disk_read_gain
-
-    @property
-    def disk_seek_gain(self) -> float:
-        return self.comparison.disk_seek_gain
-
-    def render(self) -> str:
-        rows = [[
-            f"{self.end_to_end_gain:.0f}%",
-            f"{self.disk_read_gain:.0f}%",
-            f"{self.disk_seek_gain:.0f}%",
-        ]]
-        return format_table(
-            ["End-to-end gain", "Avg. disk read gain", "Avg. disk seek gain"],
-            rows,
-        )
-
-
 def e4_throughput(
     settings: Optional[ExperimentSettings] = None,
-) -> ThroughputResult:
+) -> Comparison:
     """E4: N-stream TPC-H throughput run, Base vs SS (Table 1 analog)."""
-    return ThroughputResult(comparison=compare_modes(settings or ExperimentSettings()))
+    return compare_modes(settings or ExperimentSettings())
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +238,15 @@ class TimelineResult:
     metric: str
     base_series: List[float]
     shared_series: List[float]
+
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            "metric": self.metric,
+            "base_series": list(self.base_series),
+            "shared_series": list(self.shared_series),
+            "base_total": sum(self.base_series),
+            "shared_total": sum(self.shared_series),
+        }
 
     def render(self) -> str:
         return (
@@ -315,6 +301,15 @@ class PerStreamResult:
             for stream_id in sorted(self.base_elapsed)
         }
 
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            "base_elapsed": {str(k): v for k, v in self.base_elapsed.items()},
+            "shared_elapsed": {
+                str(k): v for k, v in self.shared_elapsed.items()
+            },
+            "gain_percent": {str(k): v for k, v in self.gains().items()},
+        }
+
     def render(self) -> str:
         rows = [
             [f"stream {sid}", self.base_elapsed[sid], self.shared_elapsed[sid],
@@ -347,6 +342,13 @@ class PerQueryResult:
         return {
             name: percent_gain(self.base_elapsed[name], self.shared_elapsed[name])
             for name in sorted(self.base_elapsed, key=_query_sort_key)
+        }
+
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            "base_elapsed": dict(self.base_elapsed),
+            "shared_elapsed": dict(self.shared_elapsed),
+            "gain_percent": self.gains(),
         }
 
     def render(self) -> str:
@@ -391,11 +393,17 @@ class StreamScalingResult:
     def throughput(self, n_streams: int, shared: bool) -> float:
         """Queries per second at a stream count."""
         comparison = self.points[n_streams]
-        mode = comparison.shared if shared else comparison.base
-        n_queries = sum(
-            len(stream.queries) for stream in mode.workload.streams
-        )
-        return n_queries / mode.makespan
+        return (comparison.shared if shared else comparison.base).throughput_qps
+
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            str(n): dict(
+                self.points[n].metrics(),
+                base_qps=self.throughput(n, shared=False),
+                shared_qps=self.throughput(n, shared=True),
+            )
+            for n in sorted(self.points)
+        }
 
     def render(self) -> str:
         rows = []
@@ -446,10 +454,43 @@ class SweepResult:
     def makespans(self) -> Dict[str, float]:
         return {label: makespan for label, makespan, _p, _s in self.rows}
 
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            "knob": self.knob,
+            "rows": [
+                {"label": label, "makespan": makespan,
+                 "pages_read": pages, "seeks": seeks}
+                for label, makespan, pages, seeks in self.rows
+            ],
+        }
+
     def render(self) -> str:
         return format_table(
             [self.knob, "makespan (s)", "pages read", "seeks"],
             [list(row) for row in self.rows],
+        )
+
+
+@dataclass
+class ComparisonSweep:
+    """A4/A9: one Base-vs-SS comparison per value of one knob."""
+
+    knob: str  # table header: "pool" (a fraction) or "disks" (a count)
+    points: Dict[Any, Comparison]
+
+    def metrics(self) -> Dict[str, Any]:
+        return {str(key): comparison.metrics()
+                for key, comparison in sorted(self.points.items())}
+
+    def render(self) -> str:
+        rows = [
+            [f"{key:.0%}" if isinstance(key, float) else key,
+             c.base.makespan, c.shared.makespan, c.end_to_end_gain,
+             c.disk_read_gain]
+            for key, c in sorted(self.points.items())
+        ]
+        return format_table(
+            [self.knob, "Base (s)", "SS (s)", "e2e gain %", "read gain %"], rows
         )
 
 
@@ -512,7 +553,7 @@ def ablation_threshold(
 def ablation_bufferpool_sweep(
     settings: Optional[ExperimentSettings] = None,
     fractions: Sequence[float] = (0.05, 0.10, 0.20, 0.40, 1.50),
-) -> Dict[float, Comparison]:
+) -> ComparisonSweep:
     """A4: sharing benefit as a function of bufferpool size.
 
     Pool sizes are set explicitly from the scaled database size (bypassing
@@ -525,18 +566,15 @@ def ablation_bufferpool_sweep(
     pool caches the whole database (the 1.5× point), where even unshared
     scans stop doing I/O.
     """
-    from repro.experiments.harness import expected_table_pages
-    from repro.workloads.tpch_schema import TPCH_BASE_PAGES
-
     settings = settings or ExperimentSettings()
     total_pages = sum(
         expected_table_pages(settings, name) for name in TPCH_BASE_PAGES
     )
-    out = {}
+    points = {}
     for fraction in fractions:
         pool_pages = max(48, int(total_pages * fraction))
-        out[fraction] = compare_modes(settings.with_(pool_pages=pool_pages))
-    return out
+        points[fraction] = compare_modes(settings.with_(pool_pages=pool_pages))
+    return ComparisonSweep(knob="pool", points=points)
 
 
 def ablation_policies(
@@ -590,7 +628,7 @@ def ablation_disk_scheduler(
 def ablation_disk_array(
     settings: Optional[ExperimentSettings] = None,
     disk_counts: Sequence[int] = (1, 2, 4),
-) -> Dict[int, Comparison]:
+) -> ComparisonSweep:
     """A9: does more storage hardware substitute for coordination?
 
     Sweeping the spindle count shows that striping attacks service time
@@ -598,10 +636,10 @@ def ablation_disk_array(
     independent, so coordination keeps paying on any array size.
     """
     settings = settings or ExperimentSettings()
-    out: Dict[int, Comparison] = {}
-    for n_disks in disk_counts:
-        out[n_disks] = compare_modes(settings.with_(device_count=n_disks))
-    return out
+    return ComparisonSweep(knob="disks", points={
+        n_disks: compare_modes(settings.with_(device_count=n_disks))
+        for n_disks in disk_counts
+    })
 
 
 def ablation_fairness_cap(

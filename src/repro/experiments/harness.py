@@ -11,9 +11,9 @@ from repro.faults.plan import FaultPlan
 from repro.engine.executor import WorkloadResult, run_workload
 from repro.engine.query import QuerySpec
 from repro.metrics.cpu import CpuBreakdown
-from repro.metrics.report import percent_gain
+from repro.metrics.report import format_table, percent_gain
 from repro.workloads.streams import tpch_streams
-from repro.workloads.tpch_schema import make_tpch_database
+from repro.workloads.tpch_schema import TPCH_BASE_PAGES, make_tpch_database
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,12 @@ class ExperimentSettings:
 
 @dataclass
 class ModeResult:
-    """Everything measured for one mode (Base or SS) of one experiment."""
+    """Everything measured for one mode (Base or SS) of one experiment.
+
+    The one per-mode record of every experiment: each table reads the
+    projection it needs (``policy_row()``, ``operator_totals()``,
+    ``per_device``) instead of copying fields into a record of its own.
+    """
 
     label: str
     workload: WorkloadResult
@@ -111,6 +116,12 @@ class ModeResult:
     per_query_elapsed: Dict[str, float] = field(default_factory=dict)
     throttle_waits: int = 0
     scans_joined: int = 0
+    queries: int = 0
+    pushed_pages: int = 0
+    push_deliveries: int = 0
+    #: One row per spindle (a single disk yields one row): requests,
+    #: pages, seeks, busy time.
+    per_device: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def makespan(self) -> float:
@@ -124,10 +135,52 @@ class ModeResult:
     def seeks(self) -> int:
         return self.workload.seeks
 
+    @property
+    def throughput_qps(self) -> float:
+        """Queries finished per simulated second."""
+        if self.makespan <= 0:
+            return 0.0
+        return self.queries / self.makespan
+
+    def policy_row(self, base: Optional["ModeResult"] = None) -> Dict[str, Any]:
+        """One row of a sharing-policy table (see
+        :func:`~repro.metrics.report.format_policy_table`), labelled by
+        ``label``; with gain columns when a baseline is given."""
+        row: Dict[str, Any] = {
+            "policy": self.label,
+            "makespan": self.makespan,
+            "pages_read": self.pages_read,
+            "seeks": self.seeks,
+            "hit_percent": 100.0 * self.workload.buffer_hit_ratio,
+            "throttle_waits": self.throttle_waits,
+            "scans_joined": self.scans_joined,
+            "throttle_seconds": self.workload.throttle_seconds,
+        }
+        if base is not None:
+            row["end_to_end_gain_percent"] = percent_gain(
+                base.makespan, self.makespan
+            )
+            row["disk_read_gain_percent"] = percent_gain(
+                float(base.pages_read), float(self.pages_read)
+            )
+        return row
+
+    def operator_totals(self) -> Dict[str, float]:
+        """Summed operator counters over every query of this run."""
+        totals: Dict[str, float] = {}
+        for stream in self.workload.streams:
+            for query in stream.queries:
+                for key, value in query.operator_stats().items():
+                    totals[key] = totals.get(key, 0) + value
+        return totals
+
 
 @dataclass
 class Comparison:
-    """A matched Base/SS pair with the paper's three headline gains."""
+    """A matched Base/SS pair with the paper's three headline gains.
+
+    E4 returns one as is; its ``render()`` is the Table-1 row.
+    """
 
     base: ModeResult
     shared: ModeResult
@@ -147,21 +200,42 @@ class Comparison:
         """Percent reduction in seeks (paper Table 1, column 3)."""
         return percent_gain(float(self.base.seeks), float(self.shared.seeks))
 
+    def metrics(self) -> Dict[str, Any]:
+        """The headline numbers of the pair."""
+        return {
+            "base_makespan": self.base.makespan,
+            "shared_makespan": self.shared.makespan,
+            "base_pages_read": self.base.pages_read,
+            "shared_pages_read": self.shared.pages_read,
+            "base_seeks": self.base.seeks,
+            "shared_seeks": self.shared.seeks,
+            "end_to_end_gain_percent": self.end_to_end_gain,
+            "disk_read_gain_percent": self.disk_read_gain,
+            "disk_seek_gain_percent": self.disk_seek_gain,
+        }
+
+    def render(self) -> str:
+        rows = [[
+            f"{self.end_to_end_gain:.0f}%",
+            f"{self.disk_read_gain:.0f}%",
+            f"{self.disk_seek_gain:.0f}%",
+        ]]
+        return format_table(
+            ["End-to-end gain", "Avg. disk read gain", "Avg. disk seek gain"],
+            rows,
+        )
+
 
 def expected_table_pages(settings: ExperimentSettings, name: str,
                          extent_size: int = 16) -> int:
     """Page count a table will get at these settings (mirrors the
     sizing logic in :func:`repro.workloads.tpch_schema.make_tpch_database`)."""
-    from repro.workloads.tpch_schema import TPCH_BASE_PAGES
-
     return max(extent_size, int(TPCH_BASE_PAGES[name] * settings.scale))
 
 
 def expected_pool_pages(settings: ExperimentSettings,
                         extent_size: int = 16) -> int:
     """Bufferpool size the database will get at these settings."""
-    from repro.workloads.tpch_schema import TPCH_BASE_PAGES
-
     total = sum(
         max(extent_size, int(pages * settings.scale))
         for pages in TPCH_BASE_PAGES.values()
@@ -213,7 +287,10 @@ def run_mode(
     stagger_list: Optional[Sequence[float]] = None,
     timeline_buckets: int = 40,
 ) -> ModeResult:
-    """Run one workload under one configuration and collect everything."""
+    """Run one workload under one configuration and collect everything.
+
+    The only place an experiment builds a database and runs a workload.
+    """
     if sharing.enabled:
         sharing = settings.apply_sharing_overrides(sharing)
     db = build_database(settings, sharing)
@@ -228,6 +305,7 @@ def run_mode(
     )
     until = max(db.sim.now, 1e-9)
     bucket = until / timeline_buckets
+    disks = getattr(db.disk, "disks", None) or [db.disk]
     return ModeResult(
         label=label,
         workload=workload,
@@ -243,6 +321,19 @@ def run_mode(
             db.sharing.stats.scans_joined_ongoing
             + db.sharing.stats.scans_joined_last_finished
         ),
+        queries=sum(len(stream) for stream in streams),
+        pushed_pages=db.pool.stats.pushed_pages,
+        push_deliveries=db.push.stats.deliveries if db.push is not None else 0,
+        per_device=[
+            {
+                "device": disk.device_index,
+                "reads": disk.stats.reads,
+                "pages_read": disk.stats.pages_read,
+                "seeks": disk.stats.seeks,
+                "busy_time": disk.stats.busy_time,
+            }
+            for disk in disks
+        ],
     )
 
 

@@ -20,105 +20,49 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import SharingConfig
 from repro.core.policy import SHARING_POLICY_NAMES
 from repro.experiments.harness import ExperimentSettings, ModeResult, run_mode
-from repro.metrics.report import format_policy_table, percent_gain
-
-__all__ = [
-    "PolicyComparisonResult",
-    "PolicyMixResult",
-    "PolicyRunResult",
-    "pl_head2head",
-    "pl_mix",
-]
-
-
-@dataclass(frozen=True)
-class PolicyRunResult:
-    """Headline numbers of one workload run under one sharing policy."""
-
-    policy: str
-    makespan: float
-    pages_read: int
-    seeks: int
-    hit_percent: float
-    throttle_waits: int
-    scans_joined: int
-    throttle_seconds: float
-
-    def metrics(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "makespan": self.makespan,
-            "pages_read": self.pages_read,
-            "seeks": self.seeks,
-            "hit_percent": self.hit_percent,
-            "throttle_waits": self.throttle_waits,
-            "scans_joined": self.scans_joined,
-            "throttle_seconds": self.throttle_seconds,
-        }
-
-    def row(self, base: Optional["PolicyRunResult"] = None) -> Dict[str, Any]:
-        """A table row, with gain columns when a baseline is given."""
-        cells = self.metrics()
-        if base is not None:
-            cells["end_to_end_gain_percent"] = percent_gain(
-                base.makespan, self.makespan
-            )
-            cells["disk_read_gain_percent"] = percent_gain(
-                float(base.pages_read), float(self.pages_read)
-            )
-        return cells
-
-
-def _policy_run(policy: str, mode: ModeResult) -> PolicyRunResult:
-    return PolicyRunResult(
-        policy=policy,
-        makespan=mode.makespan,
-        pages_read=mode.pages_read,
-        seeks=mode.seeks,
-        hit_percent=100.0 * mode.workload.buffer_hit_ratio,
-        throttle_waits=mode.throttle_waits,
-        scans_joined=mode.scans_joined,
-        throttle_seconds=mode.workload.throttle_seconds,
-    )
+from repro.metrics.report import format_policy_table
 
 
 @dataclass
 class PolicyMixResult:
     """``pl-mix``: the TPC-H stream mix under one sharing policy."""
 
-    run: PolicyRunResult
+    run: ModeResult
 
     def metrics(self) -> Dict[str, Any]:
-        return self.run.metrics()
+        return self.run.policy_row()
 
     def render(self) -> str:
-        return format_policy_table([self.run.row()])
+        return format_policy_table([self.run.policy_row()])
 
 
 @dataclass
 class PolicyComparisonResult:
     """``pl-head2head``: Base plus every sharing policy, one seed."""
 
-    base: PolicyRunResult
-    runs: List[PolicyRunResult]
+    base: ModeResult
+    runs: List[ModeResult]
 
     def metrics(self) -> Dict[str, Any]:
         return {
-            "base": self.base.metrics(),
-            "policies": {run.policy: run.row(self.base) for run in self.runs},
+            "base": self.base.policy_row(),
+            "policies": {
+                run.label: run.policy_row(self.base) for run in self.runs
+            },
         }
 
     def render(self) -> str:
-        rows = [self.base.row()]
-        rows.extend(run.row(self.base) for run in self.runs)
+        rows = [self.base.policy_row()]
+        rows.extend(run.policy_row(self.base) for run in self.runs)
         return format_policy_table(rows)
 
 
 def pl_mix(settings: Optional[ExperimentSettings] = None) -> PolicyMixResult:
     """PL-MIX: the stream mix under ``settings.sharing_policy`` alone."""
     settings = settings or ExperimentSettings()
-    mode = run_mode(settings, SharingConfig(), settings.sharing_policy)
-    return PolicyMixResult(run=_policy_run(settings.sharing_policy, mode))
+    return PolicyMixResult(
+        run=run_mode(settings, SharingConfig(), settings.sharing_policy)
+    )
 
 
 def pl_head2head(
@@ -126,16 +70,9 @@ def pl_head2head(
 ) -> PolicyComparisonResult:
     """PL-HEAD2HEAD: Base vs all three policies on one workload."""
     settings = settings or ExperimentSettings()
-    base = _policy_run(
-        "base", run_mode(settings, SharingConfig(enabled=False), "base")
-    )
+    base = run_mode(settings, SharingConfig(enabled=False), "base")
     runs = [
-        _policy_run(
-            name,
-            run_mode(
-                settings.with_(sharing_policy=name), SharingConfig(), name
-            ),
-        )
+        run_mode(settings.with_(sharing_policy=name), SharingConfig(), name)
         for name in SHARING_POLICY_NAMES
     ]
     return PolicyComparisonResult(base=base, runs=runs)

@@ -35,7 +35,7 @@ from typing import (
 )
 
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import all_experiments, get, metrics_of, render_result
+from repro.experiments.registry import all_experiments, get
 
 #: Default on-disk cache location; override per-call or with REPRO_CACHE_DIR.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -216,14 +216,14 @@ def execute_task(task: ExperimentTask) -> TaskResult:
     settings = task.settings.with_(seed=seed)
     spec = get(task.experiment)
     start = time.perf_counter()
-    result = spec.execute(settings)
+    result = spec.run(settings)
     elapsed = time.perf_counter() - start
     return TaskResult(
         experiment=task.experiment,
         sweep_point=task.sweep_point,
         seed=seed,
-        metrics=metrics_of(result),
-        render=render_result(result),
+        metrics=result.metrics(),
+        render=result.render(),
         elapsed_seconds=elapsed,
         cache="off",
     )

@@ -17,99 +17,29 @@ exercising the :class:`~repro.disk.array.ArrayStats` per-device split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.config import SharingConfig
-from repro.experiments.harness import ExperimentSettings, build_database
-from repro.engine.executor import run_workload
+from repro.experiments.harness import ExperimentSettings, ModeResult, run_mode
 from repro.metrics.report import format_table, percent_gain
-from repro.workloads.streams import tpch_streams
 
 
-def per_device_stats(db) -> List[Dict[str, Any]]:
-    """One row per spindle: requests, pages, seeks, busy time.
-
-    A single :class:`~repro.disk.device.Disk` yields one row, so callers
-    never special-case the device count.
-    """
-    disks = getattr(db.disk, "disks", None) or [db.disk]
-    return [
-        {
-            "device": disk.device_index,
-            "reads": disk.stats.reads,
-            "pages_read": disk.stats.pages_read,
-            "seeks": disk.stats.seeks,
-            "busy_time": disk.stats.busy_time,
-        }
-        for disk in disks
-    ]
+def _mode_metrics(mode: ModeResult) -> Dict[str, Any]:
+    """The per-mode numbers both ``st-*`` experiments report."""
+    return {
+        "makespan": mode.makespan,
+        "throughput_qps": mode.throughput_qps,
+        "pages_read": mode.pages_read,
+        "seeks": mode.seeks,
+        "buffer_hit_ratio": mode.workload.buffer_hit_ratio,
+        "pushed_pages": mode.pushed_pages,
+        "push_deliveries": mode.push_deliveries,
+        "per_device": [dict(row) for row in mode.per_device],
+    }
 
 
-@dataclass
-class StripedMode:
-    """Everything measured for one mode of a striped experiment."""
-
-    label: str
-    device_count: int
-    makespan: float
-    queries: int
-    pages_read: int
-    seeks: int
-    buffer_hit_ratio: float
-    pushed_pages: int
-    push_deliveries: int
-    per_device: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def throughput_qps(self) -> float:
-        """Queries finished per simulated second."""
-        if self.makespan <= 0:
-            return 0.0
-        return self.queries / self.makespan
-
-    def metrics(self) -> Dict[str, Any]:
-        return {
-            "makespan": self.makespan,
-            "throughput_qps": self.throughput_qps,
-            "pages_read": self.pages_read,
-            "seeks": self.seeks,
-            "buffer_hit_ratio": self.buffer_hit_ratio,
-            "pushed_pages": self.pushed_pages,
-            "push_deliveries": self.push_deliveries,
-            "per_device": [dict(row) for row in self.per_device],
-        }
-
-
-def _run_striped_mode(
-    settings: ExperimentSettings, sharing: SharingConfig, label: str
-) -> StripedMode:
-    """Run the standard multi-stream workload and keep device detail."""
-    if sharing.enabled:
-        sharing = settings.apply_sharing_overrides(sharing)
-    db = build_database(settings, sharing)
-    streams = tpch_streams(
-        settings.n_streams,
-        seed=settings.seed,
-        query_names=list(settings.query_names) if settings.query_names else None,
-    )
-    workload = run_workload(db, streams, stagger=settings.stagger)
-    push = db.push
-    return StripedMode(
-        label=label,
-        device_count=settings.device_count,
-        makespan=workload.makespan,
-        queries=sum(len(stream) for stream in streams),
-        pages_read=workload.pages_read,
-        seeks=workload.seeks,
-        buffer_hit_ratio=workload.buffer_hit_ratio,
-        pushed_pages=db.pool.stats.pushed_pages,
-        push_deliveries=push.stats.deliveries if push is not None else 0,
-        per_device=per_device_stats(db),
-    )
-
-
-def _device_table(modes: Sequence[StripedMode]) -> str:
+def _device_table(modes: Sequence[ModeResult]) -> str:
     rows = []
     for mode in modes:
         for entry in mode.per_device:
@@ -127,8 +57,9 @@ def _device_table(modes: Sequence[StripedMode]) -> str:
 class StripedPushResult:
     """st-push: the same shared workload, pull vs push, one device count."""
 
-    pull: StripedMode
-    push: StripedMode
+    device_count: int
+    pull: ModeResult
+    push: ModeResult
 
     @property
     def end_to_end_gain(self) -> float:
@@ -140,9 +71,9 @@ class StripedPushResult:
 
     def metrics(self) -> Dict[str, Any]:
         return {
-            "device_count": self.pull.device_count,
-            "pull": self.pull.metrics(),
-            "push": self.push.metrics(),
+            "device_count": self.device_count,
+            "pull": _mode_metrics(self.pull),
+            "push": _mode_metrics(self.push),
             "end_to_end_gain_percent": self.end_to_end_gain,
             "disk_read_gain_percent": self.disk_read_gain,
         }
@@ -154,12 +85,12 @@ class StripedPushResult:
             [
                 [mode.label, mode.makespan, f"{mode.throughput_qps:.2f}",
                  mode.pages_read, mode.seeks,
-                 f"{mode.buffer_hit_ratio:.3f}", mode.pushed_pages]
+                 f"{mode.workload.buffer_hit_ratio:.3f}", mode.pushed_pages]
                 for mode in (self.pull, self.push)
             ],
         )
         summary = (
-            f"push vs pull at {self.pull.device_count} device(s): "
+            f"push vs pull at {self.device_count} device(s): "
             f"{self.end_to_end_gain:+.1f} % end-to-end, "
             f"{self.disk_read_gain:+.1f} % pages read"
         )
@@ -173,7 +104,7 @@ class StripedPushResult:
 class StripedScalingResult:
     """st-scaling: push-pipeline throughput across device counts."""
 
-    points: Dict[int, StripedMode]
+    points: Dict[int, ModeResult]
 
     def speedup(self, device_count: int) -> float:
         """Throughput relative to the smallest configured device count."""
@@ -184,7 +115,7 @@ class StripedScalingResult:
 
     def metrics(self) -> Dict[str, Any]:
         return {
-            str(n): dict(self.points[n].metrics(), speedup=self.speedup(n))
+            str(n): dict(_mode_metrics(self.points[n]), speedup=self.speedup(n))
             for n in sorted(self.points)
         }
 
@@ -216,15 +147,17 @@ def st_push(settings: Optional[ExperimentSettings] = None) -> StripedPushResult:
     settings = settings or ExperimentSettings()
     if settings.stripe_extents is None:
         settings = settings.with_(stripe_extents=1)
-    pull = _run_striped_mode(
+    pull = run_mode(
         settings.with_(push_prefetch=False), SharingConfig(enabled=True),
         "SS pull",
     )
-    push = _run_striped_mode(
+    push = run_mode(
         settings.with_(push_prefetch=True), SharingConfig(enabled=True),
         "SS push",
     )
-    return StripedPushResult(pull=pull, push=push)
+    return StripedPushResult(
+        device_count=settings.device_count, pull=pull, push=push
+    )
 
 
 def st_scaling(
@@ -235,9 +168,9 @@ def st_scaling(
     settings = settings or ExperimentSettings()
     if settings.stripe_extents is None:
         settings = settings.with_(stripe_extents=1)
-    points: Dict[int, StripedMode] = {}
+    points: Dict[int, ModeResult] = {}
     for count in device_counts:
-        points[count] = _run_striped_mode(
+        points[count] = run_mode(
             settings.with_(device_count=count, push_prefetch=True),
             SharingConfig(enabled=True),
             f"{count} device(s)",

@@ -189,7 +189,7 @@ def format_policy_table(rows: Sequence[Mapping[str, object]]) -> str:
     """Render a sharing-policy comparison as an aligned table.
 
     Each row is a mapping with the keys named in :data:`POLICY_COLUMNS`
-    (``PolicyRunResult.row()`` produces exactly this shape); missing or
+    (``ModeResult.policy_row()`` produces exactly this shape); missing or
     ``None`` values render as ``-``, so a baseline row without gain
     columns still lines up.
     """

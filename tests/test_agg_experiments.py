@@ -22,7 +22,7 @@ from repro.experiments.aggregation import (
     mj_join,
 )
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import REGISTRY, metrics_of, render_result
+from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import metrics_digest, run_suite
 
 #: Small enough for the test lane, sized so the AG18 template's group
@@ -38,12 +38,12 @@ class TestAgCompete:
         assert metrics["shared_spill"]["spilled_partitions"] > 0
         assert metrics["base_spill"]["granted_pages"] > 0
         assert set(metrics["base_spill"]) == set(SPILL_KEYS)
-        rendered = render_result(result)
+        rendered = result.render()
         assert "spill" in rendered and "end-to-end gain" in rendered
 
     def test_deterministic_across_runs(self):
-        first = metrics_digest(metrics_of(ag_compete(SCENARIO)))
-        second = metrics_digest(metrics_of(ag_compete(SCENARIO)))
+        first = metrics_digest(ag_compete(SCENARIO).metrics())
+        second = metrics_digest(ag_compete(SCENARIO).metrics())
         assert first == second
 
     def test_strategy_changes_cost_not_registration(self):
@@ -52,8 +52,8 @@ class TestAgCompete:
         assert hash_run.agg_strategy == "hash"
         assert sort_run.agg_strategy == "sort"
         assert (
-            metrics_digest(metrics_of(hash_run))
-            != metrics_digest(metrics_of(sort_run))
+            metrics_digest(hash_run.metrics())
+            != metrics_digest(sort_run.metrics())
         ), "agg_strategy must be part of the metrics identity"
 
 
@@ -67,11 +67,11 @@ class TestAgMix:
         for key in SPILL_KEYS:
             assert key in metrics
         assert metrics["spilled_partitions"] > 0
-        assert "spill [hash]" in render_result(result)
+        assert "spill [hash]" in result.render()
 
     def test_policy_flows_through(self):
         result = ag_mix(SCENARIO.with_(sharing_policy="cooperative"))
-        assert result.policy == "cooperative"
+        assert result.mode.label == "cooperative"
         assert result.metrics()["policy"] == "cooperative"
 
     def test_custom_query_names_respected(self):
@@ -85,9 +85,9 @@ class TestMjJoin:
         metrics = result.metrics()
         assert metrics["join_chunks"] >= 1
         assert metrics["build_pages_needed"] > 0
-        assert "probe passes" in render_result(result)
+        assert "probe passes" in result.render()
         repeat = mj_join(SCENARIO)
-        assert metrics_digest(metrics) == metrics_digest(metrics_of(repeat))
+        assert metrics_digest(metrics) == metrics_digest(repeat.metrics())
 
 
 @pytest.mark.slow

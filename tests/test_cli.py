@@ -94,14 +94,14 @@ class TestExecution:
         assert args.ring == 500
         assert args.out is None
 
-    def test_trace_bad_ring_is_clean_error(self):
-        with pytest.raises(SystemExit, match="--ring must be >= 1"):
-            main(["trace", "e1", "--ring", "0"])
+    def test_trace_bad_ring_is_clean_error(self, capsys):
+        assert main(["trace", "e1", "--ring", "0"]) == 2
+        assert "--ring must be >= 1" in capsys.readouterr().err
 
-    def test_trace_unwritable_out_is_clean_error(self, tmp_path):
+    def test_trace_unwritable_out_is_clean_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "missing" / "trace.jsonl"
-        with pytest.raises(SystemExit, match="cannot open --out"):
-            main(["trace", "e1", "--out", str(missing_dir)])
+        assert main(["trace", "e1", "--out", str(missing_dir)]) == 2
+        assert "cannot open --out" in capsys.readouterr().err
 
     def test_quickstart_tiny(self, capsys):
         assert main(["quickstart", "--scale", "0.05", "--streams", "2"]) == 0
@@ -134,6 +134,37 @@ class TestUnknownExperiment:
         assert main(["sweep", "e99", "--param", "scale",
                      "--values", "0.1"]) == 2
         assert "unknown experiment 'e99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "e1", "--scale", "0"],
+    ["run", "e1", "--scale", "-1"],
+    ["run", "e1", "--streams", "0"],
+    ["run", "e1", "--policy", "bogus"],
+    ["run", "e1", "--sharing-policy", "bogus"],
+    ["run", "e1", "--device-count", "0"],
+    ["run", "e1", "--stripe-extents", "0"],
+    ["run", "e1", "--faults", "bogus"],
+    ["run", "e1", "--sharing", "foo=1"],
+    ["run-all", "--scale", "0", "--no-cache"],
+    ["sweep", "e1", "--param", "scale", "--values", "", "--no-cache"],
+    ["trace", "e1", "--ring", "0"],
+    ["chaos", "e2", "--scale", "0"],
+    ["chaos", "e2", "--policy", "bogus"],
+    ["chaos", "e1", "--faults", "bogus"],
+    ["serve-sim", "steady", "--streams", "0", "--no-cache"],
+    ["cluster-sim", "steady", "--scale", "0", "--no-cache"],
+    ["quickstart", "--scale", "0"],
+], ids=" ".join)
+def test_bad_value_is_one_line_exit_2(argv, capsys):
+    """Every bad CLI value exits 2 with one stderr line, before any work."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if line]
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+    assert "Traceback" not in captured.err
 
 
 class TestRunAll:
@@ -195,10 +226,10 @@ class TestSweep:
         assert "sv-steady[service_horizon=2.5]" in out
         assert "(horizon 2.500s)" in out
 
-    def test_sweep_empty_values_is_clean_error(self):
-        with pytest.raises(SystemExit, match="at least one grid point"):
-            main(["sweep", "e1", "--param", "scale", "--values", ",",
-                  "--no-cache"])
+    def test_sweep_empty_values_is_clean_error(self, capsys):
+        assert main(["sweep", "e1", "--param", "scale", "--values", ",",
+                     "--no-cache"]) == 2
+        assert "at least one grid point" in capsys.readouterr().err
 
 
 class TestChaosCommand:
@@ -222,9 +253,11 @@ class TestChaosCommand:
         assert "scan_kill" in out
         assert "metrics digest" in out
 
-    def test_chaos_bad_spec_exits_early(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "e1", "--faults", "warp-core-breach"])
+    def test_chaos_bad_spec_exits_early(self, capsys):
+        assert main(["chaos", "e1", "--faults", "warp-core-breach"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad --faults spec" in captured.err
 
     def test_chaos_unknown_experiment(self):
         assert main(["chaos", "e99", "--faults", "leader-abort"]) == 2
@@ -235,15 +268,15 @@ class TestChaosCommand:
         )
         assert args.sharing == "update_interval_pages=8,regroup_interval=0.1"
 
-    def test_sharing_overrides_bad_key_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "e1", "--scale", "0.05", "--streams", "1",
-                  "--sharing", "warp_factor=9"])
+    def test_sharing_overrides_bad_key_rejected(self, capsys):
+        assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
+                     "--sharing", "warp_factor=9"]) == 2
+        assert "unknown SharingConfig field" in capsys.readouterr().err
 
-    def test_sharing_overrides_bad_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "e1", "--scale", "0.05", "--streams", "1",
-                  "--sharing", "update_interval_pages=soon"])
+    def test_sharing_overrides_bad_value_rejected(self, capsys):
+        assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
+                     "--sharing", "update_interval_pages=soon"]) == 2
+        assert "--sharing field" in capsys.readouterr().err
 
     def test_run_with_sharing_override_works(self):
         assert main(["run", "e1", "--scale", "0.05", "--streams", "1",

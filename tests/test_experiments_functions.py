@@ -7,8 +7,7 @@ structurally valid, renderable result even at tiny scale.
 
 import pytest
 
-from repro.experiments import (
-    ExperimentSettings,
+from repro.experiments.experiments import (
     ablation_bufferpool_sweep,
     ablation_disk_array,
     ablation_disk_scheduler,
@@ -27,6 +26,7 @@ from repro.experiments import (
     e8_per_query,
     e9_stream_scaling,
 )
+from repro.experiments.harness import ExperimentSettings
 
 TINY = ExperimentSettings(scale=0.05, n_streams=2, query_names=("Q6", "Q14"))
 
@@ -51,7 +51,7 @@ class TestCoreExperiments:
     def test_e4(self):
         result = e4_throughput(TINY)
         assert "%" in result.render()
-        assert result.comparison.base.pages_read > 0
+        assert result.base.pages_read > 0
 
     def test_e5_e6_share_comparison(self):
         from repro.experiments.harness import compare_modes
@@ -92,8 +92,8 @@ class TestAblations:
         assert len(result.rows) == 2
 
     def test_a4(self):
-        comparisons = ablation_bufferpool_sweep(TINY, fractions=(0.3, 1.5))
-        assert set(comparisons) == {0.3, 1.5}
+        result = ablation_bufferpool_sweep(TINY, fractions=(0.3, 1.5))
+        assert set(result.points) == {0.3, 1.5}
 
     def test_a5(self):
         result = ablation_policies(TINY, policies=("lru",))
@@ -111,7 +111,7 @@ class TestAblations:
         }
 
     def test_a9(self):
-        comparisons = ablation_disk_array(TINY, disk_counts=(1, 2))
-        assert set(comparisons) == {1, 2}
-        for comparison in comparisons.values():
+        result = ablation_disk_array(TINY, disk_counts=(1, 2))
+        assert set(result.points) == {1, 2}
+        for comparison in result.points.values():
             assert comparison.base.pages_read > 0

@@ -8,8 +8,10 @@ single number or event count fails here with the exact diverging field.
 
 ``tests/golden/manifest.json`` is the wider, coarser rail: the metrics
 digest of every registered experiment at the quick geometry (``run-all
---scale 0.1 --streams 2``) plus the suite digest over them.  One
-``slow`` test reruns the suite and names the experiments that moved.
+--scale 0.1 --streams 2``) plus the suite digest over them, and the
+SHA-256 of every experiment's printed ``render()`` text.  One ``slow``
+test reruns the suite and names the experiments whose numbers or text
+moved.
 The manifest runs every experiment at the default ``agg_strategy``
 (``hash``); ``tests/golden/sort_strategy.json`` pins the two budgeted
 aggregation experiments at the same geometry under ``sort``, so the
@@ -25,6 +27,7 @@ then commit the updated golden files alongside the code change.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -32,7 +35,6 @@ import pytest
 
 from repro.experiments.experiments import e2_staggered_q6
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import metrics_of
 from repro.experiments.runner import first_divergence, run_suite
 from repro.trace import RingBufferSink, tracing
 from repro.trace.summary import summarize
@@ -70,7 +72,7 @@ def _run_scenario() -> dict:
             "n_streams": SCENARIO.n_streams,
             "seed": SCENARIO.seed,
         },
-        "metrics": metrics_of(result),
+        "metrics": result.metrics(),
         "trace": {
             "n_events": summary["n_events"],
             "first_time": summary["first_time"],
@@ -123,23 +125,29 @@ def test_suite_digests_match_manifest(regen_golden):
         },
         "suite_digest": suite.suite_digest(),
         "experiments": {task.label: task.digest for task in suite.tasks},
+        "renders": {
+            task.label: hashlib.sha256(task.render.encode("utf-8")).hexdigest()
+            for task in suite.tasks
+        },
     }
     if regen_golden:
         MANIFEST_FILE.write_text(json.dumps(actual, indent=2) + "\n")
         return
     golden = json.loads(MANIFEST_FILE.read_text())
     assert actual["geometry"] == golden["geometry"]
-    names = sorted(set(golden["experiments"]) | set(actual["experiments"]))
-    moved = [
-        name for name in names
-        if golden["experiments"].get(name) != actual["experiments"].get(name)
-    ]
-    assert not moved, (
-        f"metrics digest moved for {len(moved)} of {len(names)} experiments: "
-        f"{', '.join(moved)}; if this change is intentional, regenerate "
-        f"tests/golden/{MANIFEST_FILE.name} with --regen-golden (or "
-        f"REPRO_REGEN_GOLDEN=1) and commit it"
-    )
+    for rail, what in (("experiments", "metrics digest"),
+                       ("renders", "render() text")):
+        names = sorted(set(golden[rail]) | set(actual[rail]))
+        moved = [
+            name for name in names
+            if golden[rail].get(name) != actual[rail].get(name)
+        ]
+        assert not moved, (
+            f"{what} moved for {len(moved)} of {len(names)} experiments: "
+            f"{', '.join(moved)}; if this change is intentional, regenerate "
+            f"tests/golden/{MANIFEST_FILE.name} with --regen-golden (or "
+            f"REPRO_REGEN_GOLDEN=1) and commit it"
+        )
     assert actual["suite_digest"] == golden["suite_digest"]
 
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.experiments import (
     e5_reads_timeline,
     e6_seeks_timeline,
     e7_per_stream,
@@ -120,13 +120,13 @@ def vs_best_other(label: str) -> Callable[[Any], float]:
     return extract
 
 
-def peak_gain(comparisons) -> float:
-    return max(c.end_to_end_gain for c in comparisons.values())
+def peak_gain(sweep) -> float:
+    return max(c.end_to_end_gain for c in sweep.points.values())
 
 
-def peak_minus_largest_pool(comparisons) -> float:
+def peak_minus_largest_pool(sweep) -> float:
     """How far the cache-everything pool's gain sits below the peak."""
-    return peak_gain(comparisons) - comparisons[max(comparisons)].end_to_end_gain
+    return peak_gain(sweep) - sweep.points[max(sweep.points)].end_to_end_gain
 
 
 def policy_read_gain(policy: str) -> Callable[[Any], float]:
@@ -141,7 +141,7 @@ def policy_read_gain(policy: str) -> Callable[[Any], float]:
 
 
 def of_e4(view: Callable, extract: Callable[[Any], float]) -> Callable[[Any], float]:
-    return lambda result: extract(view(comparison=result.comparison))
+    return lambda result: extract(view(comparison=result))
 
 
 # ----------------------------------------------------------------------
@@ -216,17 +216,19 @@ BANDS = [
     Band("A8 attach-style sharing reads fewer pages than Base", "pl-head2head",
          policy_read_gain("cooperative"), low=0.0, seeds=ONCE),
     Band("A9 four spindles speed Base up", "a9",
-         lambda c: c[4].base.makespan / c[1].base.makespan, high=1.0,
+         lambda r: r.points[4].base.makespan / r.points[1].base.makespan,
+         high=1.0,
          seeds=ONCE),
     Band("A9 read gain over 10 % on every array size", "a9",
-         lambda c: min(x.disk_read_gain for x in c.values()), low=10.0,
+         lambda r: min(x.disk_read_gain for x in r.points.values()),
+         low=10.0,
          seeds=ONCE),
 ]
 
 
 def measure(experiment: str, seed: int) -> Dict[str, float]:
     """One registry run, reduced to ``{claim: value}`` for its bands."""
-    result = get(experiment).execute(SETTINGS.with_(seed=seed))
+    result = get(experiment).run(SETTINGS.with_(seed=seed))
     return {
         band.claim: band.extract(result)
         for band in BANDS if band.experiment == experiment

@@ -18,7 +18,6 @@ from repro.cli import main
 from repro.core.policy import SHARING_POLICY_NAMES
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.policies import pl_head2head, pl_mix
-from repro.experiments.registry import metrics_of
 from repro.experiments.runner import first_divergence, run_suite
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -38,7 +37,7 @@ def test_head2head_matches_golden(regen_golden):
             "n_streams": SCENARIO.n_streams,
             "seed": SCENARIO.seed,
         },
-        "metrics": metrics_of(pl_head2head(SCENARIO)),
+        "metrics": pl_head2head(SCENARIO).metrics(),
     }
     if regen_golden or not GOLDEN_FILE.exists():
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
@@ -85,7 +84,7 @@ def test_pl_mix_digest_stable_under_jobs(policy, tmp_path):
 
 def test_pl_mix_runs_under_each_policy():
     for policy in SHARING_POLICY_NAMES:
-        metrics = metrics_of(pl_mix(SCENARIO.with_(sharing_policy=policy)))
+        metrics = pl_mix(SCENARIO.with_(sharing_policy=policy)).metrics()
         assert metrics["policy"] == policy
         assert metrics["makespan"] > 0
 
@@ -105,6 +104,6 @@ def test_sweep_emits_policy_comparison_table(capsys, tmp_path):
         assert policy in out
 
 
-def test_cli_rejects_unknown_sharing_policy():
-    with pytest.raises(SystemExit):
-        main(["run", "e1", "--sharing-policy", "elevator"])
+def test_cli_rejects_unknown_sharing_policy(capsys):
+    assert main(["run", "e1", "--sharing-policy", "elevator"]) == 2
+    assert "unknown --sharing-policy 'elevator'" in capsys.readouterr().err

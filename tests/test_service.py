@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import REGISTRY, get, metrics_of
+from repro.experiments.registry import REGISTRY, get
 from repro.experiments.runner import (
     ExperimentTask,
     first_divergence,
@@ -139,7 +139,7 @@ class TestDeterminism:
         assert a.metrics() != b.metrics()
 
     def test_registry_entry_matches_direct_call(self):
-        via_registry = metrics_of(get("sv-steady").execute(TINY))
+        via_registry = get("sv-steady").run(TINY).metrics()
         direct = run_scenario("steady", TINY).metrics()
         assert first_divergence(via_registry, direct) is None
 

@@ -27,7 +27,7 @@ TINY = ExperimentSettings(scale=0.1, seed=42)
 @pytest.fixture(scope="module")
 def comparison():
     """sv-overload at scale 0.1: controlled vs uncontrolled, same seed."""
-    return get("sv-overload").execute(TINY)
+    return get("sv-overload").run(TINY)
 
 
 class TestOverloadBackpressure:

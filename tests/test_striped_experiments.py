@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.registry import get, metrics_of
+from repro.experiments.registry import get
 from repro.experiments.runner import (
     ExperimentTask,
     first_divergence,
@@ -47,7 +47,7 @@ class TestRegistry:
 
     def test_st_push_metrics_are_json_safe(self):
         result = st_push(TINY.with_(device_count=2))
-        metrics = metrics_of(result)
+        metrics = result.metrics()
         json.dumps(metrics, sort_keys=True)
         assert metrics["device_count"] == 2
         assert metrics["push"]["pushed_pages"] > 0
@@ -95,7 +95,7 @@ def _run_scenario() -> dict:
             "device_count": SCENARIO.device_count,
             "stripe_extents": SCENARIO.stripe_extents,
         },
-        "metrics": metrics_of(result),
+        "metrics": result.metrics(),
     }
 
 

@@ -43,10 +43,11 @@ PACKAGE = SRC / "repro"
 KEEP_FILE = Path(__file__).resolve().parent / "dead_code_keep.txt"
 
 #: ``{out}`` is replaced by a scratch file, ``{cache}`` by a scratch cache
-#: directory.  The two cached ``run-all`` calls are ci.yml's cache check.
+#: directory.  The two cached ``run-all`` calls are runall-smoke's cache check.
 COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("run-all", "--no-cache", "--scale", "0.1", "--streams", "2"),
-    # Makefile: policy-smoke, agg-smoke, cluster-smoke, serve-quick, serve-soak
+    # Makefile: policy-smoke, agg-smoke, cluster-smoke, striped-smoke,
+    # runall-smoke, serve-quick, serve-soak
     ("sweep", "e2", "--param", "sharing_policy",
      "--values", "grouping-throttling,cooperative,pbm",
      "--scale", "0.1", "--streams", "2", "--jobs", "1", "--no-cache",
@@ -57,22 +58,22 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--out", "{out}"),
     ("cluster-sim", "steady,skew", "--quick", "--replicas", "2",
      "--jobs", "1", "--no-cache", "--out", "{out}"),
-    ("serve-sim", "steady", "--quick", "--no-cache", "--assert-bounded"),
-    ("serve-sim", "soak", "--quick", "--no-cache", "--assert-bounded",
-     "--faults", "pool-pressure:fraction=0.6,from=1.0,until=3.0"),
-    # ci.yml: the chaos, striped, join, run-all and multi-device steps
-    ("chaos", "e2", "--quick", "--scale", "0.1", "--streams", "2"),
     ("sweep", "st-push", "--param", "device_count", "--values", "1,2",
      "--scale", "0.1", "--streams", "2", "--jobs", "1", "--no-cache",
      "--out", "{out}"),
-    ("chaos", "mj-join", "--scale", "0.1", "--streams", "2",
-     "--faults", "pool-pressure:fraction=0.5,from=0.05,until=0.3"),
     ("run-all", "--only", "e1,e4", "--scale", "0.1", "--streams", "2",
      "--jobs", "1", "--no-cache", "--out", "{out}"),
     ("run-all", "--only", "e1,e4", "--scale", "0.1", "--streams", "2",
      "--cache-dir", "{cache}"),
     ("run-all", "--only", "e1,e4", "--scale", "0.1", "--streams", "2",
      "--cache-dir", "{cache}"),
+    ("serve-sim", "steady", "--quick", "--no-cache", "--assert-bounded"),
+    ("serve-sim", "soak", "--quick", "--no-cache", "--assert-bounded",
+     "--faults", "pool-pressure:fraction=0.6,from=1.0,until=3.0"),
+    # ci.yml: the chaos, join and multi-device steps
+    ("chaos", "e2", "--quick", "--scale", "0.1", "--streams", "2"),
+    ("chaos", "mj-join", "--scale", "0.1", "--streams", "2",
+     "--faults", "pool-pressure:fraction=0.5,from=0.05,until=0.3"),
     ("chaos", "st-push", "--scale", "0.1", "--streams", "3",
      "--device-count", "2", "--push", "--faults",
      "disk-delay:factor=4.0,device=1;disk-error:rate=0.1,device=0;leader-abort"),
