@@ -26,6 +26,9 @@ _POLICY_NAMES = (
     "arc",
     "pbm",
 )
+_LRU_K_ALIASES = ("lru2", "lru-2")
+# Every name make_policy accepts, case-insensitively.
+KNOWN_POLICY_NAMES = _POLICY_NAMES + _LRU_K_ALIASES
 
 
 def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
@@ -45,7 +48,7 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
         return FifoPolicy()
     if normalized == "clock":
         return ClockPolicy()
-    if normalized in ("lru-k", "lru2", "lru-2"):
+    if normalized in ("lru-k",) + _LRU_K_ALIASES:
         return LruKPolicy(k=2)
     if normalized == "2q":
         if capacity is None:
@@ -64,6 +67,7 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
 
 
 __all__ = [
+    "KNOWN_POLICY_NAMES",
     "ArcPolicy",
     "ClockPolicy",
     "FifoPolicy",

@@ -260,13 +260,14 @@ def _check_size(args: argparse.Namespace) -> None:
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
     """The settings the shared flags describe; a bad value raises
     :class:`UsageError` before any simulation starts."""
-    from repro.buffer.replacement import make_policy
+    from repro.buffer.replacement import KNOWN_POLICY_NAMES
 
     _check_size(args)
-    try:
-        make_policy(args.policy, capacity=1)
-    except ValueError as exc:
-        raise UsageError(f"bad --policy: {exc}") from None
+    if args.policy.lower() not in KNOWN_POLICY_NAMES:
+        raise UsageError(
+            f"unknown --policy {args.policy!r} "
+            f"(known: {', '.join(KNOWN_POLICY_NAMES)})"
+        )
     sharing_overrides = None
     if getattr(args, "sharing", None):
         sharing_overrides = _parse_sharing_overrides(args.sharing)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.buffer.replacement import KNOWN_POLICY_NAMES
+from repro.cli import _settings_from_args, build_parser, main
 from repro.experiments.registry import REGISTRY, all_experiments
 from repro.trace import get_tracer
 
@@ -165,6 +166,21 @@ def test_bad_value_is_one_line_exit_2(argv, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"repro {argv[0]}: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", KNOWN_POLICY_NAMES + ("LRU", "2Q"))
+def test_every_known_policy_passes_validation(name):
+    """--policy accepts every name (and alias) make_policy knows,
+    including those that size queues from the pool capacity."""
+    args = build_parser().parse_args(["run", "e1", "--policy", name])
+    assert _settings_from_args(args).policy == name
+
+
+@pytest.mark.parametrize("name", ["2q", "arc"])
+def test_run_with_capacity_sized_policy(name, capsys):
+    assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
+                 "--policy", name]) == 0
+    assert "overhead" in capsys.readouterr().out
 
 
 class TestRunAll:
