@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 18606
+SRC_LOC_BUDGET := 18395
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 .PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
@@ -54,9 +54,9 @@ agg-smoke:       ## budgeted-aggregation mix across three policies, digest-check
 		print(f'{spilled:.0f} partitions spilled')"
 
 cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every run drained
-	$(PYTHON) -m repro cluster-sim steady,skew --quick --replicas 2 \
+	$(PYTHON) -m repro cluster-sim steady,skew --scale 0.1 --replicas 2 \
 		--jobs 1 --no-cache --out cluster-serial.json
-	$(PYTHON) -m repro cluster-sim steady,skew --quick --replicas 2 \
+	$(PYTHON) -m repro cluster-sim steady,skew --scale 0.1 --replicas 2 \
 		--jobs 2 --no-cache --out cluster-parallel.json
 	$(PYTHON) tools/same_digest.py cluster cluster-serial.json cluster-parallel.json
 	$(PYTHON) -c "import json; s=json.load(open('cluster-serial.json')); \
@@ -79,8 +79,8 @@ runall-smoke:    ## run-all determinism: --jobs 2 == --jobs 1, then a cached re-
 	$(PYTHON) -m repro run-all --only e1,e4 --scale 0.1 --streams 2 | grep "2 cache hits"
 
 serve-quick:     ## service-layer smoke: steady scenario, bounds asserted
-	$(PYTHON) -m repro serve-sim steady --quick --no-cache --assert-bounded
+	$(PYTHON) -m repro serve-sim steady --scale 0.1 --no-cache --assert-bounded
 
 serve-soak:      ## long mixed soak under pool-pressure chaos, bounds asserted
-	$(PYTHON) -m repro serve-sim soak --quick --no-cache --assert-bounded \
+	$(PYTHON) -m repro serve-sim soak --scale 0.1 --no-cache --assert-bounded \
 		--faults "pool-pressure:fraction=0.6,from=1.0,until=3.0"

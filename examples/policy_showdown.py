@@ -15,8 +15,7 @@ from repro import SharingConfig, SystemConfig, run_workload
 from repro.metrics.report import format_table
 from repro.workloads import make_tpch_database, tpch_streams
 
-POLICIES = ["fifo", "lru", "mru", "clock", "lru-k", "2q", "lfu", "arc",
-            "priority-lru"]
+POLICIES = ["lru", "clock", "lru-k", "2q", "arc", "priority-lru"]
 QUERIES = ["Q1", "Q9", "Q18", "Q21"]
 
 

@@ -7,8 +7,8 @@ low-priority pages first.  This package provides that pool
 (:class:`~repro.buffer.pool.BufferPool`), the
 :class:`~repro.buffer.page.Priority` hint enum, and a family of pluggable
 replacement policies (priority-aware LRU as the DB2 stand-in, plus the
-related-work policies: LRU, MRU, FIFO, CLOCK, LRU-K, 2Q, LFU, ARC) used by
-the policy-comparison ablation.
+related-work policies: LRU, CLOCK, LRU-K, 2Q, ARC, and PBM) used by the
+policy-comparison ablation.
 """
 
 from repro.buffer.page import Frame, PageKey, Priority
@@ -17,11 +17,8 @@ from repro.buffer.stats import BufferStats
 from repro.buffer.replacement import (
     ArcPolicy,
     ClockPolicy,
-    FifoPolicy,
-    LfuPolicy,
     LruKPolicy,
     LruPolicy,
-    MruPolicy,
     PbmPolicy,
     PriorityLruPolicy,
     ReplacementPolicy,
@@ -35,12 +32,9 @@ __all__ = [
     "BufferPoolError",
     "BufferStats",
     "ClockPolicy",
-    "FifoPolicy",
     "Frame",
-    "LfuPolicy",
     "LruKPolicy",
     "LruPolicy",
-    "MruPolicy",
     "PageKey",
     "PbmPolicy",
     "PoolExhausted",

@@ -113,7 +113,6 @@ class BufferPool:
         capacity: int,
         address_of: AddressOf,
         policy: Optional[ReplacementPolicy] = None,
-        name: str = "bufferpool",
     ):
         if capacity < 4:
             raise BufferPoolError(f"bufferpool capacity must be >= 4, got {capacity}")
@@ -124,7 +123,6 @@ class BufferPool:
         self.policy = policy if policy is not None else make_policy(
             "priority-lru", capacity
         )
-        self.name = name
         self.stats = BufferStats()
         # Slot-indexed frame table: a contiguous slab of ``capacity``
         # preallocated frames, a LIFO free-slot stack, and an int-keyed
@@ -385,9 +383,6 @@ class BufferPool:
                 priority=int(priority),
             ))
 
-    # The paper calls this operation "release page with priority p".
-    release = unfix
-
     def _trace_fix(self, key: PageKey, outcome: str) -> None:
         tracer = trace_slot.active
         if tracer is not None:
@@ -516,7 +511,7 @@ class BufferPool:
                 # than wedging the scan.
                 continue
             raise PoolExhausted(
-                f"bufferpool {self.name} overcommitted: all "
+                f"bufferpool overcommitted: all "
                 f"{self.capacity} pages pinned"
             )
         completion = Event(self.sim)
@@ -543,7 +538,7 @@ class BufferPool:
                 continue
             if not free:
                 raise BufferPoolError(
-                    f"bufferpool {self.name} slot table overcommitted admitting "
+                    f"bufferpool slot table overcommitted admitting "
                     f"{run_key}: {len(slot_map)} resident of {self.capacity}"
                 )
             slot = free.pop()
@@ -587,7 +582,7 @@ class BufferPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<BufferPool {self.name} {len(self._slot_map)}/{self.capacity} "
+            f"<BufferPool {len(self._slot_map)}/{self.capacity} "
             f"resident, {len(self._inflight)} in flight>"
         )
 

@@ -81,27 +81,17 @@ class _PushState:
 class PushPipeline:
     """Fan-out coordinator between sharing policy, pool, and array."""
 
-    #: Extents kept in flight ahead of the driving scan when the config
-    #: asks for "auto" (``push_depth=0``).  One extent ahead keeps the
-    #: next extent's owning device busy while the current one is
-    #: consumed; deeper pipelines read ahead of what small pools can
-    #: hold and start thrashing pages their own consumers still need.
-    DEFAULT_DEPTH = 1
-
     #: Ceiling on pages in flight from pushes, as a fraction of pool
     #: capacity.  Past it new pushes are deferred (the driver's next
     #: extent crossing retries), so the pipeline can never churn a small
     #: pool faster than consumers drain it.
     BUDGET_FRACTION = 0.125
 
-    def __init__(self, sim, pool, catalog, policy, depth: int = 0):
-        if depth < 0:
-            raise ValueError(f"push depth must be >= 0, got {depth}")
+    def __init__(self, sim, pool, catalog, policy):
         self.sim = sim
         self.pool = pool
         self.catalog = catalog
         self.policy = policy
-        self.depth = depth or self.DEFAULT_DEPTH
         self.stats = PushStats()
         self.page_budget = max(1, int(pool.capacity * self.BUDGET_FRACTION))
         self._outstanding_pages = 0
@@ -126,10 +116,14 @@ class PushPipeline:
         first_page: int,
         last_page: int,
     ) -> None:
-        """The scan crossed into ``extent_no``: stage the extents ahead.
+        """The scan crossed into ``extent_no``: stage the next extent.
 
         Only the consumer set's driver issues pushes; every other member
-        returns immediately (that *is* the no-re-request property).
+        returns immediately (that *is* the no-re-request property).  One
+        extent ahead keeps the next extent's owning device busy while the
+        current one is consumed; a deeper pipeline reads ahead of what
+        small pools can hold and thrashes pages its own consumers still
+        need.
         """
         if not self.policy.is_push_driver(scan_id):
             self.stats.non_driver_calls += 1
@@ -137,11 +131,8 @@ class PushPipeline:
         consumers = self.policy.push_consumer_set(scan_id)
         first_extent = table.extent_of(first_page)
         last_extent = table.extent_of(last_page)
-        target = extent_no
-        for _ in range(self.depth):
-            target = target + 1 if target < last_extent else first_extent
-            if target == extent_no:
-                break  # the range is narrower than the pipeline depth
+        target = extent_no + 1 if extent_no < last_extent else first_extent
+        if target != extent_no:  # a one-extent range has nothing ahead
             self._push_extent(consumers, table, target)
 
     def scan_ended(self, scan_id: int, aborted: bool) -> None:

@@ -7,28 +7,16 @@ from typing import Optional
 from repro.buffer.replacement.arc import ArcPolicy
 from repro.buffer.replacement.base import ReplacementPolicy
 from repro.buffer.replacement.clock import ClockPolicy
-from repro.buffer.replacement.lfu import LfuPolicy
-from repro.buffer.replacement.lru import FifoPolicy, LruPolicy, MruPolicy
+from repro.buffer.replacement.lru import LruPolicy
 from repro.buffer.replacement.lru_k import LruKPolicy
 from repro.buffer.replacement.pbm import PbmPolicy
 from repro.buffer.replacement.priority_lru import PriorityLruPolicy
 from repro.buffer.replacement.two_q import TwoQPolicy
 
-_POLICY_NAMES = (
-    "priority-lru",
-    "lru",
-    "mru",
-    "fifo",
-    "clock",
-    "lru-k",
-    "2q",
-    "lfu",
-    "arc",
-    "pbm",
-)
-_LRU_K_ALIASES = ("lru2", "lru-2")
 # Every name make_policy accepts, case-insensitively.
-KNOWN_POLICY_NAMES = _POLICY_NAMES + _LRU_K_ALIASES
+KNOWN_POLICY_NAMES = (
+    "priority-lru", "lru", "clock", "lru-k", "2q", "arc", "pbm",
+)
 
 
 def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
@@ -42,20 +30,14 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
         return PriorityLruPolicy()
     if normalized == "lru":
         return LruPolicy()
-    if normalized == "mru":
-        return MruPolicy()
-    if normalized == "fifo":
-        return FifoPolicy()
     if normalized == "clock":
         return ClockPolicy()
-    if normalized in ("lru-k",) + _LRU_K_ALIASES:
-        return LruKPolicy(k=2)
+    if normalized == "lru-k":
+        return LruKPolicy()
     if normalized == "2q":
         if capacity is None:
             raise ValueError("2Q policy requires the pool capacity")
         return TwoQPolicy(capacity)
-    if normalized == "lfu":
-        return LfuPolicy()
     if normalized == "arc":
         if capacity is None:
             raise ValueError("ARC policy requires the pool capacity")
@@ -63,18 +45,17 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
     if normalized == "pbm":
         # Degrades to LRU until Database.open binds the scan registry.
         return PbmPolicy()
-    raise ValueError(f"unknown replacement policy {name!r}; known: {_POLICY_NAMES}")
+    raise ValueError(
+        f"unknown replacement policy {name!r}; known: {KNOWN_POLICY_NAMES}"
+    )
 
 
 __all__ = [
     "KNOWN_POLICY_NAMES",
     "ArcPolicy",
     "ClockPolicy",
-    "FifoPolicy",
-    "LfuPolicy",
     "LruKPolicy",
     "LruPolicy",
-    "MruPolicy",
     "PbmPolicy",
     "PriorityLruPolicy",
     "ReplacementPolicy",

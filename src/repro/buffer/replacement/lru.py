@@ -1,4 +1,4 @@
-"""Classic recency policies: LRU, MRU, FIFO."""
+"""Classic least-recently-used replacement."""
 
 from __future__ import annotations
 
@@ -32,29 +32,3 @@ class LruPolicy(ReplacementPolicy):
 
     def on_evict(self, key: PageKey) -> None:
         self._order.pop(key, None)
-
-
-class MruPolicy(LruPolicy):
-    """Most-recently-used: evict the page touched most recently.
-
-    Chou & DeWitt showed MRU is the right policy for single large looping
-    scans; it serves as a related-work baseline in the policy ablation.
-    """
-
-    name = "mru"
-
-    def choose_victim(self, evictable: EvictablePredicate) -> Optional[PageKey]:
-        for key in reversed(self._order):
-            if evictable(key):
-                return key
-        return None
-
-
-class FifoPolicy(LruPolicy):
-    """First-in-first-out: ignore accesses, evict the oldest admit."""
-
-    name = "fifo"
-
-    def on_hit(self, key: PageKey) -> None:
-        # FIFO deliberately ignores recency.
-        pass

@@ -21,10 +21,11 @@ class LruKPolicy(ReplacementPolicy):
 
     name = "lru-k"
 
-    def __init__(self, k: int = 2):
-        if k < 1:
-            raise ValueError(f"LRU-K needs k >= 1, got {k}")
-        self.k = k
+    #: References remembered per page: LRU-2, the K the LRU-K paper
+    #: recommends.
+    k = 2
+
+    def __init__(self) -> None:
         self._history: Dict[PageKey, Deque[int]] = {}
         self._clock = 0
 

@@ -20,15 +20,17 @@ class TwoQPolicy(ReplacementPolicy):
 
     name = "2q"
 
-    def __init__(self, capacity: int, kin_fraction: float = 0.25,
-                 kout_fraction: float = 0.5):
+    #: A1in's and A1out's (ghost) shares of the pool, the 2Q paper's
+    #: recommended settings.
+    KIN_FRACTION = 0.25
+    KOUT_FRACTION = 0.5
+
+    def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError(f"2Q needs capacity >= 2, got {capacity}")
-        if not 0.0 < kin_fraction < 1.0:
-            raise ValueError(f"kin_fraction must be in (0, 1), got {kin_fraction}")
         self.capacity = capacity
-        self.kin = max(1, int(capacity * kin_fraction))
-        self.kout = max(1, int(capacity * kout_fraction))
+        self.kin = max(1, int(capacity * self.KIN_FRACTION))
+        self.kout = max(1, int(capacity * self.KOUT_FRACTION))
         self._a1in: "OrderedDict[PageKey, None]" = OrderedDict()
         self._a1out: "OrderedDict[PageKey, None]" = OrderedDict()
         self._am: "OrderedDict[PageKey, None]" = OrderedDict()

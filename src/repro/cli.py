@@ -8,12 +8,11 @@ Usage::
     python -m repro sweep a3 --param scale --values 0.1,0.2,0.4
     python -m repro trace e2 --out trace.jsonl
     python -m repro chaos e2 --faults leader-abort --seed 7
-    python -m repro chaos --quick
-    python -m repro serve-sim steady --quick
+    python -m repro chaos --scale 0.1
+    python -m repro serve-sim steady --scale 0.1
     python -m repro serve-sim soak --faults disk-degrade --assert-bounded
-    python -m repro cluster-sim steady --quick
+    python -m repro cluster-sim steady --scale 0.1
     python -m repro cluster-sim scale --replicas 4
-    python -m repro quickstart
 
 ``run`` executes one experiment (see ``list`` for ids) and prints the
 same rows/series the paper's corresponding table or figure reports.
@@ -25,8 +24,8 @@ attached, prints an event summary, and can stream the full trace to a
 JSONL file for offline analysis.
 ``chaos`` runs one experiment under a deterministic fault plan (scan
 kills, disk degradation, transient I/O errors, pool pressure) with the
-sharing-invariant checker armed; ``--quick`` runs the three builtin
-plans as a smoke battery.  Exit 4 means an invariant violation.
+sharing-invariant checker armed; without ``--faults`` it runs the three
+builtin plans as a smoke battery.  Exit 4 means an invariant violation.
 ``serve-sim`` runs a named service scenario — open/closed arrival
 streams pushed through weighted-fair admission queues under the AIMD
 MPL controller — through the same cached, deterministic runner as
@@ -97,23 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-memory ring-buffer capacity (events kept "
                             "for the summary)")
 
-    quick = subparsers.add_parser(
-        "quickstart", help="base-vs-sharing comparison on a TPC-H mix"
-    )
-    quick.add_argument("--scale", type=float, default=0.25)
-    quick.add_argument("--streams", type=int, default=3)
-
     chaos = subparsers.add_parser(
         "chaos",
         help="run an experiment under fault injection with the sharing "
-             "invariant checker armed",
+             "invariant checker armed (without --faults: the three "
+             "builtin plans)",
     )
     chaos.add_argument("experiment", nargs="?", default="e2",
                        help="experiment id (default: e2)")
     _add_settings_args(chaos)
-    chaos.add_argument("--quick", action="store_true",
-                       help="smoke battery: run the three builtin plans "
-                            "(leader abort, disk degradation, pool pressure)")
 
     serve = subparsers.add_parser(
         "serve-sim",
@@ -127,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list scenarios and exit")
     _add_settings_args(serve)
     _add_runner_args(serve)
-    serve.add_argument("--quick", action="store_true",
-                       help="CI smoke configuration: scale 0.1 (scenario "
-                            "horizons shrink proportionally)")
     serve.add_argument("--horizon", type=float, default=None,
                        help="arrival-window override in simulated seconds "
                             "(default: per-scenario, scale-derived)")
@@ -151,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="list cluster scenarios and exit")
     _add_settings_args(cluster)
     _add_runner_args(cluster)
-    cluster.add_argument("--quick", action="store_true",
-                         help="CI smoke configuration: scale 0.1 (scenario "
-                              "horizons shrink proportionally)")
     cluster.add_argument("--replicas", type=int, default=None,
                          help="replica-fleet size override (scale sweeps "
                               "doubling steps up to this)")
@@ -181,8 +166,8 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
                         help="striped spindles backing the tablespace "
                              "(1 = single disk)")
     parser.add_argument("--stripe-extents", type=int, default=None,
-                        help="stripe unit in prefetch extents (default: "
-                             "the page-granular SystemConfig stripe)")
+                        help="stripe unit in prefetch extents (default: 4; "
+                             "the st-* experiments default to 1)")
     parser.add_argument("--push", action="store_true",
                         help="enable the leader-driven push prefetch "
                              "pipeline (default: classic pull)")
@@ -250,19 +235,15 @@ def _parse_sharing_overrides(spec: str) -> Tuple[Tuple[str, object], ...]:
     return tuple(sorted(overrides.items()))
 
 
-def _check_size(args: argparse.Namespace) -> None:
-    if args.scale <= 0:
-        raise UsageError(f"--scale must be positive, got {args.scale}")
-    if args.streams < 1:
-        raise UsageError(f"--streams must be >= 1, got {args.streams}")
-
-
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
     """The settings the shared flags describe; a bad value raises
     :class:`UsageError` before any simulation starts."""
     from repro.buffer.replacement import KNOWN_POLICY_NAMES
 
-    _check_size(args)
+    if args.scale <= 0:
+        raise UsageError(f"--scale must be positive, got {args.scale}")
+    if args.streams < 1:
+        raise UsageError(f"--streams must be >= 1, got {args.streams}")
     if args.policy.lower() not in KNOWN_POLICY_NAMES:
         raise UsageError(
             f"unknown --policy {args.policy!r} "
@@ -458,7 +439,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     spec = get(args.experiment)
     settings = _settings_from_args(args)
-    if args.quick or not args.faults:
+    if not args.faults:
         plan_names = ["leader-abort", "disk-degrade", "pool-pressure"]
     else:
         plan_names = [args.faults]
@@ -528,8 +509,6 @@ def _cmd_scenarios(
                 f"(known: {', '.join(sorted(scenarios))})"
             )
     settings = _settings_from_args(args)
-    if args.quick:
-        settings = settings.with_(scale=0.1)
     # Overrides a command does not declare (serve-sim: all but --horizon)
     # are simply absent from its namespace.
     for flag, field, need in (
@@ -580,23 +559,6 @@ def _cmd_scenarios(
     return 0
 
 
-def _cmd_quickstart(args: argparse.Namespace) -> str:
-    from repro.experiments.harness import compare_modes
-
-    _check_size(args)
-    settings = ExperimentSettings(scale=args.scale, n_streams=args.streams)
-    comparison = compare_modes(settings)
-    rows = [
-        ["end-to-end (s)", comparison.base.makespan, comparison.shared.makespan,
-         comparison.end_to_end_gain],
-        ["pages read", comparison.base.pages_read, comparison.shared.pages_read,
-         comparison.disk_read_gain],
-        ["disk seeks", comparison.base.seeks, comparison.shared.seeks,
-         comparison.disk_seek_gain],
-    ]
-    return format_table(["metric", "Base", "SS", "gain %"], rows)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -606,7 +568,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run-all": lambda: _cmd_run_all(args),
         "sweep": lambda: _cmd_sweep(args),
         "trace": lambda: _cmd_trace(args),
-        "quickstart": lambda: _cmd_quickstart(args),
     }
     try:
         if args.command == "chaos":

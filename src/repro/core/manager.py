@@ -33,7 +33,7 @@ from repro.core.throttle import evaluate_throttle
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
 from repro.trace.events import FairnessCapTripped, Regrouped, ThrottleEvaluated
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 __all__ = ["ScanSharingManager", "SharingStats"]
 
@@ -127,8 +127,8 @@ class ScanSharingManager(SharingPolicy):
             state.accumulated_delay += decision.wait
             self.stats.throttle_waits += 1
             self.stats.total_throttle_time += decision.wait
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(ThrottleEvaluated(
                 time=now, scan_id=state.scan_id,
                 group_id=state.group_id if state.group_id is not None else -1,
@@ -319,8 +319,8 @@ class ScanSharingManager(SharingPolicy):
         self._group_by_id = {group.group_id: group for group in self._groups}
         self.stats.regroups += 1
         self.stats.group_count_trace.append((now, len(self._groups)))
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(Regrouped(
                 time=now, n_scans=len(self._states),
                 n_groups=len(self._groups), forced=force,

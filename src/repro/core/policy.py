@@ -36,7 +36,7 @@ from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.trace.events import ScanAborted, ScanDeregistered, ScanRegistered
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 #: Registry names accepted by :func:`make_sharing_policy` (and by the
 #: ``sharing_policy`` fields of SystemConfig / ExperimentSettings).
@@ -215,8 +215,8 @@ class SharingPolicy(ABC):
             self.stats.scans_joined_ongoing += 1
         if decision.joined_last_finished:
             self.stats.scans_joined_last_finished += 1
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(ScanRegistered(
                 time=self.sim.now, scan_id=state.scan_id,
                 table=descriptor.table_name,
@@ -235,10 +235,10 @@ class SharingPolicy(ABC):
         del self._states[scan_id]
         if self._push is not None:
             self._push.scan_ended(scan_id, aborted)
-        tracer = get_tracer()
+        tracer = trace_slot.active
         if aborted:
             self.stats.scans_aborted += 1
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(ScanAborted(
                     time=self.sim.now, scan_id=scan_id,
                     table=state.descriptor.table_name,
@@ -246,7 +246,7 @@ class SharingPolicy(ABC):
                 ))
         else:
             self.stats.scans_finished += 1
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(ScanDeregistered(
                     time=self.sim.now, scan_id=scan_id,
                     table=state.descriptor.table_name,
@@ -292,16 +292,15 @@ def make_sharing_policy(
     Imports lazily so the concrete policies may themselves import this
     module for the base class.
     """
-    normalized = name.lower()
-    if normalized in ("grouping-throttling", "grouping_throttling"):
+    if name == "grouping-throttling":
         from repro.core.manager import ScanSharingManager
 
         return ScanSharingManager(sim, catalog, pool_capacity, config)
-    if normalized == "cooperative":
+    if name == "cooperative":
         from repro.core.cooperative import CooperativeScanManager
 
         return CooperativeScanManager(sim, catalog, pool_capacity, config)
-    if normalized == "pbm":
+    if name == "pbm":
         from repro.core.pbm import PbmScanManager
 
         return PbmScanManager(sim, catalog, pool_capacity, config)

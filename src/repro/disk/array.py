@@ -88,27 +88,16 @@ class DiskArray:
         geometry: Optional[DiskGeometry] = None,
         stripe_pages: int = 64,
         scheduler: str = "fifo",
-        stripe_map: Optional[StripeMap] = None,
     ):
         if n_disks < 1:
             raise SimulationError(f"need at least one disk, got {n_disks}")
         if stripe_pages < 1:
             raise SimulationError(f"stripe_pages must be >= 1, got {stripe_pages}")
-        if stripe_map is not None and (
-            stripe_map.n_devices != n_disks or stripe_map.stripe_pages != stripe_pages
-        ):
-            raise SimulationError(
-                f"stripe_map ({stripe_map.n_devices} devices x "
-                f"{stripe_map.stripe_pages} pages) disagrees with array "
-                f"({n_disks} devices x {stripe_pages} pages)"
-            )
         self.sim = sim
         self.geometry = geometry or DiskGeometry()
         self.n_disks = n_disks
         self.stripe_pages = stripe_pages
-        self.stripe_map = stripe_map or StripeMap(
-            n_devices=n_disks, stripe_pages=stripe_pages
-        )
+        self.stripe_map = StripeMap(n_devices=n_disks, stripe_pages=stripe_pages)
         self.disks = [
             Disk(sim, self.geometry, scheduler=scheduler, device_index=index)
             for index in range(n_disks)

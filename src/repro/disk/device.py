@@ -24,7 +24,7 @@ from repro.trace.events import (
     DiskRequestQueued,
     DiskServiceStart,
 )
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 
 @dataclass
@@ -142,8 +142,8 @@ class Disk:
         )
         self._queue.append(request)
         self._record_outstanding()
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(DiskRequestQueued(
                 time=self.sim.now, start_page=start_page, n_pages=n_pages,
                 is_write=is_write, queue_len=len(self._queue),
@@ -180,8 +180,8 @@ class Disk:
         service_time = seek_time + xfer_time
         if self._faults is not None:
             service_time = self._faults.disk_service_time(self, service_time)
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(DiskServiceStart(
                 time=self.sim.now, start_page=request.start_page,
                 n_pages=request.n_pages, is_write=request.is_write,
@@ -247,8 +247,8 @@ class Disk:
             )
         self._active = None
         self._record_outstanding()
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(DiskRequestComplete(
                 time=self.sim.now, start_page=request.start_page,
                 n_pages=request.n_pages, is_write=request.is_write,

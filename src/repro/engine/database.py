@@ -40,10 +40,9 @@ class SystemConfig:
     n_cpus: int = 4
     #: Absolute pool size in pages; None derives it from pool_fraction.
     pool_pages: Optional[int] = None
-    #: Pool size as a fraction of the database (the paper used ~5 %).
+    #: Pool size as a fraction of the database (the paper used ~5 %),
+    #: floored at :attr:`Database.MIN_POOL_PAGES`.
     pool_fraction: float = 0.05
-    #: Floor on the derived pool size (must cover pins + prefetch runs).
-    min_pool_pages: int = 96
     policy: str = "priority-lru"
     #: Which scan-sharing strategy coordinates scans (see
     #: :data:`repro.core.policy.SHARING_POLICY_NAMES`).  ``pbm``
@@ -53,23 +52,15 @@ class SystemConfig:
     disk_scheduler: str = "fifo"
     #: Number of striped spindles; 1 = single disk (the default model).
     n_disks: int = 1
-    disk_stripe_pages: int = 64
-    #: Stripe unit measured in prefetch extents; when set it overrides
-    #: ``disk_stripe_pages`` (as ``stripe_extents * extent_size``) so one
-    #: pushed extent always lands on exactly one device.
-    stripe_extents: Optional[int] = None
+    #: Stripe unit in prefetch extents (``stripe_extents * extent_size``
+    #: pages), so one pushed extent always lands on exactly one device.
+    stripe_extents: int = 4
     #: Leader-driven push prefetch pipeline.  Off by default: the classic
     #: pull model, byte-identical to a build without the pipeline.
     push_enabled: bool = False
-    #: Extents kept in flight ahead of each driving scan (0 = auto).
-    push_depth: int = 0
     geometry: DiskGeometry = field(default_factory=DiskGeometry)
     sharing: SharingConfig = field(default_factory=SharingConfig)
     cost: CostModel = field(default_factory=CostModel)
-    #: Kernel CPU cost attributed per physical I/O request ("system" time).
-    io_syscall_cpu: float = 20e-6
-    #: CPU cost of one sharing-manager call (the paper's sub-1 % overhead).
-    manager_call_overhead_cpu: float = 2e-6
     #: Spill strategy for memory-budgeted aggregation: ``hash`` evicts
     #: one hash partition at a time, ``sort`` sorts the whole in-memory
     #: table into a run (the external sort-aggregate shape).  Only
@@ -84,12 +75,6 @@ class SystemConfig:
     #: Record every scan's visited page order (costs memory; used by the
     #: trace analyzer in :mod:`repro.metrics.access_log`).
     record_page_visits: bool = False
-    #: ``SimDispatch`` sampling for the kernel event loop: 1 traces every
-    #: dispatch (a queue pop, so a CPU charge ``Resource.hold`` serves
-    #: inline is none), ``N`` every Nth, 0 turns the per-event tracer check
-    #: off entirely — the setting for soak-scale runs.  Only dispatch events
-    #: are affected; buffer/disk/scan trace events always emit.
-    trace_dispatch_sample: int = 1
     #: Deterministic fault schedule; None (the default) leaves every
     #: injection point dormant and the system byte-identical to a build
     #: without the fault layer.
@@ -106,25 +91,14 @@ class SystemConfig:
             raise ValueError(f"extent_size must be >= 1, got {self.extent_size}")
         if self.n_disks < 1:
             raise ValueError(f"n_disks must be >= 1, got {self.n_disks}")
-        if self.disk_stripe_pages < 1:
-            raise ValueError(
-                f"disk_stripe_pages must be >= 1, got {self.disk_stripe_pages}"
-            )
-        if self.stripe_extents is not None and self.stripe_extents < 1:
+        if self.stripe_extents < 1:
             raise ValueError(
                 f"stripe_extents must be >= 1, got {self.stripe_extents}"
             )
-        if self.push_depth < 0:
-            raise ValueError(f"push_depth must be >= 0, got {self.push_depth}")
         if self.sharing_policy not in SHARING_POLICY_NAMES:
             raise ValueError(
                 f"unknown sharing policy {self.sharing_policy!r}; "
                 f"known: {SHARING_POLICY_NAMES}"
-            )
-        if self.trace_dispatch_sample < 0:
-            raise ValueError(
-                f"trace_dispatch_sample must be >= 0, "
-                f"got {self.trace_dispatch_sample}"
             )
         # Imported here (not at module top) to keep database <-> spill
         # free of an import cycle.
@@ -152,20 +126,23 @@ class Database:
         ... run queries via repro.engine.executor ...
     """
 
+    #: Floor on a pool sized from ``pool_fraction`` (must cover pins +
+    #: prefetch runs).
+    MIN_POOL_PAGES = 96
+    #: Kernel CPU cost attributed per physical I/O request ("system" time).
+    IO_SYSCALL_CPU = 20e-6
+    #: CPU cost of one sharing-manager call (the paper's sub-1 % overhead).
+    MANAGER_CALL_CPU = 2e-6
+
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
-        self.sim = Simulator(
-            trace_dispatch_sample=self.config.trace_dispatch_sample
-        )
+        self.sim = Simulator()
         if self.config.n_disks > 1:
-            stripe_pages = self.config.disk_stripe_pages
-            if self.config.stripe_extents is not None:
-                stripe_pages = self.config.stripe_extents * self.config.extent_size
             self.disk = DiskArray(
                 self.sim,
                 n_disks=self.config.n_disks,
                 geometry=self.config.geometry,
-                stripe_pages=stripe_pages,
+                stripe_pages=self.config.stripe_extents * self.config.extent_size,
                 scheduler=self.config.disk_scheduler,
             )
         else:
@@ -214,7 +191,7 @@ class Database:
         if len(self.catalog) == 0:
             raise RuntimeError("create at least one table before opening")
         capacity = self.config.pool_pages or max(
-            self.config.min_pool_pages,
+            self.MIN_POOL_PAGES,
             int(self.catalog.total_pages * self.config.pool_fraction),
         )
         self._sharing = make_sharing_policy(
@@ -247,7 +224,6 @@ class Database:
                 self._pool,
                 self.catalog,
                 self._sharing,
-                depth=self.config.push_depth,
             )
         if self.config.fault_plan is not None:
             self.faults = FaultInjector(self.sim, self.config.fault_plan)
@@ -382,5 +358,5 @@ class Database:
             cores=self.config.n_cpus,
             until=end,
             io_requests=io_requests,
-            syscall_cost=self.config.io_syscall_cpu,
+            syscall_cost=self.IO_SYSCALL_CPU,
         )

@@ -12,7 +12,7 @@ from repro.metrics.collector import QueryRecord
 from repro.scans.base import ScanResult
 from repro.scans.table_scan import TableScan
 from repro.trace.events import QueryFinished, QueryStarted
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 
 @dataclass
@@ -99,8 +99,8 @@ def execute_query(
     result = QueryResult(
         name=spec.name, stream_id=stream_id, started_at=db.sim.now, finished_at=0.0
     )
-    tracer = get_tracer()
-    if tracer.enabled:
+    tracer = trace_slot.active
+    if tracer is not None:
         tracer.emit(QueryStarted(
             time=result.started_at, stream_id=stream_id, query=spec.name,
         ))
@@ -116,8 +116,8 @@ def execute_query(
             result.steps.append(step_result)
     _release_join_state(join_state)
     result.finished_at = db.sim.now
-    tracer = get_tracer()
-    if tracer.enabled:
+    tracer = trace_slot.active
+    if tracer is not None:
         tracer.emit(QueryFinished(
             time=result.finished_at, stream_id=stream_id, query=spec.name,
             elapsed=result.elapsed, pages_scanned=result.pages_scanned,

@@ -29,8 +29,6 @@ class ExperimentSettings:
     n_streams: int = 5
     seed: int = 42
     query_names: Optional[Sequence[str]] = None
-    stagger: float = 0.0
-    n_cpus: int = 4
     policy: str = "priority-lru"
     #: Scan-sharing strategy for the shared mode (see
     #: :data:`repro.core.policy.SHARING_POLICY_NAMES`); part of every
@@ -41,15 +39,14 @@ class ExperimentSettings:
     #: model).  Part of every cache key and sweepable via
     #: ``repro sweep --param device_count``.
     device_count: int = 1
-    #: Stripe unit in prefetch extents (None keeps the page-granular
-    #: default of SystemConfig.disk_stripe_pages).
+    #: Stripe unit in prefetch extents (None keeps SystemConfig's
+    #: default).
     stripe_extents: Optional[int] = None
     #: Leader-driven push prefetch pipeline (see
     #: :mod:`repro.buffer.push`); off = classic pull.
     push_prefetch: bool = False
-    pool_fraction: float = 0.05
-    #: Explicit pool size in pages; overrides pool_fraction (and the
-    #: config's minimum-pool floor) when set.
+    #: Explicit pool size in pages; overrides SystemConfig's pool_fraction
+    #: (and its minimum-pool floor) when set.
     pool_pages: Optional[int] = None
     #: SharingConfig field overrides applied to the *shared* mode, as a
     #: sorted tuple of (field, value) pairs so the settings object stays
@@ -240,8 +237,8 @@ def expected_pool_pages(settings: ExperimentSettings,
         max(extent_size, int(pages * settings.scale))
         for pages in TPCH_BASE_PAGES.values()
     )
-    defaults = SystemConfig()
-    return max(defaults.min_pool_pages, int(total * settings.pool_fraction))
+    fraction = SystemConfig().pool_fraction
+    return max(Database.MIN_POOL_PAGES, int(total * fraction))
 
 
 #: Sentinel distinguishing "no fault_plan argument" from "explicit None".
@@ -262,14 +259,15 @@ def build_database(
     if fault_plan is _UNSET_PLAN:
         fault_plan = settings.fault_plan()
     config = SystemConfig(
-        n_cpus=settings.n_cpus,
         pool_pages=settings.pool_pages,
-        pool_fraction=settings.pool_fraction,
         policy=settings.policy,
         sharing_policy=settings.sharing_policy,
         disk_scheduler=settings.disk_scheduler,
         n_disks=settings.device_count,
-        stripe_extents=settings.stripe_extents,
+        stripe_extents=(
+            SystemConfig.stripe_extents if settings.stripe_extents is None
+            else settings.stripe_extents
+        ),
         push_enabled=settings.push_prefetch,
         agg_strategy=settings.agg_strategy,
         sharing=sharing,
@@ -300,9 +298,7 @@ def run_mode(
             seed=settings.seed,
             query_names=list(settings.query_names) if settings.query_names else None,
         )
-    workload = run_workload(
-        db, streams, stagger=settings.stagger, stagger_list=stagger_list
-    )
+    workload = run_workload(db, streams, stagger_list=stagger_list)
     until = max(db.sim.now, 1e-9)
     bucket = until / timeline_buckets
     disks = getattr(db.disk, "disks", None) or [db.disk]

@@ -199,8 +199,11 @@ class IndexScanSharingManager:
             instantaneous = delta_entries / delta_time
             alpha = self.config.speed_smoothing
             state.speed = alpha * instantaneous + (1 - alpha) * state.speed
-            state.last_update_time = self.sim.now
-            state.entries_at_last_update = entries_scanned
+        # Advance unconditionally, as SharingPolicy._record_progress does:
+        # entries reported at zero elapsed time must not be counted again,
+        # and a no-progress interval must not stretch the next window.
+        state.last_update_time = self.sim.now
+        state.entries_at_last_update = entries_scanned
 
         if not (self.config.enabled and self.config.throttling_enabled):
             self._reclassify()

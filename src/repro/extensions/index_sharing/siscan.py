@@ -221,7 +221,7 @@ class SharedIndexScan(IndexScan):
         wait = self.ism.update_location(
             scan_id, location, entries_done, wrapped_since_last=wrapped
         )
-        yield from self.db.charge_cpu(self.db.config.manager_call_overhead_cpu)
+        yield from self.db.charge_cpu(self.db.MANAGER_CALL_CPU)
         if wait > 0:
             result.throttle_seconds += wait
             yield self.db.sim.timeout(wait)

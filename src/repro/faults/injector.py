@@ -40,7 +40,7 @@ from repro.trace.events import (
     FaultPoolPressure,
     FaultScanKilled,
 )
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.buffer.pool import BufferPool
@@ -147,8 +147,8 @@ class FaultInjector:
             requested = int(pool.capacity * fault.fraction)
             granted["pages"] = pool.reserve(requested)
             self.stats.pool_pressure_events += 1
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(FaultPoolPressure(
                     time=self.sim.now, reserved=granted["pages"],
                     effective_capacity=pool.effective_capacity,
@@ -158,8 +158,8 @@ class FaultInjector:
         def end() -> None:
             released = pool.release_reserved(granted["pages"])
             self.stats.pool_pressure_events += 1
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(FaultPoolPressure(
                     time=self.sim.now, released=released,
                     effective_capacity=pool.effective_capacity,
@@ -189,8 +189,8 @@ class FaultInjector:
         if factor == 1.0:
             return service_time
         self.stats.disk_delayed_requests += 1
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             request = disk._active
             tracer.emit(FaultDiskDelay(
                 time=now,
@@ -219,8 +219,8 @@ class FaultInjector:
                 continue
             backoff = fault.backoff * (2 ** request.retries)
             self.stats.disk_errors_injected += 1
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(FaultDiskError(
                     time=now, start_page=request.start_page,
                     n_pages=request.n_pages, retries=request.retries + 1,
@@ -256,8 +256,8 @@ class FaultInjector:
                 continue
             self._kill_remaining[index] -= 1
             self.stats.scans_killed += 1
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(FaultScanKilled(
                     time=self.sim.now, scan_id=scan_id,
                     target=fault.target, pages_scanned=pages_scanned,

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.buffer.page import Priority
 from repro.trace.events import InvariantChecked
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.buffer.pool import BufferPool
@@ -102,8 +102,8 @@ class InvariantChecker:
         self._check_push()
         self._check_accounting()
         self.checks_run += 1
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             manager = self.manager
             tracer.emit(InvariantChecked(
                 time=manager.sim.now,

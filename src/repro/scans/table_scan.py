@@ -129,7 +129,7 @@ class TableScan:
                 estimated_speed=self.estimated_speed
                 or db.default_scan_speed_estimate(table.name),
             ))
-            yield from db.charge_cpu(db.config.manager_call_overhead_cpu)
+            yield from db.charge_cpu(db.MANAGER_CALL_CPU)
             scan_id = state.scan_id
             start_page = state.start_page
             interval = manager.config.update_interval_pages
@@ -236,7 +236,7 @@ class TableScan:
     ) -> Generator:
         db = self.db
         wait = manager.update_location(scan_id, pages_done)
-        yield from db.charge_cpu(db.config.manager_call_overhead_cpu)
+        yield from db.charge_cpu(db.MANAGER_CALL_CPU)
         if wait > 0:
             result.throttle_seconds += wait
             yield db.sim.timeout(wait)

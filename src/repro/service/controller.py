@@ -32,7 +32,7 @@ from typing import Callable, Generator, Optional
 from repro.engine.database import Database
 from repro.service.spec import ControllerConfig
 from repro.trace.events import ServiceMplChanged
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 
 
 @dataclass
@@ -125,8 +125,8 @@ class AdmissionController:
         self.stats.max_mpl_seen = max(self.stats.max_mpl_seen, self.mpl)
 
         if self.mpl != old_mpl:
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(ServiceMplChanged(
                     time=self.db.sim.now, old_mpl=old_mpl, new_mpl=self.mpl,
                     miss_rate=miss_rate, pool_pressure=pressure,

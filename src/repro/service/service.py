@@ -39,7 +39,7 @@ from repro.trace.events import (
     ServiceArrival,
     ServiceCompleted,
 )
-from repro.trace.tracer import get_tracer
+import repro.trace.tracer as trace_slot
 from repro.workloads.arrivals import ArrivalPlan, _query_mix, make_arrivals
 from repro.workloads.tpch_queries import QUERY_FACTORIES
 
@@ -181,8 +181,8 @@ class QueryService:
         queue.push(request, now)
         self._requests[cls.name].append(request)
         self._note_in_system(+1)
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(ServiceArrival(
                 time=now, request_id=request.request_id,
                 service_class=cls.name, query=query.name,
@@ -204,8 +204,8 @@ class QueryService:
         request.abandoned_at = now
         self._note_in_system(-1)
         self._last_resolved = now
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(ServiceAbandoned(
                 time=now, request_id=request.request_id,
                 service_class=request.class_name,
@@ -227,8 +227,8 @@ class QueryService:
             queue.running += 1
             self._running += 1
             self._peak_running = max(self._peak_running, self._running)
-            tracer = get_tracer()
-            if tracer.enabled:
+            tracer = trace_slot.active
+            if tracer is not None:
                 tracer.emit(ServiceAdmitted(
                     time=now, request_id=request.request_id,
                     service_class=request.class_name,
@@ -255,8 +255,8 @@ class QueryService:
         self._last_resolved = now
         if event.failed:
             self._failures.append(event.value)
-        tracer = get_tracer()
-        if tracer.enabled:
+        tracer = trace_slot.active
+        if tracer is not None:
             tracer.emit(ServiceCompleted(
                 time=now, request_id=request.request_id,
                 service_class=request.class_name,

@@ -29,25 +29,18 @@ class Simulator:
         assert sim.now == 1.5
         assert proc.completion.value == "done"
 
-    ``trace_dispatch_sample`` controls :class:`SimDispatch` emission: 1
-    (the default) traces every dispatch, ``N`` every Nth, and 0 none — the
-    event loop then pays no per-event tracer check at all, which is what
-    soak-scale runs want (buffer/disk/scan events are unaffected).
+    Every dispatch emits a :class:`SimDispatch` while a tracer is
+    attached (``repro.trace.tracer.active``); with none attached the loop
+    pays one attribute read per dispatch.
     """
 
-    def __init__(self, trace_dispatch_sample: int = 1) -> None:
-        if trace_dispatch_sample < 0:
-            raise SimulationError(
-                f"trace_dispatch_sample must be >= 0, got {trace_dispatch_sample}"
-            )
+    def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         #: Latest time an inline ``Resource.hold`` may move the clock to:
         #: the active ``run(until=...)`` bound, ``-inf`` outside ``run``.
         self._hold_horizon = -_INF
-        self.trace_dispatch_sample = trace_dispatch_sample
-        self._trace_countdown = max(trace_dispatch_sample, 0) or 1
 
     @property
     def now(self) -> float:
@@ -178,21 +171,15 @@ class Simulator:
             heap = queue._heap
             ready = queue._ready
             pop_ready = ready.popleft
-            sample = self.trace_dispatch_sample
-            countdown = self._trace_countdown
             while True:
                 while ready:
                     callback = pop_ready()
-                    if sample:
-                        countdown -= 1
-                        if countdown <= 0:
-                            countdown = sample
-                            tracer = trace_slot.active
-                            if tracer is not None:
-                                tracer.emit(SimDispatch(
-                                    time=self._now,
-                                    queue_len=len(heap) + len(ready),
-                                ))
+                    tracer = trace_slot.active
+                    if tracer is not None:
+                        tracer.emit(SimDispatch(
+                            time=self._now,
+                            queue_len=len(heap) + len(ready),
+                        ))
                     callback()
                 if not heap or (until is not None and heap[0][0] > until):
                     break
@@ -215,7 +202,6 @@ class Simulator:
                         ready.rotate(-leading)
             if until is not None and until > self._now:
                 self._now = until
-            self._trace_countdown = countdown
             return self._now
         finally:
             self._running = False

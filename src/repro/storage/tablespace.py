@@ -11,18 +11,18 @@ class Tablespace:
     """Maps (space_id, page_no) keys to absolute disk page addresses.
 
     Each table receives its own space id and a contiguous address range —
-    tables laid out one after another with an optional inter-table gap so
+    tables laid out one after another with a fixed inter-table gap so
     cross-table transitions always cost a seek (as they would on a real
     layout).
     """
 
-    def __init__(self, total_disk_pages: int, inter_table_gap: int = 64):
+    #: Unallocated pages left between consecutive tables.
+    INTER_TABLE_GAP = 64
+
+    def __init__(self, total_disk_pages: int):
         if total_disk_pages < 1:
             raise ValueError(f"need at least one disk page, got {total_disk_pages}")
-        if inter_table_gap < 0:
-            raise ValueError(f"inter_table_gap must be >= 0, got {inter_table_gap}")
         self.total_disk_pages = total_disk_pages
-        self.inter_table_gap = inter_table_gap
         self._base_of: Dict[int, int] = {}
         self._size_of: Dict[int, int] = {}
         self._next_free = 0
@@ -41,7 +41,7 @@ class Tablespace:
         self._next_space_id += 1
         self._base_of[space_id] = self._next_free
         self._size_of[space_id] = n_pages
-        self._next_free += n_pages + self.inter_table_gap
+        self._next_free += n_pages + self.INTER_TABLE_GAP
         return space_id
 
     def address_of(self, key: PageKey) -> int:

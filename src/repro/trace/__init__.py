@@ -3,7 +3,7 @@
 Every layer (sim kernel, disk, bufferpool, sharing manager, executor)
 emits typed events through one process-wide :class:`Tracer`.  With no
 sink installed the tracer is disabled and every call site short-circuits
-on ``tracer.enabled`` — tracing off is a no-op.
+on ``repro.trace.tracer.active`` being ``None`` — tracing off is a no-op.
 
 Typical use::
 

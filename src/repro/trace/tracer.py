@@ -2,15 +2,19 @@
 
 One :class:`Tracer` exists per process (replaceable for tests via
 :func:`set_tracer` or the :func:`tracing` context manager).  Subsystems
-emit through the pattern::
+emit through one pattern::
 
-    tracer = get_tracer()
-    if tracer.enabled:
+    import repro.trace.tracer as trace_slot
+
+    tracer = trace_slot.active
+    if tracer is not None:
         tracer.emit(DiskRequestQueued(time=now, ...))
 
-The ``enabled`` guard keeps hot paths allocation-free when no sink is
-installed: a disabled tracer costs one attribute check per potential
-event, which is what the E1 overhead band holds the line on.
+:data:`active` is the installed tracer while it has a sink and ``None``
+otherwise, so tracing off costs one module-attribute read per potential
+event and allocates nothing, which is what the E1 overhead band holds
+the line on.  :func:`get_tracer` and :attr:`Tracer.enabled` answer the
+same question for callers outside the package.
 """
 
 from __future__ import annotations
@@ -73,9 +77,8 @@ class Tracer:
 #: is a no-op unless a sink is installed.
 _tracer = Tracer()
 
-#: The installed tracer when it has a sink, else ``None``: what hot paths
-#: read (``trace_slot.active`` after ``import repro.trace.tracer as
-#: trace_slot``) instead of calling :func:`get_tracer`.  Every tracer swap
+#: The installed tracer when it has a sink, else ``None``: what every
+#: emitting call site reads (see the module docstring).  Every tracer swap
 #: and sink change updates it, so the very next event sees the change.
 active: Optional[Tracer] = None
 

@@ -60,32 +60,13 @@ def poisson_arrivals(
             recent-data queries dominate.
         max_arrivals: Safety bound.
     """
-    if rate_per_second <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_second}")
-    if horizon_seconds <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon_seconds}")
+    _validate_window(rate_per_second, horizon_seconds)
     rng = np.random.default_rng(seed)
-    names = list(query_names) if query_names else sorted(
-        QUERY_FACTORIES, key=lambda n: int(n[1:])
+    names, probabilities = _query_mix(query_names, query_weights)
+    return _render_arrivals(
+        lambda: rng.exponential(1.0 / rate_per_second),
+        horizon_seconds, rng, names, probabilities, max_arrivals,
     )
-    weights = np.array(
-        [float((query_weights or {}).get(name, 1.0)) for name in names]
-    )
-    if (weights <= 0).all():
-        raise ValueError("at least one query weight must be positive")
-    probabilities = weights / weights.sum()
-
-    arrival_times: List[float] = []
-    queries: List[QuerySpec] = []
-    time = 0.0
-    while len(arrival_times) < max_arrivals:
-        time += float(rng.exponential(1.0 / rate_per_second))
-        if time >= horizon_seconds:
-            break
-        name = str(rng.choice(names, p=probabilities))
-        arrival_times.append(time)
-        queries.append(QUERY_FACTORIES[name](rng))
-    return ArrivalPlan(queries=queries, arrival_times=arrival_times)
 
 
 def _validate_window(rate_per_second: float, horizon_seconds: float) -> None:

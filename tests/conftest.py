@@ -128,7 +128,6 @@ def make_database(
     config = SystemConfig(
         n_cpus=n_cpus,
         pool_pages=pool_pages,
-        min_pool_pages=pool_pages,
         sharing=sharing or SharingConfig(),
         extent_size=extent_size,
         **config_kwargs,

@@ -6,11 +6,8 @@ from repro.buffer.page import PageKey, Priority
 from repro.buffer.replacement import (
     ArcPolicy,
     ClockPolicy,
-    FifoPolicy,
-    LfuPolicy,
     LruKPolicy,
     LruPolicy,
-    MruPolicy,
     PriorityLruPolicy,
     TwoQPolicy,
     make_policy,
@@ -27,7 +24,7 @@ def always(_key: PageKey) -> bool:
 
 class TestRegistry:
     @pytest.mark.parametrize(
-        "name", ["priority-lru", "lru", "mru", "fifo", "clock", "lru-k", "lfu"]
+        "name", ["priority-lru", "lru", "clock", "lru-k"]
     )
     def test_make_policy_capacityless(self, name):
         assert make_policy(name) is not None
@@ -71,22 +68,6 @@ class TestLru:
         policy.on_admit(key(0))
         policy.on_evict(key(0))
         assert policy.choose_victim(always) is None
-
-
-class TestMruFifo:
-    def test_mru_evicts_most_recent(self):
-        policy = MruPolicy()
-        for n in range(3):
-            policy.on_admit(key(n))
-        policy.on_hit(key(0))
-        assert policy.choose_victim(always) == key(0)
-
-    def test_fifo_ignores_hits(self):
-        policy = FifoPolicy()
-        for n in range(3):
-            policy.on_admit(key(n))
-        policy.on_hit(key(0))
-        assert policy.choose_victim(always) == key(0)
 
 
 class TestPriorityLru:
@@ -163,14 +144,14 @@ class TestClock:
 
 class TestLruK:
     def test_pages_without_k_references_evicted_first(self):
-        policy = LruKPolicy(k=2)
+        policy = LruKPolicy()
         policy.on_admit(key(0))
         policy.on_hit(key(0))  # 0 now has 2 references
         policy.on_admit(key(1))  # 1 has only 1
         assert policy.choose_victim(always) == key(1)
 
     def test_oldest_kth_reference_evicted(self):
-        policy = LruKPolicy(k=2)
+        policy = LruKPolicy()
         policy.on_admit(key(0))   # 0: refs at 1
         policy.on_hit(key(0))     # 0: refs at 1,2
         policy.on_admit(key(1))   # 1: refs at 3
@@ -179,10 +160,6 @@ class TestLruK:
         # 0's K-th most recent reference (t=2) is older than 1's (t=3),
         # so 0 has the larger backward K-distance and is the victim.
         assert policy.choose_victim(always) == key(0)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LruKPolicy(k=0)
 
 
 class TestTwoQ:
@@ -202,7 +179,7 @@ class TestTwoQ:
         assert sizes["a1out"] == 0
 
     def test_a1in_preferred_victim_when_full(self):
-        policy = TwoQPolicy(capacity=4, kin_fraction=0.25)
+        policy = TwoQPolicy(capacity=4)
         # Promote key 0 into Am via the ghost path.
         policy.on_admit(key(0))
         policy.on_evict(key(0))
@@ -214,26 +191,6 @@ class TestTwoQ:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             TwoQPolicy(capacity=1)
-        with pytest.raises(ValueError):
-            TwoQPolicy(capacity=8, kin_fraction=1.5)
-
-
-class TestLfu:
-    def test_least_frequent_evicted(self):
-        policy = LfuPolicy()
-        policy.on_admit(key(0))
-        policy.on_hit(key(0))
-        policy.on_hit(key(0))
-        policy.on_admit(key(1))
-        policy.on_hit(key(1))
-        policy.on_admit(key(2))
-        assert policy.choose_victim(always) == key(2)
-
-    def test_frequency_tie_broken_by_recency(self):
-        policy = LfuPolicy()
-        policy.on_admit(key(0))
-        policy.on_admit(key(1))
-        assert policy.choose_victim(always) == key(0)
 
 
 class TestArc:

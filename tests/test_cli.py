@@ -104,11 +104,6 @@ class TestExecution:
         assert main(["trace", "e1", "--out", str(missing_dir)]) == 2
         assert "cannot open --out" in capsys.readouterr().err
 
-    def test_quickstart_tiny(self, capsys):
-        assert main(["quickstart", "--scale", "0.05", "--streams", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "end-to-end (s)" in out
-        assert "pages read" in out
 
 
 class TestUnknownExperiment:
@@ -155,7 +150,6 @@ class TestUnknownExperiment:
     ["chaos", "e1", "--faults", "bogus"],
     ["serve-sim", "steady", "--streams", "0", "--no-cache"],
     ["cluster-sim", "steady", "--scale", "0", "--no-cache"],
-    ["quickstart", "--scale", "0"],
 ], ids=" ".join)
 def test_bad_value_is_one_line_exit_2(argv, capsys):
     """Every bad CLI value exits 2 with one stderr line, before any work."""
@@ -170,7 +164,7 @@ def test_bad_value_is_one_line_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES + ("LRU", "2Q"))
 def test_every_known_policy_passes_validation(name):
-    """--policy accepts every name (and alias) make_policy knows,
+    """--policy accepts every name make_policy knows, in any case,
     including those that size queues from the pool capacity."""
     args = build_parser().parse_args(["run", "e1", "--policy", name])
     assert _settings_from_args(args).policy == name
@@ -253,12 +247,14 @@ class TestChaosCommand:
         args = build_parser().parse_args(["chaos"])
         assert args.command == "chaos"
         assert args.experiment == "e2"
-        assert not args.quick
+        assert args.faults is None
 
     def test_chaos_quick_battery_passes(self, capsys):
-        assert main(["chaos", "e2", "--quick",
-                     "--scale", "0.05", "--streams", "2"]) == 0
+        """Without --faults, chaos runs the three builtin plans."""
+        assert main(["chaos", "e2", "--scale", "0.05", "--streams", "2"]) == 0
         out = capsys.readouterr().out
+        for plan in ("leader-abort", "disk-degrade", "pool-pressure"):
+            assert f"plan {plan}" in out
         assert "invariants OK" in out
         assert "faults injected" in out
 
@@ -304,17 +300,17 @@ class TestServeSimCommand:
         args = build_parser().parse_args(["serve-sim"])
         assert args.command == "serve-sim"
         assert args.scenario == "steady"
-        assert not args.quick
+        assert args.scale == 0.25
         assert not args.assert_bounded
         assert args.horizon is None
 
     def test_parses_options(self):
         args = build_parser().parse_args(
-            ["serve-sim", "overload", "--quick", "--assert-bounded",
+            ["serve-sim", "overload", "--scale", "0.1", "--assert-bounded",
              "--horizon", "2.5", "--jobs", "2", "--no-cache"]
         )
         assert args.scenario == "overload"
-        assert args.quick and args.assert_bounded
+        assert args.scale == 0.1 and args.assert_bounded
         assert args.horizon == 2.5
         assert args.jobs == 2
 
@@ -333,7 +329,7 @@ class TestServeSimCommand:
         assert "--horizon" in capsys.readouterr().err
 
     def test_steady_quick_runs_and_passes_bounds(self, capsys):
-        assert main(["serve-sim", "steady", "--quick", "--no-cache",
+        assert main(["serve-sim", "steady", "--scale", "0.1", "--no-cache",
                      "--assert-bounded"]) == 0
         out = capsys.readouterr().out
         assert "sv-steady" in out
@@ -347,7 +343,7 @@ class TestServeSimCommand:
             service_metrics, "bounded_problems",
             lambda label, metrics: [f"{label}: synthetic violation"],
         )
-        assert main(["serve-sim", "steady", "--quick", "--no-cache",
+        assert main(["serve-sim", "steady", "--scale", "0.1", "--no-cache",
                      "--assert-bounded"]) == 5
         err = capsys.readouterr().err
         assert "UNBOUNDED SERVICE BEHAVIOUR" in err
@@ -355,7 +351,7 @@ class TestServeSimCommand:
 
     def test_comma_separated_scenarios(self, capsys, tmp_path):
         out_file = tmp_path / "serve.json"
-        assert main(["serve-sim", "steady,burst", "--quick", "--no-cache",
+        assert main(["serve-sim", "steady,burst", "--scale", "0.1", "--no-cache",
                      "--out", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
         labels = {entry["label"] for entry in payload["experiments"]}
@@ -367,17 +363,17 @@ class TestClusterSimCommand:
         args = build_parser().parse_args(["cluster-sim"])
         assert args.command == "cluster-sim"
         assert args.scenario == "steady"
-        assert not args.quick
+        assert args.scale == 0.25
         assert args.replicas is None and args.users is None
         assert args.horizon is None
 
     def test_parses_options(self):
         args = build_parser().parse_args(
-            ["cluster-sim", "scale", "--quick", "--replicas", "4",
+            ["cluster-sim", "scale", "--scale", "0.1", "--replicas", "4",
              "--users", "50000", "--horizon", "1.5", "--jobs", "2"]
         )
         assert args.scenario == "scale"
-        assert args.quick
+        assert args.scale == 0.1
         assert args.replicas == 4 and args.users == 50000
         assert args.horizon == 1.5 and args.jobs == 2
 
@@ -405,7 +401,7 @@ class TestClusterSimCommand:
 
     def test_steady_quick_runs(self, capsys, tmp_path):
         out_file = tmp_path / "cluster.json"
-        assert main(["cluster-sim", "steady", "--quick", "--no-cache",
+        assert main(["cluster-sim", "steady", "--scale", "0.1", "--no-cache",
                      "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "sv-cluster-steady" in out

@@ -102,11 +102,20 @@ class TestStriping:
 
 
 class TestDatabaseIntegration:
+    def test_default_stripe_unit_is_64_pages(self):
+        """With no stripe setting a 2-disk database stripes in 64-page
+        units: 4 extents of the 16-page extent every database uses."""
+        db = Database(SystemConfig(n_disks=2))
+        assert db.disk.stripe_pages == 64
+        assert db.disk.stripe_map.locate(63) == (0, 63)
+        assert db.disk.stripe_map.locate(64) == (1, 0)
+        assert db.disk.stripe_map.locate(128) == (0, 64)
+
     def run_db(self, n_disks, enabled=True):
         db = Database(SystemConfig(
             pool_pages=48,
             n_disks=n_disks,
-            disk_stripe_pages=16,
+            stripe_extents=1,
             sharing=SharingConfig(enabled=enabled),
         ))
         db.create_table(simple_table_schema("t"), n_pages=256, extent_size=16)

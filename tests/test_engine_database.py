@@ -29,13 +29,13 @@ class TestDatabaseLifecycle:
             db.open()
 
     def test_pool_sized_from_fraction(self):
-        db = Database(SystemConfig(pool_fraction=0.5, min_pool_pages=4))
+        db = Database(SystemConfig(pool_fraction=0.5))
         db.create_table(simple_table_schema(), n_pages=1000)
         db.open()
         assert db.pool.capacity == 500
 
     def test_pool_floor_applies(self):
-        db = Database(SystemConfig(pool_fraction=0.01, min_pool_pages=96))
+        db = Database(SystemConfig(pool_fraction=0.01))
         db.create_table(simple_table_schema(), n_pages=100)
         db.open()
         assert db.pool.capacity == 96

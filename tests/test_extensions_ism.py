@@ -192,3 +192,33 @@ class TestThrottleAndPriority:
         assert ism.active_scan_count == 0
         with pytest.raises(KeyError):
             ism.update_location(state.scan_id, location=1, entries_scanned=1)
+
+
+class TestSpeedBookkeeping:
+    def _advance_to(self, sim, when):
+        sim.schedule(when - sim.now, lambda: None)
+        sim.run()
+
+    def test_zero_elapsed_report_is_not_counted_twice(self):
+        """Reports of 10 entries at t=1, 20 at t=1 and 30 at t=2 give a
+        last-interval speed of 10 entries/s, not 20."""
+        sim, ism = make_ism(SharingConfig(speed_smoothing=1.0))
+        state = ism.start_scan(descriptor())
+        self._advance_to(sim, 1.0)
+        ism.update_location(state.scan_id, location=10, entries_scanned=10)
+        assert state.speed == pytest.approx(10.0)
+        ism.update_location(state.scan_id, location=20, entries_scanned=20)
+        self._advance_to(sim, 2.0)
+        ism.update_location(state.scan_id, location=30, entries_scanned=30)
+        assert state.speed == pytest.approx(10.0)
+
+    def test_no_progress_interval_does_not_stretch_the_window(self):
+        sim, ism = make_ism(SharingConfig(speed_smoothing=1.0))
+        state = ism.start_scan(descriptor())
+        self._advance_to(sim, 1.0)
+        ism.update_location(state.scan_id, location=10, entries_scanned=10)
+        self._advance_to(sim, 3.0)
+        ism.update_location(state.scan_id, location=10, entries_scanned=10)
+        self._advance_to(sim, 4.0)
+        ism.update_location(state.scan_id, location=20, entries_scanned=20)
+        assert state.speed == pytest.approx(10.0)

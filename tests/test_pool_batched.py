@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import _PAGE_BITS
-from repro.buffer.replacement import _POLICY_NAMES, make_policy
+from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.sim.events import Event
@@ -93,7 +93,7 @@ operations = st.lists(
 
 
 class TestBatchedPolicyCalls:
-    @pytest.mark.parametrize("name", _POLICY_NAMES)
+    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
     @settings(max_examples=40, deadline=None)
     @given(ops=operations)
     def test_same_victims_and_state_as_the_per_key_loops(self, name, ops):

@@ -63,4 +63,4 @@ class TestPublicApi:
         with pytest.raises(ValueError):
             SystemConfig(n_disks=0)
         with pytest.raises(ValueError):
-            SystemConfig(disk_stripe_pages=0)
+            SystemConfig(stripe_extents=0)

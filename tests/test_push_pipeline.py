@@ -12,8 +12,6 @@ Covers the three push contracts in isolation and end-to-end:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.buffer.page import PageKey
 from repro.core.config import SharingConfig
 from repro.disk.array import DiskArray
@@ -172,13 +170,6 @@ class TestPipelineDelivery:
         stats = db.push.stats
         assert stats.extents_pushed > 0
         assert stats.duplicate_deliveries == 0
-
-    def test_negative_depth_rejected(self):
-        from repro.buffer.push import PushPipeline
-
-        db = push_db()
-        with pytest.raises(ValueError, match="push depth"):
-            PushPipeline(db.sim, db.pool, db.catalog, db.sharing, depth=-1)
 
     def test_push_disabled_means_no_pipeline(self):
         db = make_database(sharing=SharingConfig(enabled=True))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import BufferPoolError, PoolExhausted
-from repro.buffer.replacement import _POLICY_NAMES, make_policy
+from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
 
 from tests.conftest import make_pool
 
@@ -29,7 +29,7 @@ workload = st.tuples(
 
 
 class TestChooseVictimNeverLeaks:
-    @pytest.mark.parametrize("name", _POLICY_NAMES)
+    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
     @settings(max_examples=30, deadline=None)
     @given(data=workload)
     def test_random_pin_sets(self, name, data):
@@ -59,7 +59,7 @@ class TestChooseVictimNeverLeaks:
         # With nothing evictable at all, every policy must yield None.
         assert policy.choose_victim(lambda k: False) is None
 
-    @pytest.mark.parametrize("name", _POLICY_NAMES)
+    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
     def test_empty_policy_returns_none(self, name):
         policy = make_policy(name, 32)
         assert policy.choose_victim(lambda k: True) is None

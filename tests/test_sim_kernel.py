@@ -230,8 +230,8 @@ class TestScheduleMany:
         assert sim.now == 2.0
 
 
-class TestDispatchSampling:
-    def _dispatch_times(self, sample):
+class TestDispatchTracing:
+    def _dispatch_times(self):
         from repro.trace.events import SimDispatch
         from repro.trace.tracer import Tracer, set_tracer
 
@@ -245,7 +245,7 @@ class TestDispatchSampling:
         sink = ListSink()
         previous = set_tracer(Tracer([sink]))
         try:
-            sim = Simulator(trace_dispatch_sample=sample)
+            sim = Simulator()
             for i in range(1, 7):
                 sim.schedule(float(i), lambda: None)
             sim.run()
@@ -253,15 +253,5 @@ class TestDispatchSampling:
             set_tracer(previous)
         return [e for e in sink.events if isinstance(e, SimDispatch)]
 
-    def test_sample_one_traces_every_dispatch(self):
-        assert len(self._dispatch_times(1)) == 6
-
-    def test_sample_zero_disables_dispatch_tracing(self):
-        assert self._dispatch_times(0) == []
-
-    def test_sample_n_traces_every_nth(self):
-        assert len(self._dispatch_times(3)) == 2
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(trace_dispatch_sample=-1)
+    def test_every_dispatch_is_traced(self):
+        assert len(self._dispatch_times()) == 6

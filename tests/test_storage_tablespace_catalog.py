@@ -19,11 +19,11 @@ def make_table(name, n_pages=10):
 
 class TestTablespace:
     def test_allocations_are_disjoint_and_ordered(self):
-        ts = Tablespace(total_disk_pages=1000, inter_table_gap=5)
+        ts = Tablespace(total_disk_pages=1000)
         a = ts.allocate(100)
         b = ts.allocate(50)
         assert ts.address_of(PageKey(a, 0)) == 0
-        assert ts.address_of(PageKey(b, 0)) == 105  # 100 pages + 5 gap
+        assert ts.address_of(PageKey(b, 0)) == 164  # 100 pages + 64 gap
 
     def test_addresses_contiguous_within_space(self):
         ts = Tablespace(total_disk_pages=1000)

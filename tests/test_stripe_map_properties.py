@@ -113,7 +113,7 @@ class TestConfigStability:
 
         def build():
             config = SystemConfig(
-                n_cpus=1, pool_pages=32, min_pool_pages=32,
+                n_cpus=1, pool_pages=32,
                 sharing=SharingConfig(), extent_size=8,
                 n_disks=n_disks, stripe_extents=stripe_extents,
             )

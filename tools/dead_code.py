@@ -56,7 +56,7 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--values", "grouping-throttling,cooperative,pbm",
      "--scale", "0.1", "--streams", "2", "--jobs", "1", "--no-cache",
      "--out", "{out}"),
-    ("cluster-sim", "steady,skew", "--quick", "--replicas", "2",
+    ("cluster-sim", "steady,skew", "--scale", "0.1", "--replicas", "2",
      "--jobs", "1", "--no-cache", "--out", "{out}"),
     ("sweep", "st-push", "--param", "device_count", "--values", "1,2",
      "--scale", "0.1", "--streams", "2", "--jobs", "1", "--no-cache",
@@ -67,11 +67,12 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--cache-dir", "{cache}"),
     ("run-all", "--only", "e1,e4", "--scale", "0.1", "--streams", "2",
      "--cache-dir", "{cache}"),
-    ("serve-sim", "steady", "--quick", "--no-cache", "--assert-bounded"),
-    ("serve-sim", "soak", "--quick", "--no-cache", "--assert-bounded",
+    ("serve-sim", "steady", "--scale", "0.1", "--no-cache",
+     "--assert-bounded"),
+    ("serve-sim", "soak", "--scale", "0.1", "--no-cache", "--assert-bounded",
      "--faults", "pool-pressure:fraction=0.6,from=1.0,until=3.0"),
     # ci.yml: the chaos, join and multi-device steps
-    ("chaos", "e2", "--quick", "--scale", "0.1", "--streams", "2"),
+    ("chaos", "e2", "--scale", "0.1", "--streams", "2"),
     ("chaos", "mj-join", "--scale", "0.1", "--streams", "2",
      "--faults", "pool-pressure:fraction=0.5,from=0.05,until=0.3"),
     ("chaos", "st-push", "--scale", "0.1", "--streams", "3",
@@ -83,7 +84,6 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("run", "e2", "--scale", "0.1", "--streams", "2",
      "--sharing", "distance_threshold_extents=4"),
     ("trace", "e2", "--scale", "0.1", "--streams", "2", "--out", "{out}"),
-    ("quickstart", "--scale", "0.1", "--streams", "2"),
     ("serve-sim", "--list"),
     ("cluster-sim", "--list"),
 )
