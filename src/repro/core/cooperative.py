@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.buffer.page import Priority
 from repro.core.placement import (
     PlacementDecision,
     align_to_extent,
@@ -64,11 +63,6 @@ class CooperativeScanManager(SharingPolicy):
         """Record progress; cooperative scans are never throttled."""
         self._record_progress(scan_id, pages_scanned)
         return 0.0
-
-    def page_priority(self, scan_id: int) -> Priority:
-        """Cooperative scans do not steer the victim policy."""
-        self._state(scan_id)
-        return Priority.NORMAL
 
     def end_scan(self, scan_id: int) -> None:
         """Deregister a finished scan and drop its attach edges."""

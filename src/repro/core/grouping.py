@@ -91,16 +91,20 @@ def form_groups(
     modulus: Dict[str, int] = {}
     pairs: List[Tuple[int, str, int]] = []  # (distance, table, index of rear scan)
     for table_name, scans in scans_by_table.items():
-        ordered = sorted(scans, key=lambda s: (s.position, s.scan_id))
+        # Each position once; the index keeps the sort stable on ties.
+        keyed = sorted(
+            (s.position, s.scan_id, i, s) for i, s in enumerate(scans)
+        )
+        ordered = [entry[3] for entry in keyed]
         sorted_scans[table_name] = ordered
         if not ordered:
             continue
         circle = (table_pages or {}).get(table_name) or _circle_pages(ordered)
         modulus[table_name] = circle
-        if len(ordered) > 1:
-            for i in range(len(ordered)):
-                nxt = ordered[(i + 1) % len(ordered)]
-                distance = (nxt.position - ordered[i].position) % circle
+        k = len(keyed)
+        if k > 1:
+            for i in range(k):
+                distance = (keyed[(i + 1) % k][0] - keyed[i][0]) % circle
                 pairs.append((distance, table_name, i))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
 
@@ -146,8 +150,10 @@ def form_groups(
 
     # Stamp membership flags onto the states.
     for group in groups:
+        leader_id = group.members[-1].scan_id
+        trailer_id = group.members[0].scan_id
         for member in group.members:
             member.group_id = group.group_id
-            member.is_leader = member.scan_id == group.leader.scan_id
-            member.is_trailer = member.scan_id == group.trailer.scan_id
+            member.is_leader = member.scan_id == leader_id
+            member.is_trailer = member.scan_id == trailer_id
     return groups

@@ -6,8 +6,8 @@ exactly the calls the paper adds to the scan code:
 * :meth:`ScanSharingManager.start_scan` — register, get a start location;
 * :meth:`ScanSharingManager.update_location` — report progress, possibly
   receive an inserted throttle wait;
-* :meth:`ScanSharingManager.page_priority` — the priority for releasing
-  the current page;
+* ``ScanState.priority`` — the priority for releasing the current page,
+  stamped by every regroup (``page_priority`` returns it);
 * :meth:`ScanSharingManager.end_scan` — deregister.
 
 The manager never touches the bufferpool or the disk; it only observes
@@ -144,13 +144,6 @@ class ScanSharingManager(SharingPolicy):
                 ))
         return decision.wait
 
-    def page_priority(self, scan_id: int) -> Priority:
-        """Replacement priority for pages this scan releases right now."""
-        state = self._state(scan_id)
-        group = self._group_of(state)
-        group_size = group.size if group is not None else 1
-        return release_priority(state, group_size, self.config)
-
     def end_scan(self, scan_id: int) -> None:
         """Deregister a finished scan."""
         state = self._state(scan_id)
@@ -271,31 +264,29 @@ class ScanSharingManager(SharingPolicy):
         circle = group.table_pages
         if circle <= 0:
             circle = self.catalog.table(group.table_name).n_pages
-        ordered = sorted(group.members, key=lambda s: (s.position, s.scan_id))
-        k = len(ordered)
-        gaps = [
-            ordered[i].forward_distance_to(ordered[(i + 1) % k], circle)
-            for i in range(k)
-        ]
-        leader_index = next(
-            i for i, s in enumerate(ordered)
-            if s.scan_id == group.leader.scan_id
+        # Each position once; the index keeps the sort stable on ties.
+        keyed = sorted(
+            (s.position, s.scan_id, i) for i, s in enumerate(group.members)
         )
-        successor = ordered[(leader_index + 1) % k]
+        k = len(keyed)
+        gaps = [(keyed[(i + 1) % k][0] - keyed[i][0]) % circle for i in range(k)]
+        leader_id = group.members[-1].scan_id
+        leader_index = next(i for i, key in enumerate(keyed) if key[1] == leader_id)
         return (
-            successor.scan_id != group.trailer.scan_id
+            keyed[(leader_index + 1) % k][1] != group.members[0].scan_id
             or gaps[leader_index] < max(gaps)
         )
 
     def _regroup(self, force: bool = False) -> None:
         if not (self.config.enabled and self.config.grouping_enabled):
-            # Clear stale membership flags too: a state stamped while
-            # grouping was on must not keep reporting leader/trailer
-            # roles (page_priority reads the flags directly).
+            # Clear stale membership flags and priorities too: a state
+            # stamped while grouping was on must not keep its
+            # leader/trailer role or release priority.
             for state in self._states.values():
                 state.group_id = None
                 state.is_leader = False
                 state.is_trailer = False
+                state.priority = Priority.NORMAL
             self._groups = []
             self._group_by_id = {}
             if self.invariant_hook is not None:
@@ -317,6 +308,11 @@ class ScanSharingManager(SharingPolicy):
             },
         )
         self._group_by_id = {group.group_id: group for group in self._groups}
+        config = self.config
+        for group in self._groups:
+            size = group.size
+            for member in group.members:
+                member.priority = release_priority(member, size, config)
         self.stats.regroups += 1
         self.stats.group_count_trace.append((now, len(self._groups)))
         tracer = trace_slot.active

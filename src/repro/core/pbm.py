@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from repro.buffer.page import PageKey, Priority
+from repro.buffer.page import PageKey
 from repro.core.placement import PlacementDecision
 from repro.core.policy import SharingPolicy
 from repro.core.scan_state import ScanDescriptor, ScanState
@@ -64,11 +64,6 @@ class PbmScanManager(SharingPolicy):
         """Record progress (feeding the predictions); never throttles."""
         self._record_progress(scan_id, pages_scanned)
         return 0.0
-
-    def page_priority(self, scan_id: int) -> Priority:
-        """Priorities are not PBM's lever — the victim policy is."""
-        self._state(scan_id)
-        return Priority.NORMAL
 
     def end_scan(self, scan_id: int) -> None:
         """Deregister; the scan's reuse-time entries go with it."""

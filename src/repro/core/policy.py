@@ -10,7 +10,7 @@ and the harness make:
 * :meth:`SharingPolicy.update_location` — report progress, possibly
   receive an inserted throttle wait (0.0 for non-throttling policies);
 * :meth:`SharingPolicy.page_priority` — release priority for the
-  current page;
+  current page (the scan reads the same value off ``ScanState.priority``);
 * :meth:`SharingPolicy.end_scan` / :meth:`SharingPolicy.abort_scan` —
   deregister (cleanly, or after a mid-scan death).
 
@@ -110,9 +110,12 @@ class SharingPolicy(ABC):
         return 0.0.
         """
 
-    @abstractmethod
     def page_priority(self, scan_id: int) -> Priority:
-        """Replacement priority for pages this scan releases right now."""
+        """Replacement priority for pages this scan releases right now:
+        ``ScanState.priority``, which the scan reads directly.  A policy
+        that steers the pool restamps it when a scan's role changes; the
+        others leave it NORMAL."""
+        return self._state(scan_id).priority
 
     @abstractmethod
     def end_scan(self, scan_id: int) -> None:

@@ -9,8 +9,10 @@ throttle delay used by the fairness cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.buffer.page import Priority
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,14 @@ class ScanState:
     group_id: Optional[int] = None
     is_leader: bool = False
     is_trailer: bool = False
+    #: Release priority for the scan's pages, stamped by the sharing
+    #: manager at every regroup (NORMAL under the other policies).
+    priority: Priority = Priority.NORMAL
+    #: Pages in the declared scan range (the descriptor is frozen).
+    range_pages: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def range_pages(self) -> int:
-        """Pages in the declared scan range."""
-        return self.descriptor.range_pages
+    def __post_init__(self) -> None:
+        self.range_pages = self.descriptor.range_pages
 
     @property
     def remaining_pages(self) -> int:

@@ -52,6 +52,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.buffer.page import Priority
+from repro.core.priority import release_priority
 from repro.trace.events import InvariantChecked
 import repro.trace.tracer as trace_slot
 
@@ -231,8 +232,9 @@ class InvariantChecker:
 
     def _check_priorities(self) -> None:
         # Derive the expected priority from the group *structure* (member
-        # positions), not from the stamped flags page_priority itself
-        # reads — so a stale flag shows up as a mismatch.
+        # positions), not from the flags or the stamped priority the scan
+        # releases with — so a stale flag or a stale stamp shows up as a
+        # mismatch.
         manager = self.manager
         config = manager.config
         adaptive = (
@@ -249,10 +251,13 @@ class InvariantChecker:
                 elif state.scan_id == group.trailer.scan_id:
                     expected = Priority.LOW
             actual = manager.page_priority(state.scan_id)
-            if actual != expected:
+            flagged = release_priority(
+                state, group.size if group is not None else 1, config
+            )
+            if actual != expected or flagged != expected:
                 self._fail(
                     f"scan {state.scan_id} releases at priority {actual!r} "
-                    f"but its group role implies {expected!r}"
+                    f"(flags: {flagged!r}) but its group role implies {expected!r}"
                 )
 
     def _check_attach_edges(self) -> None:

@@ -120,7 +120,7 @@ class TableScan:
         start_page = first_page
         normal = Priority.NORMAL
         scan_id = interval = 0
-        page_priority = kill_check = push = None
+        state = kill_check = push = None
         if manager is not None:
             state = manager.start_scan(ScanDescriptor(
                 table_name=table.name,
@@ -133,9 +133,8 @@ class TableScan:
             scan_id = state.scan_id
             start_page = state.start_page
             interval = manager.config.update_interval_pages
-            # The release priority stays a per-page manager call because
-            # grouping changes it mid-scan.
-            page_priority = manager.page_priority
+            # The release priority is read per page off ``state``: every
+            # regroup restamps it.
             faults = getattr(db, "faults", None)
             if faults is not None:
                 kill_check = faults.maybe_kill_scan
@@ -198,9 +197,7 @@ class TableScan:
                     finally:
                         # Never leak a pin, even when page processing raises.
                         pool.unfix(
-                            key,
-                            normal if page_priority is None
-                            else page_priority(scan_id),
+                            key, normal if state is None else state.priority
                         )
                     pages_done += 1
                     cpu_total += cpu_seconds

@@ -151,17 +151,32 @@ class _Hold(Event):
 
     def _granted(self) -> None:
         # The clock starts only now, so the expiry gets the heap sequence
-        # number the timeout used to get.
+        # number the timeout used to get.  A delay the clock absorbs
+        # (``now + seconds == now``) is due now: ``push`` routes it.
         sim = self.sim
-        sim._queue.push(sim._now + self._seconds, self)
+        queue = sim._queue
+        end = sim._now + self._seconds
+        if queue._time < end < _INF:
+            heappush(queue._heap, (end, queue._seq, self))
+            queue._seq += 1
+        else:
+            queue.push(end, self)
 
     def __call__(self) -> None:
-        self.sim._queue.push(self.sim._now, self._finish)
+        # Dispatched, so the clock is the queue's cursor: due now.
+        self.sim._queue._ready.append(self._finish)
 
     def _finish(self) -> None:
-        # Release first (a waiter's grant queues ahead of whatever the
-        # holder does next), then resume the holder in this dispatch.
-        self._resource.release()
+        # ``Resource.release`` inlined first (a waiter's grant queues ahead
+        # of whatever the holder does next), then the holder resumes.
+        resource = self._resource
+        in_use = resource._in_use - 1
+        if in_use < 0:
+            raise SimulationError(f"release on idle resource {resource.name!r}")
+        resource._in_use = in_use
+        resource.busy_timeline.record(self.sim._now, in_use)
+        if resource._waiters and in_use < resource.capacity:
+            resource._grant(resource._waiters.popleft())
         self._triggered = True
         for callback in self._callbacks:
             callback(self)

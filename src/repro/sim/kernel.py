@@ -141,7 +141,8 @@ class Simulator:
 
         Processes callbacks in time order until the queue drains, or until
         simulated time would exceed ``until`` (the clock is then advanced
-        to exactly ``until``).  Returns the final simulation time.
+        to exactly ``until``; a bound already in the past does nothing).
+        Returns the final simulation time.
 
         The loop body is the hottest code in the package: every simulated
         page touch, disk completion, and throttle wait dispatches through
@@ -160,11 +161,6 @@ class Simulator:
         self._running = True
         try:
             if until is not None and until < self._now:
-                # A bound already in the past never dispatches anything.
-                # Legacy quirk, preserved: the clock moves to the bound
-                # only when work is still pending.
-                if len(self._queue):
-                    self._now = until
                 return self._now
             self._hold_horizon = _INF if until is None else until
             queue = self._queue

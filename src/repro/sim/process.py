@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Generator
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import Event, SimulationError, _Hold
 
 
 class Process:
@@ -63,6 +63,10 @@ class Process:
             # interrupt (KeyboardInterrupt, SystemExit) leaves ``run``.
             self._completion.fail(error)
             return
+        if type(target) is _Hold and not (target._callbacks or target._triggered):
+            # A fresh hold's one waiter, registered as its add_callback would.
+            target._callbacks.append(self._resume)
+            return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {type(target).__name__}; "
@@ -71,7 +75,8 @@ class Process:
         target.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        self._step(event.value, throw=event.failed)
+        # Only ever called once ``event`` has triggered.
+        self._step(event._value, event._is_error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"

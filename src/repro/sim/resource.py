@@ -44,7 +44,12 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request one slot; the returned event succeeds when granted."""
-        return self._request(Event(self.sim))
+        ev = Event(self.sim)
+        if self._in_use < self.capacity and not self._waiters:
+            self._grant(ev)
+        else:
+            self._waiters.append(ev)
+        return ev
 
     def hold(self, seconds: float) -> Optional[Event]:
         """``yield acquire()``, ``yield sim.timeout(seconds)``, ``release()``
@@ -57,6 +62,8 @@ class Resource:
         within the ``run`` bound), so the clock was moved here.  Otherwise
         the caller yields the returned event at once, before scheduling
         anything, so a grant with an empty ready lane can push the expiry.
+        Any other grant queues :meth:`~repro.sim.events._Hold._granted`
+        where ``acquire``'s grant would have, without the grant calls.
         """
         if not 0.0 <= seconds < _INF:
             raise SimulationError(
@@ -64,32 +71,31 @@ class Resource:
             )
         sim = self.sim
         queue = sim._queue
-        end = sim._now + seconds
-        if self._in_use < self.capacity and not self._waiters and not queue._ready:
+        now = sim._now
+        free = self._in_use < self.capacity and not self._waiters
+        if free and not queue._ready:
+            end = now + seconds
             heap = queue._heap
             if end <= sim._hold_horizon and (not heap or heap[0][0] > end):
-                self.busy_timeline.pulse(sim._now, end, self._in_use)
+                self.busy_timeline.pulse(now, end, self._in_use)
                 sim._now = queue._time = end
                 return None
-            if sim._running:
-                # Nothing runs before the caller yields: no grant hop.
-                held = _Hold(sim)
-                held._resource = self
-                self._in_use += 1
-                self.busy_timeline.record(sim._now, self._in_use)
-                queue.push(end, held)
-                return held
         held = _Hold(sim)
         held._resource = self
         held._seconds = seconds
-        return self._request(held)
-
-    def _request(self, ev: Event) -> Event:
-        if self._in_use < self.capacity and not self._waiters:
-            self._grant(ev)
+        if not free:
+            self._waiters.append(held)
+            return held
+        self._in_use += 1
+        self.busy_timeline.record(now, self._in_use)
+        if not queue._ready and sim._running:
+            # Nothing runs before the caller yields: no grant hop.
+            queue.push(now + seconds, held)
+        elif now == queue._time:
+            queue._ready.append(held._granted)
         else:
-            self._waiters.append(ev)
-        return ev
+            queue.push(now, held._granted)
+        return held
 
     def release(self) -> None:
         """Return one previously granted slot."""
@@ -107,7 +113,11 @@ class Resource:
             # The ready-lane entry where the holder's resume used to sit.
             # A grant from release() keeps it: the releasing holder resumes
             # in this dispatch and may push at the waiter's expiry instant.
-            self.sim.schedule(0.0, ev._granted)
+            sim = self.sim
+            if sim._now == sim._queue._time:
+                sim._queue._ready.append(ev._granted)
+            else:
+                sim.schedule(0.0, ev._granted)
         else:
             ev.succeed(self)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
 from repro.core.manager import ScanSharingManager
 from repro.core.scan_state import ScanDescriptor
@@ -112,6 +113,15 @@ class TestCheckerDetectsCorruption:
         trailer.is_trailer = False
         trailer.is_leader = True  # stale flags: releases HIGH, role says LOW
         with pytest.raises(InvariantViolation, match="priority"):
+            InvariantChecker(manager)._check_priorities()
+
+    def test_priority_stamp_drift_detected(self):
+        manager, states = grouped_manager()
+        trailer = manager.group_of(states[0].scan_id).trailer
+        InvariantChecker(manager)._check_priorities()
+        # Flags intact, stamp stale: the scan would release HIGH, not LOW.
+        trailer.priority = Priority.HIGH
+        with pytest.raises(InvariantViolation, match=r"priority <Priority\.HIGH"):
             InvariantChecker(manager)._check_priorities()
 
     def test_arc_order_violation_detected_in_strict_mode(self):

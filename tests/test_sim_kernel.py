@@ -82,6 +82,19 @@ class TestUntilSemantics:
             assert sim.now == bound
         assert fired == [1.0, 2.0, 3.0, 4.0]
 
+    def test_bound_in_the_past_leaves_the_clock_alone(self, sim):
+        fired = []
+        sim.schedule(10.0, lambda: fired.append(sim.now))
+        sim.schedule(20.0, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0) == 10.0
+        assert sim.run(until=5.0) == 10.0
+        assert sim.now == 10.0 and fired == [10.0]
+        # Scheduling relative to the unmoved clock still works.
+        sim.timeout(1.0)
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10.0, 10.0, 20.0]
+
     def test_callbacks_scheduled_during_bounded_run_respect_bound(self, sim):
         fired = []
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
+from repro.sim.resource import Resource
 
 
 class TestProcessBasics:
@@ -105,3 +106,29 @@ class TestProcessBasics:
             sim.run()
         assert sim.now == 1.0
         assert not proc.completion.triggered
+
+
+class TestYieldingAHold:
+    """A process registers itself as a hold's one waiter without
+    ``add_callback``; a second waiter, or one after the hold ended, still
+    raises."""
+
+    @staticmethod
+    def waiter(held):
+        yield held
+
+    def test_second_waiter_raises(self, sim):
+        held = Resource(sim, 1).hold(1.0)
+        sim.spawn(self.waiter(held))
+        sim.spawn(self.waiter(held))
+        with pytest.raises(SimulationError, match="one waiter"):
+            sim.run()
+        assert len(held._callbacks) == 1
+
+    def test_waiter_after_the_hold_ended_raises(self, sim):
+        held = Resource(sim, 1).hold(1.0)
+        sim.run()
+        assert held.triggered
+        sim.spawn(self.waiter(held))
+        with pytest.raises(SimulationError, match="one waiter"):
+            sim.run()

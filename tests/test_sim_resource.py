@@ -340,6 +340,31 @@ class TestHoldEquivalence:
     # waiter's expiry instant: the releaser's timeout is pushed first.
     @example(1, [(0.0, [("hold", 1.0), ("sleep", 1.0)]),
                  (0.0, [("hold", 1.0)])], [])
+    # A free core behind a non-empty ready lane (the other processes'
+    # starts): the grant is queued inline, behind them.
+    @example(2, [(0.0, [("hold", 1.0)]), (0.0, [("hold", 1.0)]),
+                 (0.0, [("sleep", 1.0)])], [])
+    # ``1.0 + 1e-18 == 1.0``: the granted hold's expiry is due now and
+    # goes to the ready lane behind the sleeper's resume, not the heap.
+    @example(2, [(1.0, [("nudge", 1e-18), ("sleep", 0.0)]),
+                 (1.0, [("sleep", 0.0), ("sleep", 0.0)])], [])
+    # release() in a hold's finish grants a queued acquire, then a queued
+    # hold.
+    @example(1, [(0.0, [("hold", 1.0)]), (0.0, [("manual", 1.0)]),
+                 (0.0, [("hold", 0.5), ("sleep", 0.5)])], [])
     def test_same_resumes_clock_and_timeline(self, capacity, program, cuts):
         expected = self.execute(three_step, capacity, program, cuts)
         assert self.execute(one_call, capacity, program, cuts) == expected
+
+    def test_over_release_raises_from_finish(self, sim):
+        # Not an equivalence program: written out, the over-release fails
+        # inside the holder's process; a hold's finish is a queue hop, so
+        # it raises out of ``run`` with release()'s message.
+        res = Resource(sim, 1)
+        held = run_in_process(sim, lambda: res.hold(1.0))
+        sim.schedule(0.5, res.release)
+        with pytest.raises(SimulationError, match="release on idle resource"):
+            sim.run()
+        assert held[0].triggered is False and res.in_use == 0
+        with pytest.raises(SimulationError, match="release on idle resource"):
+            res.release()
