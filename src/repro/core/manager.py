@@ -314,7 +314,6 @@ class ScanSharingManager(SharingPolicy):
             for member in group.members:
                 member.priority = release_priority(member, size, config)
         self.stats.regroups += 1
-        self.stats.group_count_trace.append((now, len(self._groups)))
         tracer = trace_slot.active
         if tracer is not None:
             tracer.emit(Regrouped(

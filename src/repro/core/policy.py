@@ -25,8 +25,8 @@ SystemConfig` and ``ExperimentSettings``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
@@ -60,8 +60,6 @@ class SharingStats:
     throttle_waits: int = 0
     total_throttle_time: float = 0.0
     fairness_cap_hits: int = 0
-    # (time, number_of_groups) samples taken at each regroup.
-    group_count_trace: List[Tuple[float, int]] = field(default_factory=list)
 
 
 class SharingPolicy(ABC):

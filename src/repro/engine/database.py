@@ -158,8 +158,6 @@ class Database:
         self._push: Optional[PushPipeline] = None
         self.faults: Optional[FaultInjector] = None
         self._temp = None
-        self._block_indexes: dict = {}
-        self._index_managers: dict = {}
         #: Classic pipelines' run results and shared steps' speed
         #: estimates, keyed by ``ScanStep.run_key``: pure functions of the
         #: step and this database's data, cost model and geometry.
@@ -275,58 +273,6 @@ class Database:
 
             self._temp = TempSpace(self, self.config.temp_space_pages)
         return self._temp
-
-    # ------------------------------------------------------------------
-    # Block indexes (MDC-style; used by index-scan query steps)
-    # ------------------------------------------------------------------
-
-    def create_block_index(
-        self, table_name: str, block_size_pages: Optional[int] = None,
-        scatter: bool = True,
-    ):
-        """Create an MDC-style block index over a table.
-
-        ``scatter=True`` (default) models out-of-order inserts: entries
-        are key-ordered but blocks are spread across the table, so index
-        scans produce the non-sequential access pattern the SISCAN
-        machinery exists for.
-        """
-        from repro.extensions.index_sharing.index import BlockIndex
-
-        if table_name in self._block_indexes:
-            raise ValueError(f"table {table_name!r} already has a block index")
-        table = self.catalog.table(table_name)
-        index = BlockIndex(
-            table,
-            block_size_pages=block_size_pages or self.config.extent_size,
-            scatter=scatter,
-            scatter_seed=self.config.seed,
-        )
-        self._block_indexes[table_name] = index
-        return index
-
-    def block_index(self, table_name: str):
-        """The table's block index (raises if none was created)."""
-        try:
-            return self._block_indexes[table_name]
-        except KeyError:
-            raise KeyError(
-                f"no block index on {table_name!r}; call create_block_index"
-            ) from None
-
-    def index_sharing_manager(self, table_name: str):
-        """The (lazily created) ISM coordinating SISCANs on one index."""
-        from repro.extensions.index_sharing.manager import IndexScanSharingManager
-
-        if table_name not in self._index_managers:
-            index = self.block_index(table_name)
-            self._index_managers[table_name] = IndexScanSharingManager(
-                self.sim,
-                pages_per_entry=index.block_size_pages,
-                pool_capacity=self.pool.capacity,
-                config=self.config.sharing,
-            )
-        return self._index_managers[table_name]
 
     # ------------------------------------------------------------------
     # Scan support

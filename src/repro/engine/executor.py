@@ -153,7 +153,7 @@ def _release_join_state(join_state: Dict[str, object]) -> None:
     join_state.clear()
 
 
-def resolve_budget_pages(requested: Optional[int], pool_capacity: int) -> int:
+def resolve_budget_pages(requested: int, pool_capacity: int) -> int:
     """Turn a step's budget request into a concrete frame count.
 
     ``-1`` (auto) asks for a quarter of the pool — enough to matter,
@@ -163,9 +163,9 @@ def resolve_budget_pages(requested: Optional[int], pool_capacity: int) -> int:
     the pool may still grant less when other reservations exist.
     """
     ceiling = max(1, pool_capacity - BufferPool.MIN_USABLE_FRAMES)
-    if requested is None or requested == -1:
+    if requested == -1:
         return max(1, min(ceiling, pool_capacity // 4))
-    return max(1, min(ceiling, requested))
+    return min(ceiling, requested)
 
 
 def _negotiate_memory(db: Database, step: ScanStep, label: str, kind: str):
@@ -209,8 +209,6 @@ def _execute_step(
     index: int,
     join_state: Optional[Dict[str, object]] = None,
 ) -> Generator:
-    if step.via_index:
-        return (yield from _execute_index_step(db, step, index))
     if join_state is None:
         join_state = {}
     label = step.label or f"step{index}"
@@ -324,56 +322,6 @@ def _execute_probe_step(
         values={"rows_probed": rows_probed, "matches": matches,
                 "chunks": n_chunks},
         operator_stats=operator_stats,
-    )
-
-
-def _execute_index_step(db: Database, step: ScanStep, index: int) -> Generator:
-    """Run one step as a block-index scan (IXSCAN or SISCAN)."""
-    from repro.extensions.index_sharing.siscan import IndexScan, SharedIndexScan
-    from repro.workloads.tpch_schema import DATE_RANGE_DAYS
-
-    block_index = db.block_index(step.table)
-    table = db.catalog.table(step.table)
-    # Resolve the step's range as a fraction of the index key domain.
-    if step.fraction is not None:
-        lo_frac, hi_frac = step.fraction
-    elif step.cluster_range is not None:
-        cluster = table.schema.clustering_column
-        span = (cluster.high - cluster.low) if cluster else DATE_RANGE_DAYS
-        low = cluster.low if cluster else 0.0
-        lo_frac = min(max((step.cluster_range[0] - low) / span, 0.0), 1.0)
-        hi_frac = min(max((step.cluster_range[1] - low) / span, 0.0), 1.0)
-    else:
-        lo_frac, hi_frac = 0.0, 1.0
-    first_entry, last_entry = block_index.entries_for_key_fraction(lo_frac, hi_frac)
-    pipeline = step.build_pipeline(db.cost, run_cache=db.run_cache)
-    if db.sharing_enabled and not step.requires_order:
-        scan = SharedIndexScan(
-            db, block_index, db.index_sharing_manager(step.table),
-            first_entry, last_entry, on_run=pipeline.process_run,
-        )
-    else:
-        scan = IndexScan(
-            db, block_index, first_entry, last_entry,
-            on_run=pipeline.process_run,
-        )
-    index_result = yield from scan.run()
-    # Adapt the index-scan result to the ScanResult shape steps report.
-    scan_result = ScanResult(
-        table_name=step.table,
-        first_page=0,
-        last_page=table.n_pages - 1,
-        start_page=index_result.start_entry,
-        pages_scanned=index_result.pages_fixed,
-        rows_seen=index_result.pages_fixed * table.schema.rows_per_page,
-        cpu_seconds=index_result.cpu_seconds,
-        throttle_seconds=index_result.throttle_seconds,
-        started_at=index_result.started_at,
-        finished_at=index_result.finished_at,
-    )
-    return StepResult(
-        label=step.label or f"step{index}", scan=scan_result,
-        values=pipeline.result(),
     )
 
 

@@ -59,12 +59,6 @@ class ScanStep:
     group_by: Tuple[str, ...] = ()
     extra_units_per_row: float = 0.0
     requires_order: bool = False
-    #: Access the table through its MDC-style block index (requires
-    #: ``Database.create_block_index`` on the table).  Ranges then select
-    #: *index-key* slices: entries are visited in key order, which on a
-    #: scattered index is a non-sequential page pattern — the index-scan
-    #: sharing (SISCAN) machinery coordinates these scans.
-    via_index: bool = False
     #: Execute the scan this many times back to back — the inner of a
     #: nested-loop join re-scans its range once per outer batch, which is
     #: exactly the repeated-scan case the paper's last-finished placement
@@ -107,7 +101,7 @@ class ScanStep:
             ("agg_budget_pages", self.agg_budget_pages),
             ("join_budget_pages", self.join_budget_pages),
         ):
-            if value is not None and value == 0:
+            if value is not None and value < 1 and value != -1:
                 raise ValueError(
                     f"step on {self.table!r}: {name} must be positive or -1 "
                     f"(auto), got {value}"

@@ -47,18 +47,6 @@ class Catalog:
                 f"no table named {name!r}; known tables: {sorted(self._tables)}"
             ) from None
 
-    def page_key(self, table_name: str, page_no: int) -> PageKey:
-        """Page key for a table page (the interned instance)."""
-        keys = self._page_keys.get(table_name)
-        if keys is None:
-            keys = self.page_keys(table_name)
-        if not 0 <= page_no < len(keys):
-            raise IndexError(
-                f"page {page_no} out of range for table {table_name!r} "
-                f"of {len(keys)} pages"
-            )
-        return keys[page_no]
-
     def page_keys(self, table_name: str) -> Tuple[PageKey, ...]:
         """Every page key of a table, indexed by page number."""
         keys = self._page_keys.get(table_name)

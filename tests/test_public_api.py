@@ -1,27 +1,19 @@
 """Smoke tests for the public API surface."""
 
 import importlib
+import pkgutil
 
 import pytest
 
 import repro
 
-SUBPACKAGES = [
-    "repro.sim",
-    "repro.disk",
-    "repro.buffer",
-    "repro.storage",
-    "repro.scans",
-    "repro.core",
-    "repro.engine",
-    "repro.workloads",
-    "repro.metrics",
-    "repro.experiments",
-    "repro.service",
-    "repro.cluster",
-    "repro.extensions.index_sharing",
-    "repro.cli",
-]
+#: Every subpackage of ``repro`` (found, not listed, so a new or deleted
+#: package cannot be missed) plus the CLI module.
+SUBPACKAGES = sorted(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+) + ["repro.cli"]
 
 
 class TestPublicApi:

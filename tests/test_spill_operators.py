@@ -287,6 +287,14 @@ class TestExecutorIntegration:
         db.sim.run()
         return proc.completion.value
 
+    @pytest.mark.parametrize("field", ["agg_budget_pages", "join_budget_pages"])
+    @pytest.mark.parametrize("budget", [0, -2, -5])
+    def test_budget_must_be_positive_or_auto(self, field, budget):
+        with pytest.raises(ValueError, match="must be positive or -1"):
+            ScanStep(table="t", **{field: budget})
+        for accepted in (None, -1, 1):
+            assert getattr(ScanStep(table="t", **{field: accepted}), field) == accepted
+
     def test_budgeted_step_spills_and_matches_unbudgeted(self):
         # 12800 distinct ids = 200 frames of groups; a 2-page budget
         # must spill, a None budget runs the classic operator.

@@ -68,14 +68,6 @@ class TestCatalog:
         with pytest.raises(KeyError, match="'a'"):
             catalog.table("missing")
 
-    def test_page_key_validates_range(self):
-        catalog = Catalog(Tablespace(1000))
-        catalog.create_table(make_table("t", n_pages=10))
-        key = catalog.page_key("t", 3)
-        assert key.page_no == 3
-        with pytest.raises(IndexError):
-            catalog.page_key("t", 10)
-
     def test_total_pages_and_iteration(self):
         catalog = Catalog(Tablespace(1000))
         catalog.create_table(make_table("a", 10))
