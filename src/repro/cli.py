@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import UnknownExperimentError, all_experiments, get
+from repro.fields import FieldError
 from repro.metrics.report import format_table
 
 
@@ -204,88 +205,31 @@ class UsageError(Exception):
     """A bad argument value: ``main`` prints it as one line and exits 2."""
 
 
-def _parse_sharing_overrides(spec: str) -> Tuple[Tuple[str, object], ...]:
-    """Parse ``key=value,...`` into typed SharingConfig overrides."""
-    import dataclasses
-
-    from repro.core.config import SharingConfig
-    from repro.experiments.runner import parse_field_value
-
-    known = {f.name for f in dataclasses.fields(SharingConfig)}
-    overrides = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, raw = token.partition("=")
-        name = name.strip()
-        if not sep:
-            raise UsageError(
-                f"malformed --sharing token {token!r} (expected key=value)"
-            )
-        if name not in known:
-            raise UsageError(
-                f"unknown SharingConfig field {name!r} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        try:
-            overrides[name] = parse_field_value(SharingConfig, name, raw.strip())
-        except ValueError as exc:
-            raise UsageError(f"--sharing field {exc}") from None
-    return tuple(sorted(overrides.items()))
+#: The flag that sets each ExperimentSettings field (its argparse dest is
+#: the flag's name with dashes as underscores).
+_SETTING_FLAGS = {
+    "scale": "--scale", "n_streams": "--streams", "seed": "--seed",
+    "policy": "--policy", "sharing_policy": "--sharing-policy",
+    "device_count": "--device-count", "stripe_extents": "--stripe-extents",
+    "push_prefetch": "--push", "agg_strategy": "--agg-strategy",
+    "fault_spec": "--faults", "sharing_overrides": "--sharing",
+    "service_horizon": "--horizon", "cluster_replicas": "--replicas",
+    "cluster_users": "--users",
+}
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
-    """The settings the shared flags describe; a bad value raises
-    :class:`UsageError` before any simulation starts."""
-    from repro.buffer.replacement import KNOWN_POLICY_NAMES
-
-    if args.scale <= 0:
-        raise UsageError(f"--scale must be positive, got {args.scale}")
-    if args.streams < 1:
-        raise UsageError(f"--streams must be >= 1, got {args.streams}")
-    if args.policy.lower() not in KNOWN_POLICY_NAMES:
-        raise UsageError(
-            f"unknown --policy {args.policy!r} "
-            f"(known: {', '.join(KNOWN_POLICY_NAMES)})"
-        )
-    sharing_overrides = None
-    if getattr(args, "sharing", None):
-        sharing_overrides = _parse_sharing_overrides(args.sharing)
-    fault_spec = getattr(args, "faults", None)
-    if fault_spec is not None:
-        from repro.faults.plan import FaultSpecError, parse_fault_spec
-
-        try:
-            parse_fault_spec(fault_spec)  # fail fast with a clean error
-        except FaultSpecError as exc:
-            raise UsageError(f"bad --faults spec: {exc}") from None
-    sharing_policy = getattr(args, "sharing_policy", "grouping-throttling")
-    from repro.core.policy import SHARING_POLICY_NAMES
-
-    if sharing_policy not in SHARING_POLICY_NAMES:
-        raise UsageError(
-            f"unknown --sharing-policy {sharing_policy!r} "
-            f"(known: {', '.join(SHARING_POLICY_NAMES)})"
-        )
-    device_count = getattr(args, "device_count", 1)
-    if device_count < 1:
-        raise UsageError(f"--device-count must be >= 1, got {device_count}")
-    stripe_extents = getattr(args, "stripe_extents", None)
-    if stripe_extents is not None and stripe_extents < 1:
-        raise UsageError(
-            f"--stripe-extents must be >= 1, got {stripe_extents}"
-        )
-    return ExperimentSettings(
-        scale=args.scale, n_streams=args.streams, seed=args.seed,
-        policy=args.policy, sharing_policy=sharing_policy,
-        device_count=device_count,
-        stripe_extents=stripe_extents,
-        push_prefetch=bool(getattr(args, "push", False)),
-        agg_strategy=getattr(args, "agg_strategy", "hash"),
-        sharing_overrides=sharing_overrides,
-        fault_spec=fault_spec,
-    )
+    """The settings the command's flags describe; a bad value raises
+    :class:`UsageError` naming its flag, before any simulation starts."""
+    values = {}
+    for name, flag in _SETTING_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if dest in args:  # --horizon/--replicas/--users: some commands only
+            values[name] = getattr(args, dest)
+    try:
+        return ExperimentSettings(**values)
+    except FieldError as exc:
+        raise UsageError(exc.naming(_SETTING_FLAGS[exc.field])) from None
 
 
 def _cmd_list() -> str:
@@ -325,8 +269,6 @@ def _cmd_run_all(args: argparse.Namespace) -> str:
     only = None
     if args.only:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
-        for name in only:
-            get(name)  # fail fast with one clean error line
     suite = run_suite(
         settings, experiments=only, jobs=args.jobs,
         use_cache=not args.no_cache, cache_dir=args.cache_dir,
@@ -356,7 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             spec.name, args.param, values, settings, jobs=args.jobs,
             use_cache=not args.no_cache, cache_dir=args.cache_dir,
         )
-    except ValueError as exc:
+    except FieldError as exc:
         raise UsageError(str(exc)) from None
     parts = [_suite_report(
         suite,
@@ -509,19 +451,6 @@ def _cmd_scenarios(
                 f"(known: {', '.join(sorted(scenarios))})"
             )
     settings = _settings_from_args(args)
-    # Overrides a command does not declare (serve-sim: all but --horizon)
-    # are simply absent from its namespace.
-    for flag, field, need in (
-        ("replicas", "cluster_replicas", ">= 1"),
-        ("users", "cluster_users", ">= 1"),
-        ("horizon", "service_horizon", "positive"),
-    ):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if value <= 0:
-            raise UsageError(f"--{flag} must be {need}, got {value}")
-        settings = settings.with_(**{field: value})
     tasks = [
         ExperimentTask(experiment=f"{prefix}{name}", settings=settings)
         for name in names
@@ -570,6 +499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": lambda: _cmd_trace(args),
     }
     try:
+        if "jobs" in args and args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         if args.command == "chaos":
             return _cmd_chaos(args)
         if args.command == "serve-sim":

@@ -407,8 +407,7 @@ class ClusterService:
             fault_plan = fault_plan.for_replica(replica_id)
             if not fault_plan.faults:
                 fault_plan = None
-        sharing = settings.apply_sharing_overrides(SharingConfig())
-        db = build_database(settings, sharing, fault_plan=fault_plan)
+        db = build_database(settings, SharingConfig(), fault_plan=fault_plan)
         service_spec = ServiceSpec(
             classes=tuple(
                 _service_class(cls) for cls in self.spec.load.classes

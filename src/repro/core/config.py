@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.fields import FieldError, check_fields
+
 
 @dataclass(frozen=True)
 class SharingConfig:
@@ -72,37 +74,22 @@ class SharingConfig:
     pool_budget_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.update_interval_pages < 1:
-            raise ValueError(
-                f"update_interval_pages must be >= 1, got {self.update_interval_pages}"
-            )
+        check_fields(self, (
+            ("update_interval_pages", self.update_interval_pages >= 1, ">= 1"),
+            ("slowdown_cap_fraction",
+             0.0 <= self.slowdown_cap_fraction <= 1.0, "in [0, 1]"),
+            ("max_wait_per_update", self.max_wait_per_update >= 0, ">= 0"),
+            ("speed_smoothing", 0.0 < self.speed_smoothing <= 1.0, "in (0, 1]"),
+            ("last_finished_retention_wraps",
+             self.last_finished_retention_wraps > 0, "> 0"),
+            ("pool_budget_fraction",
+             0.0 < self.pool_budget_fraction <= 1.0, "in (0, 1]"),
+        ))
         if self.distance_threshold_extents < self.target_distance_extents:
-            raise ValueError(
+            raise FieldError(
+                "distance_threshold_extents",
                 "distance_threshold_extents must be >= target_distance_extents "
-                f"({self.distance_threshold_extents} < {self.target_distance_extents})"
-            )
-        if not 0.0 <= self.slowdown_cap_fraction <= 1.0:
-            raise ValueError(
-                f"slowdown_cap_fraction must be in [0, 1], got "
-                f"{self.slowdown_cap_fraction}"
-            )
-        if self.max_wait_per_update < 0:
-            raise ValueError(
-                f"max_wait_per_update must be >= 0, got {self.max_wait_per_update}"
-            )
-        if not 0.0 < self.speed_smoothing <= 1.0:
-            raise ValueError(
-                f"speed_smoothing must be in (0, 1], got {self.speed_smoothing}"
-            )
-        if self.last_finished_retention_wraps <= 0:
-            raise ValueError(
-                f"last_finished_retention_wraps must be > 0, got "
-                f"{self.last_finished_retention_wraps}"
-            )
-        if not 0.0 < self.pool_budget_fraction <= 1.0:
-            raise ValueError(
-                f"pool_budget_fraction must be in (0, 1], got "
-                f"{self.pool_budget_fraction}"
+                f"({self.distance_threshold_extents} < {self.target_distance_extents})",
             )
 
 

@@ -7,7 +7,7 @@ from typing import Generator, Optional
 
 from repro.buffer.pool import BufferPool
 from repro.buffer.push import PushPipeline
-from repro.buffer.replacement import make_policy
+from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
 from repro.buffer.replacement.pbm import PbmPolicy
 from repro.core.config import SharingConfig
 from repro.core.pbm import PbmScanManager
@@ -23,6 +23,7 @@ from repro.engine.costs import CostModel
 from repro.engine.run_cache import BoundedCache
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.fields import FieldError, check_fields
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.cpu import CpuBreakdown, compute_cpu_breakdown
 from repro.sim.kernel import Simulator
@@ -81,38 +82,31 @@ class SystemConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if self.n_cpus < 1:
-            raise ValueError(f"n_cpus must be >= 1, got {self.n_cpus}")
-        if not 0.0 < self.pool_fraction <= 1.0:
-            raise ValueError(
-                f"pool_fraction must be in (0, 1], got {self.pool_fraction}"
-            )
-        if self.extent_size < 1:
-            raise ValueError(f"extent_size must be >= 1, got {self.extent_size}")
-        if self.n_disks < 1:
-            raise ValueError(f"n_disks must be >= 1, got {self.n_disks}")
-        if self.stripe_extents < 1:
-            raise ValueError(
-                f"stripe_extents must be >= 1, got {self.stripe_extents}"
-            )
-        if self.sharing_policy not in SHARING_POLICY_NAMES:
-            raise ValueError(
-                f"unknown sharing policy {self.sharing_policy!r}; "
-                f"known: {SHARING_POLICY_NAMES}"
-            )
         # Imported here (not at module top) to keep database <-> spill
         # free of an import cycle.
         from repro.engine.spill import AGG_STRATEGIES
 
-        if self.agg_strategy not in AGG_STRATEGIES:
-            raise ValueError(
-                f"unknown agg_strategy {self.agg_strategy!r}; "
-                f"known: {AGG_STRATEGIES}"
-            )
-        if self.temp_space_pages < 1:
-            raise ValueError(
-                f"temp_space_pages must be >= 1, got {self.temp_space_pages}"
-            )
+        check_fields(self, (
+            ("n_cpus", self.n_cpus >= 1, ">= 1"),
+            ("pool_fraction", 0.0 < self.pool_fraction <= 1.0, "in (0, 1]"),
+            ("extent_size", self.extent_size >= 1, ">= 1"),
+            ("n_disks", self.n_disks >= 1, ">= 1"),
+            ("stripe_extents", self.stripe_extents >= 1, ">= 1"),
+            ("temp_space_pages", self.temp_space_pages >= 1, ">= 1"),
+        ))
+        for name, spelled, value, known in (
+            ("policy", "victim policy", self.policy.lower(), KNOWN_POLICY_NAMES),
+            ("sharing_policy", "sharing policy", self.sharing_policy,
+             SHARING_POLICY_NAMES),
+            ("agg_strategy", "agg_strategy", self.agg_strategy, AGG_STRATEGIES),
+        ):
+            if value not in known:
+                raise FieldError(
+                    name,
+                    f"unknown {spelled} {getattr(self, name)!r} "
+                    f"(known: {', '.join(known)})",
+                    spelled,
+                )
 
 
 class Database:

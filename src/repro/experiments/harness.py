@@ -7,9 +7,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SharingConfig
 from repro.engine.database import Database, SystemConfig
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultSpecError
 from repro.engine.executor import WorkloadResult, run_workload
 from repro.engine.query import QuerySpec
+from repro.fields import FieldError, check_fields, parse_assignments
 from repro.metrics.cpu import CpuBreakdown
 from repro.metrics.report import format_table, percent_gain
 from repro.workloads.streams import tpch_streams
@@ -22,7 +23,9 @@ class ExperimentSettings:
 
     ``scale`` trades fidelity for runtime: 1.0 is the headline
     configuration (lineitem 1600 pages, pool ≈ 5 %); the defaults sit
-    lower so the whole suite finishes in minutes.
+    lower so the whole suite finishes in minutes.  Every field is part of
+    the result-cache key, and every single-valued one can be swept with
+    ``repro sweep --param <field>``.
     """
 
     scale: float = 0.35
@@ -31,13 +34,10 @@ class ExperimentSettings:
     query_names: Optional[Sequence[str]] = None
     policy: str = "priority-lru"
     #: Scan-sharing strategy for the shared mode (see
-    #: :data:`repro.core.policy.SHARING_POLICY_NAMES`); part of every
-    #: cache key, and sweepable via ``repro sweep --param sharing_policy``.
+    #: :data:`repro.core.policy.SHARING_POLICY_NAMES`).
     sharing_policy: str = "grouping-throttling"
     disk_scheduler: str = "fifo"
-    #: Striped spindles backing the tablespace (1 = the single-disk
-    #: model).  Part of every cache key and sweepable via
-    #: ``repro sweep --param device_count``.
+    #: Striped spindles backing the tablespace (1 = the single-disk model).
     device_count: int = 1
     #: Stripe unit in prefetch extents (None keeps SystemConfig's
     #: default).
@@ -48,15 +48,14 @@ class ExperimentSettings:
     #: Explicit pool size in pages; overrides SystemConfig's pool_fraction
     #: (and its minimum-pool floor) when set.
     pool_pages: Optional[int] = None
-    #: SharingConfig field overrides applied to the *shared* mode, as a
-    #: sorted tuple of (field, value) pairs so the settings object stays
-    #: hashable and cache keys see every override.
+    #: SharingConfig field overrides applied to the *shared* mode: a dict,
+    #: pairs or ``key=value,...`` text, stored as a sorted tuple of
+    #: (field, value) pairs so the settings object stays hashable.
     sharing_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
     #: Spill strategy for memory-budgeted aggregation steps (see
     #: :data:`repro.engine.spill.AGG_STRATEGIES`): ``hash`` or ``sort``.
     #: Only the ``ag-*``/``mj-*`` experiments have budgeted steps; the
-    #: classic templates ignore it.  Part of every cache key and
-    #: sweepable via ``repro sweep --param agg_strategy``.
+    #: classic templates ignore it.
     agg_strategy: str = "hash"
     #: Fault spec string (see :mod:`repro.faults.plan`); None = clean run.
     fault_spec: Optional[str] = None
@@ -71,15 +70,36 @@ class ExperimentSettings:
     #: None = the scenario's own default.  Ignored elsewhere.
     cluster_users: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        """Check every field; a bad value raises ``FieldError`` naming it."""
+        check_fields(self, (
+            (name, getattr(self, name) is None or getattr(self, name) > 0, need)
+            for name, need in _POSITIVE_FIELDS
+        ))
+        overrides = self.sharing_overrides
+        try:
+            if isinstance(overrides, str):
+                overrides = parse_assignments(SharingConfig, overrides)
+            overrides = tuple(sorted(dict(overrides or ()).items()))
+            object.__setattr__(self, "sharing_overrides", overrides or None)
+            sharing = SharingConfig(**dict(overrides))
+        except (TypeError, ValueError) as exc:
+            raise FieldError(
+                "sharing_overrides", f"sharing_overrides field {exc}"
+            ) from None
+        try:
+            self.system_config(sharing, self.fault_plan())
+        except FaultSpecError as exc:
+            raise FieldError(
+                "fault_spec", f"bad fault spec: {exc}", "fault"
+            ) from None
+        except FieldError as exc:
+            setting = next(name for name, target in _SYSTEM_FIELDS.items()
+                           if target == exc.field)
+            raise FieldError(setting, exc.naming(setting)) from None
+
     def with_(self, **changes) -> "ExperimentSettings":
-        """A modified copy."""
-        if "sharing_overrides" in changes and changes["sharing_overrides"]:
-            overrides = changes["sharing_overrides"]
-            if isinstance(overrides, dict):
-                overrides = tuple(sorted(overrides.items()))
-            else:
-                overrides = tuple(sorted(tuple(pair) for pair in overrides))
-            changes = {**changes, "sharing_overrides": overrides}
+        """A modified (and re-checked) copy."""
         return replace(self, **changes)
 
     def fault_plan(self) -> Optional[FaultPlan]:
@@ -88,11 +108,34 @@ class ExperimentSettings:
             return None
         return FaultPlan.from_spec(self.fault_spec, seed=self.seed)
 
-    def apply_sharing_overrides(self, sharing: SharingConfig) -> SharingConfig:
-        """``sharing`` with this settings object's overrides applied."""
-        if not self.sharing_overrides:
-            return sharing
-        return replace(sharing, **dict(self.sharing_overrides))
+    def system_config(
+        self, sharing: SharingConfig, fault_plan: Optional[FaultPlan]
+    ) -> SystemConfig:
+        """The :class:`SystemConfig` these settings describe; a setting
+        left None keeps SystemConfig's default."""
+        values = {
+            target: getattr(self, name)
+            for name, target in _SYSTEM_FIELDS.items()
+            if getattr(self, name) is not None
+        }
+        return SystemConfig(sharing=sharing, fault_plan=fault_plan, **values)
+
+
+#: Settings that must be positive when set, with how the check reads.
+_POSITIVE_FIELDS = (
+    ("scale", "positive"), ("n_streams", ">= 1"),
+    ("service_horizon", "positive"), ("cluster_replicas", ">= 1"),
+    ("cluster_users", ">= 1"),
+)
+
+#: The SystemConfig field each system setting sets.
+_SYSTEM_FIELDS = {
+    "pool_pages": "pool_pages", "policy": "policy",
+    "sharing_policy": "sharing_policy", "disk_scheduler": "disk_scheduler",
+    "device_count": "n_disks", "stripe_extents": "stripe_extents",
+    "push_prefetch": "push_enabled", "agg_strategy": "agg_strategy",
+    "seed": "seed",
+}
 
 
 @dataclass
@@ -223,22 +266,17 @@ class Comparison:
         )
 
 
-def expected_table_pages(settings: ExperimentSettings, name: str,
-                         extent_size: int = 16) -> int:
+def expected_table_pages(settings: ExperimentSettings, name: str) -> int:
     """Page count a table will get at these settings (mirrors the
     sizing logic in :func:`repro.workloads.tpch_schema.make_tpch_database`)."""
-    return max(extent_size, int(TPCH_BASE_PAGES[name] * settings.scale))
+    return max(SystemConfig.extent_size,
+               int(TPCH_BASE_PAGES[name] * settings.scale))
 
 
-def expected_pool_pages(settings: ExperimentSettings,
-                        extent_size: int = 16) -> int:
+def expected_pool_pages(settings: ExperimentSettings) -> int:
     """Bufferpool size the database will get at these settings."""
-    total = sum(
-        max(extent_size, int(pages * settings.scale))
-        for pages in TPCH_BASE_PAGES.values()
-    )
-    fraction = SystemConfig().pool_fraction
-    return max(Database.MIN_POOL_PAGES, int(total * fraction))
+    total = sum(expected_table_pages(settings, name) for name in TPCH_BASE_PAGES)
+    return max(Database.MIN_POOL_PAGES, int(total * SystemConfig.pool_fraction))
 
 
 #: Sentinel distinguishing "no fault_plan argument" from "explicit None".
@@ -252,28 +290,16 @@ def build_database(
 ) -> Database:
     """A TPC-H database wired for one experiment mode.
 
+    A sharing-enabled ``sharing`` gets the settings' ``sharing_overrides``.
     ``fault_plan`` overrides the plan the settings would derive — the
     cluster layer passes each replica's pre-filtered sub-plan (or None
     when no clause survives the ``replica=`` pin).
     """
+    if sharing.enabled:
+        sharing = replace(sharing, **dict(settings.sharing_overrides or ()))
     if fault_plan is _UNSET_PLAN:
         fault_plan = settings.fault_plan()
-    config = SystemConfig(
-        pool_pages=settings.pool_pages,
-        policy=settings.policy,
-        sharing_policy=settings.sharing_policy,
-        disk_scheduler=settings.disk_scheduler,
-        n_disks=settings.device_count,
-        stripe_extents=(
-            SystemConfig.stripe_extents if settings.stripe_extents is None
-            else settings.stripe_extents
-        ),
-        push_enabled=settings.push_prefetch,
-        agg_strategy=settings.agg_strategy,
-        sharing=sharing,
-        seed=settings.seed,
-        fault_plan=fault_plan,
-    )
+    config = settings.system_config(sharing, fault_plan)
     return make_tpch_database(config, scale=settings.scale)
 
 
@@ -289,8 +315,6 @@ def run_mode(
 
     The only place an experiment builds a database and runs a workload.
     """
-    if sharing.enabled:
-        sharing = settings.apply_sharing_overrides(sharing)
     db = build_database(settings, sharing)
     if streams is None:
         streams = tpch_streams(

@@ -29,13 +29,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import (
-    Any, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
-    get_type_hints,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import all_experiments, get
+from repro.fields import FieldError, parse_field_value
 
 #: Default on-disk cache location; override per-call or with REPRO_CACHE_DIR.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -381,35 +379,12 @@ def run_suite(
                      cache_dir=cache_dir)
 
 
-def parse_field_value(owner: type, name: str, raw: str) -> Any:
-    """Parse one command-line token as the declared type of ``owner.name``.
-
-    ``Optional[X]`` reads as ``X``.  Only bool, int, float and str fields
-    hold a single token; any other field (a sequence, a tuple of pairs)
-    raises ValueError, as does a token that does not parse.
-    """
-    kind = get_type_hints(owner)[name]
-    members = [arg for arg in get_args(kind) if arg is not type(None)]
-    if get_origin(kind) is Union and len(members) == 1:
-        kind = members[0]
-    if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if kind not in (int, float, str):
-        raise ValueError(f"{name!r} cannot be set from a single value")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name!r} needs a {kind.__name__}, got {raw!r}"
-        ) from None
-
-
 def coerce_sweep_value(param: str, raw: str) -> Any:
     """Parse one ``--values`` token to the sweep parameter's declared type."""
     valid = {f.name for f in fields(ExperimentSettings)}
     if param not in valid:
-        raise ValueError(
-            f"unknown sweep parameter {param!r} "
+        raise FieldError(
+            param, f"unknown sweep parameter {param!r} "
             f"(known: {', '.join(sorted(valid))})"
         )
     return parse_field_value(ExperimentSettings, param, raw)

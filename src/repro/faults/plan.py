@@ -30,8 +30,10 @@ Builtin aliases expand to tuned clauses: ``leader-abort``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Tuple, Union
+
+from repro.fields import FieldError, check_fields, parse_assignments
 
 #: Selectors a scan-kill clause may target.
 KILL_TARGETS = ("any", "leader", "trailer", "anchor", "nth")
@@ -41,8 +43,46 @@ class FaultSpecError(ValueError):
     """Raised for an unparsable or out-of-range fault spec."""
 
 
+class _Clause:
+    """What every clause kind shares.  A kind without a ``from``/``until``
+    window is always active and one without a ``device`` pin hits every
+    spindle.  Each kind lists its own ``(field, ok, need)`` range checks
+    in ``_ranges``."""
+
+    start = 0.0
+    until = math.inf
+    device = -1
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.until < self.start:
+            raise FaultSpecError(
+                f"{self.kind} window must satisfy 0 <= from <= until, got "
+                f"[{self.start}, {self.until}]"
+            )
+        pin = ">= 0 (or -1 for all)"
+        try:
+            check_fields(self, self._ranges() + (
+                ("device", self.device >= -1, pin),
+                ("replica", self.replica >= -1, pin),
+            ))
+        except FieldError as exc:
+            raise FaultSpecError(f"{self.kind} {exc}") from None
+
+    def matches_replica(self, replica_index: int) -> bool:
+        """Whether the clause applies to a given cluster replica."""
+        return self.replica < 0 or self.replica == replica_index
+
+    def active_at(self, now: float) -> bool:
+        """Whether the window covers simulated time ``now``."""
+        return self.start <= now < self.until
+
+    def matches_device(self, device_index: int) -> bool:
+        """Whether the clause applies to a given spindle."""
+        return self.device < 0 or self.device == device_index
+
+
 @dataclass(frozen=True)
-class ScanKillFault:
+class ScanKillFault(_Clause):
     """Kill scans mid-flight, modelling a query abort / process death.
 
     The victim dies *without* calling ``end_scan``: the scan operator
@@ -72,22 +112,15 @@ class ScanKillFault:
             raise FaultSpecError(
                 f"scan-kill target must be one of {KILL_TARGETS}, got {self.target!r}"
             )
-        if not 0.0 <= self.at <= 1.0:
-            raise FaultSpecError(f"scan-kill at must be in [0, 1], got {self.at}")
-        if self.count < 1:
-            raise FaultSpecError(f"scan-kill count must be >= 1, got {self.count}")
-        if self.replica < -1:
-            raise FaultSpecError(
-                f"scan-kill replica must be >= 0 (or -1 for all), got {self.replica}"
-            )
+        super().__post_init__()
 
-    def matches_replica(self, replica_index: int) -> bool:
-        """Whether the clause applies to a given cluster replica."""
-        return self.replica < 0 or self.replica == replica_index
+    def _ranges(self) -> Tuple[Tuple[str, bool, str], ...]:
+        return (("at", 0.0 <= self.at <= 1.0, "in [0, 1]"),
+                ("count", self.count >= 1, ">= 1"))
 
 
 @dataclass(frozen=True)
-class DiskDelayFault:
+class DiskDelayFault(_Clause):
     """Multiply disk service times by ``factor`` inside a time window.
 
     Models a degrading device (vibration, remapped sectors, a busy
@@ -107,40 +140,12 @@ class DiskDelayFault:
 
     kind = "disk-delay"
 
-    def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise FaultSpecError(
-                f"disk-delay factor must be >= 1, got {self.factor}"
-            )
-        if self.start < 0 or self.until < self.start:
-            raise FaultSpecError(
-                f"disk-delay window must satisfy 0 <= from <= until, got "
-                f"[{self.start}, {self.until}]"
-            )
-        if self.device < -1:
-            raise FaultSpecError(
-                f"disk-delay device must be >= 0 (or -1 for all), got {self.device}"
-            )
-        if self.replica < -1:
-            raise FaultSpecError(
-                f"disk-delay replica must be >= 0 (or -1 for all), got {self.replica}"
-            )
-
-    def matches_replica(self, replica_index: int) -> bool:
-        """Whether the clause applies to a given cluster replica."""
-        return self.replica < 0 or self.replica == replica_index
-
-    def active_at(self, now: float) -> bool:
-        """Whether the window covers simulated time ``now``."""
-        return self.start <= now < self.until
-
-    def matches_device(self, device_index: int) -> bool:
-        """Whether the clause applies to a given spindle."""
-        return self.device < 0 or self.device == device_index
+    def _ranges(self) -> Tuple[Tuple[str, bool, str], ...]:
+        return (("factor", self.factor >= 1.0, ">= 1"),)
 
 
 @dataclass(frozen=True)
-class DiskErrorFault:
+class DiskErrorFault(_Clause):
     """Fail disk requests transiently with probability ``rate``.
 
     A failed service attempt is retried by the device after an
@@ -161,46 +166,14 @@ class DiskErrorFault:
 
     kind = "disk-error"
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise FaultSpecError(f"disk-error rate must be in [0, 1], got {self.rate}")
-        if self.start < 0 or self.until < self.start:
-            raise FaultSpecError(
-                f"disk-error window must satisfy 0 <= from <= until, got "
-                f"[{self.start}, {self.until}]"
-            )
-        if self.max_retries < 1:
-            raise FaultSpecError(
-                f"disk-error max_retries must be >= 1, got {self.max_retries}"
-            )
-        if self.backoff < 0:
-            raise FaultSpecError(
-                f"disk-error backoff must be >= 0, got {self.backoff}"
-            )
-        if self.device < -1:
-            raise FaultSpecError(
-                f"disk-error device must be >= 0 (or -1 for all), got {self.device}"
-            )
-        if self.replica < -1:
-            raise FaultSpecError(
-                f"disk-error replica must be >= 0 (or -1 for all), got {self.replica}"
-            )
-
-    def matches_replica(self, replica_index: int) -> bool:
-        """Whether the clause applies to a given cluster replica."""
-        return self.replica < 0 or self.replica == replica_index
-
-    def active_at(self, now: float) -> bool:
-        """Whether the window covers simulated time ``now``."""
-        return self.start <= now < self.until
-
-    def matches_device(self, device_index: int) -> bool:
-        """Whether the clause applies to a given spindle."""
-        return self.device < 0 or self.device == device_index
+    def _ranges(self) -> Tuple[Tuple[str, bool, str], ...]:
+        return (("rate", 0.0 <= self.rate <= 1.0, "in [0, 1]"),
+                ("max_retries", self.max_retries >= 1, ">= 1"),
+                ("backoff", self.backoff >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)
-class PoolPressureFault:
+class PoolPressureFault(_Clause):
     """Reserve ``fraction`` of the bufferpool inside a time window.
 
     Models external memory pressure (another pool, a sort spill, an OS
@@ -217,24 +190,8 @@ class PoolPressureFault:
 
     kind = "pool-pressure"
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction < 1.0:
-            raise FaultSpecError(
-                f"pool-pressure fraction must be in (0, 1), got {self.fraction}"
-            )
-        if self.start < 0 or self.until < self.start:
-            raise FaultSpecError(
-                f"pool-pressure window must satisfy 0 <= from <= until, got "
-                f"[{self.start}, {self.until}]"
-            )
-        if self.replica < -1:
-            raise FaultSpecError(
-                f"pool-pressure replica must be >= 0 (or -1 for all), got {self.replica}"
-            )
-
-    def matches_replica(self, replica_index: int) -> bool:
-        """Whether the clause applies to a given cluster replica."""
-        return self.replica < 0 or self.replica == replica_index
+    def _ranges(self) -> Tuple[Tuple[str, bool, str], ...]:
+        return (("fraction", 0.0 < self.fraction < 1.0, "in (0, 1)"),)
 
 
 Fault = Union[ScanKillFault, DiskDelayFault, DiskErrorFault, PoolPressureFault]
@@ -258,31 +215,6 @@ BUILTIN_PLANS: Dict[str, str] = {
 }
 
 
-def _coerce(cls: type, name: str, raw: str):
-    """Parse one option value to the fault field's annotated type."""
-    for spec in fields(cls):
-        if spec.name == name:
-            if spec.type in ("int", int):
-                try:
-                    return int(raw)
-                except ValueError:
-                    raise FaultSpecError(
-                        f"{cls.kind} option {name!r} needs an integer, got {raw!r}"
-                    ) from None
-            if spec.type in ("float", float):
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise FaultSpecError(
-                        f"{cls.kind} option {name!r} needs a number, got {raw!r}"
-                    ) from None
-            return raw
-    known = ", ".join(sorted(f.name for f in fields(cls)))
-    raise FaultSpecError(
-        f"unknown option {name!r} for {cls.kind} (known: {known})"
-    )
-
-
 def _parse_clause(clause: str) -> Fault:
     head, _, tail = clause.partition(":")
     head = head.strip()
@@ -294,19 +226,10 @@ def _parse_clause(clause: str) -> Fault:
         raise FaultSpecError(
             f"unknown fault kind {head!r} (known: {', '.join(known)})"
         )
-    options = {}
-    if tail:
-        for token in tail.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            name, sep, raw = token.partition("=")
-            if not sep:
-                raise FaultSpecError(
-                    f"malformed option {token!r} in {clause!r} (expected key=value)"
-                )
-            name = _OPTION_ALIASES.get(name.strip(), name.strip())
-            options[name] = _coerce(cls, name, raw.strip())
+    try:
+        options = parse_assignments(cls, tail, _OPTION_ALIASES)
+    except FieldError as exc:
+        raise FaultSpecError(f"{cls.kind} option {exc}") from None
     return cls(**options)
 
 

@@ -158,8 +158,7 @@ def run_scenario(
     spec = build_service_spec(name, settings)
     if not controller_enabled:
         spec = replace(spec, controller=replace(spec.controller, enabled=False))
-    sharing = settings.apply_sharing_overrides(SharingConfig())
-    db = build_database(settings, sharing)
+    db = build_database(settings, SharingConfig())
     return QueryService(db, spec, scenario=name).run()
 
 

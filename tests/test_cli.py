@@ -6,7 +6,9 @@ import pytest
 
 from repro.buffer.replacement import KNOWN_POLICY_NAMES
 from repro.cli import _settings_from_args, build_parser, main
+from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import REGISTRY, all_experiments
+from repro.fields import FieldError
 from repro.trace import get_tracer
 
 
@@ -150,9 +152,18 @@ class TestUnknownExperiment:
     ["chaos", "e1", "--faults", "bogus"],
     ["serve-sim", "steady", "--streams", "0", "--no-cache"],
     ["cluster-sim", "steady", "--scale", "0", "--no-cache"],
+    ["run-all", "--only", "e1", "--jobs", "0", "--no-cache"],
+    ["sweep", "e1", "--param", "scale", "--values", "0.05", "--jobs", "0",
+     "--no-cache"],
+    ["serve-sim", "steady", "--jobs", "0", "--no-cache"],
+    ["cluster-sim", "steady", "--jobs", "0", "--no-cache"],
 ], ids=" ".join)
 def test_bad_value_is_one_line_exit_2(argv, capsys):
     """Every bad CLI value exits 2 with one stderr line, before any work."""
+    assert_usage_error(argv, capsys)
+
+
+def assert_usage_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -160,6 +171,89 @@ def test_bad_value_is_one_line_exit_2(argv, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"repro {argv[0]}: error: ")
     assert "Traceback" not in captured.err
+
+
+#: One bad value per row, driven through every surface that takes it: the
+#: ExperimentSettings field and value (None: no typed value is bad), the
+#: argv whose flag sets it (None: no flag takes a bad value), and the
+#: ``sweep --values`` token (None: the field cannot be swept).
+BAD_SETTINGS = [
+    ("scale", 0.0, ["run", "e1", "--scale", "0"], "0"),
+    ("scale", -1.0, ["run", "e1", "--scale", "-1"], "-1"),
+    ("n_streams", 0, ["run", "e1", "--streams", "0"], "0"),
+    ("policy", "bogus", ["run", "e1", "--policy", "bogus"], "bogus"),
+    ("sharing_policy", "bogus",
+     ["run", "e1", "--sharing-policy", "bogus"], "bogus"),
+    ("device_count", 0, ["run", "e1", "--device-count", "0"], "0"),
+    ("stripe_extents", 0, ["run", "e1", "--stripe-extents", "0"], "0"),
+    ("push_prefetch", None, None, "maybe"),
+    ("agg_strategy", "bogus", None, "bogus"),
+    ("fault_spec", "bogus", ["run", "e1", "--faults", "bogus"], "bogus"),
+    ("fault_spec", "disk-delay:factor=0.5",
+     ["chaos", "e1", "--faults", "disk-delay:factor=0.5"],
+     "disk-delay:factor=0.5"),
+    ("sharing_overrides", {"distance_threshold_extents": -1},
+     ["run", "e1", "--sharing", "distance_threshold_extents=-1"], None),
+    ("sharing_overrides", "enabled=maybe",
+     ["run", "e1", "--sharing", "enabled=maybe"], None),
+    ("sharing_overrides", {"warp_factor": 9},
+     ["run", "e1", "--sharing", "warp_factor=9"], None),
+    ("service_horizon", 0.0,
+     ["serve-sim", "steady", "--horizon", "0", "--no-cache"], "0"),
+    ("cluster_replicas", 0,
+     ["cluster-sim", "steady", "--replicas", "0", "--no-cache"], "0"),
+    ("cluster_users", -5,
+     ["cluster-sim", "steady", "--users", "-5", "--no-cache"], "-5"),
+]
+
+
+def _rows(column):
+    params = []
+    for row in BAD_SETTINGS:
+        value = row[column]
+        if value is not None:
+            shown = " ".join(value) if column == 2 else f"{row[0]}={value}"
+            params.append(pytest.param(row[0], value, id=shown))
+    return params
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if any experiment starts to simulate."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started before the bad value "
+                             "was rejected")
+
+    monkeypatch.setattr("repro.experiments.harness.run_workload", refuse)
+    monkeypatch.setattr("repro.experiments.runner.execute_task", refuse)
+
+
+@pytest.mark.parametrize("field,value", _rows(1))
+def test_bad_setting_raises_field_error(field, value):
+    with pytest.raises(FieldError) as info:
+        ExperimentSettings(**{field: value})
+    assert info.value.field == field
+    with pytest.raises(FieldError):
+        ExperimentSettings().with_(**{field: value})
+
+
+@pytest.mark.parametrize("field,argv", _rows(2))
+def test_bad_setting_flag_is_one_line_exit_2(field, argv, capsys,
+                                             no_simulation):
+    assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("field,token", _rows(3))
+def test_bad_setting_sweep_is_one_line_exit_2(field, token, capsys,
+                                              no_simulation):
+    assert_usage_error(["sweep", "e1", "--param", field, "--values", token,
+                        "--no-cache"], capsys)
+
+
+def test_sweep_checks_every_point_before_any_task_runs(capsys,
+                                                       no_simulation):
+    assert_usage_error(["sweep", "e1", "--param", "device_count",
+                        "--values", "1,0", "--no-cache"], capsys)
 
 
 @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES + ("LRU", "2Q"))

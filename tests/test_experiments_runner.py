@@ -197,6 +197,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="needs a int"):
             coerce_sweep_value("stripe_extents", "two")
 
+    def test_bool_tokens_are_strict(self):
+        for token in ("1", "true", "Yes", "on"):
+            assert coerce_sweep_value("push_prefetch", token) is True
+        for token in ("0", "false", "No", "off"):
+            assert coerce_sweep_value("push_prefetch", token) is False
+        with pytest.raises(ValueError, match="needs a bool"):
+            coerce_sweep_value("push_prefetch", "maybe")
+
     @pytest.mark.parametrize("param", ["query_names", "sharing_overrides"])
     def test_fields_without_a_single_value_rejected(self, param):
         with pytest.raises(ValueError, match="cannot be set from a single value"):
