@@ -50,8 +50,7 @@ SPEC = ServiceSpec(
         ),
     ),
     horizon=80.0 * Q6_COST,
-    controller=ControllerConfig(initial_mpl=4, min_mpl=1, max_mpl=6,
-                                interval=0.5 * Q6_COST),
+    controller=ControllerConfig(max_mpl=6, interval=0.5 * Q6_COST),
 )
 
 

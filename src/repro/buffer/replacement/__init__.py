@@ -15,7 +15,7 @@ from repro.buffer.replacement.two_q import TwoQPolicy
 
 # Every name make_policy accepts, case-insensitively.
 KNOWN_POLICY_NAMES = (
-    "priority-lru", "lru", "clock", "lru-k", "2q", "arc", "pbm",
+    "priority-lru", "lru", "clock", "lru-k", "2q", "arc",
 )
 
 
@@ -42,9 +42,6 @@ def make_policy(name: str, capacity: Optional[int] = None) -> ReplacementPolicy:
         if capacity is None:
             raise ValueError("ARC policy requires the pool capacity")
         return ArcPolicy(capacity)
-    if normalized == "pbm":
-        # Degrades to LRU until Database.open binds the scan registry.
-        return PbmPolicy()
     raise ValueError(
         f"unknown replacement policy {name!r}; known: {KNOWN_POLICY_NAMES}"
     )

@@ -6,11 +6,10 @@ predicted next-consumption time and evict the page whose next read lies
 furthest in the future — pages no registered scan will ever touch
 (prediction ``inf``) go first, then the longest-time-to-reuse page.
 Ties (including the common all-``inf`` case) fall back to least recently
-used, so an unbound policy degrades to plain LRU.
+used.
 
-The oracle is attached after construction via :meth:`PbmPolicy.bind`,
-because the manager and the pool are built together by the database
-facade and the pool constructor runs first.
+The policy takes its oracle when it is built: the database facade
+builds the sharing policy before the pool.
 """
 
 from __future__ import annotations
@@ -35,18 +34,9 @@ class PbmPolicy(ReplacementPolicy):
 
     name = "pbm"
 
-    def __init__(self) -> None:
+    def __init__(self, oracle: ReuseOracle) -> None:
         self._order: "OrderedDict[PageKey, None]" = OrderedDict()
-        self._oracle: Optional[ReuseOracle] = None
-
-    def bind(self, oracle: ReuseOracle) -> None:
-        """Attach the reuse-time oracle (the PBM scan manager)."""
         self._oracle = oracle
-
-    @property
-    def bound(self) -> bool:
-        """Whether an oracle is attached (unbound behaves as LRU)."""
-        return self._oracle is not None
 
     def on_admit(self, key: PageKey) -> None:
         self._order[key] = None
@@ -61,11 +51,6 @@ class PbmPolicy(ReplacementPolicy):
 
     def choose_victim(self, evictable: EvictablePredicate) -> Optional[PageKey]:
         oracle = self._oracle
-        if oracle is None:
-            for key in self._order:
-                if evictable(key):
-                    return key
-            return None
         victim: Optional[PageKey] = None
         victim_reuse = -math.inf
         # LRU-first iteration with a strict > keeps the least recently

@@ -17,6 +17,7 @@ of :class:`~repro.workloads.loadgen.LoadSpec`: giving every class
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.cluster.service import (
@@ -222,15 +223,7 @@ def sv_cluster_scale(settings: ExperimentSettings) -> ClusterScalingResult:
     base_spec = build_cluster_spec("scale", settings)
     points: List[ClusterResult] = []
     for n_replicas in axis:
-        spec = ClusterSpec(
-            load=base_spec.load,
-            n_replicas=n_replicas,
-            replication_factor=base_spec.replication_factor,
-            shards_per_table=base_spec.shards_per_table,
-            ring_points=base_spec.ring_points,
-            balance=base_spec.balance,
-            controller=base_spec.controller,
-        )
+        spec = replace(base_spec, n_replicas=n_replicas)
         points.append(ClusterService(
             spec, settings, scenario=f"cluster-scale/x{n_replicas}"
         ).run())

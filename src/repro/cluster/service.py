@@ -389,19 +389,14 @@ class ClusterService:
     # Replica execution
     # ------------------------------------------------------------------
 
-    def _replica_settings(self, replica_id: int) -> ExperimentSettings:
-        overrides = self.spec.overrides_for(replica_id)
-        return self.settings.with_(
-            seed=derive_replica_seed(self.settings.seed, replica_id),
-            **overrides,
-        )
-
     def _run_replica(
         self,
         replica_id: int,
         arrival_plans: Dict[str, ArrivalPlan],
     ) -> ServiceResult:
-        settings = self._replica_settings(replica_id)
+        settings = self.settings.with_(
+            seed=derive_replica_seed(self.settings.seed, replica_id)
+        )
         fault_plan = settings.fault_plan()
         if fault_plan is not None:
             fault_plan = fault_plan.for_replica(replica_id)

@@ -1,7 +1,7 @@
 """Declarative, hashable specification of one simulated cluster.
 
 A :class:`ClusterSpec` pins everything a cluster run depends on — the
-replica fleet shape, the shard map parameters, the routing policy, the
+replica fleet shape, the replication factor, the routing policy, the
 admission controller, and the offered load (a
 :class:`~repro.workloads.loadgen.LoadSpec`) — so that a run is a pure
 function of ``(ClusterSpec, seed)`` and can participate in the
@@ -12,15 +12,22 @@ single-node :class:`~repro.service.spec.ServiceSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
+from repro.cluster.topology import RING_POINTS, SHARDS_PER_TABLE
 from repro.service.spec import ControllerConfig
 from repro.workloads.loadgen import BALANCE_KINDS, LoadSpec
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """One cluster configuration: fleet shape + shard map + load."""
+    """One cluster configuration: fleet shape + routing + load.
+
+    The shard map itself (:data:`~repro.cluster.topology.SHARDS_PER_TABLE`
+    shards per table on a ring of
+    :data:`~repro.cluster.topology.RING_POINTS` virtual nodes per
+    replica) is fixed in :mod:`repro.cluster.topology`.
+    """
 
     #: The offered load (classes, population, horizon).
     load: LoadSpec
@@ -28,20 +35,11 @@ class ClusterSpec:
     n_replicas: int = 2
     #: How many replicas hold each shard (1 = pure partitioning).
     replication_factor: int = 1
-    #: Shards each table is split into; a ``(table, user)`` pair maps to
-    #: shard ``user_id % shards_per_table`` of that table.
-    shards_per_table: int = 8
-    #: Virtual nodes per replica on the consistent-hash ring.
-    ring_points: int = 64
     #: Replica choice among a shard's holders: ``preference`` (ring
     #: order) or ``least-loaded`` (cross-replica load stats tie-break).
     balance: str = "preference"
     #: Admission controller applied to every replica.
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    #: Per-replica ``ExperimentSettings`` field overrides, as a sorted
-    #: tuple of ``(replica_id, ((field, value), ...))`` pairs — e.g.
-    #: ``((1, (("pool_pages", 64),)),)`` shrinks replica 1's pool.
-    replica_overrides: Tuple[Tuple[int, Tuple[Tuple[str, Any], ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
@@ -51,39 +49,19 @@ class ClusterSpec:
                 f"replication_factor must be in [1, n_replicas], got "
                 f"{self.replication_factor} with {self.n_replicas} replicas"
             )
-        if self.shards_per_table < 1:
-            raise ValueError(
-                f"shards_per_table must be >= 1, got {self.shards_per_table}"
-            )
-        if self.ring_points < 1:
-            raise ValueError(f"ring_points must be >= 1, got {self.ring_points}")
         if self.balance not in BALANCE_KINDS:
             raise ValueError(
                 f"unknown balance {self.balance!r}; expected one of "
                 f"{BALANCE_KINDS}"
             )
-        for replica_id, _overrides in self.replica_overrides:
-            if not 0 <= replica_id < self.n_replicas:
-                raise ValueError(
-                    f"replica_overrides names replica {replica_id}, but the "
-                    f"cluster has {self.n_replicas} replicas"
-                )
-
-    def overrides_for(self, replica_id: int) -> Dict[str, Any]:
-        """The settings overrides pinned to one replica (possibly empty)."""
-        merged: Dict[str, Any] = {}
-        for rid, overrides in self.replica_overrides:
-            if rid == replica_id:
-                merged.update(dict(overrides))
-        return merged
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for metrics dicts and reports."""
         return {
             "n_replicas": self.n_replicas,
             "replication_factor": self.replication_factor,
-            "shards_per_table": self.shards_per_table,
-            "ring_points": self.ring_points,
+            "shards_per_table": SHARDS_PER_TABLE,
+            "ring_points": RING_POINTS,
             "balance": self.balance,
             "n_users": self.load.n_users,
             "user_zipf": self.load.user_zipf,

@@ -26,6 +26,13 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.spec import ClusterSpec
 
+#: Virtual nodes per replica on the consistent-hash ring.
+RING_POINTS = 64
+
+#: Shards each table is split into; a ``(table, user)`` pair maps to
+#: shard ``user_id % SHARDS_PER_TABLE`` of that table.
+SHARDS_PER_TABLE = 8
+
 
 def ring_hash(text: str) -> int:
     """A stable 64-bit ring position for any string key."""
@@ -36,23 +43,20 @@ def ring_hash(text: str) -> int:
 class HashRing:
     """A consistent-hash ring over replica ids with virtual nodes.
 
-    Each replica contributes ``ring_points`` virtual nodes at positions
+    Each replica contributes :data:`RING_POINTS` virtual nodes at positions
     ``sha256("replica:<id>#vnode:<v>")``; more points smooth the load
     split at the cost of a longer (still tiny) sorted array.
     """
 
-    def __init__(self, replica_ids: Sequence[int], ring_points: int = 64):
+    def __init__(self, replica_ids: Sequence[int]):
         if not replica_ids:
             raise ValueError("hash ring needs at least one replica")
-        if ring_points < 1:
-            raise ValueError(f"ring_points must be >= 1, got {ring_points}")
         if len(set(replica_ids)) != len(replica_ids):
             raise ValueError(f"duplicate replica ids: {list(replica_ids)}")
         self.replica_ids = tuple(replica_ids)
-        self.ring_points = ring_points
         points: List[Tuple[int, int]] = []
         for replica_id in replica_ids:
-            for vnode in range(ring_points):
+            for vnode in range(RING_POINTS):
                 points.append(
                     (ring_hash(f"replica:{replica_id}#vnode:{vnode}"),
                      replica_id)
@@ -101,9 +105,7 @@ class ClusterRouter:
 
     def __init__(self, spec: "ClusterSpec"):
         self.spec = spec
-        self.ring = HashRing(
-            range(spec.n_replicas), ring_points=spec.ring_points
-        )
+        self.ring = HashRing(range(spec.n_replicas))
         #: Arrivals assigned so far, per replica (the load stats).
         self.assigned: List[int] = [0] * spec.n_replicas
         #: Distinct shard keys each replica has been asked to serve.
@@ -111,7 +113,7 @@ class ClusterRouter:
 
     def shard_key(self, table: str, user_id: int) -> str:
         """The shard a ``(table, user)`` pair belongs to."""
-        return f"{table}/{user_id % self.spec.shards_per_table}"
+        return f"{table}/{user_id % SHARDS_PER_TABLE}"
 
     def route(self, table: str, user_id: int) -> int:
         """Assign one arrival to a replica and update the load stats."""

@@ -125,8 +125,6 @@ class CooperativeScanManager(SharingPolicy):
     ) -> PlacementDecision:
         """Where the new scan attaches: the hottest overlapping scan."""
         default = PlacementDecision(start_page=descriptor.first_page)
-        if not (self.config.enabled and self.config.placement_enabled):
-            return default
         candidates = [
             state
             for state in self._states.values()

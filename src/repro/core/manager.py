@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
 from repro.core.grouping import ScanGroup, form_groups
 from repro.core.placement import PlacementDecision, choose_start
@@ -36,6 +35,20 @@ from repro.trace.events import FairnessCapTripped, Regrouped, ThrottleEvaluated
 import repro.trace.tracer as trace_slot
 
 __all__ = ["ScanSharingManager", "SharingStats"]
+
+#: Seconds between periodic group re-formations (scan starts and ends,
+#: and a broken group order, regroup at once).
+REGROUP_INTERVAL = 0.25
+
+#: A finished scan's end position is kept as a placement hint only until
+#: this many bufferpool turnovers of scan traffic (pages reported via
+#: location updates, in units of the pool capacity) have streamed past.
+#: Beyond that the pages the finisher left behind are certainly evicted,
+#: and placing a late arrival behind the cold position would only delay
+#: its sequential start.  Deliberately conservative — several dozen
+#: turnovers — so the hint is pruned only when it is overwhelmingly
+#: certain to be cold.
+RETENTION_WRAPS = 64.0
 
 
 @dataclass(frozen=True)
@@ -56,12 +69,11 @@ class LastFinishedMark:
     position: int
     observed_pages: int
 
-    def stale(self, observed_now: int, pool_capacity: int,
-              retention_wraps: float) -> bool:
+    def stale(self, observed_now: int, pool_capacity: int) -> bool:
         """Whether observed traffic since the finish could have turned the
-        pool over ``retention_wraps`` times, evicting the leftovers."""
+        pool over :data:`RETENTION_WRAPS` times, evicting the leftovers."""
         elapsed_pages = observed_now - self.observed_pages
-        return elapsed_pages >= retention_wraps * max(pool_capacity, 1)
+        return elapsed_pages >= RETENTION_WRAPS * max(pool_capacity, 1)
 
 
 class ScanSharingManager(SharingPolicy):
@@ -107,9 +119,6 @@ class ScanSharingManager(SharingPolicy):
         state = self._record_progress(scan_id, pages_scanned)
         self._observed_pages += pages_scanned - previously_reported
         now = self.sim.now
-
-        if not self.config.enabled:
-            return 0.0
 
         # Regroup periodically — or immediately when scan movement has
         # invalidated the group's circular trailer→leader ordering (some
@@ -203,16 +212,15 @@ class ScanSharingManager(SharingPolicy):
         """Final position of the last scan that finished on a table.
 
         Ages out: None once the scan traffic observed since the finish
-        could have turned the bufferpool over
-        ``config.last_finished_retention_wraps`` times — by then the
-        pages trailing the mark are cold, and placing a late arrival
-        there would only delay its own sequential start for no hits.
+        could have turned the bufferpool over :data:`RETENTION_WRAPS`
+        times — by then the pages trailing the mark are cold, and placing
+        a late arrival there would only delay its own sequential start for
+        no hits.
         """
         mark = self._last_finished.get(table_name)
         if mark is None:
             return None
-        if mark.stale(self._observed_pages, self.pool_capacity,
-                      self.config.last_finished_retention_wraps):
+        if mark.stale(self._observed_pages, self.pool_capacity):
             del self._last_finished[table_name]
             return None
         return mark.position
@@ -230,7 +238,6 @@ class ScanSharingManager(SharingPolicy):
         return choose_start(
             descriptor,
             candidates,
-            self.config,
             extent_size,
             last_finished_position=self.last_finished_position(
                 descriptor.table_name
@@ -278,31 +285,17 @@ class ScanSharingManager(SharingPolicy):
         )
 
     def _regroup(self, force: bool = False) -> None:
-        if not (self.config.enabled and self.config.grouping_enabled):
-            # Clear stale membership flags and priorities too: a state
-            # stamped while grouping was on must not keep its
-            # leader/trailer role or release priority.
-            for state in self._states.values():
-                state.group_id = None
-                state.is_leader = False
-                state.is_trailer = False
-                state.priority = Priority.NORMAL
-            self._groups = []
-            self._group_by_id = {}
-            if self.invariant_hook is not None:
-                self.invariant_hook()
-            return
         now = self.sim.now
-        if not force and now - self._last_regroup_time < self.config.regroup_interval:
+        if not force and now - self._last_regroup_time < REGROUP_INTERVAL:
             return
         self._last_regroup_time = now
         by_table: Dict[str, List[ScanState]] = {}
         for state in self._states.values():
             by_table.setdefault(state.descriptor.table_name, []).append(state)
-        budget = int(self.pool_capacity * self.config.pool_budget_fraction)
+        # The combined group extents may occupy the whole bufferpool.
         self._groups = form_groups(
             by_table,
-            budget,
+            self.pool_capacity,
             table_pages={
                 name: self.catalog.table(name).n_pages for name in by_table
             },

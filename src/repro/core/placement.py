@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.core.config import SharingConfig
 from repro.core.scan_state import ScanDescriptor, ScanState
+
+#: A new scan joins an ongoing one only if the estimated number of
+#: co-read pages is at least this (one prototype extent).
+MIN_SHARE_PAGES = 16
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ def align_to_extent(page: int, first_page: int, extent_size: int) -> int:
 def choose_start(
     descriptor: ScanDescriptor,
     candidates: Iterable[ScanState],
-    config: SharingConfig,
     extent_size: int,
     last_finished_position: Optional[int] = None,
     leftover_pages: int = 0,
@@ -120,8 +122,6 @@ def choose_start(
     smaller than a single extent.
     """
     default = PlacementDecision(start_page=descriptor.first_page)
-    if not config.enabled or not config.placement_enabled:
-        return default
     if table_pages is not None and extent_size > table_pages:
         # A degenerate table smaller than one extent would snap every
         # join position back to page zero, silently defeating placement.
@@ -137,7 +137,7 @@ def choose_start(
             best_score = score
             best_candidate = candidate
 
-    if best_candidate is not None and best_score >= config.min_share_pages:
+    if best_candidate is not None and best_score >= MIN_SHARE_PAGES:
         start = align_to_extent(
             best_candidate.position, descriptor.first_page, extent_size
         )

@@ -42,6 +42,11 @@ import repro.trace.tracer as trace_slot
 #: ``sharing_policy`` fields of SystemConfig / ExperimentSettings).
 SHARING_POLICY_NAMES = ("grouping-throttling", "cooperative", "pbm")
 
+#: Weight of the newest speed sample in a scan's exponential moving
+#: average of its measured speed (1.0 would use only the latest
+#: interval, like the prototype).
+SPEED_SMOOTHING = 0.7
+
 
 @dataclass
 class SharingStats:
@@ -270,8 +275,8 @@ class SharingPolicy(ABC):
         state.pages_scanned = pages_scanned
         if delta_time > 0 and delta_pages > 0:
             instantaneous = delta_pages / delta_time
-            alpha = self.config.speed_smoothing
-            state.speed = alpha * instantaneous + (1.0 - alpha) * state.speed
+            state.speed = (SPEED_SMOOTHING * instantaneous
+                           + (1.0 - SPEED_SMOOTHING) * state.speed)
         # Advance the bookkeeping unconditionally: pages reported in a
         # zero-elapsed-time update must not be counted again in the next
         # sample's delta, and a no-progress interval must not stretch the

@@ -16,11 +16,7 @@ from repro.core.scan_state import ScanState
 
 def release_priority(scan: ScanState, group_size: int, config: SharingConfig) -> Priority:
     """Priority for pages the scan releases right now."""
-    if not (
-        config.enabled and config.prioritization_enabled and config.grouping_enabled
-    ):
-        return Priority.NORMAL
-    if group_size <= 1:
+    if not config.prioritization_enabled or group_size <= 1:
         return Priority.NORMAL
     if scan.is_leader:
         return Priority.HIGH

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import SharingConfig
+from repro.core.config import TARGET_DISTANCE_EXTENTS, SharingConfig
 from repro.core.grouping import ScanGroup
 from repro.core.scan_state import ScanState
 
 #: Floor for speed values used as divisors.
 _MIN_SPEED = 1e-9
+
+#: Upper bound (seconds) on a single inserted wait, so one update call
+#: never stalls a scan pathologically.
+MAX_WAIT_PER_UPDATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ def evaluate_throttle(
     time.
     """
     no_wait = ThrottleDecision(wait=0.0, capped_by_fairness=False)
-    if not config.throttling_enabled or not config.enabled:
+    if not config.throttling_enabled:
         return no_wait
     if scan.throttle_exempt or scan.finished:
         return no_wait
@@ -93,10 +97,9 @@ def evaluate_throttle(
             distance=distance, threshold=threshold,
         )
 
-    target = config.target_distance_extents * extent_size
+    target = TARGET_DISTANCE_EXTENTS * extent_size
     trailer_speed = max(trailer.speed, _MIN_SPEED)
-    wait = (distance - target) / trailer_speed
-    wait = min(wait, config.max_wait_per_update)
+    wait = min((distance - target) / trailer_speed, MAX_WAIT_PER_UPDATE)
 
     # Fairness: never delay a scan beyond the cap fraction of its
     # estimated total time.

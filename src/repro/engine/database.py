@@ -190,19 +190,12 @@ class Database:
             self.config.sharing_policy, self.sim, self.catalog, capacity,
             self.config.sharing,
         )
-        if (
-            self.config.sharing_policy == "pbm"
-            and self.config.sharing.enabled
-        ):
+        if isinstance(self._sharing, PbmScanManager) and self.sharing_enabled:
             # PBM *is* a replacement policy: with sharing on, the pool
             # evicts by predicted reuse time instead of config.policy.
-            pool_policy = make_policy("pbm", capacity)
+            pool_policy = PbmPolicy(self._sharing)
         else:
             pool_policy = make_policy(self.config.policy, capacity)
-        if isinstance(pool_policy, PbmPolicy) and isinstance(
-            self._sharing, PbmScanManager
-        ):
-            pool_policy.bind(self._sharing)
         self._pool = BufferPool(
             self.sim,
             self.disk,

@@ -539,10 +539,7 @@ def ablation_threshold(
     variants = [
         (
             f"{threshold:g} extents",
-            SharingConfig(
-                distance_threshold_extents=threshold,
-                target_distance_extents=min(1.0, threshold),
-            ),
+            SharingConfig(distance_threshold_extents=threshold),
         )
         for threshold in thresholds
     ]

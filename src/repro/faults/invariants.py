@@ -237,11 +237,7 @@ class InvariantChecker:
         # mismatch.
         manager = self.manager
         config = manager.config
-        adaptive = (
-            config.enabled
-            and config.prioritization_enabled
-            and config.grouping_enabled
-        )
+        adaptive = config.prioritization_enabled
         for state in manager._states.values():
             group = manager._group_of(state)
             expected = Priority.NORMAL

@@ -7,7 +7,7 @@ the vanilla loop plus the bold lines of the pseudo-code:
 
 1. it registers with the scan sharing manager, which may place its start
    *inside* the range (it then wraps around);
-2. every ``update_interval_pages`` pages it reports its location — the
+2. every :data:`UPDATE_INTERVAL_PAGES` pages it reports its location — the
    manager may answer with a throttle wait, which the scan serves before
    continuing (the call "simply appears to take a longer time");
 3. each page is released with the manager-chosen priority instead of a
@@ -34,6 +34,10 @@ from repro.storage.datagen import PageData
 #: page — so it may be a plain list or a
 #: :class:`~repro.scans.base.LazyPages`.
 OnRun = Callable[[int, PageData, np.ndarray], Sequence[float]]
+
+#: A sharing scan reports its location every this many pages (the
+#: prototype's one update per 16-page extent).
+UPDATE_INTERVAL_PAGES = 16
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +136,7 @@ class TableScan:
             yield from db.charge_cpu(db.MANAGER_CALL_CPU)
             scan_id = state.scan_id
             start_page = state.start_page
-            interval = manager.config.update_interval_pages
+            interval = UPDATE_INTERVAL_PAGES
             # The release priority is read per page off ``state``: every
             # regroup restamps it.
             faults = getattr(db, "faults", None)

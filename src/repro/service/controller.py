@@ -11,17 +11,17 @@ signals read directly from the engine:
   pool (fault-injected memory pressure);
 * **scan speed** — each active scan's measured speed from the sharing
   manager, normalized by its own optimizer-estimated solo speed; when
-  the mean ratio collapses below ``speed_floor`` the disk (or a
+  the mean ratio collapses below :data:`SPEED_FLOOR` the disk (or a
   dragging group) is saturated even if the pool still hits.
 
 The windowed miss rate is EWMA-smoothed and near-idle windows are
 ignored, so one cold scan start does not read as thrash.
 
 Control is AIMD: any red signal halves the MPL (multiplicative
-decrease), a clean window raises it by ``increase_step`` (additive
-increase).  Decreases do not evict running queries; the service simply
-stops admitting until completions bring the running count back under
-the bound — classic admission-control backpressure.
+decrease), a clean window raises it by one (additive increase).
+Decreases do not evict running queries; the service simply stops
+admitting until completions bring the running count back under the
+bound — classic admission-control backpressure.
 """
 
 from __future__ import annotations
@@ -30,9 +30,30 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.engine.database import Database
-from repro.service.spec import ControllerConfig
+from repro.service.spec import INITIAL_MPL, MIN_MPL, ControllerConfig
 from repro.trace.events import ServiceMplChanged
 import repro.trace.tracer as trace_slot
+
+#: Smoothed windowed bufferpool miss rate above which the MPL shrinks,
+#: and below which it may grow again.
+MISS_RATE_HIGH = 0.55
+MISS_RATE_LOW = 0.35
+#: Fraction of pool frames reserved away (fault pressure) that triggers
+#: a shrink regardless of miss rate.
+PRESSURE_HIGH = 0.5
+#: Shrink: ``mpl = max(MIN_MPL, int(mpl * DECREASE_FACTOR))``.
+DECREASE_FACTOR = 0.5
+#: Grow: ``mpl = min(max_mpl, mpl + INCREASE_STEP)``.
+INCREASE_STEP = 1
+#: Mean active-scan speed below this fraction of the scans' own
+#: estimated (solo) speeds reads as saturation — the group-speed
+#: backpressure signal.
+SPEED_FLOOR = 0.25
+#: EWMA weight of the newest miss-rate window (1.0 = no smoothing).
+MISS_EWMA_ALPHA = 0.3
+#: Windows with fewer logical reads than this don't move the miss-rate
+#: estimate (a near-idle window is not a signal).
+MIN_WINDOW_READS = 16
 
 
 @dataclass
@@ -52,9 +73,9 @@ class AdmissionController:
     def __init__(self, db: Database, config: ControllerConfig):
         self.db = db
         self.config = config
-        self.mpl = config.initial_mpl
+        self.mpl = INITIAL_MPL
         self.stats = ControllerStats(
-            min_mpl_seen=config.initial_mpl, max_mpl_seen=config.initial_mpl
+            min_mpl_seen=INITIAL_MPL, max_mpl_seen=INITIAL_MPL
         )
         #: Invoked after every MPL increase so the service can re-try
         #: admission immediately instead of waiting for a completion.
@@ -88,16 +109,14 @@ class AdmissionController:
             self._tick()
 
     def _tick(self) -> None:
-        config = self.config
         stats = self.db.pool.stats
         logical_delta = stats.logical_reads - self._last_logical
         miss_delta = stats.misses - self._last_misses
         self._last_logical = stats.logical_reads
         self._last_misses = stats.misses
-        if logical_delta >= config.min_window_reads:
+        if logical_delta >= MIN_WINDOW_READS:
             window_rate = miss_delta / logical_delta
-            alpha = config.miss_ewma_alpha
-            self._miss_ewma += alpha * (window_rate - self._miss_ewma)
+            self._miss_ewma += MISS_EWMA_ALPHA * (window_rate - self._miss_ewma)
         miss_rate = self._miss_ewma
         pressure = self.db.pool.reserved_frames / self.db.pool.capacity
 
@@ -107,14 +126,14 @@ class AdmissionController:
             if s.speed > 0 and s.descriptor.estimated_speed > 0
         ]
         mean_speed = sum(ratios) / len(ratios) if ratios else 0.0
-        speed_collapsed = bool(ratios) and mean_speed < config.speed_floor
+        speed_collapsed = bool(ratios) and mean_speed < SPEED_FLOOR
 
         old_mpl = self.mpl
-        if miss_rate > config.miss_rate_high or pressure > config.pressure_high \
+        if miss_rate > MISS_RATE_HIGH or pressure > PRESSURE_HIGH \
                 or speed_collapsed:
-            self.mpl = max(config.min_mpl, int(self.mpl * config.decrease_factor))
-        elif miss_rate < config.miss_rate_low and pressure <= config.pressure_high:
-            self.mpl = min(config.max_mpl, self.mpl + config.increase_step)
+            self.mpl = max(MIN_MPL, int(self.mpl * DECREASE_FACTOR))
+        elif miss_rate < MISS_RATE_LOW and pressure <= PRESSURE_HIGH:
+            self.mpl = min(self.config.max_mpl, self.mpl + INCREASE_STEP)
 
         self.stats.ticks += 1
         if self.mpl < old_mpl:

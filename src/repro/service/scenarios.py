@@ -47,15 +47,8 @@ def estimated_query_seconds(settings: ExperimentSettings) -> float:
     return slice_pages * per_page * 2.0
 
 
-def _controller(cost: float, **overrides) -> ControllerConfig:
-    base = dict(
-        initial_mpl=4,
-        min_mpl=1,
-        max_mpl=8,
-        interval=max(0.005, cost * 0.5),
-    )
-    base.update(overrides)
-    return ControllerConfig(**base)
+def _controller(cost: float, max_mpl: int = 8) -> ControllerConfig:
+    return ControllerConfig(max_mpl=max_mpl, interval=max(0.005, cost * 0.5))
 
 
 def build_service_spec(

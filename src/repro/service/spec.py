@@ -87,65 +87,36 @@ class ServiceClass:
         return dict(self.query_weights) if self.query_weights else None
 
 
+#: The MPL the controller starts at, and the floor its multiplicative
+#: decrease never goes below.
+INITIAL_MPL = 4
+MIN_MPL = 1
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
-    """AIMD configuration for the MPL/admission controller.
+    """What a service scenario sets on the MPL/admission controller.
 
     With ``enabled=False`` the service admits without bound — the
-    uncontrolled baseline the overload scenario compares against.
+    uncontrolled baseline the overload scenario compares against.  The
+    AIMD tuning (signal thresholds, step sizes, smoothing) is fixed in
+    :mod:`repro.service.controller`.
     """
 
     enabled: bool = True
-    initial_mpl: int = 4
-    min_mpl: int = 1
+    #: Ceiling of the additive increase; at least :data:`INITIAL_MPL`.
     max_mpl: int = 16
     #: Seconds between controller ticks.
     interval: float = 0.05
-    #: Windowed bufferpool miss-rate above which MPL shrinks.
-    miss_rate_high: float = 0.55
-    #: Miss-rate below which MPL may grow again.
-    miss_rate_low: float = 0.35
-    #: Fraction of pool frames reserved away (fault pressure) that
-    #: triggers a shrink regardless of miss rate.
-    pressure_high: float = 0.5
-    #: Shrink: ``mpl = max(min_mpl, int(mpl * decrease_factor))``.
-    decrease_factor: float = 0.5
-    #: Grow: ``mpl = min(max_mpl, mpl + increase_step)``.
-    increase_step: int = 1
-    #: Mean active-scan speed below this fraction of the scans' own
-    #: estimated (solo) speeds reads as saturation — the group-speed
-    #: backpressure signal.  0 disables the signal.
-    speed_floor: float = 0.25
-    #: EWMA weight of the newest miss-rate window (1.0 = no smoothing).
-    miss_ewma_alpha: float = 0.3
-    #: Windows with fewer logical reads than this don't move the
-    #: miss-rate estimate (a near-idle window is not a signal).
-    min_window_reads: int = 16
 
     def __post_init__(self) -> None:
-        if self.min_mpl < 1:
-            raise ValueError("min_mpl must be >= 1")
-        if not self.min_mpl <= self.initial_mpl <= self.max_mpl:
+        if self.max_mpl < INITIAL_MPL:
             raise ValueError(
-                f"need min_mpl <= initial_mpl <= max_mpl, got "
-                f"{self.min_mpl} / {self.initial_mpl} / {self.max_mpl}"
+                f"max_mpl must be >= the initial MPL {INITIAL_MPL}, "
+                f"got {self.max_mpl}"
             )
         if self.interval <= 0:
             raise ValueError("controller interval must be positive")
-        if not 0.0 <= self.miss_rate_low <= self.miss_rate_high <= 1.0:
-            raise ValueError("need 0 <= miss_rate_low <= miss_rate_high <= 1")
-        if not 0.0 < self.pressure_high <= 1.0:
-            raise ValueError("pressure_high must be in (0, 1]")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError("decrease_factor must be in (0, 1)")
-        if self.increase_step < 1:
-            raise ValueError("increase_step must be >= 1")
-        if not 0.0 <= self.speed_floor < 1.0:
-            raise ValueError("speed_floor must be in [0, 1)")
-        if not 0.0 < self.miss_ewma_alpha <= 1.0:
-            raise ValueError("miss_ewma_alpha must be in (0, 1]")
-        if self.min_window_reads < 1:
-            raise ValueError("min_window_reads must be >= 1")
 
 
 @dataclass(frozen=True)

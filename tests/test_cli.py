@@ -139,6 +139,7 @@ class TestUnknownExperiment:
     ["run", "e1", "--scale", "-1"],
     ["run", "e1", "--streams", "0"],
     ["run", "e1", "--policy", "bogus"],
+    ["run", "e1", "--policy", "pbm"],
     ["run", "e1", "--sharing-policy", "bogus"],
     ["run", "e1", "--device-count", "0"],
     ["run", "e1", "--stripe-extents", "0"],
@@ -370,9 +371,10 @@ class TestChaosCommand:
 
     def test_sharing_overrides_parse(self):
         args = build_parser().parse_args(
-            ["run", "e1", "--sharing", "update_interval_pages=8,regroup_interval=0.1"]
+            ["run", "e1", "--sharing",
+             "distance_threshold_extents=4,throttling_enabled=0"]
         )
-        assert args.sharing == "update_interval_pages=8,regroup_interval=0.1"
+        assert args.sharing == "distance_threshold_extents=4,throttling_enabled=0"
 
     def test_sharing_overrides_bad_key_rejected(self, capsys):
         assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
@@ -381,12 +383,12 @@ class TestChaosCommand:
 
     def test_sharing_overrides_bad_value_rejected(self, capsys):
         assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
-                     "--sharing", "update_interval_pages=soon"]) == 2
+                     "--sharing", "distance_threshold_extents=soon"]) == 2
         assert "--sharing field" in capsys.readouterr().err
 
     def test_run_with_sharing_override_works(self):
         assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
-                     "--sharing", "update_interval_pages=8"]) == 0
+                     "--sharing", "distance_threshold_extents=4"]) == 0
 
 
 class TestServeSimCommand:

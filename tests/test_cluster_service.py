@@ -48,13 +48,6 @@ class TestClusterSpec:
             _spec(replication_factor=3)  # > n_replicas
         with pytest.raises(ValueError):
             _spec(balance="random")
-        with pytest.raises(ValueError):
-            _spec(replica_overrides=((5, (("pool_pages", 64),)),))
-
-    def test_overrides_for(self):
-        spec = _spec(replica_overrides=((1, (("pool_pages", 64),)),))
-        assert spec.overrides_for(0) == {}
-        assert spec.overrides_for(1) == {"pool_pages": 64}
 
     def test_describe_is_json_safe(self):
         canonical_json(_spec().describe())
@@ -121,17 +114,6 @@ class TestClusterService:
         result = ClusterService(spec, SETTINGS, scenario="t").run()
         routed = [r.arrivals_routed for r in result.replicas]
         assert abs(routed[0] - routed[1]) <= 1
-
-    def test_replica_override_changes_only_that_replica(self):
-        base = ClusterService(_spec(), SETTINGS, scenario="t").run()
-        tweaked = ClusterService(
-            _spec(replica_overrides=((1, (("pool_pages", 8),)),)),
-            SETTINGS, scenario="t",
-        ).run()
-        assert canonical_json(base.replicas[0].service.metrics()) == \
-            canonical_json(tweaked.replicas[0].service.metrics())
-        assert canonical_json(base.replicas[1].service.metrics()) != \
-            canonical_json(tweaked.replicas[1].service.metrics())
 
     def test_replica_pinned_fault_isolates_other_replicas(self):
         """Killing replica 1's scans must not move a single draw on

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.topology import ClusterRouter, HashRing, ring_hash
+from repro.cluster.topology import (
+    RING_POINTS,
+    SHARDS_PER_TABLE,
+    ClusterRouter,
+    HashRing,
+    ring_hash,
+)
 from repro.workloads.loadgen import LoadSpec, UserClass
 
 
@@ -33,12 +39,10 @@ class TestHashRing:
             HashRing([])
         with pytest.raises(ValueError):
             HashRing([0, 0])
-        with pytest.raises(ValueError):
-            HashRing([0], ring_points=0)
 
     def test_ring_size_is_replicas_times_points(self):
-        ring = HashRing(range(3), ring_points=16)
-        assert len(ring) == 48
+        ring = HashRing(range(3))
+        assert len(ring) == 3 * RING_POINTS
 
     def test_preference_rejects_nonpositive(self):
         ring = HashRing(range(2))
@@ -49,15 +53,15 @@ class TestHashRing:
     @given(n=replica_counts, key=keys)
     def test_totality(self, n, key):
         """Every key routes to a valid replica."""
-        ring = HashRing(range(n), ring_points=16)
+        ring = HashRing(range(n))
         assert ring.owner(key) in range(n)
 
     @settings(max_examples=50, deadline=None)
     @given(n=replica_counts, key=keys)
     def test_stability_under_rebuild(self, n, key):
         """A rebuilt ring routes every key identically."""
-        a = HashRing(range(n), ring_points=16)
-        b = HashRing(range(n), ring_points=16)
+        a = HashRing(range(n))
+        b = HashRing(range(n))
         assert a.owner(key) == b.owner(key)
         assert a.preference(key, n) == b.preference(key, n)
 
@@ -65,7 +69,7 @@ class TestHashRing:
     @given(n=st.integers(min_value=2, max_value=6), key=keys)
     def test_preference_distinct_and_clamped(self, n, key):
         """Preference lists never repeat a replica and clamp to the fleet."""
-        ring = HashRing(range(n), ring_points=16)
+        ring = HashRing(range(n))
         prefs = ring.preference(key, n + 5)
         assert len(prefs) == n
         assert len(set(prefs)) == n
@@ -74,14 +78,14 @@ class TestHashRing:
     @given(n=st.integers(min_value=1, max_value=6))
     def test_minimal_movement_on_add(self, n):
         """Adding a replica only moves keys *onto* the new replica."""
-        before = HashRing(range(n), ring_points=32)
-        after = HashRing(range(n + 1), ring_points=32)
+        before = HashRing(range(n))
+        after = HashRing(range(n + 1))
         sample = [f"table/{i}" for i in range(400)]
         moved = [
             key for key in sample if before.owner(key) != after.owner(key)
         ]
         assert all(after.owner(key) == n for key in moved)
-        # With 32 vnodes the moved share should be near 1/(n+1); allow
+        # With RING_POINTS vnodes the moved share should be near 1/(n+1); allow
         # generous slack for hash lumpiness.
         assert len(moved) / len(sample) < 2.5 / (n + 1)
 
@@ -89,16 +93,16 @@ class TestHashRing:
     @given(n=st.integers(min_value=2, max_value=6))
     def test_minimal_movement_on_remove(self, n):
         """Removing a replica only moves keys that *belonged* to it."""
-        before = HashRing(range(n), ring_points=32)
-        after = HashRing(range(n - 1), ring_points=32)
+        before = HashRing(range(n))
+        after = HashRing(range(n - 1))
         sample = [f"table/{i}" for i in range(400)]
         for key in sample:
             if before.owner(key) != after.owner(key):
                 assert before.owner(key) == n - 1
 
     def test_balance_with_enough_vnodes(self):
-        """64 vnodes spread a uniform keyspace within loose bounds."""
-        ring = HashRing(range(4), ring_points=64)
+        """RING_POINTS vnodes spread a uniform keyspace within loose bounds."""
+        ring = HashRing(range(4))
         counts = [0, 0, 0, 0]
         for i in range(2000):
             counts[ring.owner(f"k/{i}")] += 1
@@ -115,9 +119,9 @@ class TestClusterRouter:
         assert sum(router.shards_touched()) >= 1
 
     def test_shard_key_folds_users(self):
-        router = ClusterRouter(_spec(shards_per_table=8))
+        router = ClusterRouter(_spec())
         assert router.shard_key("lineitem", 3) == "lineitem/3"
-        assert router.shard_key("lineitem", 11) == "lineitem/3"
+        assert router.shard_key("lineitem", 3 + SHARDS_PER_TABLE) == "lineitem/3"
 
     def test_preference_balance_ignores_load(self):
         """rf=1 always routes to the ring owner, whatever the counters."""

@@ -1,8 +1,8 @@
-"""Unit tests for SharingConfig validation and helpers."""
+"""Unit tests for SharingConfig validation."""
 
 import pytest
 
-from repro.core.config import BASELINE, FULL_SHARING, SharingConfig
+from repro.core.config import TARGET_DISTANCE_EXTENTS, SharingConfig
 
 
 class TestValidation:
@@ -12,15 +12,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"update_interval_pages": 0},
-            {"distance_threshold_extents": 0.5, "target_distance_extents": 1.0},
+            {"distance_threshold_extents": TARGET_DISTANCE_EXTENTS / 2},
             {"slowdown_cap_fraction": -0.1},
             {"slowdown_cap_fraction": 1.1},
-            {"max_wait_per_update": -1.0},
-            {"speed_smoothing": 0.0},
-            {"speed_smoothing": 1.5},
-            {"pool_budget_fraction": 0.0},
-            {"pool_budget_fraction": 1.2},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -29,10 +23,6 @@ class TestValidation:
 
 
 class TestHelpers:
-    def test_presets(self):
-        assert not BASELINE.enabled
-        assert FULL_SHARING.enabled
-
     def test_frozen(self):
         with pytest.raises(Exception):
             SharingConfig().enabled = False  # type: ignore[misc]

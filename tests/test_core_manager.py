@@ -4,15 +4,17 @@ import pytest
 
 from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
-from repro.core.manager import ScanSharingManager
+from repro.core.manager import REGROUP_INTERVAL, RETENTION_WRAPS, ScanSharingManager
+from repro.core.policy import SPEED_SMOOTHING
 from repro.core.scan_state import ScanDescriptor
+from repro.engine.executor import run_workload
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
 
-from tests.conftest import make_schema
+from tests.conftest import make_database, make_schema, uniform_scan_query
 
 
 def make_manager(config=None, table_pages=1000, pool=200, extent=16):
@@ -28,6 +30,21 @@ def make_manager(config=None, table_pages=1000, pool=200, extent=16):
 
 def full_scan_descriptor(speed=100.0, table_pages=1000):
     return ScanDescriptor("t", 0, table_pages - 1, estimated_speed=speed)
+
+
+def run_fast_behind_slow(enabled):
+    """A CPU-heavy scan, then a light one 50 ms later, through the
+    executor; returns the workload result and its database."""
+    db = make_database(n_pages=1000, pool_pages=64,
+                       sharing=SharingConfig(enabled=enabled))
+    slow = uniform_scan_query("t", cpu_units_per_row=50.0, name="slow")
+    fast = uniform_scan_query("t", name="fast")
+    return run_workload(db, [[slow], [fast]], stagger=0.05), db
+
+
+def start_pages(result):
+    return [q.steps[0].scan.start_page
+            for stream in result.streams for q in stream.queries]
 
 
 class TestLifecycle:
@@ -96,20 +113,27 @@ class TestLocationUpdates:
             manager.update_location(state.scan_id, 50)
 
     def test_speed_measured_from_progress(self):
-        sim, manager = make_manager(config=SharingConfig(speed_smoothing=1.0))
+        sim, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor(speed=100.0))
         sim.schedule(2.0, lambda: None)
         sim.run()
-        manager.update_location(state.scan_id, 400)
-        assert state.speed == pytest.approx(200.0)
+        manager.update_location(state.scan_id, 400)  # 200 pages/s
+        assert state.speed == pytest.approx(
+            SPEED_SMOOTHING * 200 + (1 - SPEED_SMOOTHING) * 100)
 
     def test_speed_smoothing_blends(self):
-        sim, manager = make_manager(config=SharingConfig(speed_smoothing=0.5))
+        sim, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor(speed=100.0))
         sim.schedule(1.0, lambda: None)
         sim.run()
         manager.update_location(state.scan_id, 300)
-        assert state.speed == pytest.approx(0.5 * 300 + 0.5 * 100)
+        first = SPEED_SMOOTHING * 300 + (1 - SPEED_SMOOTHING) * 100
+        assert state.speed == pytest.approx(first)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        manager.update_location(state.scan_id, 400)
+        assert state.speed == pytest.approx(
+            SPEED_SMOOTHING * 100 + (1 - SPEED_SMOOTHING) * first)
 
     def test_no_time_elapsed_keeps_speed(self):
         _, manager = make_manager()
@@ -121,7 +145,7 @@ class TestLocationUpdates:
         """Regression: pages reported in a zero-elapsed-time update used
         to stay in the bookkeeping and be counted again by the next
         sample, doubling the measured speed."""
-        sim, manager = make_manager(config=SharingConfig(speed_smoothing=1.0))
+        sim, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor(speed=100.0))
         sim.schedule(1.0, lambda: None)
         sim.run()
@@ -136,7 +160,7 @@ class TestLocationUpdates:
         """Regression: an update reporting no progress used to leave the
         sample window open, diluting the next speed measurement over the
         idle time."""
-        sim, manager = make_manager(config=SharingConfig(speed_smoothing=1.0))
+        sim, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor(speed=100.0))
         sim.schedule(1.0, lambda: None)
         sim.run()
@@ -197,20 +221,22 @@ class TestThrottlingThroughManager:
         assert wait_after_wrap > 0  # circular distance 100, still throttled
 
     def test_no_wait_when_sharing_disabled(self):
-        sim, manager = make_manager(config=SharingConfig(enabled=False))
-        a = manager.start_scan(full_scan_descriptor())
-        b = manager.start_scan(full_scan_descriptor())
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        manager.update_location(a.scan_id, 10)
-        assert manager.update_location(b.scan_id, 500) == 0.0
+        """The master switch is read by the executor, not the manager: a
+        Base run hands its scans no manager, so a fast scan behind a
+        slow one is never throttled."""
+        shared, shared_db = run_fast_behind_slow(enabled=True)
+        assert shared.throttle_seconds > 0
+        base, base_db = run_fast_behind_slow(enabled=False)
+        assert base.throttle_seconds == 0.0
+        assert base_db.sharing.stats.throttle_waits == 0
+        assert base_db.sharing.stats.scans_started == 0
 
     def test_disabled_placement_under_master_switch(self):
-        _, manager = make_manager(config=SharingConfig(enabled=False))
-        first = manager.start_scan(full_scan_descriptor())
-        manager.update_location(first.scan_id, 200)
-        second = manager.start_scan(full_scan_descriptor())
-        assert second.start_page == 0
+        shared, shared_db = run_fast_behind_slow(enabled=True)
+        assert start_pages(shared)[1] > 0
+        base, base_db = run_fast_behind_slow(enabled=False)
+        assert start_pages(base) == [0, 0]
+        assert base_db.sharing.stats.scans_joined_ongoing == 0
 
 
 class TestPriorityThroughManager:
@@ -235,13 +261,17 @@ class TestPriorityThroughManager:
 
 class TestRegrouping:
     def test_regroup_interval_respected(self):
-        sim, manager = make_manager(config=SharingConfig(regroup_interval=10.0))
+        sim, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor())
         regroups_after_start = manager.stats.regroups
         manager.update_location(state.scan_id, 16)
+        sim.run(until=REGROUP_INTERVAL / 2)
         manager.update_location(state.scan_id, 32)
         # Updates within the interval must not regroup again.
         assert manager.stats.regroups == regroups_after_start
+        sim.run(until=REGROUP_INTERVAL)
+        manager.update_location(state.scan_id, 48)
+        assert manager.stats.regroups == regroups_after_start + 1
 
     def test_start_and_end_force_regroup(self):
         _, manager = make_manager()
@@ -275,7 +305,8 @@ class TestLastFinishedStaleness:
         manager.abort_scan(churn.scan_id)
 
     def test_widely_spaced_arrival_ignores_cold_mark(self):
-        # Default retention: 64 pool turnovers x 200 frames = 12800 pages.
+        # 64 pool turnovers x 200 frames = 12800 pages of retention.
+        assert RETENTION_WRAPS * 200 == 12_800
         _, manager = make_manager(pool=200)
         self._finish_one_and_churn(manager, churn_pages=13_000)
         assert manager.last_finished_position("t") is None
@@ -291,11 +322,12 @@ class TestLastFinishedStaleness:
         assert late.start_page > 0
         assert manager.stats.scans_joined_last_finished == joined_before + 1
 
-    def test_retention_wraps_is_configurable(self):
-        config = SharingConfig(last_finished_retention_wraps=1.0)
-        _, manager = make_manager(config=config, pool=200)
-        # One pool turnover (200 pages) of churn is enough to evict now.
-        self._finish_one_and_churn(manager, churn_pages=250)
+    def test_smaller_pool_ages_the_mark_sooner(self):
+        # Retention counts pool turnovers: with 4 frames, 64 turnovers
+        # are 256 pages, so churn that a 200-frame pool keeps the mark
+        # through is enough to evict now.
+        _, manager = make_manager(pool=4)
+        self._finish_one_and_churn(manager, churn_pages=int(RETENTION_WRAPS) * 4 + 50)
         assert manager.last_finished_position("t") is None
 
     def test_idle_gap_alone_keeps_mark_warm(self):

@@ -2,13 +2,18 @@
 
 import pytest
 
+import repro.core.manager as manager_module
 from repro.core.config import SharingConfig
 from repro.core.placement import (
+    MIN_SHARE_PAGES,
     align_to_extent,
     choose_start,
     expected_shared_pages,
 )
 from repro.core.scan_state import ScanDescriptor, ScanState
+from repro.engine.executor import run_workload
+
+from tests.conftest import make_database, uniform_scan_query
 
 EXTENT = 16
 
@@ -71,7 +76,7 @@ class TestAlign:
 
 class TestChooseStart:
     def test_no_candidates_starts_at_range_start(self):
-        decision = choose_start(desc(), [], SharingConfig(), EXTENT)
+        decision = choose_start(desc(), [], EXTENT)
         assert decision.start_page == 0
         assert not decision.joined
 
@@ -80,40 +85,46 @@ class TestChooseStart:
             ongoing(0, position=600, speed=100.0),
             ongoing(1, position=300, speed=10.0),
         ]
-        decision = choose_start(desc(speed=100.0), candidates, SharingConfig(), EXTENT)
+        decision = choose_start(desc(speed=100.0), candidates, EXTENT)
         assert decision.joined_scan_id == 0
         assert decision.start_page == 592  # 600 aligned down to extent
 
     def test_respects_min_share_pages(self):
-        config = SharingConfig(min_share_pages=500)
-        candidates = [ongoing(0, position=800)]  # only ~200 shared pages
-        decision = choose_start(desc(), candidates, config, EXTENT)
+        # Only half the minimum is left before the new scan would wrap.
+        candidates = [ongoing(0, position=1000 - MIN_SHARE_PAGES // 2)]
+        decision = choose_start(desc(), candidates, EXTENT)
         assert not decision.joined
         assert decision.start_page == 0
 
-    def test_placement_disabled(self):
-        config = SharingConfig(placement_enabled=False)
-        candidates = [ongoing(0, position=600)]
-        decision = choose_start(desc(), candidates, config, EXTENT)
-        assert decision.start_page == 0
-        assert not decision.joined
+    def test_sharing_disabled(self, monkeypatch):
+        """Placement is skipped, not disabled inside choose_start: the
+        executor hands a Base run's scans no manager, so every scan
+        starts at its range start without choose_start being called."""
 
-    def test_sharing_disabled(self):
-        config = SharingConfig(enabled=False)
-        candidates = [ongoing(0, position=600)]
-        decision = choose_start(desc(), candidates, config, EXTENT)
-        assert decision.start_page == 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("choose_start called with sharing off")
+
+        monkeypatch.setattr(manager_module, "choose_start", refuse)
+        workload = [[uniform_scan_query("t")], [uniform_scan_query("t")]]
+        with pytest.raises(AssertionError, match="choose_start called"):
+            run_workload(make_database(), workload, stagger=0.01)
+        result = run_workload(
+            make_database(sharing=SharingConfig(enabled=False)), workload,
+            stagger=0.01,
+        )
+        assert [q.steps[0].scan.start_page for s in result.streams
+                for q in s.queries] == [0, 0]
 
     def test_last_finished_used_when_idle(self):
         decision = choose_start(
-            desc(), [], SharingConfig(), EXTENT, last_finished_position=512
+            desc(), [], EXTENT, last_finished_position=512
         )
         assert decision.joined_last_finished
         assert decision.start_page == 512
 
     def test_last_finished_outside_range_ignored(self):
         decision = choose_start(
-            desc(first=0, last=99), [], SharingConfig(), EXTENT,
+            desc(first=0, last=99), [], EXTENT,
             last_finished_position=512,
         )
         assert not decision.joined
@@ -122,14 +133,14 @@ class TestChooseStart:
     def test_ongoing_candidate_beats_last_finished(self):
         candidates = [ongoing(0, position=600)]
         decision = choose_start(
-            desc(), candidates, SharingConfig(), EXTENT, last_finished_position=512
+            desc(), candidates, EXTENT, last_finished_position=512
         )
         assert decision.joined_scan_id == 0
 
     def test_candidate_outside_new_range_not_joined(self):
         candidates = [ongoing(0, position=900)]
         decision = choose_start(desc(first=0, last=499), candidates,
-                                SharingConfig(), EXTENT)
+                                EXTENT)
         assert not decision.joined
 
 
@@ -183,7 +194,7 @@ class TestDegenerateInputs:
             stalled = ongoing(i, position=600)
             stalled.speed = 0.0
             candidates.append(stalled)
-        decision = choose_start(desc(), candidates, SharingConfig(), EXTENT)
+        decision = choose_start(desc(), candidates, EXTENT)
         assert decision.start_page == 0
         assert not decision.joined
 
@@ -236,7 +247,7 @@ if HAVE_HYPOTHESIS:
             candidate.speed = speed
             candidates = [candidate]
             decision = choose_start(
-                desc(), candidates, SharingConfig(), extent,
+                desc(), candidates, extent,
                 last_finished_position=last_finished,
                 leftover_pages=16,
             )
@@ -273,11 +284,10 @@ class TestSubExtentTableGuard:
     """choose_start guard for tables smaller than one extent (bugfix)."""
 
     def test_join_lands_on_exact_position(self):
-        new = desc(first=0, last=7)
-        candidate = ongoing(0, position=5, first=0, last=7)
+        new = desc(first=0, last=39)
+        candidate = ongoing(0, position=5, first=0, last=39)
         decision = choose_start(
-            new, [candidate], SharingConfig(min_share_pages=1),
-            extent_size=16, table_pages=8,
+            new, [candidate], extent_size=64, table_pages=40,
         )
         assert decision.joined_scan_id == 0
         # Alignment would snap 5 back to page 0, silently defeating
@@ -286,14 +296,12 @@ class TestSubExtentTableGuard:
 
     def test_normal_tables_still_extent_aligned(self):
         decision = choose_start(
-            desc(), [ongoing(0, position=200)], SharingConfig(),
-            extent_size=16, table_pages=1000,
+            desc(), [ongoing(0, position=200)], extent_size=16, table_pages=1000,
         )
         assert decision.start_page == 192
 
     def test_unknown_table_pages_preserves_old_alignment(self):
         decision = choose_start(
-            desc(), [ongoing(0, position=200)], SharingConfig(),
-            extent_size=16,
+            desc(), [ongoing(0, position=200)], extent_size=16,
         )
         assert decision.start_page == 192

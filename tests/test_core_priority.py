@@ -1,9 +1,14 @@
 """Unit tests for leader/trailer page prioritization."""
 
+from collections import Counter
+
 from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
 from repro.core.priority import release_priority
 from repro.core.scan_state import ScanDescriptor, ScanState
+from repro.engine.executor import run_workload
+
+from tests.conftest import make_database, uniform_scan_query
 
 
 def state(is_leader=False, is_trailer=False):
@@ -40,9 +45,25 @@ class TestReleasePriority:
         assert release_priority(state(is_leader=True), 3, config) is Priority.NORMAL
 
     def test_sharing_disabled(self):
-        config = SharingConfig(enabled=False)
-        assert release_priority(state(is_leader=True), 3, config) is Priority.NORMAL
+        """A Base run's scans have no manager, so the executor is what
+        keeps their pages at NORMAL: every unfix carries it, where the
+        same workload shared releases leader and trailer pages."""
 
-    def test_grouping_disabled(self):
-        config = SharingConfig(grouping_enabled=False)
-        assert release_priority(state(is_leader=True), 3, config) is Priority.NORMAL
+        def release_counts(enabled):
+            db = make_database(n_pages=1000, pool_pages=64,
+                               sharing=SharingConfig(enabled=enabled))
+            counts = Counter()
+            unfix = db.pool.unfix
+
+            def counting_unfix(key, priority=Priority.NORMAL):
+                counts[priority] += 1
+                unfix(key, priority)
+
+            db.pool.unfix = counting_unfix
+            slow = uniform_scan_query("t", cpu_units_per_row=50.0)
+            run_workload(db, [[slow], [uniform_scan_query("t")]],
+                         stagger=0.05)
+            return counts
+
+        assert release_counts(True)[Priority.HIGH] > 0
+        assert release_counts(False) == Counter({Priority.NORMAL: 2000})

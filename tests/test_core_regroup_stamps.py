@@ -241,7 +241,7 @@ def make_policy(name: str, config: SharingConfig, pool: int):
     return sim, make_sharing_policy(name, sim, catalog, pool, config)
 
 
-TOGGLES = ("enabled", "grouping_enabled", "prioritization_enabled")
+TOGGLES = ("prioritization_enabled",)
 
 #: Two tables, not three, so that groups of several scans are common.
 operations = st.lists(
@@ -264,14 +264,15 @@ class TestPriorityStamp:
     @given(
         name=st.sampled_from(SHARING_POLICY_NAMES),
         flags=st.lists(st.sampled_from([True, True, False]),
-                       min_size=3, max_size=3),
+                       min_size=len(TOGGLES), max_size=len(TOGGLES)),
         pool=st.sampled_from([8, 30, 200]),
         ops=operations,
     )
-    # A leader stamped HIGH, then grouping switched off: the stamp goes.
-    @example("grouping-throttling", [True] * 3, 200,
+    # A leader stamped HIGH, then prioritization switched off: the stamp
+    # goes.
+    @example("grouping-throttling", [True] * len(TOGGLES), 200,
              [("start", "a", 0, 39), ("start", "a", 0, 39),
-              ("toggle", "grouping_enabled")])
+              ("toggle", "prioritization_enabled")])
     def test_stamp_equals_release_priority_after_every_call(
         self, name, flags, pool, ops
     ):

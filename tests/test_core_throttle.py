@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.config import SharingConfig
+from repro.core.config import TARGET_DISTANCE_EXTENTS, SharingConfig
 from repro.core.grouping import form_groups
 from repro.core.scan_state import ScanDescriptor, ScanState
-from repro.core.throttle import evaluate_throttle
+from repro.core.throttle import MAX_WAIT_PER_UPDATE, evaluate_throttle
 
 EXTENT = 16
 
@@ -41,23 +41,22 @@ class TestThrottleDecision:
         assert decision.wait > 0
 
     def test_wait_sized_from_trailer_speed(self):
-        config = SharingConfig(max_wait_per_update=1e9)
         leader, _, group = make_pair(
-            leader_pos=300, trailer_pos=100, trailer_speed=50.0
+            leader_pos=300, trailer_pos=100, trailer_speed=500.0
         )
-        decision = evaluate_throttle(leader, group, config, EXTENT)
-        expected = (200 - config.target_distance_extents * EXTENT) / 50.0
+        decision = evaluate_throttle(leader, group, SharingConfig(), EXTENT)
+        expected = (200 - TARGET_DISTANCE_EXTENTS * EXTENT) / 500.0
+        assert expected < MAX_WAIT_PER_UPDATE  # sized, not capped
         assert decision.wait == pytest.approx(expected)
 
     def test_wait_capped_per_update(self):
-        config = SharingConfig(max_wait_per_update=0.1)
         # Half the table apart: circularly still leader/trailer (a gap
         # of 900 would flip the roles, since 900 ahead == 100 behind).
         leader, _, group = make_pair(
             leader_pos=500, trailer_pos=0, trailer_speed=1.0
         )
-        decision = evaluate_throttle(leader, group, config, EXTENT)
-        assert decision.wait == pytest.approx(0.1)
+        decision = evaluate_throttle(leader, group, SharingConfig(), EXTENT)
+        assert decision.wait == pytest.approx(MAX_WAIT_PER_UPDATE)
 
     def test_trailer_never_throttled(self):
         _, trailer, group = make_pair(leader_pos=500, trailer_pos=0)
@@ -117,14 +116,14 @@ class TestThrottleDecision:
             return ScanState(scan_id=scan_id, descriptor=descriptor,
                              start_page=pos, start_time=0.0, speed=speed)
 
-        rear, mid, front = make(0, 0), make(1, 60, speed=50.0), make(2, 160)
+        rear, mid, front = make(0, 0), make(1, 60, speed=500.0), make(2, 160)
         groups = form_groups({"t": [rear, mid, front]}, pool_budget_pages=1000)
         assert len(groups) == 1
         rear.finished = True
-        config = SharingConfig(max_wait_per_update=1e9)
-        decision = evaluate_throttle(front, groups[0], config, EXTENT)
+        decision = evaluate_throttle(front, groups[0], SharingConfig(), EXTENT)
         assert decision.distance == 100  # measured from mid, not rear
-        expected = (100 - config.target_distance_extents * EXTENT) / 50.0
+        expected = (100 - TARGET_DISTANCE_EXTENTS * EXTENT) / 500.0
+        assert expected < MAX_WAIT_PER_UPDATE
         assert decision.wait == pytest.approx(expected)
 
 
@@ -147,7 +146,7 @@ class TestFairnessCap:
         assert not decision.capped_by_fairness
 
     def test_wait_clamped_to_remaining_allowance(self):
-        config = SharingConfig(max_wait_per_update=1e9)
+        config = SharingConfig()
         leader, _, group = make_pair(
             leader_pos=500, trailer_pos=0, trailer_speed=1.0
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SharingConfig
+from repro.core.policy import SHARING_POLICY_NAMES
 from repro.engine.executor import execute_query, run_workload
 from repro.engine.expressions import col, lit
 from repro.engine.operators import AggSpec
@@ -160,3 +161,23 @@ class TestBaseVsSharedExecution:
             assert base_vals["n"] == shared_vals["n"]
             # Wrapped scans sum the same rows in a different order.
             assert base_vals["s"] == pytest.approx(shared_vals["s"], rel=1e-9)
+
+    @pytest.mark.parametrize("name", SHARING_POLICY_NAMES)
+    def test_sharing_off_never_calls_the_policy(self, name, monkeypatch):
+        """The executor is the one place that decides "sharing off": it
+        hands scans no policy, so a policy whose every lifecycle call
+        raises cannot fail a Base run."""
+        db = make_database(sharing_policy=name,
+                           sharing=SharingConfig(enabled=False))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} policy called with sharing off")
+
+        for call in ("start_scan", "update_location", "end_scan",
+                     "abort_scan"):
+            monkeypatch.setattr(db.sharing, call, refuse)
+        result = run_workload(db, [[count_query()], [count_query()]],
+                              stagger=0.01)
+        queries = [q for s in result.streams for q in s.queries]
+        assert [q.pages_scanned for q in queries] == [128, 128]
+        assert db.sharing.active_scan_count == 0

@@ -268,20 +268,20 @@ class TestCacheKeyCoversNewSettings:
     def test_sharing_overrides_change_key(self):
         plain = cache_key("e1", "", TINY)
         tuned = cache_key(
-            "e1", "", TINY.with_(sharing_overrides={"update_interval_pages": 8})
+            "e1", "", TINY.with_(sharing_overrides={"distance_threshold_extents": 4.0})
         )
         assert plain != tuned
 
     def test_override_value_changes_key(self):
-        a = cache_key("e1", "", TINY.with_(sharing_overrides={"regroup_interval": 0.1}))
-        b = cache_key("e1", "", TINY.with_(sharing_overrides={"regroup_interval": 0.2}))
+        a = cache_key("e1", "", TINY.with_(sharing_overrides={"slowdown_cap_fraction": 0.5}))
+        b = cache_key("e1", "", TINY.with_(sharing_overrides={"slowdown_cap_fraction": 0.6}))
         assert a != b
 
     def test_override_order_does_not_change_key(self):
-        a = TINY.with_(sharing_overrides={"regroup_interval": 0.1,
-                                          "update_interval_pages": 8})
-        b = TINY.with_(sharing_overrides=[("update_interval_pages", 8),
-                                          ("regroup_interval", 0.1)])
+        a = TINY.with_(sharing_overrides={"slowdown_cap_fraction": 0.5,
+                                          "distance_threshold_extents": 4.0})
+        b = TINY.with_(sharing_overrides=[("distance_threshold_extents", 4.0),
+                                          ("slowdown_cap_fraction", 0.5)])
         assert cache_key("e1", "", a) == cache_key("e1", "", b)
 
     def test_fault_spec_changes_key(self):
@@ -295,10 +295,10 @@ class TestCacheKeyCoversNewSettings:
         from repro.experiments.runner import settings_to_dict
 
         settings = TINY.with_(
-            sharing_overrides={"update_interval_pages": 8},
+            sharing_overrides={"distance_threshold_extents": 4.0},
             fault_spec="leader-abort",
         )
         raw = settings_to_dict(settings)
         assert json.loads(canonical_json(raw)) == raw
         assert raw["fault_spec"] == "leader-abort"
-        assert raw["sharing_overrides"] == [["update_interval_pages", 8]]
+        assert raw["sharing_overrides"] == [["distance_threshold_extents", 4.0]]

@@ -1,7 +1,5 @@
 """Tests for the fault injector and the manager's death paths."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.buffer.pool import BufferPoolError
@@ -300,17 +298,6 @@ class TestManagerDeathPaths:
         manager.update_location(state.scan_id, 1000)
         manager.end_scan(state.scan_id)
         assert manager.last_finished_position("t") == 999
-
-    def test_grouping_disabled_regroup_clears_stale_flags(self):
-        _, manager = make_manager()
-        states = self.start_group_of_three(manager)
-        assert any(s.is_leader for s in states)
-        manager.config = replace(manager.config, grouping_enabled=False)
-        manager._regroup(force=True)
-        assert not manager.groups()
-        for state in manager.active_scans():
-            assert state.group_id is None
-            assert not state.is_leader and not state.is_trailer
 
 
 class TestDeterminism:

@@ -88,8 +88,12 @@ class TestCheckerDetectsCorruption:
             InvariantChecker(manager).run_checks()
 
     def test_ungrouped_scan_with_stale_flags(self):
-        _, manager = make_manager(config=SharingConfig(grouping_enabled=False))
+        _, manager = make_manager()
         state = manager.start_scan(ScanDescriptor("t", 0, 999, estimated_speed=100.0))
+        # Registered but not yet grouped (as between admission and the
+        # regroup), yet flagged as a leader.
+        manager._groups, manager._group_by_id = [], {}
+        state.group_id = None
         state.is_leader = True
         with pytest.raises(InvariantViolation, match="ungrouped"):
             InvariantChecker(manager).run_checks()

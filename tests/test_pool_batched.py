@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import _PAGE_BITS
-from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
+from repro.buffer.replacement import KNOWN_POLICY_NAMES, PbmPolicy, make_policy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.sim.events import Event
@@ -45,11 +45,15 @@ class _ModuloOracle:
 _ORACLE = _ModuloOracle()
 
 
+#: The registry's policies plus PBM, which only takes its oracle when
+#: built directly.
+POLICY_NAMES = KNOWN_POLICY_NAMES + ("pbm",)
+
+
 def build(name: str):
-    policy = make_policy(name, CAPACITY)
     if name == "pbm":
-        policy.bind(_ORACLE)
-    return policy
+        return PbmPolicy(_ORACLE)
+    return make_policy(name, CAPACITY)
 
 
 def snapshot(value):
@@ -93,7 +97,7 @@ operations = st.lists(
 
 
 class TestBatchedPolicyCalls:
-    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     @settings(max_examples=40, deadline=None)
     @given(ops=operations)
     def test_same_victims_and_state_as_the_per_key_loops(self, name, ops):

@@ -6,16 +6,36 @@ page — when the evictable set is empty, and the pool must surface that
 single condition as the typed :class:`~repro.buffer.pool.PoolExhausted`.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import BufferPoolError, PoolExhausted
-from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
+from repro.buffer.replacement import KNOWN_POLICY_NAMES, PbmPolicy, make_policy
 
 from tests.conftest import make_pool
 
 PRIORITIES = [Priority.LOW, Priority.NORMAL, Priority.HIGH]
+
+
+class _ModuloOracle:
+    """Reuse predictions for PBM: every fourth page is never read again."""
+
+    def next_consumption_time(self, page: PageKey) -> float:
+        return math.inf if page.page_no % 4 == 0 else float(page.page_no % 3)
+
+
+#: The registry's policies plus PBM, which only takes its oracle when
+#: built directly.
+POLICY_NAMES = KNOWN_POLICY_NAMES + ("pbm",)
+
+
+def build(name: str):
+    if name == "pbm":
+        return PbmPolicy(_ModuloOracle())
+    return make_policy(name, 32)
 
 # One random workload: distinct admitted pages, re-hit indices (possibly
 # repeating), release priorities, and a pin mask over the admitted pages.
@@ -29,12 +49,12 @@ workload = st.tuples(
 
 
 class TestChooseVictimNeverLeaks:
-    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     @settings(max_examples=30, deadline=None)
     @given(data=workload)
     def test_random_pin_sets(self, name, data):
         pages, hit_indices, priorities, pin_mask = data
-        policy = make_policy(name, 32)
+        policy = build(name)
         keys = [PageKey(0, page) for page in pages]
         for k in keys:
             policy.on_admit(k)
@@ -59,9 +79,9 @@ class TestChooseVictimNeverLeaks:
         # With nothing evictable at all, every policy must yield None.
         assert policy.choose_victim(lambda k: False) is None
 
-    @pytest.mark.parametrize("name", KNOWN_POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_empty_policy_returns_none(self, name):
-        policy = make_policy(name, 32)
+        policy = build(name)
         assert policy.choose_victim(lambda k: True) is None
 
 

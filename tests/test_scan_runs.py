@@ -112,12 +112,14 @@ def run_scans(by_run, n_pages, first, last, delay, shared):
     """Two scans of one range, the second ``delay`` seconds after the
     first; returns their results, charge logs and answers.  With sharing
     on, the second scan is placed where the first one last reported to
-    be (every 3 pages), snapped down to an extent boundary unless the
-    table is smaller than an extent — so it wraps."""
+    be (every UPDATE_INTERVAL_PAGES pages) or, once it has finished,
+    where the pages it left in the pool (half the pool, which is at
+    most the table) begin.  Either start is snapped down to an extent
+    boundary unless the table is smaller than an extent — so it
+    wraps."""
     db = make_database(
-        n_pages=n_pages, pool_pages=32, extent_size=EXTENT,
-        sharing=SharingConfig(enabled=shared, update_interval_pages=3,
-                              min_share_pages=1),
+        n_pages=n_pages, pool_pages=min(32, n_pages), extent_size=EXTENT,
+        sharing=SharingConfig(enabled=shared),
     )
     charges = [Charges(db, make_pipeline()) for _ in range(2)]
     scans = [
@@ -146,11 +148,11 @@ def run_scans(by_run, n_pages, first, last, delay, shared):
 
 RANGES = [
     # n_pages, first, last, delay of the second scan
-    (64, 0, 63, 0.0135),   # extent-aligned range; second scan wraps at 24
-    (64, 5, 50, 0.0135),   # starts and ends mid-extent; wraps at 32
+    (64, 0, 63, 0.0135),   # extent-aligned range; second scan wraps at 32
+    (64, 5, 50, 0.0135),   # starts and ends mid-extent; wraps at 16
     (64, 13, 14, 0.004),   # two pages inside one extent
-    (5, 0, 4, 0.0018),     # table smaller than one extent; wraps at page 3
-    (21, 3, 20, 0.006),    # partial first and last extent; wraps at 8
+    (5, 0, 4, 0.003),      # table smaller than one extent; wraps at page 3
+    (21, 3, 20, 0.01),     # partial first and last extent; wraps at 8
 ]
 
 
@@ -183,7 +185,7 @@ class TestRunsChargeLikePages:
         an extent)."""
         results, logs, _ = run_scans(True, n_pages, first, last, delay, True)
         start = results[1].start_page
-        assert start == {(64, 0): 24, (64, 5): 32, (64, 13): 13,
+        assert start == {(64, 0): 32, (64, 5): 16, (64, 13): 13,
                          (5, 0): 3, (21, 3): 8}[n_pages, first]
         assert [page for page, _, _ in logs[1]] == list(
             scan_order(first, last, start))
@@ -217,7 +219,7 @@ class TestUnsharedScan:
         """An ordered step runs unshared while sharing is on: it must not
         register, report or be placed — even next to a sharing scan."""
         db = make_database(n_pages=64, pool_pages=32, extent_size=EXTENT,
-                           sharing=SharingConfig(enabled=True, min_share_pages=1))
+                           sharing=SharingConfig(enabled=True))
         assert db.sharing_enabled
         stats_before = copy.deepcopy(db.sharing.stats)
         scan = TableScan(db, "t", 5, 50, make_pipeline().process_run,

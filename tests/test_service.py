@@ -17,7 +17,15 @@ from repro.experiments.runner import (
     run_tasks,
 )
 from repro.service import ServiceResult
-from repro.service.controller import AdmissionController
+from repro.service.controller import (
+    DECREASE_FACTOR,
+    MISS_EWMA_ALPHA,
+    MISS_RATE_HIGH,
+    MISS_RATE_LOW,
+    MIN_WINDOW_READS,
+    PRESSURE_HIGH,
+    AdmissionController,
+)
 from repro.service.metrics import bounded_problems
 from repro.service.scenarios import (
     SCENARIOS,
@@ -26,7 +34,7 @@ from repro.service.scenarios import (
     run_scenario,
 )
 from repro.service.service import _class_seed
-from repro.service.spec import ControllerConfig
+from repro.service.spec import INITIAL_MPL, MIN_MPL, ControllerConfig
 from repro.trace import RingBufferSink, tracing
 
 TINY = ExperimentSettings(scale=0.1, seed=42)
@@ -80,7 +88,7 @@ class TestSteadyEndToEnd:
         # peak_running may exceed mpl by in-flight work admitted before a
         # decrease, but never the controller's configured ceiling.
         assert result.peak_running <= spec.controller.max_mpl
-        assert spec.controller.min_mpl <= result.mpl_final <= spec.controller.max_mpl
+        assert MIN_MPL <= result.mpl_final <= spec.controller.max_mpl
         assert result.controller_ticks > 0
 
     def test_metrics_dict_shape(self, result):
@@ -178,48 +186,51 @@ class TestControllerUnit:
         assert controller.process is None
 
     def test_pool_pressure_triggers_multiplicative_decrease(self, db):
-        controller = AdmissionController(
-            db, ControllerConfig(initial_mpl=8, pressure_high=0.5)
-        )
-        db.pool.reserve(int(db.pool.capacity * 0.6))
+        controller = AdmissionController(db, ControllerConfig())
+        db.pool.reserve(int(db.pool.capacity * (PRESSURE_HIGH + 0.1)))
         controller._tick()
-        assert controller.mpl == 4
+        assert controller.mpl == int(INITIAL_MPL * DECREASE_FACTOR) == 2
         controller._tick()
-        assert controller.mpl == 2
+        assert controller.mpl == MIN_MPL == 1
         assert controller.stats.decreases == 2
 
     def test_clean_window_gives_additive_increase(self, db):
-        controller = AdmissionController(
-            db, ControllerConfig(initial_mpl=4, max_mpl=6)
-        )
+        controller = AdmissionController(db, ControllerConfig(max_mpl=6))
         for _ in range(5):
             controller._tick()
         assert controller.mpl == 6  # +1 per tick, clamped at max_mpl
         assert controller.stats.increases == 2
 
     def test_windowed_miss_rate_triggers_decrease(self, db):
-        controller = AdmissionController(
-            db, ControllerConfig(initial_mpl=8, miss_rate_high=0.5,
-                                 miss_ewma_alpha=1.0, min_window_reads=1)
-        )
+        controller = AdmissionController(db, ControllerConfig())
         stats = db.pool.stats
-        stats.logical_reads += 100
-        stats.misses += 90
+        estimate = 0.0
+        estimates, mpls = [], []
+        for _ in range(3):
+            stats.logical_reads += 100
+            stats.misses += 90
+            controller._tick()
+            estimate += MISS_EWMA_ALPHA * (0.9 - estimate)
+            assert controller._miss_ewma == pytest.approx(estimate)
+            estimates.append(estimate)
+            mpls.append(controller.mpl)
+        # The smoothed rate climbs 0.27 (clean: +1), 0.46 (hold) and
+        # crosses the shrink threshold at the third window (halve).
+        assert estimates[0] < MISS_RATE_LOW <= estimates[1] <= MISS_RATE_HIGH
+        assert estimates[2] > MISS_RATE_HIGH
+        assert mpls == [INITIAL_MPL + 1, INITIAL_MPL + 1,
+                        int((INITIAL_MPL + 1) * DECREASE_FACTOR)]
+        # Next window is idle: the estimate holds above the threshold,
+        # so it halves again.
         controller._tick()
-        assert controller.mpl == 4
-        # Next window is idle: EWMA holds, but an idle window is not a
-        # fresh red signal only if the smoothed rate decayed -- with
-        # alpha=1 the estimate stays at 0.9, so it halves again.
-        controller._tick()
-        assert controller.mpl == 2
+        assert controller._miss_ewma == pytest.approx(estimate)
+        assert controller.mpl == MIN_MPL
 
     def test_near_idle_window_does_not_move_estimate(self, db):
-        controller = AdmissionController(
-            db, ControllerConfig(initial_mpl=8, min_window_reads=64)
-        )
+        controller = AdmissionController(db, ControllerConfig())
         stats = db.pool.stats
-        stats.logical_reads += 10   # below min_window_reads
-        stats.misses += 10
+        stats.logical_reads += MIN_WINDOW_READS - 1
+        stats.misses += MIN_WINDOW_READS - 1
         controller._tick()
         assert controller._miss_ewma == 0.0
-        assert controller.mpl == 8 + 1  # clean estimate -> additive increase
+        assert controller.mpl == INITIAL_MPL + 1  # clean -> additive increase

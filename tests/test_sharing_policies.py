@@ -92,7 +92,7 @@ class TestCooperative:
         assert manager.stats.scans_joined_ongoing == 1
 
     def test_attaches_even_below_sharing_threshold(self):
-        """No min_share_pages gate: cooperative always attaches."""
+        """No MIN_SHARE_PAGES gate: cooperative always attaches."""
         _, manager = make_manager("cooperative")
         first = manager.start_scan(full_scan(speed=100.0))
         manager.update_location(first.scan_id, 992)  # 8 pages left
@@ -126,16 +126,6 @@ class TestCooperative:
         scans = [manager.start_scan(full_scan()) for _ in range(3)]
         for state in scans:
             assert manager.page_priority(state.scan_id) is Priority.NORMAL
-
-    def test_disabled_config_disables_attach(self):
-        _, manager = make_manager(
-            "cooperative", config=SharingConfig(enabled=False)
-        )
-        first = manager.start_scan(full_scan())
-        manager.update_location(first.scan_id, 200)
-        second = manager.start_scan(full_scan())
-        assert second.start_page == 0
-        assert manager.attach_target(second.scan_id) is None
 
     def test_end_scan_drops_attach_edges(self):
         _, manager = make_manager("cooperative")
@@ -240,13 +230,18 @@ class TestPbmManager:
 
 
 class TestPbmPolicy:
-    def test_registry_constructs_pbm(self):
-        policy = make_policy("pbm", 64)
-        assert isinstance(policy, PbmPolicy)
-        assert not policy.bound
+    def test_registry_rejects_pbm(self):
+        """PBM needs its scan registry, which only Database.open has; a
+        bare name would be LRU under a second name."""
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            make_policy("pbm", 64)
 
     def test_unbound_degrades_to_lru(self):
-        policy = PbmPolicy()
+        """A page no registered scan will reach again has an infinite
+        time to reuse; with no scans at all every page ties, and the
+        order is plain LRU."""
+        _, manager = make_manager("pbm")
+        policy = PbmPolicy(manager)
         keys = [PageKey(0, n) for n in range(4)]
         for key in keys:
             policy.on_admit(key)
@@ -258,8 +253,7 @@ class TestPbmPolicy:
         state = manager.start_scan(full_scan(speed=100.0))
         manager.update_location(state.scan_id, 100)
         space = manager.catalog.table("t").space_id
-        policy = PbmPolicy()
-        policy.bind(manager)
+        policy = PbmPolicy(manager)
         near = PageKey(space, 110)    # 10 pages ahead: reused soon
         far = PageKey(space, 900)     # 800 pages ahead: reused late
         passed = PageKey(space, 50)   # behind the scan: never reused
@@ -275,8 +269,7 @@ class TestPbmPolicy:
         _, manager = make_manager("pbm")
         manager.start_scan(full_scan())
         space = manager.catalog.table("t").space_id
-        policy = PbmPolicy()
-        policy.bind(manager)
+        policy = PbmPolicy(manager)
         pinned = PageKey(space, 999)
         free = PageKey(space, 5)
         policy.on_admit(pinned)
@@ -285,9 +278,8 @@ class TestPbmPolicy:
         assert policy.choose_victim(lambda k: False) is None
 
     def test_inf_ties_break_lru(self):
-        policy = PbmPolicy()
         _, manager = make_manager("pbm")  # no scans: everything is inf
-        policy.bind(manager)
+        policy = PbmPolicy(manager)
         old = PageKey(0, 1)
         new = PageKey(0, 2)
         policy.on_admit(old)
@@ -311,7 +303,7 @@ class TestDatabaseWiring:
         db = make_database(sharing_policy="pbm")
         assert isinstance(db.sharing, PbmScanManager)
         assert isinstance(db.pool.policy, PbmPolicy)
-        assert db.pool.policy.bound
+        assert db.pool.policy._oracle is db.sharing
 
     def test_pbm_base_mode_keeps_configured_policy(self):
         """With sharing disabled, PBM must not touch the pool policy —

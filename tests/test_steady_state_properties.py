@@ -14,6 +14,7 @@ pytestmark = pytest.mark.slow
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SharingConfig
+from repro.core.throttle import MAX_WAIT_PER_UPDATE
 from repro.scans.table_scan import TableScan
 
 from tests.conftest import flat_cost, make_database
@@ -64,7 +65,7 @@ class TestSteadyState:
         _, results = run_scans(costs, config=config)
         for result in results:
             cap = config.slowdown_cap_fraction * result.elapsed
-            assert result.throttle_seconds <= cap + config.max_wait_per_update
+            assert result.throttle_seconds <= cap + MAX_WAIT_PER_UPDATE
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -77,7 +78,7 @@ class TestSteadyState:
         slowest = max(range(len(costs)), key=lambda i: costs[i])
         # Allow a single spurious wait from transient leadership during
         # the initial grouping.
-        assert results[slowest].throttle_seconds <= SharingConfig().max_wait_per_update
+        assert results[slowest].throttle_seconds <= MAX_WAIT_PER_UPDATE
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
