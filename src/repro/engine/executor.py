@@ -104,17 +104,27 @@ def execute_query(
         tracer.emit(QueryStarted(
             time=result.started_at, stream_id=stream_id, query=spec.name,
         ))
-    # Join state threaded between a build step and its probe step(s):
-    # the built hash table, the sink (for sizing), and the still-held
-    # frame reservation the probe passes run under.
-    join_state: Dict[str, object] = {}
+    # The latest join build's sink until its probe consumes it: it holds
+    # the built table and the frame reservation the probe passes run under.
+    build = None
     for index, step in enumerate(spec.steps):
+        label = step.label or f"step{index}"
         for repeat in range(step.repeats):
-            step_result = yield from _execute_step(db, step, index, join_state)
+            if step.join_probe_key is not None:
+                step_result = yield from _execute_probe_step(
+                    db, step, label, build
+                )
+                build = None
+            elif step.join_build_key is not None:
+                # A fresh build releases whatever a previous join left.
+                _release_build(build)
+                step_result, build = yield from _execute_step(db, step, label)
+            else:
+                step_result, _ = yield from _execute_step(db, step, label)
             if step.repeats > 1:
-                step_result.label = f"{step_result.label}#{repeat}"
+                step_result.label = f"{label}#{repeat}"
             result.steps.append(step_result)
-    _release_join_state(join_state)
+    _release_build(build)
     result.finished_at = db.sim.now
     tracer = trace_slot.active
     if tracer is not None:
@@ -137,20 +147,10 @@ def execute_query(
     return result
 
 
-def _terminal_operator(pipeline):
-    """The pipeline's terminal (sink) operator."""
-    op = pipeline.entry
-    while op.downstream is not None:
-        op = op.downstream
-    return op
-
-
-def _release_join_state(join_state: Dict[str, object]) -> None:
-    """Return any frames a join still holds (end-of-query safety net)."""
-    memory = join_state.pop("memory", None)
-    if memory is not None:
-        memory.release()
-    join_state.clear()
+def _release_build(build) -> None:
+    """Return the frames a join build still holds, if any."""
+    if build is not None and build.memory is not None:
+        build.memory.release()
 
 
 def resolve_budget_pages(requested: int, pool_capacity: int) -> int:
@@ -203,30 +203,13 @@ def _run_step_scan(
     return result
 
 
-def _execute_step(
-    db: Database,
-    step: ScanStep,
-    index: int,
-    join_state: Optional[Dict[str, object]] = None,
-) -> Generator:
-    if join_state is None:
-        join_state = {}
-    label = step.label or f"step{index}"
+def _execute_step(db: Database, step: ScanStep, label: str) -> Generator:
+    """Run a step other than a probe; returns ``(StepResult, its sink)``."""
     table = db.catalog.table(step.table)
     first_page, last_page = step.page_range(table)
-    if step.join_probe_key is not None:
-        return (
-            yield from _execute_probe_step(
-                db, step, label, table, first_page, last_page, join_state
-            )
-        )
-    memory = None
-    if step.join_build_key is not None:
-        # A fresh build releases whatever a previous join left behind.
-        _release_join_state(join_state)
-        memory = _negotiate_memory(db, step, label, "join")
-    else:
-        memory = _negotiate_memory(db, step, label, "agg")
+    memory = _negotiate_memory(
+        db, step, label, "join" if step.join_build_key is not None else "agg"
+    )
     pipeline = step.build_pipeline(
         db.cost, memory=memory, agg_strategy=db.config.agg_strategy,
         run_cache=db.run_cache,
@@ -234,40 +217,28 @@ def _execute_step(
     scan_result = yield from _run_step_scan(
         db, step, pipeline, table, first_page, last_page
     )
-    if pipeline.needs_finalize:
-        # Spilled state merges back here — temp reads and merge CPU land
-        # on the simulated clock after the scan itself finished.
-        yield from pipeline.finalize(db)
+    # Spilled state merges back here — temp reads and merge CPU land on
+    # the simulated clock after the scan itself finished.
+    yield from pipeline.finalize(db)
     values = pipeline.result()
     operator_stats = None
-    terminal = _terminal_operator(pipeline)
     if memory is not None:
+        # Only budgeted (spilling) sinks are built with memory.
         operator_stats = dict(memory.stats())
-        spill = getattr(terminal, "spill", None)
-        if spill is not None:
-            operator_stats.update(spill.as_dict())
-    if step.join_build_key is not None:
-        # Keep the reservation: probe passes run under it (and compete
-        # with scans for the remaining frames).  Released after probing.
-        join_state["table"] = values
-        join_state["sink"] = terminal
-        join_state["memory"] = memory
-    elif memory is not None:
-        memory.release()
-    return StepResult(
+        operator_stats.update(pipeline.sink.spill.as_dict())
+        if step.join_build_key is None:
+            # A build keeps its reservation: the probe passes run under
+            # it (and compete with scans for the remaining frames).
+            memory.release()
+    step_result = StepResult(
         label=label, scan=scan_result, values=values,
         operator_stats=operator_stats,
     )
+    return step_result, pipeline.sink
 
 
 def _execute_probe_step(
-    db: Database,
-    step: ScanStep,
-    label: str,
-    table,
-    first_page: int,
-    last_page: int,
-    join_state: Dict[str, object],
+    db: Database, step: ScanStep, label: str, build
 ) -> Generator:
     """Run the probe side of a join as one or more multibuffer passes.
 
@@ -275,20 +246,21 @@ def _execute_probe_step(
     holds, the probe range is scanned once per chunk — the multibuffer
     trade of extra probe I/O for bounded memory.  Each pass counts
     matches only for its chunk's keys, so the summed counts equal the
-    single-pass join result exactly.
+    single-pass join result exactly.  The build's reservation is
+    released afterwards.
     """
     from repro.engine.spill import chunk_factor, split_chunks
 
-    build_table = join_state.get("table") or {}
-    sink = join_state.get("sink")
-    memory = join_state.get("memory")
-    pages_needed = sink.pages_needed if sink is not None else 0
+    table = db.catalog.table(step.table)
+    first_page, last_page = step.page_range(table)
+    memory = build.memory
+    pages_needed = build.pages_needed
     granted = memory.pages if memory is not None else 1
     n_chunks = chunk_factor(pages_needed, max(1, granted))
     combined_scan: Optional[ScanResult] = None
     rows_probed = 0
     matches = 0
-    for chunk_table in split_chunks(build_table, n_chunks):
+    for chunk_table in split_chunks(build.table, n_chunks):
         pipeline = step.build_pipeline(db.cost, join_table=chunk_table)
         scan_result = yield from _run_step_scan(
             db, step, pipeline, table, first_page, last_page
@@ -312,9 +284,8 @@ def _execute_probe_step(
     }
     if memory is not None:
         operator_stats.update(memory.stats())
-    if sink is not None and getattr(sink, "spill", None) is not None:
-        operator_stats.update(sink.spill.as_dict())
-    _release_join_state(join_state)
+    operator_stats.update(build.spill.as_dict())
+    _release_build(build)
     assert combined_scan is not None
     return StepResult(
         label=label,

@@ -1,10 +1,10 @@
-"""Push-based vectorized operators above the scan.
+"""Vectorized operators above the scan.
 
-A pipeline is a chain of operators fed one *extent run* at a time by the
-scan: the rows of up to ``extent_size`` consecutive pages arrive as one
-columnar batch, so every numpy call amortises over the whole run.  Each
-``push`` still returns the abstract CPU units spent **per page**, which
-the scan converts to simulated CPU time and charges page by page — so
+A pipeline is an optional :class:`Filter` and one :class:`Sink`, fed one
+*extent run* at a time by the scan: the rows of up to ``extent_size``
+consecutive pages arrive as one columnar batch, so every numpy call
+amortises over the whole run.  The pipeline still returns the CPU
+seconds spent **per page**, which the scan charges page by page — so
 heavier pipelines genuinely slow their scans down in the simulation,
 which is what creates the speed heterogeneity the paper's throttling
 reacts to, and no simulated timestamp depends on how pages were batched.
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple,
-    Union,
 )
 
 import numpy as np
@@ -29,10 +28,6 @@ from repro.scans.base import LazyPages
 from repro.storage.datagen import PageData, take_rows
 
 _AGG_FUNCS = ("sum", "count", "min", "max", "avg")
-
-#: Per-page unit costs of one run: an array, or lazily evaluated pages
-#: when a sink has to see each page at its own simulated time.
-PageUnits = Union[np.ndarray, LazyPages]
 
 #: The one NaN object used in canonical group keys.  ``nan != nan``, so
 #: NaN keys built from fresh float objects split into one group per
@@ -163,71 +158,64 @@ class AggSpec:
             raise ValueError(f"aggregate {self.name!r} ({self.func}) needs an expression")
 
 
-class Operator(ABC):
-    """One stage of a push-based pipeline."""
+class Sink(ABC):
+    """The last stage of a pipeline: it consumes the rows that reach it.
 
-    #: Whether the operator's state feeds back into the simulation, so
-    #: that it must absorb each page at the simulated moment the scan
-    #: reaches it (see :class:`PageFeed`) rather than a run at a time.
+    An eager sink takes a whole run at once in ``push(batch, page_rows)``,
+    which returns the CPU units of each page.  A :attr:`page_timed` one
+    is fed through ``prepare``/``absorb`` instead (see
+    :meth:`Pipeline.process_run`) and has post-scan work in
+    ``finalize_sim(db)``.
+    """
+
+    #: Whether the sink's state feeds back into the simulation, so that
+    #: it must absorb each page at the simulated moment the scan reaches
+    #: it rather than a run at a time.
     page_timed = False
 
-    def __init__(self, downstream: Optional["Operator"] = None):
-        self.downstream = downstream
+    @abstractmethod
+    def required_columns(self) -> FrozenSet[str]:
+        """The columns this sink reads from its input batches; a
+        :class:`Filter` in front of it compacts only those."""
 
     @abstractmethod
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        """Process one run of pages.
+    def add_row_units(self, units: float, rows: float) -> float:
+        """``units`` plus the CPU units ``rows`` input rows cost this
+        sink, each term added to ``units`` as ``rows * term`` in turn
+        (the scan-speed estimate feeds placement, and regrouping the
+        terms would move its last bits)."""
 
-        ``batch`` holds the rows of consecutive pages back to back;
-        ``page_rows[i]`` of them belong to the run's page *i* (zero is
-        allowed — a filter upstream may have emptied the page).  Returns
-        the abstract CPU units spent **per page**, downstream stages
-        included.  A page's units are computed with exactly the float
-        operations a run consisting of that page alone would use, and a
-        page without rows costs nothing.
-        """
-
-    def required_columns(self) -> Optional[FrozenSet[str]]:
-        """Columns this operator (and everything downstream of it) reads
-        from its input batches.
-
-        ``None`` means "unknown — assume all".  Upstream operators use
-        this for projection pushdown: :class:`Filter` compacts only the
-        columns the rest of the pipeline can touch.  The charged
-        compaction cost is per *row*, not per column, so skipping unread
-        columns changes no simulated timing — only host CPU.
-        """
-        return None
-
+    @abstractmethod
     def finish(self) -> object:
-        """Finalize and return the pipeline result (terminal ops override)."""
-        if self.downstream is not None:
-            return self.downstream.finish()
-        return None
+        """The sink's result, once the scan (and any post-scan work) ended."""
 
 
-class Filter(Operator):
-    """Predicate evaluation + compaction."""
+class Filter:
+    """Predicate evaluation + compaction in front of a sink.
 
-    def __init__(self, predicate: Expression, downstream: Operator,
-                 cost: CostModel):
-        super().__init__(downstream)
+    Only ``columns`` — the ones the sink reads — are compacted.  The
+    charged compaction cost is per *row*, not per column, so this
+    projection changes host time only, never simulated time.
+    """
+
+    def __init__(self, predicate: Expression, cost: CostModel,
+                 columns: FrozenSet[str]):
         self.predicate = predicate
         self.cost = cost
+        self.columns = columns
         self.rows_in = 0
         self.rows_out = 0
         self._predicate_units = predicate.cost_units_per_row
-        # Projection pushdown: the operator chain is fixed at construction,
-        # so the set of columns worth compacting is too.
-        self._compact_columns = downstream.required_columns()
 
-    def required_columns(self) -> Optional[FrozenSet[str]]:
-        if self._compact_columns is None:
-            return None
-        return frozenset(self.predicate.columns()) | self._compact_columns
+    def push(
+        self, batch: PageData, page_rows: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[PageData], np.ndarray]:
+        """Filter one run of pages: ``(units, rows, survivors)``.
 
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        page_rows = _as_page_rows(page_rows)
+        ``units`` are the CPU units each page cost, ``rows`` the
+        surviving rows (``None`` when none survive) and ``survivors``
+        how many of them each page contributed.
+        """
         n_rows = int(page_rows.sum())
         mask = self.predicate.evaluate(batch)
         if getattr(mask, "shape", None) != (n_rows,):
@@ -243,23 +231,16 @@ class Filter(Operator):
         self.rows_out += selected
         units = page_rows * self._predicate_units
         if selected == 0:
-            return units
+            return units, None, survivors
         if selected == n_rows:
-            filtered = batch
-        else:
-            # Compact only the columns the rest of the pipeline can read
-            # (all of them when the downstream can't say).  The per-row
-            # compaction cost is column-count independent, so the
-            # pushdown changes host time only, never simulated time.  A
-            # page is charged for it unless all (or none) of its rows
-            # passed.
-            filtered = take_rows(batch, mask, self._compact_columns)
-            units = np.where(
-                survivors == page_rows, units,
-                units + survivors * self.cost.filter_compact_units,
-            )
-        assert self.downstream is not None
-        return units + self.downstream.push(filtered, survivors)
+            return units, batch, survivors
+        # A page is charged for compaction unless all (or none) of its
+        # rows passed.
+        units = np.where(
+            survivors == page_rows, units,
+            units + survivors * self.cost.filter_compact_units,
+        )
+        return units, take_rows(batch, mask, self.columns), survivors
 
     @property
     def selectivity(self) -> float:
@@ -269,7 +250,7 @@ class Filter(Operator):
         return self.rows_out / self.rows_in
 
 
-class GroupByAggregate(Operator):
+class GroupByAggregate(Sink):
     """Terminal aggregation, optionally grouped.
 
     Without group columns, the result is a dict of aggregate values.
@@ -280,7 +261,6 @@ class GroupByAggregate(Operator):
 
     def __init__(self, aggregates: Sequence[AggSpec], cost: CostModel,
                  group_by: Sequence[str] = ()):
-        super().__init__(None)
         if not aggregates:
             raise ValueError("GroupByAggregate needs at least one aggregate")
         self.aggregates = list(aggregates)
@@ -322,14 +302,28 @@ class GroupByAggregate(Operator):
         #: The partials the latest push merged (a Pipeline caches them).
         self.last_partials: Sequence[Tuple[Tuple, Sequence]] = ()
 
-    def required_columns(self) -> Optional[FrozenSet[str]]:
+    def required_columns(self) -> FrozenSet[str]:
         needed = set(self.group_by)
         for agg in self.aggregates:
             if agg.expr is not None:
                 needed |= agg.expr.columns()
         return frozenset(needed)
 
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+    def add_row_units(self, units: float, rows: float) -> float:
+        units += rows * self.cost.agg_units * len(self.aggregates)
+        for row_units in self._row_units:
+            units += rows * row_units
+        return units
+
+    def push(self, batch: PageData, page_rows: np.ndarray) -> np.ndarray:
+        """Process one run of pages.
+
+        ``batch`` holds the rows of consecutive pages back to back;
+        ``page_rows[i]`` of them belong to the run's page *i* (zero is
+        allowed — a filter may have emptied the page).  Returns the CPU
+        units spent on each page, computed with exactly the float
+        operations a run of that page alone would use.
+        """
         page_rows = _as_page_rows(page_rows)
         n_rows = int(page_rows.sum())
         if n_rows:
@@ -341,10 +335,7 @@ class GroupByAggregate(Operator):
         """CPU units charged for a page of ``rows`` rows."""
         units = self._units_of.get(rows)
         if units is None:
-            units = rows * self.cost.agg_units * len(self.aggregates)
-            for row_units in self._row_units:
-                units += rows * row_units
-            self._units_of[rows] = units
+            units = self._units_of[rows] = self.add_row_units(0.0, rows)
         return units
 
     def _partials(
@@ -450,67 +441,33 @@ class GroupByAggregate(Operator):
         return results
 
 
-class PageFeed(Operator):
-    """Hands a sink each page of a run when the scan reaches that page.
-
-    :class:`Pipeline` puts one in front of a :attr:`~Operator.page_timed`
-    sink.  Whatever is upstream, and the sink's pure ``prepare(batch,
-    page_rows)`` (one prepared value per page), run once per run; its
-    stateful ``absorb(prepared, rows)`` — the merge and the decision
-    whether to spill — runs at each page's own simulated time, exactly
-    as if the scan had delivered the pages one by one.
-    """
-
-    def __init__(self, sink: Operator):
-        super().__init__(sink)
-        self._columns = sink.required_columns()
-
-    def required_columns(self) -> Optional[FrozenSet[str]]:
-        return self._columns
-
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        sink = self.downstream
-        rows = _as_page_rows(page_rows).tolist()
-        prepared = sink.prepare(batch, rows)
-        return LazyPages(lambda index: sink.absorb(prepared[index], rows[index]))
-
-
 class Pipeline:
-    """A built pipeline: entry operator + cost conversion.
+    """A built pipeline: an optional :class:`Filter`, one :class:`Sink`
+    and the conversion of their units to simulated seconds.
 
     ``process_run`` is the scan's per-run callback target; it returns
     the simulated CPU seconds of each page of the run.
 
-    A classic chain — an optional :class:`Filter` into a
-    :class:`GroupByAggregate` — computes a pure function of its run, so
-    given a ``run_cache`` it looks each run up under ``(run_key,
-    first_page, n_pages)`` and replays the stored :class:`RunResult` onto
-    its own operators.  ``run_key`` must identify everything the chain
-    computes with, and ``(first_page, n_pages)`` the run's rows.
+    A classic pipeline — its sink a :class:`GroupByAggregate` — computes
+    a pure function of its run, so given a ``run_cache`` it looks each
+    run up under ``(run_key, first_page, n_pages)`` and replays the
+    stored :class:`RunResult` onto its filter and sink.  ``run_key`` must
+    identify everything the pipeline computes with, and ``(first_page,
+    n_pages)`` the run's rows.
     """
 
-    def __init__(self, entry: Operator, cost: CostModel,
+    def __init__(self, sink: Sink, cost: CostModel,
+                 filter: Optional[Filter] = None,
                  extra_units_per_row: float = 0.0,
                  run_cache: Optional[BoundedCache] = None,
                  run_key: Hashable = None):
-        # A page-timed sink is fed through a PageFeed, spliced in here so
-        # that no hand-built chain can forget it.
-        above, sink = None, entry
-        while sink.downstream is not None:
-            above, sink = sink, sink.downstream
-        if sink.page_timed and not isinstance(above, PageFeed):
-            if above is None:
-                entry = PageFeed(sink)
-            else:
-                above.downstream = PageFeed(sink)
-        self.entry = entry
+        self.sink = sink
+        self.filter = filter
         self.cost = cost
         self.extra_units_per_row = extra_units_per_row
         self.pages = 0
         self.rows = 0
-        self._filter = entry if isinstance(entry, Filter) else None
-        self._sink = entry.downstream if self._filter is not None else entry
-        if type(self._sink) is not GroupByAggregate:
+        if type(sink) is not GroupByAggregate:
             run_cache = None
         self._run_cache = run_cache
         self._run_key = run_key
@@ -521,8 +478,10 @@ class Pipeline:
         """Push one run of pages; returns CPU seconds to charge per page.
 
         The result is indexed once per page, in order, as the scan gets
-        there: a list when the whole run could be processed up front,
-        :class:`~repro.scans.base.LazyPages` when the sink is page-timed.
+        there.  A cached classic run replays its stored list; an eager
+        sink takes the run at once and gives a list; a page-timed sink
+        gives :class:`~repro.scans.base.LazyPages` (see
+        :meth:`_page_timed`).
         """
         cache = self._run_cache
         if cache is None:
@@ -533,17 +492,17 @@ class Pipeline:
             run = self._record(batch, page_rows)
             cache.put(key, run)
             return run.seconds
-        if self._filter is not None:
-            self._filter.rows_in += run.rows
-            self._filter.rows_out += run.rows_out
-        self._sink._merge(run.partials)
+        if self.filter is not None:
+            self.filter.rows_in += run.rows
+            self.filter.rows_out += run.rows_out
+        self.sink._merge(run.partials)
         self.pages += len(run.seconds)
         self.rows += run.rows
         return run.seconds
 
     def _record(self, batch: PageData, page_rows: np.ndarray) -> RunResult:
-        """Push a run through the classic chain, noting its effects."""
-        filt, sink = self._filter, self._sink
+        """Push a run through the classic pipeline, noting its effects."""
+        filt, sink = self.filter, self.sink
         rows, passed = self.rows, filt.rows_out if filt is not None else 0
         sink.last_partials = ()  # a filter that empties the run skips the sink
         seconds = self._push(batch, page_rows)
@@ -552,70 +511,67 @@ class Pipeline:
         return RunResult(seconds, self.rows - rows, passed, sink.last_partials)
 
     def _push(self, batch: PageData, page_rows: np.ndarray) -> Sequence[float]:
-        units = self.entry.push(batch, page_rows)
-        units = units + self.cost.per_page_units
-        units = units + page_rows * self.extra_units_per_row
+        """A run through the filter and the sink, uncached."""
         self.pages += len(page_rows)
         self.rows += int(page_rows.sum())
-        seconds = self.cost.seconds(units)
-        return seconds.tolist() if isinstance(seconds, np.ndarray) else seconds
+        sink, units, rows = self.sink, None, page_rows
+        if self.filter is not None:
+            units, batch, rows = self.filter.push(batch, page_rows)
+        if batch is not None:
+            if sink.page_timed:
+                return self._page_timed(batch, rows.tolist(), units, page_rows)
+            sink_units = sink.push(batch, rows)
+            units = sink_units if units is None else units + sink_units
+        units = units + self.cost.per_page_units
+        units = units + page_rows * self.extra_units_per_row
+        return self.cost.seconds(units).tolist()
+
+    def _page_timed(
+        self, batch: PageData, rows: List[int],
+        filter_units: Optional[np.ndarray], page_rows: np.ndarray,
+    ) -> LazyPages:
+        """A page-timed sink's run: its pure ``prepare`` does the run's
+        numpy work now, one prepared value per page, and its stateful
+        ``absorb`` — the merge and the decision whether to spill — runs
+        when the scan reaches each page, at that page's simulated time,
+        exactly as if the scan had delivered the pages one by one.  A
+        page's seconds add up its terms in the order an eager sink's do."""
+        absorb = self.sink.absorb
+        prepared = self.sink.prepare(batch, rows)
+        filtered = filter_units.tolist() if filter_units is not None else None
+        per_page = self.cost.per_page_units
+        extra = (page_rows * self.extra_units_per_row).tolist()
+        seconds = self.cost.seconds
+
+        def page_seconds(index: int) -> float:
+            units = absorb(prepared[index], rows[index])
+            if filtered is not None:
+                units += filtered[index]
+            return seconds(units + per_page + extra[index])
+
+        return LazyPages(page_seconds)
 
     def estimated_units_per_page(self, rows_per_page: int) -> float:
         """Static cost estimate used for scan-speed estimation."""
         units = self.cost.per_page_units + rows_per_page * self.extra_units_per_row
-        op: Optional[Operator] = self.entry
         survivors = float(rows_per_page)
-        while op is not None:
-            if isinstance(op, Filter):
-                units += survivors * op.predicate.cost_units_per_row
-                # Without statistics assume half the rows survive.
-                survivors *= 0.5
-            elif isinstance(op, GroupByAggregate):
-                units += survivors * self.cost.agg_units * len(op.aggregates)
-                for agg in op.aggregates:
-                    if agg.expr is not None:
-                        units += survivors * agg.expr.cost_units_per_row
-                        if agg.func == "count":
-                            # Mirror the per-row NaN inspection charged in
-                            # push, so the speed estimate does not drift.
-                            units += survivors * self.cost.count_nonnull_units
-                if op.group_by:
-                    units += survivors * self.cost.group_key_units
-            else:
-                # Operators defined outside this module (join sinks and
-                # probes) advertise their per-row cost via a duck-typed
-                # hook, keeping this module import-cycle free.
-                estimate = getattr(op, "estimate_units_per_row", None)
-                if estimate is not None:
-                    units += survivors * estimate()
-            op = op.downstream
-        return units
-
-    @property
-    def needs_finalize(self) -> bool:
-        """Whether any operator has post-scan simulated work to drive."""
-        op: Optional[Operator] = self.entry
-        while op is not None:
-            if getattr(op, "finalize_sim", None) is not None:
-                return True
-            op = op.downstream
-        return False
+        if self.filter is not None:
+            units += survivors * self.filter.predicate.cost_units_per_row
+            # Without statistics assume half the rows survive.
+            survivors *= 0.5
+        return self.sink.add_row_units(units, survivors)
 
     def finalize(self, db) -> "object":
-        """Drive every operator's post-scan work (a simulation generator).
+        """Drive the sink's post-scan work (a simulation generator).
 
-        Memory-budgeted operators merge spilled partitions here — temp
-        reads and merge CPU are charged on the simulated clock, after
-        the scan itself has finished.  Classic pipelines have nothing to
-        do and the generator yields no events.
+        Memory-budgeted sinks merge spilled partitions here — temp reads
+        and merge CPU are charged on the simulated clock, after the scan
+        itself has finished.  Eager sinks have nothing to do and the
+        generator yields no events.
         """
-        op: Optional[Operator] = self.entry
-        while op is not None:
-            finalize_sim = getattr(op, "finalize_sim", None)
-            if finalize_sim is not None:
-                yield from finalize_sim(db)
-            op = op.downstream
+        if self.sink.page_timed:
+            yield from self.sink.finalize_sim(db)
 
     def result(self) -> object:
-        """Finalize the terminal operator."""
-        return self.entry.finish()
+        """The sink's result."""
+        return self.sink.finish()

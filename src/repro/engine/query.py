@@ -17,7 +17,9 @@ from typing import Optional, Tuple
 
 from repro.engine.costs import CostModel
 from repro.engine.expressions import Expression, value_key
-from repro.engine.operators import AggSpec, Filter, GroupByAggregate, Pipeline
+from repro.engine.operators import (
+    AggSpec, Filter, GroupByAggregate, Pipeline, Sink,
+)
 from repro.engine.run_cache import BoundedCache
 from repro.storage.table import Table
 
@@ -73,9 +75,10 @@ class ScanStep:
     #: Build the hash table of a join on this column (the step becomes a
     #: join build side; a later step in the same query probes it).
     join_build_key: Optional[str] = None
-    #: Probe the previously built join hash table on this column.  When
-    #: the build side outgrew the join's frame grant, the executor runs
-    #: this scan once per multibuffer chunk.
+    #: Probe the hash table the latest earlier build step built on this
+    #: column (each build feeds one probe).  When the build side outgrew
+    #: the join's frame grant, the executor runs this scan once per
+    #: multibuffer chunk, so a probe step cannot repeat.
     join_probe_key: Optional[str] = None
     #: Frame budget for the join (build table + probe working set);
     #: same conventions as ``agg_budget_pages``.  Only meaningful on the
@@ -96,6 +99,11 @@ class ScanStep:
             raise ValueError(
                 f"step on {self.table!r}: a step is either a join build or a "
                 f"join probe, not both"
+            )
+        if self.join_probe_key is not None and self.repeats != 1:
+            raise ValueError(
+                f"probe step {self.label or self.table!r}: a probe consumes "
+                f"its build, so repeats must be 1, got {self.repeats}"
             )
         for name, value in (
             ("agg_budget_pages", self.agg_budget_pages),
@@ -149,21 +157,21 @@ class ScanStep:
         With only ``cost`` given the classic unbudgeted pipeline is
         built.  The executor passes ``memory`` (a negotiated
         :class:`~repro.engine.memory.OperatorMemory`) to get the
-        budgeted spillable terminal instead, ``join_table`` (the build
+        budgeted spillable sink instead, ``join_table`` (the build
         table, or one multibuffer chunk of it) for probe passes,
         ``agg_strategy`` to pick the hash or sort spill flavor, and its
         database's ``run_cache``, which a classic pipeline shares run
         results through.
         """
-        terminal: object
+        sink: Sink
         if self.join_build_key is not None:
             from repro.engine.spill import HashBuildSink
 
-            terminal = HashBuildSink(self.join_build_key, cost, memory=memory)
+            sink = HashBuildSink(self.join_build_key, cost, memory=memory)
         elif self.join_probe_key is not None:
             from repro.engine.spill import HashProbe
 
-            terminal = HashProbe(
+            sink = HashProbe(
                 self.join_probe_key, cost,
                 build_table=join_table if join_table is not None else {},
             )
@@ -176,19 +184,20 @@ class ScanStep:
                     SortSpillGroupBy if agg_strategy == "sort"
                     else BudgetedGroupBy
                 )
-                terminal = op_class(
+                sink = op_class(
                     aggregates, cost, memory, group_by=self.group_by
                 )
             else:
-                terminal = GroupByAggregate(
+                sink = GroupByAggregate(
                     aggregates, cost, group_by=self.group_by
                 )
-        if self.predicate is not None:
-            entry = Filter(self.predicate, terminal, cost)
-        else:
-            entry = terminal
         return Pipeline(
-            entry, cost, extra_units_per_row=self.extra_units_per_row,
+            sink, cost,
+            filter=(
+                Filter(self.predicate, cost, sink.required_columns())
+                if self.predicate is not None else None
+            ),
+            extra_units_per_row=self.extra_units_per_row,
             run_cache=run_cache, run_key=self.run_key,
         )
 
@@ -203,3 +212,15 @@ class QuerySpec:
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError(f"query {self.name!r} needs at least one step")
+        built = False  # an earlier build step no probe has consumed yet
+        for index, step in enumerate(self.steps):
+            if step.join_build_key is not None:
+                built = True
+            elif step.join_probe_key is not None:
+                if not built:
+                    label = step.label or f"step{index}"
+                    raise ValueError(
+                        f"query {self.name!r}: probe step {label!r} has no "
+                        f"earlier, unconsumed join build step"
+                    )
+                built = False

@@ -1,6 +1,6 @@
 """Memory-budgeted, spillable operators.
 
-These terminal operators work within an :class:`~repro.engine.memory.\
+These sinks work within an :class:`~repro.engine.memory.\
 OperatorMemory` frame budget negotiated with the bufferpool, instead of
 the classic operators' implicit infinite workspace.  When their state
 outgrows the granted frames — or when the pool *claws frames back* under
@@ -37,8 +37,7 @@ from repro.engine.memory import OperatorMemory
 from repro.engine.operators import (
     AggSpec,
     GroupByAggregate,
-    Operator,
-    PageUnits,
+    Sink,
     _as_page_rows,
     _canonical_key_column,
     _page_bounds,
@@ -168,15 +167,11 @@ class _PageTimedSink:
     """A sink whose spills feed back into the simulation: a pure
     ``prepare(batch, page_rows)`` does a run's numpy work once, one
     prepared value per page, and ``absorb(prepared, rows)`` folds a page
-    in and checks the budget when the scan reaches it (see
-    :class:`~repro.engine.operators.PageFeed`)."""
+    in, checks the budget and returns the page's CPU units when the scan
+    reaches it (see :meth:`~repro.engine.operators.Pipeline.process_run`).
+    ``finalize_sim(db)`` merges what was spilled after the scan ends."""
 
     page_timed = True
-
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
-        """A run taken as so many pages delivered now."""
-        rows = _as_page_rows(page_rows).tolist()
-        return np.array(list(map(self.absorb, self.prepare(batch, rows), rows)))
 
     def _spill_while_over(self, state: dict, units: float) -> float:
         """``units`` plus those of spilling while over budget or clawed."""
@@ -267,7 +262,7 @@ class SortSpillGroupBy(BudgetedGroupBy):
         return _write_run(self, payload, self._pages_for(n_groups)) + sort_units
 
 
-class HashBuildSink(_PageTimedSink, Operator):
+class HashBuildSink(_PageTimedSink, Sink):
     """Terminal build side of a budgeted hash join.
 
     Collects per-key row counts into a hash table bounded by the
@@ -280,7 +275,6 @@ class HashBuildSink(_PageTimedSink, Operator):
 
     def __init__(self, key_column: str, cost: CostModel,
                  memory: Optional[OperatorMemory] = None):
-        super().__init__(None)
         self.key_column = key_column
         self.cost = cost
         self.memory = memory
@@ -290,12 +284,11 @@ class HashBuildSink(_PageTimedSink, Operator):
         self._runs: List[Tuple[int, int, Dict[object, int]]] = []
         self._buckets: List[List[object]] = [[] for _ in range(N_PARTITIONS)]
 
-    def required_columns(self) -> Optional[FrozenSet[str]]:
+    def required_columns(self) -> FrozenSet[str]:
         return frozenset((self.key_column,))
 
-    def estimate_units_per_row(self) -> float:
-        """Static per-row cost for scan-speed estimation."""
-        return self.cost.join_build_units
+    def add_row_units(self, units: float, rows: float) -> float:
+        return units + rows * self.cost.join_build_units
 
     def _pages_for(self, n_keys: int) -> int:
         return ceil(n_keys / KEYS_PER_PAGE) if n_keys else 0
@@ -337,7 +330,7 @@ class HashBuildSink(_PageTimedSink, Operator):
         return self.table
 
 
-class HashProbe(Operator):
+class HashProbe(Sink):
     """Terminal probe side of a multibuffer hash join.
 
     A probe pass covers one *chunk* of the build table: when the build
@@ -352,21 +345,20 @@ class HashProbe(Operator):
 
     def __init__(self, key_column: str, cost: CostModel,
                  build_table: Dict[object, int]):
-        super().__init__(None)
         self.key_column = key_column
         self.cost = cost
         self.build_table = build_table
         self.rows_probed = 0
         self.matches = 0
 
-    def required_columns(self) -> Optional[FrozenSet[str]]:
+    def required_columns(self) -> FrozenSet[str]:
         return frozenset((self.key_column,))
 
-    def estimate_units_per_row(self) -> float:
-        """Static per-row cost for scan-speed estimation."""
-        return self.cost.join_probe_units
+    def add_row_units(self, units: float, rows: float) -> float:
+        return units + rows * self.cost.join_probe_units
 
-    def push(self, batch: PageData, page_rows: np.ndarray) -> PageUnits:
+    def push(self, batch: PageData, page_rows: np.ndarray) -> np.ndarray:
+        """Probe one run; returns each page's CPU units."""
         page_rows = _as_page_rows(page_rows)
         n_rows = int(page_rows.sum())
         if n_rows:

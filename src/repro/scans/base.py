@@ -76,14 +76,8 @@ class LazyPages:
 
     ``pages[i]`` computes page *i*'s value on the spot — it must be read
     exactly once per page, in visit order, at the page's simulated time.
-    Adding or scaling by a scalar or a per-page array composes lazily
-    and keeps the operand order, so the float a page finally yields is
-    bit-identical to evaluating the same formula on that page alone.
     """
 
-    # Make ``ndarray + LazyPages`` defer to ``__radd__`` instead of
-    # broadcasting over an object scalar.
-    __array_ufunc__ = None
     __slots__ = ("_at",)
 
     def __init__(self, at: Callable[[int], float]):
@@ -91,21 +85,3 @@ class LazyPages:
 
     def __getitem__(self, index: int) -> float:
         return self._at(index)
-
-    def __add__(self, other) -> "LazyPages":
-        at, term = self._at, _per_page(other)
-        return LazyPages(lambda index: at(index) + term(index))
-
-    # IEEE addition commutes exactly, so the reflected form is the same.
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "LazyPages":
-        at, factor = self._at, _per_page(other)
-        return LazyPages(lambda index: at(index) * factor(index))
-
-
-def _per_page(operand) -> Callable[[int], float]:
-    """Index function over a per-page array, or a constant's."""
-    if getattr(operand, "ndim", 0):
-        return operand.tolist().__getitem__
-    return lambda index: operand

@@ -11,7 +11,7 @@ from repro.buffer.pool import BufferPool
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.engine.database import Database, SystemConfig
-from repro.engine.operators import AggSpec, Operator
+from repro.engine.operators import AggSpec, Sink
 from repro.engine.query import QuerySpec, ScanStep
 from repro.core.config import SharingConfig
 from repro.sim.kernel import Simulator
@@ -58,15 +58,17 @@ def make_pool(sim: Simulator, disk: Disk, capacity: int = 32,
     )
 
 
-class RowCounter(Operator):
-    """Terminal operator that just counts rows (a cheap test sink)."""
+class RowCounter(Sink):
+    """A sink that just counts rows (a cheap test sink)."""
 
     def __init__(self) -> None:
-        super().__init__(None)
         self.rows = 0
 
     def required_columns(self):
         return frozenset()
+
+    def add_row_units(self, units, rows):
+        return units + rows * 0.1
 
     def push(self, batch, page_rows):
         page_rows = np.atleast_1d(np.asarray(page_rows, dtype=np.int64))
@@ -75,6 +77,14 @@ class RowCounter(Operator):
 
     def finish(self) -> object:
         return self.rows
+
+
+def feed(sink, batch, page_rows):
+    """Hand a page-timed sink a run as so many pages delivered now;
+    returns each page's CPU units."""
+    rows = np.atleast_1d(np.asarray(page_rows, dtype=np.int64)).tolist()
+    return [sink.absorb(prepared, n_rows)
+            for prepared, n_rows in zip(sink.prepare(batch, rows), rows)]
 
 
 def make_schema(name: str, columns, rows_per_page: int = 100) -> TableSchema:

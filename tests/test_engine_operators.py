@@ -11,8 +11,10 @@ from repro.engine.operators import (
     GroupByAggregate,
     Pipeline,
 )
+from repro.engine.memory import OperatorMemory
+from repro.engine.query import ScanStep
 
-from tests.conftest import RowCounter
+from tests.conftest import RowCounter, make_database
 
 COST = CostModel()
 
@@ -99,67 +101,88 @@ class TestGroupByAggregate:
         assert agg.push({}, 0) == 0.0
 
 
+#: Every column of :func:`page`.
+ALL = frozenset(page())
+
+
+def filtered(predicate, sink, extra=0.0):
+    """A pipeline of a filter on ``predicate`` in front of ``sink``."""
+    return Pipeline(sink, COST, filter=Filter(predicate, COST,
+                                              sink.required_columns()),
+                    extra_units_per_row=extra)
+
+
+def run(pipeline, n=10):
+    """Seconds per page of one page of ``n`` rows through ``pipeline``."""
+    return pipeline.process_run(0, page(n), np.array([n]))
+
+
 class TestFilter:
     def test_filters_rows(self):
         sink = GroupByAggregate([AggSpec("n", "count")], COST)
-        filt = Filter(col("a") < lit(5), sink, COST)
-        filt.push(page(10), 10)
+        pipeline = filtered(col("a") < lit(5), sink)
+        run(pipeline)
         assert sink.finish()["n"] == 5
-        assert filt.selectivity == pytest.approx(0.5)
+        assert pipeline.filter.selectivity == pytest.approx(0.5)
 
     def test_all_pass_shortcut(self):
-        sink = GroupByAggregate([AggSpec("n", "count")], COST)
-        filt = Filter(col("a") >= lit(0), sink, COST)
-        filt.push(page(10), 10)
-        assert sink.finish()["n"] == 10
+        batch = page(10)
+        units, rows, survivors = Filter(col("a") >= lit(0), COST, ALL).push(
+            batch, np.array([10]))
+        assert rows is batch
+        assert survivors.tolist() == [10]
+        assert units[0] == 10 * (col("a") >= lit(0)).cost_units_per_row
 
     def test_none_pass_skips_downstream(self):
-        sink = RowCounter()
-        filt = Filter(col("a") < lit(0), sink, COST)
-        filt.push(page(10), 10)
+        class Untouchable(RowCounter):
+            def push(self, batch, page_rows):
+                raise AssertionError("an emptied run reached the sink")
+
+        sink = Untouchable()
+        (seconds,) = run(filtered(col("a") < lit(0), sink))
         assert sink.finish() == 0
+        assert seconds == COST.seconds(
+            10 * (col("a") < lit(0)).cost_units_per_row + COST.per_page_units)
 
     @pytest.mark.parametrize("predicate", [lit(True), lit(1.0) < lit(2.0)])
     def test_constant_true_predicate(self, predicate):
         """A predicate over constants evaluates to a scalar, not a mask:
         every row passes and nothing is compacted (or charged for it)."""
-        sink = GroupByAggregate([AggSpec("n", "count")], COST)
-        filt = Filter(predicate, sink, COST)
-        units = filt.push(page(10), 10)
-        assert sink.finish()["n"] == 10
+        filt = Filter(predicate, COST, ALL)
+        batch = page(10)
+        units, rows, survivors = filt.push(batch, np.array([10]))
+        assert rows is batch
+        assert survivors.tolist() == [10]
         assert (filt.rows_in, filt.rows_out) == (10, 10)
-        downstream = GroupByAggregate([AggSpec("n", "count")], COST).push(page(10), 10)
-        assert units[0] == 10 * predicate.cost_units_per_row + downstream[0]
+        assert units[0] == 10 * predicate.cost_units_per_row
+        sink = GroupByAggregate([AggSpec("n", "count")], COST)
+        (seconds,) = run(filtered(predicate, sink))
+        assert sink.finish()["n"] == 10
+        alone = GroupByAggregate([AggSpec("n", "count")], COST).push(page(10), 10)
+        assert seconds == COST.seconds(units[0] + alone[0] + COST.per_page_units)
 
     @pytest.mark.parametrize("predicate", [lit(False), lit(2.0) < lit(1.0)])
     def test_constant_false_predicate(self, predicate):
         """No row passes: the predicate's cost is all there is."""
-        sink = RowCounter()
-        filt = Filter(predicate, sink, COST)
-        units = filt.push(page(10), 10)
-        assert sink.finish() == 0
+        filt = Filter(predicate, COST, ALL)
+        units, rows, survivors = filt.push(page(10), np.array([10]))
+        assert rows is None
+        assert survivors.tolist() == [0]
         assert (filt.rows_in, filt.rows_out) == (10, 0)
         assert units[0] == 10 * predicate.cost_units_per_row
 
     def test_filtered_columns_consistent(self):
         """All surviving columns must be compacted together."""
-        collected = {}
-
-        class Probe(RowCounter):
-            def required_columns(self):
-                return None  # unknown: may read anything
-
-            def push(self, data, n_rows):
-                collected.update({k: len(v) for k, v in data.items()})
-                return super().push(data, n_rows)
-
-        filt = Filter(col("a") < lit(3), Probe(), COST)
-        filt.push(page(10), 10)
-        assert set(collected.values()) == {3}
-        assert set(collected) == set(page(10))
+        units, rows, survivors = Filter(col("a") < lit(3), COST, ALL).push(
+            page(10), np.array([10]))
+        assert {name: len(values) for name, values in rows.items()} == {
+            name: 3 for name in page(10)}
+        assert survivors.tolist() == [3]
+        assert units[0] == 10 * (col("a") < lit(3)).cost_units_per_row + (
+            3 * COST.filter_compact_units)
 
     def test_compaction_projects_to_required_columns(self):
-        """A downstream that declares its columns gets only those."""
+        """A sink that declares its columns gets only those."""
         collected = {}
 
         class Probe(RowCounter):
@@ -170,21 +193,27 @@ class TestFilter:
                 collected.update({k: len(v) for k, v in data.items()})
                 return super().push(data, n_rows)
 
-        filt = Filter(col("a") < lit(3), Probe(), COST)
-        filt.push(page(10), 10)
-        assert set(collected) == {"b"}
-        assert collected["b"] == 3
+        run(filtered(col("a") < lit(3), Probe()))
+        assert collected == {"b": 3}
 
-    def test_required_columns_includes_own_predicate(self):
-        filt = Filter(col("a") < lit(3), RowCounter(), COST)
-        assert filt.required_columns() == frozenset({"a"})
+    def test_filter_takes_the_sink_columns(self):
+        """A built step's filter compacts what its sink reads; the
+        predicate reads the run before compaction, so its own columns
+        are not among them."""
+        step = ScanStep(table="t", predicate=col("a") < lit(3),
+                        aggregates=(AggSpec("s", "sum", col("b")),),
+                        group_by=("tag",))
+        pipeline = step.build_pipeline(COST)
+        assert pipeline.filter.columns == frozenset({"b", "tag"})
+        run(pipeline)
+        assert pipeline.result() == {("x",): {"s": 4.0}, ("y",): {"s": 2.0}}
 
 
 class TestPipeline:
     def test_process_page_returns_seconds(self):
         sink = GroupByAggregate([AggSpec("n", "count")], COST)
-        pipeline = Pipeline(Filter(col("a") < lit(5), sink, COST), COST)
-        (seconds,) = pipeline.process_run(0, page(10), np.array([10]))
+        pipeline = filtered(col("a") < lit(5), sink)
+        (seconds,) = run(pipeline)
         assert seconds > 0
         assert pipeline.pages == 1
         assert pipeline.rows == 10
@@ -194,23 +223,77 @@ class TestPipeline:
             sink = GroupByAggregate([AggSpec("n", "count")], COST)
             return Pipeline(sink, COST, extra_units_per_row=extra)
 
-        (cheap_cost,) = build(0.0).process_run(0, page(10), np.array([10]))
-        (heavy_cost,) = build(50.0).process_run(0, page(10), np.array([10]))
+        (cheap_cost,) = run(build(0.0))
+        (heavy_cost,) = run(build(50.0))
         assert heavy_cost > cheap_cost
 
     def test_estimated_units_positive_and_ordered(self):
-        light_sink = GroupByAggregate([AggSpec("n", "count")], COST)
-        light = Pipeline(light_sink, COST)
+        light = Pipeline(GroupByAggregate([AggSpec("n", "count")], COST), COST)
         heavy_sink = GroupByAggregate(
             [AggSpec(f"s{i}", "sum", col("a") * lit(i)) for i in range(8)],
             COST,
             group_by=["tag"],
         )
-        heavy = Pipeline(Filter(col("a") < lit(5), heavy_sink, COST), COST)
+        heavy = filtered(col("a") < lit(5), heavy_sink)
         assert 0 < light.estimated_units_per_page(100) < heavy.estimated_units_per_page(100)
 
     def test_result_delegates_to_terminal(self):
         sink = GroupByAggregate([AggSpec("n", "count")], COST)
         pipeline = Pipeline(sink, COST)
-        pipeline.process_run(0, page(6), np.array([6]))
+        run(pipeline, 6)
         assert pipeline.result()["n"] == 6
+
+
+#: Steps whose pipelines' speed estimates are pinned bit for bit: the
+#: estimate places scans, so it must keep its term-by-term accumulation.
+ESTIMATED_STEPS = {
+    "filter+grouped-aggregates": ScanStep(
+        table="t",
+        predicate=(col("a") < lit(5)) & col("tag").isin(["x", "z"]),
+        aggregates=(
+            AggSpec("n", "count"),
+            AggSpec("seen", "count", col("b")),
+            AggSpec("total", "sum", col("a") * col("b")),
+            AggSpec("mean", "avg", col("b") + lit(0.1)),
+            AggSpec("hi", "max", col("a")),
+        ),
+        group_by=("tag", "a"),
+        extra_units_per_row=0.7,
+    ),
+    "budgeted-aggregate": ScanStep(
+        table="t",
+        aggregates=(AggSpec("n", "count"), AggSpec("seen", "count", col("b")),
+                    AggSpec("lo", "min", col("b") * lit(0.3))),
+        group_by=("tag",),
+        agg_budget_pages=4,
+    ),
+    "join-build": ScanStep(
+        table="t", predicate=col("b").between(0.1, 0.9),
+        join_build_key="a", join_budget_pages=4, extra_units_per_row=0.3,
+    ),
+    "join-probe": ScanStep(
+        table="t", predicate=col("a") >= lit(2), join_probe_key="a",
+    ),
+}
+
+
+class TestEstimatedUnits:
+    @pytest.mark.parametrize("name, rows, expected", [
+        ("filter+grouped-aggregates", 113, "0x1.5b43333333333p+10"),
+        ("filter+grouped-aggregates", 37, "0x1.e873333333333p+8"),
+        ("budgeted-aggregate", 113, "0x1.2f7999999999ap+10"),
+        ("budgeted-aggregate", 37, "0x1.af1999999999ap+8"),
+        ("join-build", 113, "0x1.df66666666666p+8"),
+        ("join-build", 37, "0x1.7d33333333333p+7"),
+        ("join-probe", 113, "0x1.1400000000000p+8"),
+        ("join-probe", 37, "0x1.f000000000000p+6"),
+    ])
+    def test_pinned_bit_for_bit(self, name, rows, expected):
+        step = ESTIMATED_STEPS[name]
+        memory = None
+        if step.agg_budget_pages is not None or step.join_budget_pages is not None:
+            db = make_database(pool_pages=64)
+            memory = OperatorMemory(db, name, budget_pages=4)
+            memory.negotiate()
+        pipeline = step.build_pipeline(COST, memory=memory, join_table={1: 2})
+        assert pipeline.estimated_units_per_page(rows).hex() == expected

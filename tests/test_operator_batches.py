@@ -24,7 +24,6 @@ from repro.engine.operators import (
     AggSpec,
     Filter,
     GroupByAggregate,
-    PageFeed,
     Pipeline,
 )
 from repro.engine.spill import (
@@ -40,7 +39,7 @@ from repro.engine.spill import (
 from repro.scans.base import LazyPages
 from repro.storage.datagen import Batch, take_rows
 
-from tests.conftest import make_database
+from tests.conftest import feed, make_database
 
 COST = CostModel()
 CATEGORIES = np.asarray(("a", "b", "c"), dtype=object)
@@ -174,8 +173,9 @@ def reference_pipeline(batch, page_rows, predicate, group_by, specs, extra):
 
 
 def build_pipeline(predicate, sink, extra=0.0):
-    entry = sink if predicate is None else Filter(predicate, sink, COST)
-    return Pipeline(entry, COST, extra_units_per_row=extra)
+    filt = None if predicate is None else Filter(
+        predicate, COST, sink.required_columns())
+    return Pipeline(sink, COST, filter=filt, extra_units_per_row=extra)
 
 
 def assert_same_answers(whole, paged, exact=EXACT):
@@ -226,8 +226,8 @@ class TestRunEqualsPages:
         assert all(type(s) is float for s in run_seconds)
         assert (whole.pages, whole.rows) == (paged.pages, paged.rows)
         if PREDICATES[predicate] is not None:
-            assert whole.entry.rows_in == paged.entry.rows_in
-            assert whole.entry.rows_out == paged.entry.rows_out
+            assert whole.filter.rows_in == paged.filter.rows_in
+            assert whole.filter.rows_out == paged.filter.rows_out
         assert_same_answers(whole.result(), paged.result())
         reference_seconds, reference_answers = reference_pipeline(
             batch, page_rows, PREDICATES[predicate], group_by, specs, extra)
@@ -336,34 +336,20 @@ class TestPageTimedSinks:
 
     @pytest.mark.parametrize("sink", sorted(SINKS))
     def test_direct_push_checks_the_budget_after_every_page(self, sink):
-        """Without a pipeline in front, a budgeted sink takes a multi-page
-        run as so many pages delivered now."""
+        """A multi-page run prepared at once and absorbed page by page
+        spills exactly as the same pages prepared one at a time."""
         n = 600
         batch = {"k": np.arange(n) % 400, "c": CATEGORIES[np.arange(n) % 3],
                  "v": np.linspace(0.0, 1.0, n)}
         page_rows = np.array([200, 0, 250, 150])
         whole = BudgetedRun(SINKS[sink], None, budget=1)
         paged = BudgetedRun(SINKS[sink], None, budget=1)
-        units = whole.sink.push(batch, page_rows)
-        assert list(units) == [paged.sink.push(page, n_rows)[0]
-                               for _, page, n_rows in pages_of(batch, page_rows)]
+        units = feed(whole.sink, batch, page_rows)
+        assert units == [feed(paged.sink, page, n_rows)[0]
+                         for _, page, n_rows in pages_of(batch, page_rows)]
         assert units[1] == 0.0
         assert whole.sink.spill.spill_events > 1
         assert whole.sink.spill.as_dict() == paged.sink.spill.as_dict()
-
-    def test_pipeline_splices_the_feed_once(self):
-        db = make_database(pool_pages=64)
-        memory = OperatorMemory(db, "op", budget_pages=2)
-        memory.negotiate()
-        sink = SINKS["hash-agg"](memory)
-        entry = Filter(PREDICATES["value"], sink, COST)
-        for _ in range(2):  # a second pipeline over the same chain
-            Pipeline(entry, COST)
-            assert isinstance(entry.downstream, PageFeed)
-            assert entry.downstream.downstream is sink
-        assert isinstance(Pipeline(sink, COST).entry, PageFeed)
-        assert Pipeline(GroupByAggregate([AGGREGATES["n"]], COST), COST
-                        ).entry.page_timed is False
 
     def test_sink_sees_a_page_only_when_it_is_reached(self):
         db = make_database(pool_pages=64)
@@ -625,8 +611,7 @@ class TestMemoisedPartitions:
                 assert list(map(repr, spilled)) == list(map(repr, expected))
                 assert list(map(repr, state)) == list(map(repr, live))
                 continue
-            units = run.sink.push({"k": object_column(step)},
-                                  np.array([len(step)]))
+            units = feed(run.sink, {"k": object_column(step)}, len(step))
             assert (units[0] > 0) == bool(step)
             for key in step:
                 counts[key] = counts.get(key, 0) + 1

@@ -13,7 +13,7 @@ from repro.core.config import SharingConfig
 from repro.engine.costs import CostModel
 from repro.engine.executor import _estimate_scan_speed, run_workload
 from repro.engine.expressions import col, lit
-from repro.engine.operators import AggSpec, Filter
+from repro.engine.operators import AggSpec
 from repro.engine.query import ScanStep
 from repro.engine.run_cache import RUN_CACHE_ENTRIES, BoundedCache
 from repro.scans.base import scan_runs
@@ -38,8 +38,8 @@ def exact(answer):
 
 
 def counters(pipeline):
-    filt = pipeline.entry
-    filtered = (filt.rows_in, filt.rows_out) if isinstance(filt, Filter) else None
+    filt = pipeline.filter
+    filtered = (filt.rows_in, filt.rows_out) if filt is not None else None
     return pipeline.pages, pipeline.rows, filtered
 
 
@@ -176,7 +176,7 @@ class TestBoundAndLifetime:
         warm = step.build_pipeline(COST, run_cache=cache)
         table.feed(warm, 0, 4)
         replay = step.build_pipeline(COST, run_cache=cache)
-        replay.entry.push = None  # a hit must not reach the operators
+        replay.sink.push = None  # a hit must not reach the sink
         table.feed(replay, 0, 4)
         assert exact(replay.result()) == exact(warm.result())
 

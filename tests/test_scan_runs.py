@@ -69,7 +69,8 @@ def make_pipeline():
         [AggSpec("n", "count"), AggSpec("total", "sum", col("value")),
          AggSpec("hi", "max", col("value"))],
         COST, group_by=["flag"])
-    return Pipeline(Filter(col("value") < lit(37.0), sink, COST), COST)
+    return Pipeline(sink, COST, filter=Filter(col("value") < lit(37.0), COST,
+                                              sink.required_columns()))
 
 
 class Charges:

@@ -28,7 +28,7 @@ from repro.engine.spill import (
     split_chunks,
 )
 
-from tests.conftest import make_database
+from tests.conftest import feed, make_database
 
 COST = CostModel()
 
@@ -59,9 +59,9 @@ AGGS = (
 
 
 def feed_and_finalize(db, operator, n_pages=6):
-    """Push pages through ``operator`` and drive its finalize phase."""
+    """Feed pages to ``operator`` and drive its finalize phase."""
     for page_no in range(n_pages):
-        operator.push(key_page(offset=page_no * 57), 200)
+        feed(operator, key_page(offset=page_no * 57), 200)
 
     def finisher(sim):
         yield from operator.finalize_sim(db)
@@ -128,7 +128,7 @@ class TestSpillUnderClawBack:
         granted = memory.negotiate()
         assert granted == 16
         operator = BudgetedGroupBy(AGGS, COST, memory, group_by=("k",))
-        operator.push(key_page(), 200)
+        feed(operator, key_page(), 200)
         assert operator.spill.spill_events == 0
 
         db.pool._claw_back_one()
@@ -136,7 +136,7 @@ class TestSpillUnderClawBack:
         assert memory.pressure_events == 1
         assert memory.pages == 15
 
-        operator.push(key_page(offset=13), 200)
+        feed(operator, key_page(offset=13), 200)
         assert operator.spill.spill_events > 0
         assert not memory.spill_requested, "spill must clear the flag"
         assert db.temp.pages_written > 0
@@ -199,7 +199,7 @@ class TestMultibufferJoin:
         memory.negotiate()
         sink = HashBuildSink("k", COST, memory=memory)
         for page_no in range(6):
-            sink.push(key_page(offset=page_no * 57), 200)
+            feed(sink, key_page(offset=page_no * 57), 200)
         assert sink.spill.spill_events > 0
 
         def finisher(sim):
@@ -383,3 +383,37 @@ class TestBudgetedTemplates:
         rng = np.random.default_rng(7)
         with pytest.raises(KeyError, match="AG1"):
             make_query("nope", rng)
+
+
+class TestJoinStepValidation:
+    """A probe consumes the one build before it; anything else used to
+    run and report ``matches: 0``."""
+
+    BUILD = ScanStep(table="t", join_build_key="id", label="build")
+
+    def probe(self, **kwargs):
+        return ScanStep(table="t", join_probe_key="id", label="probe", **kwargs)
+
+    def test_probe_without_a_build_is_rejected(self):
+        with pytest.raises(ValueError, match="'probe'.*no earlier.*build"):
+            QuerySpec(name="q", steps=(self.probe(),))
+
+    def test_probe_after_its_build_was_consumed_is_rejected(self):
+        second = ScanStep(table="t", join_probe_key="id", label="again")
+        with pytest.raises(ValueError, match="'again'.*no earlier.*build"):
+            QuerySpec(name="q", steps=(self.BUILD, self.probe(), second))
+
+    def test_repeated_probe_is_rejected(self):
+        with pytest.raises(ValueError, match="'probe'.*repeats"):
+            self.probe(repeats=2)
+
+    def test_each_probe_consumes_its_own_build(self):
+        db = make_database(n_pages=64, pool_pages=32)
+        spec = QuerySpec(name="q", steps=(
+            self.BUILD, self.probe(), self.BUILD,
+            ScanStep(table="t", join_probe_key="id", label="again"),
+        ))
+        proc = db.sim.spawn(execute_query(db, spec))
+        db.sim.run()
+        values = proc.completion.value.values
+        assert values["probe"]["matches"] == values["again"]["matches"] == 64 * 100
