@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 17225
+SRC_LOC_BUDGET := 17285
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 .PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
@@ -40,7 +40,7 @@ policy-smoke:    ## three sharing policies on the quick staggered scenario, dige
 		--scale 0.1 --streams 2 --jobs 3 --no-cache --out policy-parallel.json
 	$(PYTHON) tools/same_digest.py policy policy-serial.json policy-parallel.json --points 3
 
-agg-smoke:       ## budgeted-aggregation mix across three policies, digest-checked, must spill
+agg-smoke:       ## budgeted-aggregation and multibuffer-join mixes across three policies, digest-checked, must spill and chunk
 	$(PYTHON) -m repro sweep ag-mix --param sharing_policy \
 		--values grouping-throttling,cooperative,pbm \
 		--scale 0.1 --streams 2 --jobs 1 --no-cache --out agg-serial.json
@@ -52,6 +52,17 @@ agg-smoke:       ## budgeted-aggregation mix across three policies, digest-check
 		spilled = sum(pt['metrics'].get('spilled_partitions', 0) for pt in s['experiments']); \
 		assert spilled > 0, 'agg smoke never spilled'; \
 		print(f'{spilled:.0f} partitions spilled')"
+	$(PYTHON) -m repro sweep mj-join --param sharing_policy \
+		--values grouping-throttling,cooperative,pbm \
+		--scale 0.1 --streams 2 --jobs 1 --no-cache --out join-serial.json
+	$(PYTHON) -m repro sweep mj-join --param sharing_policy \
+		--values grouping-throttling,cooperative,pbm \
+		--scale 0.1 --streams 2 --jobs 3 --no-cache --out join-parallel.json
+	$(PYTHON) tools/same_digest.py join join-serial.json join-parallel.json --points 3
+	$(PYTHON) -c "import json; s=json.load(open('join-serial.json')); \
+		chunks = [pt['metrics'].get('join_chunks', 0) for pt in s['experiments']]; \
+		assert all(n > 1 for n in chunks), f'join smoke probed in one pass: {chunks}'; \
+		print(f'join chunks per policy: {chunks}')"
 
 cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every run drained
 	$(PYTHON) -m repro cluster-sim steady,skew --scale 0.1 --replicas 2 \

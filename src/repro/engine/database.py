@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.buffer.pool import BufferPool
 from repro.buffer.push import PushPipeline
@@ -157,6 +157,9 @@ class Database:
         #: step and this database's data, cost model and geometry.
         self.run_cache = BoundedCache()
         self.speed_estimates = BoundedCache()
+        #: The CRC of every integer join-build key a spill or multibuffer
+        #: split has partitioned (:func:`repro.engine.spill.key_crcs`).
+        self.key_crcs: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Schema management

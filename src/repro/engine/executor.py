@@ -255,12 +255,11 @@ def _execute_probe_step(
     first_page, last_page = step.page_range(table)
     memory = build.memory
     pages_needed = build.pages_needed
-    granted = memory.pages if memory is not None else 1
-    n_chunks = chunk_factor(pages_needed, max(1, granted))
+    n_chunks = chunk_factor(pages_needed, memory.pages) if memory is not None else 1
     combined_scan: Optional[ScanResult] = None
     rows_probed = 0
     matches = 0
-    for chunk_table in split_chunks(build.table, n_chunks):
+    for chunk_table in split_chunks(build.table, n_chunks, build.key_crcs):
         pipeline = step.build_pipeline(db.cost, join_table=chunk_table)
         scan_result = yield from _run_step_scan(
             db, step, pipeline, table, first_page, last_page

@@ -348,22 +348,23 @@ class GroupByAggregate(Sink):
         n_rows = bounds[-1]
         if self.group_by:
             order, starts = _sort_by_key(batch, self.group_by, page_rows)
-            first_rows = order[starts]
+            # ``visit`` puts the key-sorted groups in first-appearance order.
+            visit = np.argsort(order[starts])
+            first_rows = order[starts[visit]]
             keys = list(zip(*[
                 _canonical_key_column(batch[name][first_rows])
                 for name in self.group_by
             ]))
-            visit = np.argsort(first_rows).tolist()
-            sizes = np.diff(starts, append=n_rows).tolist()
+            sizes = np.diff(starts, append=n_rows)[visit].tolist()
 
             def reduce(ufunc: np.ufunc, values: np.ndarray) -> List:
-                return ufunc.reduceat(values[order], starts).tolist()
+                return ufunc.reduceat(values[order], starts)[visit].tolist()
         else:
             # One global group per non-empty page, each reduced on its
             # own: ``reduce`` sums pairwise, ``reduceat`` would not.
             pages = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
             starts = [page.start for page in pages]
-            keys, visit = [()] * len(pages), range(len(pages))
+            keys = [()] * len(pages)
             sizes = [page.stop - page.start for page in pages]
 
             def reduce(ufunc: np.ufunc, values: np.ndarray) -> List:
@@ -397,8 +398,7 @@ class GroupByAggregate(Sink):
                 partials.append(reduce(np.add, values))
                 if agg.func == "avg":
                     partials.append(sizes)
-        rows = list(zip(*partials))
-        ordered = [(keys[group], rows[group]) for group in visit]
+        ordered = list(zip(keys, zip(*partials)))
         if len(page_rows) == 1:
             return [ordered]
         # Groups start page by page: a page's start inside its rows.
@@ -414,8 +414,12 @@ class GroupByAggregate(Sink):
         for key, slots in partials:
             acc = groups.get(key)
             if acc is None:
-                groups[key] = list(slots)
+                # A tuple partial is never changed in place, so it serves
+                # as the accumulator until a second partial folds in.
+                groups[key] = slots if type(slots) is tuple else list(slots)
                 continue
+            if type(acc) is tuple:
+                acc = groups[key] = list(acc)
             for slot in add_slots:
                 acc[slot] += slots[slot]
             for slot in min_slots:
@@ -426,15 +430,17 @@ class GroupByAggregate(Sink):
                     acc[slot] = slots[slot]
 
     def finish(self) -> object:
+        plan = [(agg.name, slot, agg.func == "avg")
+                for agg, slot in zip(self.aggregates, self._slot_of)]
         results: Dict[Tuple, Dict[str, float]] = {}
         for key, acc in self._groups.items():
             out: Dict[str, float] = {}
-            for agg, slot in zip(self.aggregates, self._slot_of):
-                if agg.func == "avg":
+            for name, slot, avg in plan:
+                if avg:
                     count = acc[slot + 1]
-                    out[agg.name] = acc[slot] / count if count else 0.0
+                    out[name] = acc[slot] / count if count else 0.0
                 else:
-                    out[agg.name] = acc[slot]
+                    out[name] = acc[slot]
             results[key] = out
         if not self.group_by:
             return results.get((), {agg.name: 0 for agg in self.aggregates})

@@ -11,6 +11,9 @@ Determinism rules (the whole experiment stack depends on them):
 
 * partition selection uses ``zlib.crc32`` over the key's ``repr`` —
   never the builtin ``hash``, which is salted per process;
+* a database memoises that CRC per integer join-build key (:func:`key_crcs`):
+  equal ints share a ``repr``, but dict-equal ``1``/``1.0``/``True`` or
+  ``0.0``/``-0.0`` do not, so any other key is hashed afresh every time;
 * the spill victim is always the largest partition, ties broken by the
   lowest partition id;
 * sort runs order groups by ``repr(key)``, a total order even when keys
@@ -26,7 +29,8 @@ cuts translate into spill I/O on the shared disk.
 from __future__ import annotations
 
 import zlib
-from itertools import islice, repeat
+from collections import _count_elements
+from itertools import filterfalse, islice, repeat
 from math import ceil, log2
 from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
@@ -56,25 +60,34 @@ N_PARTITIONS = 8
 AGG_STRATEGIES = ("hash", "sort")
 
 
-def partition_of(key: object, n_partitions: int) -> int:
-    """Deterministic partition for a group/join key.
+def key_crcs(keys: Sequence, memo: Optional[Dict[object, int]] = None) -> List[int]:
+    """Each key's partition hash, ``zlib.crc32(repr(key))`` (stable across
+    processes, where the salted builtin ``hash`` is not).  ``memo``, a
+    database's ``key_crcs``, keeps each CRC once computed; pass it only for
+    integer keys, whose equal values share a ``repr``."""
+    if memo is None:
+        return list(map(zlib.crc32, map(str.encode, map(repr, keys))))
+    missing = list(filterfalse(memo.__contains__, keys))
+    memo.update(zip(missing, key_crcs(missing)))
+    return list(map(memo.__getitem__, keys))
 
-    ``repr`` of canonicalized Python scalars is stable across processes;
-    ``zlib.crc32`` is an unsalted fixed function — together they make
-    partitioning reproducible where builtin ``hash`` would not be.
-    """
-    return zlib.crc32(repr(key).encode()) % n_partitions
+
+def _by_partition(keys: Sequence, n_partitions: int, memo) -> List[List]:
+    """``keys`` split by CRC partition (``crc % n_partitions``), in order."""
+    parts: List[List] = [[] for _ in range(n_partitions)]
+    for key, crc in zip(keys, key_crcs(keys, memo)):
+        parts[crc % n_partitions].append(key)
+    return parts
 
 
-def split_chunks(build_table: Dict[object, int], n_chunks: int) -> List[Dict[object, int]]:
+def split_chunks(build_table: Dict[object, int], n_chunks: int,
+                 memo: Optional[Dict[object, int]] = None) -> List[Dict[object, int]]:
     """The share of a join's build table each of ``n_chunks`` probe
     passes covers: keys go to the chunk their CRC partition names."""
     if n_chunks == 1:
         return [build_table]
-    chunks: List[Dict[object, int]] = [{} for _ in range(n_chunks)]
-    for key, count in build_table.items():
-        chunks[partition_of(key, n_chunks)][key] = count
-    return chunks
+    return [dict(zip(keys, map(build_table.__getitem__, keys)))
+            for keys in _by_partition(list(build_table), n_chunks, memo)]
 
 
 def chunk_factor(pages_needed: int, pages_granted: int) -> int:
@@ -85,19 +98,19 @@ def chunk_factor(pages_needed: int, pages_granted: int) -> int:
     return max(1, ceil(pages_needed / max(1, pages_granted)))
 
 
-def _spill_victim(state: dict, buckets: List[List[object]]) -> dict:
+def _spill_victim(state: dict, buckets: List[List[object]], memo=None) -> dict:
     """Remove and return the fullest hash partition of ``state`` (ties go
     to the lowest partition id), in ``state``'s order.  ``buckets`` hold
     its live keys by partition, in insertion order; a table only gains
     keys, at its end, between spills, so only the tail no bucket holds
-    yet is hashed — the key objects the table stores — and the victim
-    costs O(:data:`N_PARTITIONS`), not O(live keys)."""
-    tail = islice(reversed(state), len(state) - sum(map(len, buckets)))
-    for key in reversed(list(tail)):
-        buckets[partition_of(key, N_PARTITIONS)].append(key)
+    yet is hashed — the key objects the table stores, through ``memo`` —
+    and the victim costs O(:data:`N_PARTITIONS`), not O(live keys)."""
+    tail = list(islice(reversed(state), len(state) - sum(map(len, buckets))))
+    for bucket, keys in zip(buckets, _by_partition(tail[::-1], N_PARTITIONS, memo)):
+        bucket.extend(keys)
     victim = max(range(N_PARTITIONS), key=lambda pid: len(buckets[pid]))
     keys, buckets[victim] = buckets[victim], []
-    return {key: state.pop(key) for key in keys}
+    return dict(zip(keys, map(state.pop, keys)))
 
 
 def _write_run(operator, payload: dict, n_pages: int) -> float:
@@ -172,6 +185,7 @@ class _PageTimedSink:
     ``finalize_sim(db)`` merges what was spilled after the scan ends."""
 
     page_timed = True
+    key_crcs: Optional[Dict[object, int]] = None  # see HashBuildSink
 
     def _spill_while_over(self, state: dict, units: float) -> float:
         """``units`` plus those of spilling while over budget or clawed."""
@@ -185,7 +199,7 @@ class _PageTimedSink:
 
     def _spill_one_partition(self, state: dict) -> float:
         """Evict the largest partition to temp space; returns CPU units."""
-        payload = _spill_victim(state, self._buckets)
+        payload = _spill_victim(state, self._buckets, self.key_crcs)
         return _write_run(self, payload, self._pages_for(len(payload)))
 
 
@@ -238,8 +252,15 @@ class BudgetedGroupBy(_PageTimedSink, GroupByAggregate):
         return self._spill_while_over(self._groups, self._units(rows))
 
     def finalize_sim(self, db) -> Generator:
-        """Post-scan merge: read the spilled partitions back and fold them in."""
-        return _merge_runs(self, db, lambda payload: self._merge(payload.items()))
+        """Post-scan merge: read the spilled partitions back and fold them
+        in; when none of a run's groups is live again, one ``dict.update``
+        takes them over in the fold's order."""
+        def merge(payload: Dict[Tuple, List[float]]) -> None:
+            if self._groups.keys().isdisjoint(payload):
+                self._groups.update(payload)
+            else:
+                self._merge(payload.items())
+        return _merge_runs(self, db, merge)
 
 
 class SortSpillGroupBy(BudgetedGroupBy):
@@ -270,7 +291,8 @@ class HashBuildSink(_PageTimedSink, Sink):
     ``finish()`` (after :meth:`finalize_sim` merged every spill back)
     returns the complete ``key -> build row count`` table the probe side
     consumes.  Like :class:`BudgetedGroupBy` it checks its budget after
-    every page.
+    every page.  While its key column is integer-typed, its spills and the
+    probe's split hash through the database's CRC memo (build keys recur).
     """
 
     def __init__(self, key_column: str, cost: CostModel,
@@ -278,6 +300,7 @@ class HashBuildSink(_PageTimedSink, Sink):
         self.key_column = key_column
         self.cost = cost
         self.memory = memory
+        self.key_crcs = memory.db.key_crcs if memory is not None else None
         self.table: Dict[object, int] = {}
         self.rows_in = 0
         self.spill = SpillStats()
@@ -301,7 +324,10 @@ class HashBuildSink(_PageTimedSink, Sink):
 
     def prepare(self, batch: PageData, page_rows: Sequence[int]) -> List[List]:
         """Each page's canonical build keys."""
-        keys = _canonical_key_column(batch[self.key_column])
+        column = batch[self.key_column]
+        if column.dtype.kind not in "iu":
+            self.key_crcs = None  # for good: only int keys share a repr
+        keys = _canonical_key_column(column)
         bounds = _page_bounds(page_rows).tolist()
         return [keys[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
@@ -310,8 +336,7 @@ class HashBuildSink(_PageTimedSink, Sink):
         if not rows:
             return 0.0
         table = self.table
-        for key in keys:
-            table[key] = table.get(key, 0) + 1
+        _count_elements(table, keys)
         self.rows_in += rows
         self.spill.peak_state = max(self.spill.peak_state, len(table))
         units = rows * self.cost.join_build_units
@@ -320,14 +345,31 @@ class HashBuildSink(_PageTimedSink, Sink):
     def finalize_sim(self, db) -> Generator:
         """Read spilled build partitions back and merge their counts."""
         def merge(payload: Dict[object, int]) -> None:
-            for key, count in payload.items():
-                self.table[key] = self.table.get(key, 0) + count
+            # Live keys add up in place, the rest append in payload order.
+            table = self.table
+            sums = {key: table[key] + payload[key]
+                    for key in payload.keys() & table.keys()}
+            table.update(payload)
+            table.update(sums)
 
         if self.memory is not None:
             yield from _merge_runs(self, db, merge)
 
     def finish(self) -> object:
         return self.table
+
+
+def _sorted_int_table(table: Dict[object, int]) -> Optional[Tuple[np.ndarray, ...]]:
+    """A non-empty build table of ``int`` keys as int64 keys and counts,
+    sorted by key; ``None`` for any other table."""
+    if not table or not set(map(type, table)) <= {int}:
+        return None
+    try:
+        keys = np.fromiter(table, np.int64, len(table))
+    except OverflowError:
+        return None
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(table.values(), np.int64, len(table))[order]
 
 
 class HashProbe(Sink):
@@ -340,7 +382,9 @@ class HashProbe(Sink):
     table (:func:`split_chunks`).  Chunk membership uses the same
     deterministic CRC partitioning as spilling and every key is in
     exactly one chunk, so the per-chunk match counts sum to exactly the
-    single-pass total.  Probing a run is one dictionary lookup per row.
+    single-pass total.  A signed-integer run is matched against a chunk of
+    int keys by one :func:`numpy.searchsorted`; any other run or chunk keeps
+    the dict's semantics (NaN, mixed keys) with one lookup per row.
     """
 
     def __init__(self, key_column: str, cost: CostModel,
@@ -350,6 +394,7 @@ class HashProbe(Sink):
         self.build_table = build_table
         self.rows_probed = 0
         self.matches = 0
+        self._sorted = _sorted_int_table(build_table)
 
     def required_columns(self) -> FrozenSet[str]:
         return frozenset((self.key_column,))
@@ -363,8 +408,15 @@ class HashProbe(Sink):
         n_rows = int(page_rows.sum())
         if n_rows:
             self.rows_probed += n_rows
-            keys = _canonical_key_column(batch[self.key_column])
-            self.matches += sum(map(self.build_table.get, keys, repeat(0)))
+            column = batch[self.key_column]
+            if self._sorted is not None and column.dtype.kind == "i":
+                keys, counts = self._sorted
+                column = column[(column >= keys[0]) & (column <= keys[-1])]
+                at = np.searchsorted(keys, column)
+                self.matches += int(counts[at[keys[at] == column]].sum())
+            else:
+                keys = _canonical_key_column(column)
+                self.matches += sum(map(self.build_table.get, keys, repeat(0)))
         return page_rows * self.cost.join_probe_units
 
     def finish(self) -> object:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class RowCounter(Sink):
 
     def finish(self) -> object:
         return self.rows
+
+
+def partition_of(key, n_partitions):
+    """The spill and multibuffer partition of a key, from its definition:
+    the CRC-32 of its ``repr``, modulo the partition count."""
+    return zlib.crc32(repr(key).encode()) % n_partitions
 
 
 def feed(sink, batch, page_rows):

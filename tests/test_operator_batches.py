@@ -33,13 +33,12 @@ from repro.engine.spill import (
     HashProbe,
     SortSpillGroupBy,
     _spill_victim,
-    partition_of,
     split_chunks,
 )
 from repro.scans.base import LazyPages
 from repro.storage.datagen import Batch, take_rows
 
-from tests.conftest import feed, make_database
+from tests.conftest import feed, make_database, partition_of
 
 COST = CostModel()
 CATEGORIES = np.asarray(("a", "b", "c"), dtype=object)
@@ -551,6 +550,27 @@ KEYED_SINKS = {
 }
 
 
+#: Keys every shared sink is fed, each cast to the sink's key dtype: they
+#: are equal as dict keys across dtypes (1/1.0/True, 0/0.0/-0.0/False) or
+#: within one (0.0/-0.0, ("a", 1)/("a", 1.0)), while their reprs differ.
+SHARED_KEYS = st.sampled_from([0, 1, 2, -1, 0.0, -0.0, 1.0, 2.5, True, False,
+                               ("a", 1), ("a", 1.0)])
+#: One hash-aggregation and one join-build sink per key dtype.
+SHARED_SINKS = [(kind, dtype) for kind in ("hash-agg", "join-build")
+                for dtype in ("int", "bool", "float", "object")]
+
+
+def typed_column(dtype, keys):
+    """``keys`` as a column of the named dtype (numeric dtypes drop the
+    tuples and cast the rest)."""
+    if dtype == "object":
+        return object_column(keys)
+    cast, dtype = {"int": (int, np.int64), "bool": (bool, bool),
+                   "float": (float, np.float64)}[dtype]
+    return np.array([cast(key) for key in keys if type(key) is not tuple],
+                    dtype=dtype)
+
+
 class TestMemoisedPartitions:
     #: Keys that are equal as dict keys but hash to different partitions
     #: (their reprs differ), next to ordinary ones.
@@ -620,3 +640,224 @@ class TestMemoisedPartitions:
         if sink != "join-build":
             result = {key: values["n"] for (key,), values in result.items()}
         assert result == counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.lists(SHARED_KEYS, max_size=12),
+                              st.just("spill"), st.integers(2, 5)),
+                    max_size=20))
+    def test_one_memo_shared_by_sinks_and_splits(self, script):
+        """Sinks over int, bool, float and object key columns of one
+        database, whose CRC memo the int build sink and ``split_chunks``
+        share.  Each step feeds every sink a page, spills every sink or
+        splits every table into that many chunks: every victim and every
+        chunk is exactly what a from-scratch ``partition_of`` gives, and
+        only int keys enter the memo."""
+        db = make_database(pool_pages=64)
+        sinks = []
+        for kind, _ in SHARED_SINKS:
+            memory = OperatorMemory(db, kind, budget_pages=1)
+            memory.negotiate()
+            sinks.append(KEYED_SINKS[kind](memory))
+        for step in script:
+            for (_, dtype), sink in zip(SHARED_SINKS, sinks):
+                state = (sink.table if isinstance(sink, HashBuildSink)
+                         else sink._groups)
+                if isinstance(step, list):
+                    column = typed_column(dtype, step)
+                    feed(sink, {"k": column}, len(column))
+                elif step == "spill":
+                    if not state:
+                        continue
+                    live = dict(state)
+                    sink._spill_one_partition(state)
+                    assert spelled_keys(sink._runs[-1][2]) == spelled_keys(
+                        reference_spill(live))
+                    assert spelled_keys(state) == spelled_keys(live)
+                else:
+                    chunks = split_chunks(state, step, sink.key_crcs)
+                    assert [spelled_keys(chunk) for chunk in chunks] == [
+                        spelled_keys({key: count for key, count in state.items()
+                                      if partition_of(key, step) == chunk})
+                        for chunk in range(step)
+                    ]
+        assert all(type(key) is int for key in db.key_crcs)
+
+
+def spelled_keys(table):
+    """A table's keys, in order, as their reprs (``1`` is not ``1.0``)."""
+    return list(map(repr, table))
+
+
+def fold_counts(table, keys):
+    """The per-key counting loop the build sink's bulk calls replaced."""
+    for key in keys:
+        table[key] = table.get(key, 0) + 1
+
+
+@st.composite
+def probe_columns(draw):
+    """A probe key column of any dtype a scan may hand a probe."""
+    dtype = draw(st.sampled_from(["int64", "int32", "uint8", "bool",
+                                  "float", "object"]))
+    n = draw(st.integers(0, 30))
+    if dtype in ("int64", "int32"):
+        limit = 2 ** 63 if dtype == "int64" else 2 ** 31
+        values = st.one_of(st.integers(-25, 25),
+                           st.sampled_from([-limit, limit - 1]))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=dtype)
+    if dtype == "uint8":
+        return np.array(draw(st.lists(st.integers(0, 25), min_size=n,
+                                      max_size=n)), dtype=np.uint8)
+    if dtype == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if dtype == "float":
+        values = st.one_of(st.integers(-5, 5).map(float),
+                           st.sampled_from([0.5, -0.0, float("nan")]))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    values = st.sampled_from([1, 1.0, True, -3, 0.0, float("nan"), "a"])
+    return object_column(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+#: Build-table keys: int ones (inside and beyond int64), and the non-int
+#: ones a float, bool or object build column leaves.
+build_keys = st.one_of(
+    st.integers(-25, 25),
+    st.sampled_from([-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 64]),
+    st.sampled_from([1.0, -0.0, 0.5, True, _CANONICAL_NAN, "a"]),
+)
+
+
+class TestCLevelPaths:
+    """The bulk calls of the budgeted operators against the per-key
+    loops they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.dictionaries(build_keys, st.integers(1, 5), max_size=12),
+           column=probe_columns(), split=st.booleans())
+    def test_sorted_probe_matches_the_dict_probe(self, table, column, split):
+        """Empty chunks and runs, negative keys, keys outside the build's
+        range, repeated probe keys, and int, unsigned, bool, NaN-bearing
+        float and object columns: one ``searchsorted`` per run (or the
+        dict fallback) counts exactly the per-row dictionary lookups."""
+        chunks = split_chunks(table, 3) if split else [table]
+        probes = [HashProbe("k", COST, chunk) for chunk in chunks]
+        for probe in probes:
+            probe.push({"k": column}, len(column))
+        expected = sum(table.get(key, 0)
+                       for key in _canonical_key_column(column))
+        assert sum(probe.finish()["matches"] for probe in probes) == expected
+        assert all(probe.finish()["rows_probed"] == len(column)
+                   for probe in probes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pages=st.lists(st.lists(TestMemoisedPartitions.keys, max_size=20),
+                          max_size=8),
+           spill_after=st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_build_counts_match_the_per_key_loop(self, pages, spill_after):
+        """``_count_elements`` and the bulk merge-back leave the table the
+        per-key loops leave: the same counts, the same first-seen key
+        objects, in the same order."""
+        run = BudgetedRun(KEYED_SINKS["join-build"], None, budget=16)
+        reference, spilled = {}, []
+        for keys, spill in zip(pages, spill_after):
+            column = object_column(keys)
+            feed(run.sink, {"k": column}, len(keys))
+            fold_counts(reference, _canonical_key_column(column))
+            assert list(map(repr, run.sink.table.items())) == list(
+                map(repr, reference.items()))
+            if spill and reference:
+                run.sink._spill_one_partition(run.sink.table)
+                spilled.append(reference_spill(reference))
+        result = run.finish()
+        for payload in spilled:
+            for key, count in payload.items():
+                reference[key] = reference.get(key, 0) + count
+        assert list(map(repr, result.items())) == list(
+            map(repr, reference.items()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        aggregates=st.lists(st.sampled_from(sorted(AGGREGATES)), unique=True,
+                            min_size=1, max_size=5),
+        rows=st.lists(st.tuples(st.integers(0, 6),
+                                st.sampled_from([0.0, 1.5, -2.0, float("nan")]),
+                                st.integers(0, 2)),
+                      max_size=20),
+    )
+    def test_planned_finish_matches_the_aggregate_loop(self, aggregates, rows):
+        """``finish`` from its ``(name, slot, avg)`` plan gives, bit for
+        bit and in order, what the loop over the aggregates gave —
+        including ``avg`` over a zero count."""
+        specs = [AGGREGATES[name] for name in aggregates]
+        agg = GroupByAggregate(specs, COST, group_by=["k"])
+        n_slots = len(specs) + sum(spec.func == "avg" for spec in specs)
+        agg._merge([((key,), [value] * (n_slots - 1) + [count])
+                    for key, value, count in rows])
+        expected = {}
+        for key, acc in agg._groups.items():
+            out = {}
+            for spec, slot in zip(specs, agg._slot_of):
+                if spec.func == "avg":
+                    count = acc[slot + 1]
+                    out[spec.name] = acc[slot] / count if count else 0.0
+                else:
+                    out[spec.name] = acc[slot]
+            expected[key] = out
+        result = agg.finish()
+        assert list(result) == list(expected)
+        assert [spelled([((), tuple(out.values()))]) for out in result.values()] \
+            == [spelled([((), tuple(out.values()))]) for out in expected.values()]
+        assert [list(out) for out in result.values()] == [
+            list(out) for out in expected.values()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.lists(st.tuples(st.integers(0, 40),
+                           st.sampled_from([0.5, -1.0, 2.0, float("nan")])),
+                 max_size=16, unique_by=lambda row: row[0]),
+        st.just("spill")), max_size=14))
+    def test_merges_match_the_per_key_fold(self, script):
+        """Tuple partials serving as accumulators, and spilled runs taken
+        back by ``dict.update``, leave the groups the per-key fold over
+        list copies leaves — calls mixing live and new keys included —
+        and the same partials replayed into a second sink (as the run
+        cache replays them) are never changed."""
+        specs = [AGGREGATES[name] for name in ("n", "total", "lo", "hi")]
+        run = BudgetedRun(lambda memory: BudgetedGroupBy(
+            specs, COST, memory, group_by=["k"]), None, budget=16)
+        sink = run.sink
+        replay = BudgetedGroupBy(specs, COST, None, group_by=["k"])
+        reference, replayed, spilled = {}, {}, []
+
+        def fold(groups, partials):
+            for key, slots in partials:
+                acc = groups.get(key)
+                if acc is None:
+                    groups[key] = list(slots)
+                    continue
+                acc[0] += slots[0]
+                acc[1] += slots[1]
+                acc[2] = slots[2] if slots[2] < acc[2] else acc[2]
+                acc[3] = slots[3] if slots[3] > acc[3] else acc[3]
+
+        for step in script:
+            if step == "spill":
+                if reference:
+                    sink._spill_one_partition(sink._groups)
+                    spilled.append(reference_spill(reference))
+            else:
+                partials = [((key,), (1, value, value, value))
+                            for key, value in step]
+                before = spelled(partials)
+                sink._merge(partials)
+                replay._merge(partials)
+                fold(reference, partials)
+                fold(replayed, partials)
+                assert spelled(partials) == before
+            assert spelled(sink._groups.items()) == spelled(reference.items())
+        run.finish()
+        for payload in spilled:
+            fold(reference, payload.items())
+        assert spelled(sink._groups.items()) == spelled(reference.items())
+        assert spelled(replay._groups.items()) == spelled(replayed.items())

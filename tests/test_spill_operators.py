@@ -6,6 +6,8 @@ simulated cost — and they spill when (and only when) their state
 outgrows the granted frames or the pool claws frames back mid-scan.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,11 @@ from repro.engine.spill import (
     SpillStats,
     _write_run,
     chunk_factor,
-    partition_of,
+    key_crcs,
     split_chunks,
 )
 
-from tests.conftest import feed, make_database
+from tests.conftest import feed, make_database, partition_of
 
 COST = CostModel()
 
@@ -218,6 +220,11 @@ class TestMultibufferJoin:
         assert chunk_factor(5, 0) == 5
 
     def test_partition_of_is_stable(self):
+        keys = [42, 42.0, (42,), float("nan"), "42"]
+        assert key_crcs(keys) == [zlib.crc32(repr(key).encode()) for key in keys]
+        ints = [42, 7, (42,), (42, 7), 42]
+        memo = {}
+        assert key_crcs(ints, memo) == key_crcs(ints) == list(memo.values()) + [memo[42]]
         assert partition_of(42, 8) == partition_of(42, 8)
         assert 0 <= partition_of(float("nan"), 8) < 8
         counts = [0] * 8
@@ -331,6 +338,24 @@ class TestExecutorIntegration:
         assert stats["build_pages_needed"] == 50
         assert result.values["probe"]["matches"] == 64 * 100
         assert db.pool.reserved_frames == 0
+
+    def test_unbudgeted_build_probes_in_one_pass(self):
+        """Without a budget the build holds its whole table, so one probe
+        pass covers every key (it used to take one pass per key-page)."""
+        db = make_database(n_pages=64, pool_pages=32)
+        spec = QuerySpec(
+            name="join",
+            steps=(
+                ScanStep(table="t", join_build_key="id", label="build"),
+                ScanStep(table="t", join_probe_key="id", label="probe"),
+            ),
+        )
+        result = self.run_query(db, spec)
+        probe = result.steps[1]
+        assert probe.operator_stats["build_pages_needed"] == 50
+        assert probe.operator_stats["join_chunks"] == 1
+        assert probe.scan.pages_scanned == 64
+        assert result.values["probe"]["matches"] == 64 * 100
 
     def test_kill_in_a_later_probe_pass_marks_the_step_aborted(self):
         """The probe step folds its passes into one ScanResult; a pass
