@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 17285
+SRC_LOC_BUDGET := 17218
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 .PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
@@ -64,7 +64,7 @@ agg-smoke:       ## budgeted-aggregation and multibuffer-join mixes across three
 		assert all(n > 1 for n in chunks), f'join smoke probed in one pass: {chunks}'; \
 		print(f'join chunks per policy: {chunks}')"
 
-cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every run drained
+cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every run drained, every replica within its bounds
 	$(PYTHON) -m repro cluster-sim steady,skew --scale 0.1 --replicas 2 \
 		--jobs 1 --no-cache --out cluster-serial.json
 	$(PYTHON) -m repro cluster-sim steady,skew --scale 0.1 --replicas 2 \
@@ -72,6 +72,12 @@ cluster-smoke:   ## two cluster scenarios, serial digest == --jobs digest, every
 	$(PYTHON) tools/same_digest.py cluster cluster-serial.json cluster-parallel.json
 	$(PYTHON) -c "import json; s=json.load(open('cluster-serial.json')); \
 		assert all(pt['metrics']['drained'] for pt in s['experiments']), 'a cluster run failed to drain'"
+	$(PYTHON) -c "import json; \
+		from repro.service.metrics import bounded_problems; \
+		s=json.load(open('cluster-serial.json')); \
+		p=[q for pt in s['experiments'] for r, rep in sorted(pt['metrics']['replicas'].items()) \
+		   for q in bounded_problems(pt['label'] + '/r' + r, rep['service'])]; \
+		assert not p, p; print('every replica within its bounds')"
 
 striped-smoke:   ## push pipeline over 1 and 2 devices, serial digest == --jobs digest
 	$(PYTHON) -m repro sweep st-push --param device_count --values 1,2 \

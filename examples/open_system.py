@@ -13,7 +13,7 @@ Run:  python examples/open_system.py
 
 from repro import SharingConfig, SystemConfig, run_workload
 from repro.metrics.report import format_table, percent_gain
-from repro.workloads import make_tpch_database, poisson_arrivals
+from repro.workloads import Poisson, make_tpch_database, plan_arrivals
 
 RATE = 3.0          # queries per simulated second
 HORIZON = 8.0       # arrival window
@@ -29,8 +29,8 @@ def run(sharing_enabled: bool):
         record_page_visits=False,
     )
     db = make_tpch_database(config, scale=0.25)
-    plan = poisson_arrivals(
-        RATE, HORIZON, seed=11,
+    plan = plan_arrivals(
+        Poisson(RATE), HORIZON, seed=11,
         query_names=list(HOT_QUERIES),
         query_weights=HOT_QUERIES,
     )

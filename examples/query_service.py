@@ -22,7 +22,7 @@ from dataclasses import replace
 from repro import SharingConfig, SystemConfig
 from repro.engine.database import Database
 from repro.service import ControllerConfig, QueryService, ServiceClass, ServiceSpec
-from repro.workloads import make_tpch_database
+from repro.workloads import Closed, Lognormal, make_tpch_database
 
 SCALE = 0.1
 #: Rough Q6 service time at this scale; rates/horizon below are
@@ -34,8 +34,8 @@ SPEC = ServiceSpec(
         ServiceClass(
             name="interactive",
             weight=3.0,                      # 3x the batch class's fair share
-            arrival="lognormal", sigma=1.2,  # clumped analyst traffic
-            rate=2.0 / Q6_COST,
+            # clumped analyst traffic
+            arrival=Lognormal(rate=2.0 / Q6_COST, sigma=1.2),
             query_names=("Q6", "Q14", "Q3"),
             query_weights=(("Q6", 6.0), ("Q14", 2.0), ("Q3", 1.0)),
             latency_slo=8.0 * Q6_COST,
@@ -44,7 +44,7 @@ SPEC = ServiceSpec(
         ServiceClass(
             name="batch",
             weight=1.0,
-            arrival="closed", n_streams=2,   # TPC-H-style looping streams
+            arrival=Closed(n_streams=2),     # TPC-H-style looping streams
             max_mpl=1,                       # at most one batch query running
             query_names=("Q1",),
         ),

@@ -27,7 +27,7 @@ from repro.cluster.service import (
     derive_replica_seed,
 )
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.topology import ClusterRouter, HashRing, ring_hash
+from repro.cluster.topology import ClusterRouter, HashRing
 
 __all__ = [
     "CLUSTER_SCENARIOS",
@@ -41,7 +41,6 @@ __all__ = [
     "build_cluster_spec",
     "derive_loadgen_seed",
     "derive_replica_seed",
-    "ring_hash",
     "run_cluster_scenario",
     "sv_cluster_scale",
     "sv_cluster_skew",

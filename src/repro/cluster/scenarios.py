@@ -51,31 +51,17 @@ DEFAULT_USERS = 1_000_000
 
 def _rated_classes(
     rated: List[Tuple[UserClass, float]], n_users: int
-) -> Tuple[Tuple[UserClass, ...], float]:
+) -> Tuple[UserClass, ...]:
     """Bind desired aggregate rates onto user classes.
 
-    Returns the rebuilt class tuple plus the shared ``think_mean``
-    (``n_users / Σ rate``) so the :class:`LoadSpec` population algebra
+    Every class gets ``share = rate`` and the shared ``think_mean =
+    n_users / Σ rate``, so the :class:`LoadSpec` population algebra
     reproduces each class's rate exactly.
     """
-    total_rate = sum(rate for _, rate in rated)
-    think_mean = n_users / total_rate
-    classes = tuple(
-        UserClass(
-            name=cls.name,
-            share=rate,
-            weight=cls.weight,
-            max_mpl=cls.max_mpl,
-            templates=cls.templates,
-            table_zipf=cls.table_zipf,
-            think_mean=think_mean,
-            think_sigma=cls.think_sigma,
-            patience=cls.patience,
-            latency_slo=cls.latency_slo,
-        )
-        for cls, rate in rated
+    think_mean = n_users / sum(rate for _, rate in rated)
+    return tuple(
+        replace(cls, share=rate, think_mean=think_mean) for cls, rate in rated
     )
-    return classes, think_mean
 
 
 def build_cluster_spec(name: str, settings: ExperimentSettings) -> ClusterSpec:
@@ -93,7 +79,7 @@ def build_cluster_spec(name: str, settings: ExperimentSettings) -> ClusterSpec:
     n_users = settings.cluster_users or DEFAULT_USERS
 
     if name == "steady":
-        classes, _ = _rated_classes([
+        classes = _rated_classes([
             (UserClass(
                 name="interactive", weight=3.0,
                 templates=("Q6", "Q14"), table_zipf=0.8,
@@ -118,7 +104,7 @@ def build_cluster_spec(name: str, settings: ExperimentSettings) -> ClusterSpec:
         )
 
     if name == "skew":
-        classes, _ = _rated_classes([
+        classes = _rated_classes([
             (UserClass(
                 name="analyst", weight=2.0,
                 templates=("Q6", "Q14", "Q3", "Q1"), table_zipf=1.5,
@@ -148,7 +134,7 @@ def build_cluster_spec(name: str, settings: ExperimentSettings) -> ClusterSpec:
     # past the arrival window) so added replicas genuinely relieve a
     # bottleneck; the multi-table mix keeps scan sharing from absorbing
     # the whole overload on one node.
-    classes, _ = _rated_classes([
+    classes = _rated_classes([
         (UserClass(
             name="scan", weight=1.0, templates=("Q6", "Q14", "Q3"),
         ), 8.0 / cost),
@@ -172,13 +158,7 @@ def _with_horizon(load: LoadSpec, settings: ExperimentSettings) -> LoadSpec:
     """``load`` with the CLI's ``--horizon`` override applied, if any."""
     if settings.service_horizon is None:
         return load
-    return LoadSpec(
-        classes=load.classes,
-        n_users=load.n_users,
-        horizon=settings.service_horizon,
-        user_zipf=load.user_zipf,
-        max_arrivals_per_class=load.max_arrivals_per_class,
-    )
+    return replace(load, horizon=settings.service_horizon)
 
 
 def scale_axis(settings: ExperimentSettings) -> Scannable:

@@ -9,7 +9,8 @@ service simulation per replica — each on its own database, bufferpool,
 sharing policy, and fault injector — and reduces the per-replica
 results into one fleet-wide :class:`ClusterResult`.
 
-Determinism: the load plan derives from ``seed`` via SHA-256, routing
+Determinism: the load plan derives from ``seed`` via
+:func:`~repro.workloads.arrivals.stable_hash`, routing
 is a pure function of the plan and the :class:`ClusterSpec`, and every
 replica's database seed derives from ``(seed, replica_id)`` — so the
 whole run is a pure function of ``(ClusterSpec, settings)`` and two
@@ -24,7 +25,6 @@ draws — or the digests — of the others.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,39 +40,18 @@ from repro.metrics.report import (
 from repro.service.metrics import ServiceResult
 from repro.service.service import QueryService
 from repro.service.spec import ServiceClass, ServiceSpec
-from repro.workloads.arrivals import ArrivalPlan
-from repro.workloads.loadgen import LoadPlan, UserClass, generate_load
+from repro.workloads.arrivals import ArrivalPlan, stable_hash
+from repro.workloads.loadgen import LoadPlan, UserArrival, generate_load
 
 
 def derive_replica_seed(base_seed: int, replica_id: int) -> int:
-    """Stable per-replica database seed (SHA-256, platform-proof)."""
-    payload = f"repro.cluster:{base_seed}:replica:{replica_id}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big") % (2 ** 63)
+    """Stable per-replica database seed."""
+    return stable_hash("repro.cluster", base_seed, "replica", replica_id) % (2 ** 63)
 
 
 def derive_loadgen_seed(base_seed: int) -> int:
     """Stable seed for the cluster's load generator."""
-    payload = f"repro.cluster:{base_seed}:loadgen".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big") % (2 ** 63)
-
-
-def _service_class(cls: UserClass) -> ServiceClass:
-    """The per-replica service class mirroring one user class.
-
-    Arrival parameters are placeholders — the replica receives an
-    explicit pre-routed :class:`ArrivalPlan`, so only the queueing
-    fields (weight, patience, SLO, concurrency cap) matter.
-    """
-    return ServiceClass(
-        name=cls.name,
-        weight=cls.weight,
-        max_mpl=cls.max_mpl,
-        latency_slo=cls.latency_slo,
-        patience=cls.patience,
-        arrival="poisson",
-        rate=1.0,
-        query_names=cls.templates,
-    )
+    return stable_hash("repro.cluster", base_seed, "loadgen") % (2 ** 63)
 
 
 @dataclass
@@ -352,8 +331,8 @@ class ClusterService:
 
     def _route_plan(
         self, plan: LoadPlan, router: ClusterRouter
-    ) -> List[Dict[str, ArrivalPlan]]:
-        """Split the global load plan into per-replica arrival plans.
+    ) -> List[List[List[UserArrival]]]:
+        """Split the global load plan into per-replica, per-class arrivals.
 
         Arrivals are routed in global time order (ties broken by class
         position, then sequence) so the router's least-loaded stats see
@@ -365,35 +344,24 @@ class ClusterService:
                 merged.append((arrival.time, class_index, seq))
         merged.sort()
 
-        buckets: List[List[List]] = [
+        buckets: List[List[List[UserArrival]]] = [
             [[] for _ in plan.classes] for _ in range(self.spec.n_replicas)
         ]
         for _, class_index, seq in merged:
             arrival = plan.classes[class_index].arrivals[seq]
             replica = router.route(arrival.table, arrival.user_id)
             buckets[replica][class_index].append(arrival)
-
-        per_replica: List[Dict[str, ArrivalPlan]] = []
-        for replica in range(self.spec.n_replicas):
-            plans: Dict[str, ArrivalPlan] = {}
-            for class_index, class_plan in enumerate(plan.classes):
-                routed = buckets[replica][class_index]
-                plans[class_plan.user_class.name] = ArrivalPlan(
-                    queries=[a.query for a in routed],
-                    arrival_times=[a.time for a in routed],
-                )
-            per_replica.append(plans)
-        return per_replica
+        return buckets
 
     # ------------------------------------------------------------------
     # Replica execution
     # ------------------------------------------------------------------
 
     def _run_replica(
-        self,
-        replica_id: int,
-        arrival_plans: Dict[str, ArrivalPlan],
+        self, replica_id: int, routed: List[List[UserArrival]]
     ) -> ServiceResult:
+        """One replica's service: each user class's contract, replaying
+        the arrivals routed to this replica."""
         settings = self.settings.with_(
             seed=derive_replica_seed(self.settings.seed, replica_id)
         )
@@ -403,18 +371,19 @@ class ClusterService:
             if not fault_plan.faults:
                 fault_plan = None
         db = build_database(settings, SharingConfig(), fault_plan=fault_plan)
+        load = self.spec.load
         service_spec = ServiceSpec(
             classes=tuple(
-                _service_class(cls) for cls in self.spec.load.classes
+                ServiceClass(**cls.contract(), query_names=cls.templates,
+                             arrival=ArrivalPlan(tuple(arrivals)))
+                for cls, arrivals in zip(load.classes, routed)
             ),
-            horizon=self.spec.load.horizon,
+            horizon=load.horizon,
             controller=self.spec.controller,
-            max_arrivals_per_class=self.spec.load.max_arrivals_per_class,
+            max_arrivals_per_class=load.max_arrivals_per_class,
         )
         service = QueryService(
-            db, service_spec,
-            scenario=f"{self.scenario}/r{replica_id}",
-            arrival_plans=arrival_plans,
+            db, service_spec, scenario=f"{self.scenario}/r{replica_id}",
         )
         return service.run()
 
@@ -428,14 +397,12 @@ class ClusterService:
             self.spec.load, seed=derive_loadgen_seed(self.settings.seed)
         )
         router = ClusterRouter(self.spec)
-        per_replica_plans = self._route_plan(plan, router)
+        routed = self._route_plan(plan, router)
         shards_touched = router.shards_touched()
 
         replicas: List[ReplicaResult] = []
         for replica_id in range(self.spec.n_replicas):
-            service_result = self._run_replica(
-                replica_id, per_replica_plans[replica_id]
-            )
+            service_result = self._run_replica(replica_id, routed[replica_id])
             replicas.append(ReplicaResult(
                 replica_id=replica_id,
                 service=service_result,

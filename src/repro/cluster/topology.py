@@ -19,9 +19,10 @@ the cross-replica load stats it accumulates as it assigns arrivals.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+
+from repro.workloads.arrivals import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.spec import ClusterSpec
@@ -32,12 +33,6 @@ RING_POINTS = 64
 #: Shards each table is split into; a ``(table, user)`` pair maps to
 #: shard ``user_id % SHARDS_PER_TABLE`` of that table.
 SHARDS_PER_TABLE = 8
-
-
-def ring_hash(text: str) -> int:
-    """A stable 64-bit ring position for any string key."""
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class HashRing:
@@ -58,7 +53,7 @@ class HashRing:
         for replica_id in replica_ids:
             for vnode in range(RING_POINTS):
                 points.append(
-                    (ring_hash(f"replica:{replica_id}#vnode:{vnode}"),
+                    (stable_hash(f"replica:{replica_id}#vnode:{vnode}"),
                      replica_id)
                 )
         # Sorting by (position, id) makes even a position collision
@@ -79,7 +74,7 @@ class HashRing:
         if n < 1:
             raise ValueError(f"preference length must be >= 1, got {n}")
         n = min(n, len(self.replica_ids))
-        start = bisect_left(self._positions, ring_hash(key))
+        start = bisect_left(self._positions, stable_hash(key))
         chosen: List[int] = []
         for step in range(len(self._points)):
             _, replica_id = self._points[(start + step) % len(self._points)]

@@ -8,16 +8,21 @@ which and how many queries to admit dominates buffer-locality gains
 once concurrency is open-ended.  This package adds that front-end:
 
 * :mod:`repro.service.spec` — frozen declarative specs: named service
-  classes (priority weight, per-class MPL cap, latency SLO, patience),
-  an AIMD controller configuration, and the :class:`ServiceSpec` that
-  binds them to a horizon.
+  classes, each a queueing contract (priority weight, per-class MPL
+  cap, latency SLO, patience) plus an arrival process and a query mix
+  from :mod:`repro.workloads.arrivals`; an AIMD controller
+  configuration; and the :class:`ServiceSpec` that binds them to a
+  horizon.
 * :mod:`repro.service.queues` — per-class admission queues and a
   deterministic weighted-fair selector.
 * :mod:`repro.service.controller` — the MPL/admission controller:
   throttles concurrency on live bufferpool miss-rate, pool-pressure,
   and scan-speed signals (backpressure), reopens as they recover.
 * :mod:`repro.service.service` — :class:`QueryService`, the sim-time
-  service loop tying arrivals → queues → admission → executor.
+  service loop tying arrivals → queues → admission → executor.  Open
+  processes are rendered from each class's seed; a replayed
+  :class:`~repro.workloads.arrivals.ArrivalPlan` (a cluster replica's
+  routed share) is served as given.
 * :mod:`repro.service.metrics` — per-class SLO metrics and the
   :class:`ServiceResult` / :class:`ServiceComparison` result objects.
 * :mod:`repro.service.scenarios` — named scenarios (steady, overload,

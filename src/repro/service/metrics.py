@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.report import format_service_table, format_table, percentile
 from repro.service.queues import AdmissionQueue, QueryRequest
-from repro.service.spec import ServiceClass
+from repro.workloads.arrivals import ClassContract
 
 
 @dataclass
@@ -35,8 +35,9 @@ class ClassMetrics:
     queue_p99: float = 0.0
     queue_peak: int = 0
     #: Expected queue-length ceiling for open classes with patience
-    #: (arrivals during one patience window, doubled for slack); the
-    #: boundedness assertion compares ``queue_p99`` against it.
+    #: (arrivals during one patience window at the offered rate,
+    #: doubled for slack); the boundedness assertion compares
+    #: ``queue_p99`` against it.
     queue_bound: Optional[float] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -64,12 +65,17 @@ class ClassMetrics:
 
 
 def compute_class_metrics(
-    spec: ServiceClass,
+    spec: ClassContract,
     requests: Sequence[QueryRequest],
     queue: AdmissionQueue,
     span: float,
+    rate: Optional[float],
 ) -> ClassMetrics:
-    """Reduce one class's requests + queue samples to :class:`ClassMetrics`."""
+    """Reduce one class's requests + queue samples to :class:`ClassMetrics`.
+
+    ``rate`` is the class's offered arrivals per second (None for a
+    closed class, which gets no queue bound).
+    """
     metrics = ClassMetrics(name=spec.name, n_arrived=len(requests))
     completed = [r for r in requests if r.finished_at is not None]
     abandoned = [r for r in requests if r.abandoned_at is not None]
@@ -98,10 +104,10 @@ def compute_class_metrics(
     if lengths:
         metrics.queue_p99 = percentile(lengths, 99)
         metrics.queue_peak = max(lengths)
-    if spec.is_open and spec.patience is not None:
+    if rate is not None and spec.patience is not None:
         # Abandonment caps the waiting line near rate × patience
         # (arrivals during one patience window); double it for slack.
-        metrics.queue_bound = 2.0 * spec.rate * spec.patience + 4.0
+        metrics.queue_bound = 2.0 * rate * spec.patience + 4.0
     return metrics
 
 

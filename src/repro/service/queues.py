@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.query import QuerySpec
-from repro.service.spec import ServiceClass
 from repro.sim.events import Event
+from repro.workloads.arrivals import ClassContract
 
 
 @dataclass
@@ -63,7 +63,7 @@ class AdmissionQueue:
     need no polling process.
     """
 
-    spec: ServiceClass
+    spec: ClassContract
     running: int = 0
     _waiting: Deque[QueryRequest] = field(default_factory=deque)
     #: ``(time, queue_len)`` recorded at every push/pop/remove.

@@ -23,6 +23,7 @@ from repro.experiments.harness import (
 from repro.service.metrics import ServiceComparison, ServiceResult
 from repro.service.service import QueryService
 from repro.service.spec import ControllerConfig, ServiceClass, ServiceSpec
+from repro.workloads.arrivals import Closed, Lognormal, Mmpp, Pareto, Poisson
 
 #: scenario name -> one-line description (shown by ``serve-sim --list``).
 SCENARIOS: Dict[str, str] = {
@@ -64,13 +65,13 @@ def build_service_spec(
     if name == "steady":
         classes = (
             ServiceClass(
-                name="interactive", weight=3.0, arrival="poisson",
-                rate=0.5 / cost, query_names=("Q6", "Q14"),
+                name="interactive", weight=3.0,
+                arrival=Poisson(rate=0.5 / cost), query_names=("Q6", "Q14"),
                 query_weights=(("Q6", 3.0), ("Q14", 1.0)),
                 latency_slo=6.0 * cost, patience=30.0 * cost,
             ),
             ServiceClass(
-                name="batch", weight=1.0, arrival="closed", n_streams=2,
+                name="batch", weight=1.0, arrival=Closed(n_streams=2),
                 max_mpl=2, query_names=("Q1",),
             ),
         )
@@ -84,8 +85,9 @@ def build_service_spec(
         # the matching tight-pool environment.
         classes = (
             ServiceClass(
-                name="adhoc", weight=1.0, arrival="lognormal", sigma=1.2,
-                rate=2.5 / cost, query_names=("Q6", "Q14", "Q3"),
+                name="adhoc", weight=1.0,
+                arrival=Lognormal(rate=2.5 / cost, sigma=1.2),
+                query_names=("Q6", "Q14", "Q3"),
                 query_weights=(("Q6", 6.0), ("Q14", 2.0), ("Q3", 1.0)),
                 latency_slo=8.0 * cost, patience=12.0 * cost,
             ),
@@ -95,14 +97,14 @@ def build_service_spec(
     elif name == "burst":
         classes = (
             ServiceClass(
-                name="bursty", weight=2.0, arrival="mmpp",
-                rate=3.0 / cost, rate_off=0.1 / cost,
-                mean_on=15.0 * cost, mean_off=20.0 * cost,
+                name="bursty", weight=2.0,
+                arrival=Mmpp(rate=3.0 / cost, rate_off=0.1 / cost,
+                             mean_on=15.0 * cost, mean_off=20.0 * cost),
                 query_names=("Q6",), patience=15.0 * cost,
             ),
             ServiceClass(
-                name="background", weight=1.0, arrival="poisson",
-                rate=0.2 / cost, query_names=("Q6", "Q14"),
+                name="background", weight=1.0,
+                arrival=Poisson(rate=0.2 / cost), query_names=("Q6", "Q14"),
             ),
         )
         horizon = 120.0 * cost
@@ -110,17 +112,18 @@ def build_service_spec(
     else:  # soak
         classes = (
             ServiceClass(
-                name="interactive", weight=3.0, arrival="poisson",
-                rate=0.6 / cost, query_names=("Q6", "Q14"),
+                name="interactive", weight=3.0,
+                arrival=Poisson(rate=0.6 / cost), query_names=("Q6", "Q14"),
                 latency_slo=8.0 * cost, patience=40.0 * cost,
             ),
             ServiceClass(
-                name="batch", weight=1.0, arrival="closed", n_streams=1,
+                name="batch", weight=1.0, arrival=Closed(n_streams=1),
                 max_mpl=1, query_names=("Q1",),
             ),
             ServiceClass(
-                name="adhoc", weight=1.5, arrival="pareto", alpha=1.6,
-                rate=0.4 / cost, query_names=("Q6",),
+                name="adhoc", weight=1.5,
+                arrival=Pareto(rate=0.4 / cost, alpha=1.6),
+                query_names=("Q6",),
                 patience=25.0 * cost,
             ),
         )

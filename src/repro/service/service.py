@@ -13,16 +13,16 @@ scan engine, tracing, fault injection, and metrics collection all see
 exactly the workload a closed harness would have produced.
 
 Determinism: every stochastic choice derives from the database seed via
-SHA-256 (per class, per closed stream), all queue decisions are pure
+:func:`~repro.workloads.arrivals.stable_hash` (per class, per closed
+stream), all queue decisions are pure
 functions of event order, and the simulator dispatches ties in push
 order — so a run is a pure function of ``(ServiceSpec, SystemConfig)``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import partial
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
@@ -40,37 +40,22 @@ from repro.trace.events import (
     ServiceCompleted,
 )
 import repro.trace.tracer as trace_slot
-from repro.workloads.arrivals import ArrivalPlan, _query_mix, make_arrivals
-from repro.workloads.tpch_queries import QUERY_FACTORIES
-
-
-def _class_seed(base_seed: int, class_name: str) -> int:
-    """Stable per-class RNG seed derived from the database seed."""
-    payload = f"repro.service:{base_seed}:{class_name}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+from repro.workloads.arrivals import (
+    ArrivalPlan,
+    Closed,
+    plan_arrivals,
+    query_mix,
+    stable_hash,
+)
 
 
 class QueryService:
-    """One admission-controlled service run over a database.
+    """One admission-controlled service run over a database."""
 
-    ``arrival_plans`` optionally maps open class names to explicit
-    pre-built :class:`~repro.workloads.arrivals.ArrivalPlan` objects;
-    classes listed there skip ``make_arrivals`` and replay the given
-    plan verbatim.  The cluster layer uses this to hand each replica
-    its routed share of a fleet-wide load plan.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        spec: ServiceSpec,
-        scenario: str = "",
-        arrival_plans: Optional[Dict[str, "ArrivalPlan"]] = None,
-    ):
+    def __init__(self, db: Database, spec: ServiceSpec, scenario: str = ""):
         self.db = db
         self.spec = spec
         self.scenario = scenario
-        self.arrival_plans = dict(arrival_plans or {})
         self.controller = AdmissionController(db, spec.controller)
         self.controller.on_increase = self._try_admit
         self._queues: Dict[str, AdmissionQueue] = {
@@ -98,36 +83,28 @@ class QueryService:
         """Drive the whole service to completion and reduce to a result."""
         base_seed = self.db.config.seed
         for cls in self.spec.classes:
-            seed = _class_seed(base_seed, cls.name)
-            if cls.is_open:
-                if cls.name in self.arrival_plans:
-                    plan = self.arrival_plans[cls.name]
-                else:
-                    plan = make_arrivals(
-                        cls.arrival,
-                        cls.rate,
-                        self.spec.horizon,
-                        seed=seed,
-                        query_names=cls.query_names,
-                        query_weights=cls.query_weight_map(),
-                        max_arrivals=self.spec.max_arrivals_per_class,
-                        sigma=cls.sigma,
-                        alpha=cls.alpha,
-                        rate_off=cls.rate_off,
-                        mean_on_seconds=cls.mean_on,
-                        mean_off_seconds=cls.mean_off,
-                    )
-                self._producers += 1
-                self.db.sim.spawn(
-                    self._open_producer(cls, plan), name=f"arrivals-{cls.name}"
-                )
-            else:
-                for stream in range(cls.n_streams):
+            seed = stable_hash("repro.service", base_seed, cls.name)
+            if isinstance(cls.arrival, Closed):
+                for stream in range(cls.arrival.n_streams):
                     self._producers += 1
                     self.db.sim.spawn(
                         self._closed_producer(cls, seed, stream),
                         name=f"{cls.name}-stream-{stream}",
                     )
+                continue
+            if isinstance(cls.arrival, ArrivalPlan):
+                plan = cls.arrival
+            else:
+                plan = plan_arrivals(
+                    cls.arrival, self.spec.horizon, seed=seed,
+                    query_names=cls.query_names,
+                    query_weights=cls.query_weights,
+                    max_arrivals=self.spec.max_arrivals_per_class,
+                )
+            self._producers += 1
+            self.db.sim.spawn(
+                self._open_producer(cls, plan), name=f"arrivals-{cls.name}"
+            )
         self.controller.start()
         self.db.sim.run()
         process = self.controller.process
@@ -138,24 +115,21 @@ class QueryService:
             raise self._failures[0]
         return self._build_result()
 
-    def _open_producer(self, cls: ServiceClass, plan) -> Generator:
+    def _open_producer(self, cls: ServiceClass, plan: ArrivalPlan) -> Generator:
         last = 0.0
-        for query, arrival_time in zip(plan.queries, plan.arrival_times):
-            yield self.db.sim.timeout(arrival_time - last)
-            last = arrival_time
-            self._submit(cls, query)
+        for arrival in plan.arrivals:
+            yield self.db.sim.timeout(arrival.time - last)
+            last = arrival.time
+            self._submit(cls, arrival.query)
         self._producer_done()
 
     def _closed_producer(
         self, cls: ServiceClass, seed: int, stream: int
     ) -> Generator:
         rng = np.random.default_rng((seed, stream))
-        names, probabilities = _query_mix(
-            cls.query_names, cls.query_weight_map()
-        )
+        draw = query_mix(f"class {cls.name}", cls.query_names, cls.query_weights)
         while self.db.sim.now < self.spec.horizon:
-            name = str(rng.choice(names, p=probabilities))
-            request = self._submit(cls, QUERY_FACTORIES[name](rng))
+            request = self._submit(cls, draw(rng))
             yield request.completion
         self._producer_done()
 
@@ -294,7 +268,8 @@ class QueryService:
             end_time=self._last_resolved,
             classes=[
                 compute_class_metrics(
-                    cls, self._requests[cls.name], self._queues[cls.name], span
+                    cls, self._requests[cls.name], self._queues[cls.name], span,
+                    cls.arrival.offered_rate(self.spec.horizon),
                 )
                 for cls in self.spec.classes
             ],

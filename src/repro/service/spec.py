@@ -9,82 +9,34 @@ experiment runner relies on for ``--jobs`` determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.workloads.arrivals import ARRIVAL_KINDS
-
-#: Arrival kinds a service class may declare: the open kinds from
-#: ``workloads.arrivals`` plus ``closed`` (a fixed set of looping streams).
-CLASS_ARRIVAL_KINDS = ARRIVAL_KINDS + ("closed",)
+from repro.workloads.arrivals import ArrivalProcess, ClassContract, Poisson, query_mix
 
 
 @dataclass(frozen=True)
-class ServiceClass:
-    """One named workload class served by the query service.
+class ServiceClass(ClassContract):
+    """One named workload class served by the query service: its
+    queueing contract plus an arrival process and a query mix.
 
-    Open classes (``arrival`` in :data:`~repro.workloads.arrivals.ARRIVAL_KINDS`)
-    generate a pre-computed arrival plan at ``rate`` per second; closed
-    classes run ``n_streams`` loops that submit a new request as soon as
-    the previous one completes (TPC-H throughput-test style).
+    ``arrival`` is an open process (:class:`~repro.workloads.arrivals.Poisson`,
+    ``Lognormal``, ``Pareto`` or ``Mmpp``), rendered over the horizon
+    from the class's own seed; a :class:`~repro.workloads.arrivals.Closed`
+    set of looping streams; or an
+    :class:`~repro.workloads.arrivals.ArrivalPlan` replayed verbatim,
+    whose queries were drawn before the run.
     """
 
-    name: str
-    #: Weighted-fair share relative to other classes (higher = more slots).
-    weight: float = 1.0
-    #: Per-class concurrency cap; 0 means only the global MPL bound applies.
-    max_mpl: int = 0
-    #: Optional end-to-end latency SLO in simulated seconds.
-    latency_slo: Optional[float] = None
-    #: Queued requests abandon after this wait; None waits forever.
-    patience: Optional[float] = None
-    arrival: str = "poisson"
-    #: Arrivals per simulated second (open classes only).
-    rate: float = 1.0
-    #: Looping streams (closed classes only).
-    n_streams: int = 1
+    arrival: ArrivalProcess = Poisson(rate=1.0)
     query_names: Tuple[str, ...] = ("Q6",)
     #: ``(name, weight)`` pairs biasing the query template draw.
     query_weights: Tuple[Tuple[str, float], ...] = ()
-    #: Lognormal tail weight (``arrival == "lognormal"``).
-    sigma: float = 1.0
-    #: Pareto shape (``arrival == "pareto"``); must exceed 1.
-    alpha: float = 1.5
-    #: MMPP off-phase rate and mean phase sojourns (``arrival == "mmpp"``).
-    rate_off: float = 0.0
-    mean_on: float = 1.0
-    mean_off: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("service class needs a name")
-        if self.weight <= 0:
-            raise ValueError(f"class {self.name}: weight must be positive")
-        if self.max_mpl < 0:
-            raise ValueError(f"class {self.name}: max_mpl must be >= 0")
-        if self.latency_slo is not None and self.latency_slo <= 0:
-            raise ValueError(f"class {self.name}: latency_slo must be positive")
-        if self.patience is not None and self.patience <= 0:
-            raise ValueError(f"class {self.name}: patience must be positive")
-        if self.arrival not in CLASS_ARRIVAL_KINDS:
-            raise ValueError(
-                f"class {self.name}: unknown arrival kind {self.arrival!r}; "
-                f"expected one of {CLASS_ARRIVAL_KINDS}"
-            )
-        if self.is_open and self.rate <= 0:
-            raise ValueError(f"class {self.name}: open classes need rate > 0")
-        if not self.is_open and self.n_streams < 1:
-            raise ValueError(f"class {self.name}: closed classes need n_streams >= 1")
-        if not self.query_names:
-            raise ValueError(f"class {self.name}: needs at least one query template")
-
-    @property
-    def is_open(self) -> bool:
-        """Whether this class draws from an open arrival process."""
-        return self.arrival != "closed"
-
-    def query_weight_map(self) -> Optional[Dict[str, float]]:
-        """``query_weights`` as the dict the arrival generators accept."""
-        return dict(self.query_weights) if self.query_weights else None
+        super().__post_init__()
+        owner = f"class {self.name}"
+        self.arrival.check(owner)
+        query_mix(owner, self.query_names, self.query_weights)  # checks the mix
 
 
 #: The MPL the controller starts at, and the floor its multiplicative

@@ -5,7 +5,9 @@ about 5 % of the database size.  This package builds the scaled-down
 synthetic equivalent: the same tables (clustered on their date columns,
 as DB2's MDC layout would be), 22 scan-centric query templates matching
 the originals' table usage, selectivity, and CPU weight, and
-official-style stream permutations for throughput runs.
+official-style stream permutations for throughput runs, plus the
+offered-load model the service and cluster layers describe open
+workloads with (:mod:`repro.workloads.arrivals`).
 """
 
 from repro.workloads.tpch_schema import (
@@ -19,7 +21,9 @@ from repro.workloads.tpch_queries import (
     q1,
     q6,
 )
-from repro.workloads.arrivals import ArrivalPlan, poisson_arrivals
+from repro.workloads.arrivals import (
+    ArrivalPlan, Closed, Lognormal, Mmpp, Pareto, Poisson, plan_arrivals,
+)
 from repro.workloads.loadgen import (
     ExplicitScan,
     LoadPlan,
@@ -35,6 +39,11 @@ from repro.workloads.streams import tpch_stream, tpch_streams
 
 __all__ = [
     "ArrivalPlan",
+    "Closed",
+    "Lognormal",
+    "Mmpp",
+    "Pareto",
+    "Poisson",
     "ExplicitScan",
     "LoadPlan",
     "LoadSpec",
@@ -45,7 +54,7 @@ __all__ = [
     "UserArrival",
     "UserClass",
     "generate_load",
-    "poisson_arrivals",
+    "plan_arrivals",
     "TPCH_BASE_PAGES",
     "make_query",
     "make_tpch_database",

@@ -29,13 +29,19 @@ a pure function of ``(LoadSpec, seed)``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.query import QuerySpec
+from repro.workloads.arrivals import (
+    ClassContract,
+    Lognormal,
+    arrival_times,
+    check_templates,
+    stable_hash,
+)
 from repro.workloads.tpch_queries import QUERY_FACTORIES
 
 #: Load-balancing choices a cluster router understands (re-exported by
@@ -171,7 +177,7 @@ class Scannable:
 
 
 @dataclass(frozen=True)
-class UserClass:
+class UserClass(ClassContract):
     """One stratum of the simulated user population.
 
     ``share`` is the stratum's fraction of the population (normalized
@@ -181,16 +187,12 @@ class UserClass:
     one line of spec.  ``table_zipf`` skews each user toward *their own*
     preferred templates: the preference order is a pure function of the
     user id, so hot users (under a zipf-skewed population) concentrate
-    load on specific tables — and, downstream, specific shards.
+    load on specific tables — and, downstream, specific shards.  The
+    queueing contract is forwarded to every replica's service.
     """
 
-    name: str
     #: Fraction of the population in this class (normalized over classes).
     share: float = 1.0
-    #: Weighted-fair admission share (forwarded to the service layer).
-    weight: float = 1.0
-    #: Per-class concurrency cap (0 = only the replica MPL bound).
-    max_mpl: int = 0
     #: Query templates this class draws from, in canonical order.
     templates: Tuple[str, ...] = ("Q6",)
     #: Zipf exponent biasing a user toward their preferred templates
@@ -200,37 +202,18 @@ class UserClass:
     think_mean: float = 1.0
     #: Lognormal sigma of the class's interarrival gaps (tail weight).
     think_sigma: float = 1.0
-    #: Queued requests abandon after this wait; None waits forever.
-    patience: Optional[float] = None
-    #: Optional end-to-end latency SLO in simulated seconds.
-    latency_slo: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("user class needs a name")
+        super().__post_init__()
         if self.share <= 0:
             raise ValueError(f"class {self.name}: share must be positive")
-        if self.weight <= 0:
-            raise ValueError(f"class {self.name}: weight must be positive")
-        if self.max_mpl < 0:
-            raise ValueError(f"class {self.name}: max_mpl must be >= 0")
-        if not self.templates:
-            raise ValueError(f"class {self.name}: needs at least one template")
-        for name in self.templates:
-            if name not in QUERY_FACTORIES:
-                raise ValueError(
-                    f"class {self.name}: unknown query template {name!r}"
-                )
+        check_templates(f"class {self.name}", self.templates)
         if self.table_zipf < 0:
             raise ValueError(f"class {self.name}: table_zipf must be >= 0")
         if self.think_mean <= 0:
             raise ValueError(f"class {self.name}: think_mean must be positive")
         if self.think_sigma <= 0:
             raise ValueError(f"class {self.name}: think_sigma must be positive")
-        if self.patience is not None and self.patience <= 0:
-            raise ValueError(f"class {self.name}: patience must be positive")
-        if self.latency_slo is not None and self.latency_slo <= 0:
-            raise ValueError(f"class {self.name}: latency_slo must be positive")
 
     def template_probabilities(self) -> np.ndarray:
         """The zipf-shaped pmf over preference *ranks* (not templates)."""
@@ -328,12 +311,6 @@ class LoadPlan:
         })
 
 
-def _class_seed(base_seed: int, class_name: str) -> int:
-    """Stable per-class generator seed (SHA-256, PYTHONHASHSEED-proof)."""
-    payload = f"repro.loadgen:{base_seed}:{class_name}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 def _draw_user(rng: np.random.Generator, n_users: int, zipf: float) -> int:
     """Draw one user id, zipf-skewed toward low ids when ``zipf > 1``.
 
@@ -366,26 +343,22 @@ def _preferred_template(
 def generate_load(spec: LoadSpec, seed: int = 42) -> LoadPlan:
     """Render a :class:`LoadSpec` into a deterministic :class:`LoadPlan`.
 
-    Per class: lognormal interarrival gaps with mean ``1 / class_rate``
-    (the superposition of the stratum's individual think-time loops),
-    each arrival attributed to a drawn user whose identity biases the
-    template choice.  Draw order per arrival is strictly gap → user →
-    template rank → query parameters.
+    Per class: a :class:`~repro.workloads.arrivals.Lognormal` process at
+    ``class_rate`` with the class's ``think_sigma`` (the superposition
+    of the stratum's individual think-time loops), each arrival
+    attributed to a drawn user whose identity biases the template
+    choice.  Draw order per arrival is strictly gap → user → template
+    rank → query parameters.
     """
     plans: List[ClassLoadPlan] = []
     for cls in spec.classes:
-        rng = np.random.default_rng(_class_seed(seed, cls.name))
-        rate = spec.class_rate(cls)
-        sigma = cls.think_sigma
-        mu = float(np.log(1.0 / rate) - sigma * sigma / 2.0)
+        rng = np.random.default_rng(stable_hash("repro.loadgen", seed, cls.name))
+        process = Lognormal(spec.class_rate(cls), sigma=cls.think_sigma)
         probabilities = cls.template_probabilities()
         ranks = np.arange(len(cls.templates))
         arrivals: List[UserArrival] = []
-        time = 0.0
-        while len(arrivals) < spec.max_arrivals_per_class:
-            time += float(rng.lognormal(mean=mu, sigma=sigma))
-            if time >= spec.horizon:
-                break
+        for time in arrival_times(process, spec.horizon, rng,
+                                  spec.max_arrivals_per_class):
             user_id = _draw_user(rng, spec.n_users, spec.user_zipf)
             rank = int(rng.choice(ranks, p=probabilities))
             template = _preferred_template(cls, user_id, rank)

@@ -10,6 +10,7 @@ from repro.cluster.scenarios import (
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import ExperimentTask, execute_task, run_tasks
+from repro.service.metrics import bounded_problems
 
 SETTINGS = ExperimentSettings(scale=0.1, seed=42)
 
@@ -103,3 +104,18 @@ class TestSkewScenario:
             for replica in result["replicas"].values()
         )
         assert routed[-1] > 2 * routed[0]
+
+
+class TestReplicaQueueBounds:
+    @pytest.mark.parametrize("replicas", [3, 2])
+    def test_every_skew_replica_keeps_its_queue_bound(self, replicas):
+        """Each replica's queue bound is set from the arrivals routed to
+        it (count ÷ horizon), so a replica that receives most of the
+        skewed load gets a bound its patience-capped queue keeps."""
+        settings = SETTINGS.with_(cluster_replicas=replicas)
+        metrics = execute_task(
+            ExperimentTask("sv-cluster-skew", settings)
+        ).metrics
+        assert len(metrics["replicas"]) == replicas
+        for replica_id, replica in metrics["replicas"].items():
+            assert bounded_problems(f"r{replica_id}", replica["service"]) == []

@@ -9,8 +9,8 @@ from repro.cluster.topology import (
     SHARDS_PER_TABLE,
     ClusterRouter,
     HashRing,
-    ring_hash,
 )
+from repro.workloads.arrivals import stable_hash
 from repro.workloads.loadgen import LoadSpec, UserClass
 
 
@@ -26,11 +26,13 @@ keys = st.text(min_size=1, max_size=24)
 
 
 class TestRingHash:
+    """Ring positions are :func:`stable_hash` values of their keys."""
+
     def test_stable_across_calls(self):
-        assert ring_hash("lineitem/3") == ring_hash("lineitem/3")
+        assert stable_hash("lineitem/3") == stable_hash("lineitem/3")
 
     def test_64_bit_range(self):
-        assert 0 <= ring_hash("x") < 2 ** 64
+        assert 0 <= stable_hash("x") < 2 ** 64
 
 
 class TestHashRing:

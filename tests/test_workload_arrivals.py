@@ -1,4 +1,4 @@
-"""Unit tests for the open-system arrival generators."""
+"""Unit tests for the open arrival processes and their rendering."""
 
 import pytest
 
@@ -6,55 +6,61 @@ from repro.core.config import SharingConfig
 from repro.engine.database import SystemConfig
 from repro.engine.executor import run_workload
 from repro.workloads.arrivals import (
-    ARRIVAL_KINDS,
-    lognormal_arrivals,
-    make_arrivals,
-    mmpp_arrivals,
-    pareto_arrivals,
-    poisson_arrivals,
+    Lognormal,
+    Mmpp,
+    Pareto,
+    Poisson,
+    plan_arrivals,
 )
 from repro.workloads.tpch_schema import make_tpch_database
+
+
+def times(plan):
+    return [arrival.time for arrival in plan.arrivals]
+
+
+def names(plan):
+    return [arrival.query.name for arrival in plan.arrivals]
 
 
 class TestPoissonArrivals:
     def test_validation(self):
         with pytest.raises(ValueError):
-            poisson_arrivals(rate_per_second=0, horizon_seconds=1.0)
+            plan_arrivals(Poisson(rate=0), 1.0)
         with pytest.raises(ValueError):
-            poisson_arrivals(rate_per_second=1.0, horizon_seconds=0)
+            plan_arrivals(Poisson(rate=1.0), 0)
         with pytest.raises(ValueError):
-            poisson_arrivals(1.0, 1.0, query_names=["Q6"],
-                             query_weights={"Q6": 0.0})
+            plan_arrivals(Poisson(1.0), 1.0, query_names=["Q6"],
+                          query_weights={"Q6": 0.0})
 
     def test_arrivals_within_horizon_and_sorted(self):
-        plan = poisson_arrivals(rate_per_second=5.0, horizon_seconds=10.0)
-        assert all(0 <= t < 10.0 for t in plan.arrival_times)
-        assert plan.arrival_times == sorted(plan.arrival_times)
-        assert plan.n_arrivals == len(plan.queries)
+        plan = plan_arrivals(Poisson(rate=5.0), 10.0)
+        assert all(0 <= t < 10.0 for t in times(plan))
+        assert times(plan) == sorted(times(plan))
+        assert plan.n_arrivals == len(plan.arrivals) > 0
 
     def test_rate_roughly_respected(self):
-        plan = poisson_arrivals(rate_per_second=10.0, horizon_seconds=50.0,
-                                seed=3)
+        plan = plan_arrivals(Poisson(rate=10.0), 50.0, seed=3)
         # Expect ~500; allow generous stochastic slack.
         assert 350 < plan.n_arrivals < 650
 
     def test_deterministic_per_seed(self):
-        a = poisson_arrivals(2.0, 20.0, seed=9)
-        b = poisson_arrivals(2.0, 20.0, seed=9)
-        assert a.arrival_times == b.arrival_times
-        assert [q.name for q in a.queries] == [q.name for q in b.queries]
+        a = plan_arrivals(Poisson(2.0), 20.0, seed=9)
+        b = plan_arrivals(Poisson(2.0), 20.0, seed=9)
+        assert times(a) == times(b)
+        assert names(a) == names(b)
 
     def test_query_subset_and_weights(self):
-        plan = poisson_arrivals(
-            5.0, 30.0, seed=1, query_names=["Q1", "Q6"],
+        plan = plan_arrivals(
+            Poisson(5.0), 30.0, seed=1, query_names=["Q1", "Q6"],
             query_weights={"Q6": 50.0, "Q1": 1.0},
         )
-        names = [q.name for q in plan.queries]
-        assert set(names) <= {"Q1", "Q6"}
-        assert names.count("Q6") > names.count("Q1")
+        drawn = names(plan)
+        assert set(drawn) <= {"Q1", "Q6"}
+        assert drawn.count("Q6") > drawn.count("Q1")
 
     def test_as_streams_plugs_into_run_workload(self):
-        plan = poisson_arrivals(8.0, 0.5, seed=2, query_names=["Q6", "Q14"])
+        plan = plan_arrivals(Poisson(8.0), 0.5, seed=2, query_names=["Q6", "Q14"])
         if plan.n_arrivals == 0:
             pytest.skip("no arrivals drawn in the tiny horizon")
         db = make_tpch_database(
@@ -64,7 +70,15 @@ class TestPoissonArrivals:
         result = run_workload(db, streams, stagger_list=delays)
         assert len(result.streams) == plan.n_arrivals
         starts = sorted(s.started_at for s in result.streams)
-        assert starts == sorted(plan.arrival_times)
+        assert starts == sorted(times(plan))
+
+
+def lognormal_arrivals(rate, horizon, seed=42, sigma=1.0):
+    return plan_arrivals(Lognormal(rate, sigma=sigma), horizon, seed=seed)
+
+
+def pareto_arrivals(rate, horizon, seed=42, alpha=1.5):
+    return plan_arrivals(Pareto(rate, alpha=alpha), horizon, seed=seed)
 
 
 class TestHeavyTailedArrivals:
@@ -92,10 +106,10 @@ class TestHeavyTailedArrivals:
     def test_sorted_within_horizon_and_deterministic(self, generate, kwargs):
         a = generate(5.0, 20.0, seed=11, **kwargs)
         b = generate(5.0, 20.0, seed=11, **kwargs)
-        assert a.arrival_times == b.arrival_times
-        assert [q.name for q in a.queries] == [q.name for q in b.queries]
-        assert all(0 <= t < 20.0 for t in a.arrival_times)
-        assert a.arrival_times == sorted(a.arrival_times)
+        assert times(a) == times(b)
+        assert names(a) == names(b)
+        assert all(0 <= t < 20.0 for t in times(a))
+        assert times(a) == sorted(times(a))
 
     @pytest.mark.parametrize("generate,kwargs", GENERATORS)
     def test_mean_rate_preserved(self, generate, kwargs):
@@ -110,10 +124,14 @@ class TestHeavyTailedArrivals:
         heavy = lognormal_arrivals(10.0, 500.0, seed=5, sigma=2.0)
 
         def max_gap(plan):
-            times = plan.arrival_times
-            return max(b - a for a, b in zip(times, times[1:]))
+            gaps = times(plan)
+            return max(b - a for a, b in zip(gaps, gaps[1:]))
 
         assert max_gap(heavy) > 4 * max_gap(light)
+
+
+def mmpp_arrivals(rate, horizon, seed=42, **phases):
+    return plan_arrivals(Mmpp(rate, **phases), horizon, seed=seed)
 
 
 class TestMmppArrivals:
@@ -123,24 +141,22 @@ class TestMmppArrivals:
         with pytest.raises(ValueError):
             mmpp_arrivals(1.0, 1.0, rate_off=-0.1)
         with pytest.raises(ValueError):
-            mmpp_arrivals(1.0, 1.0, mean_on_seconds=0.0)
+            mmpp_arrivals(1.0, 1.0, mean_on=0.0)
         with pytest.raises(ValueError):
-            mmpp_arrivals(1.0, 1.0, mean_off_seconds=0.0)
+            mmpp_arrivals(1.0, 1.0, mean_off=0.0)
 
     def test_deterministic_and_sorted(self):
-        a = mmpp_arrivals(20.0, 50.0, seed=8, mean_on_seconds=2.0,
-                          mean_off_seconds=3.0)
-        b = mmpp_arrivals(20.0, 50.0, seed=8, mean_on_seconds=2.0,
-                          mean_off_seconds=3.0)
-        assert a.arrival_times == b.arrival_times
-        assert a.arrival_times == sorted(a.arrival_times)
-        assert all(0 <= t < 50.0 for t in a.arrival_times)
+        a = mmpp_arrivals(20.0, 50.0, seed=8, mean_on=2.0, mean_off=3.0)
+        b = mmpp_arrivals(20.0, 50.0, seed=8, mean_on=2.0, mean_off=3.0)
+        assert times(a) == times(b)
+        assert times(a) == sorted(times(a))
+        assert all(0 <= t < 50.0 for t in times(a))
 
     def test_silent_off_phase_produces_gaps(self):
         plan = mmpp_arrivals(50.0, 100.0, seed=3, rate_off=0.0,
-                             mean_on_seconds=1.0, mean_off_seconds=2.0)
-        times = plan.arrival_times
-        gaps = [b - a for a, b in zip(times, times[1:])]
+                             mean_on=1.0, mean_off=2.0)
+        arrivals = times(plan)
+        gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
         # ON gaps ~0.02s; OFF sojourns ~2s: the trace must show both.
         assert min(gaps) < 0.1
         assert max(gaps) > 0.5
@@ -152,27 +168,24 @@ class TestMmppArrivals:
 
     def test_effective_rate_between_on_and_off(self):
         plan = mmpp_arrivals(40.0, 300.0, seed=6, rate_off=0.0,
-                             mean_on_seconds=1.0, mean_off_seconds=1.0)
+                             mean_on=1.0, mean_off=1.0)
         # Equal sojourns, silent OFF phase: effective rate ~ on/2.
         effective = plan.n_arrivals / 300.0
         assert 10.0 < effective < 30.0
 
 
-class TestMakeArrivals:
-    def test_dispatches_every_kind(self):
-        for kind in ARRIVAL_KINDS:
-            plan = make_arrivals(kind, 5.0, 10.0, seed=1)
-            assert plan.n_arrivals > 0
+class TestPlanArrivals:
+    OPEN = (Poisson(5.0), Lognormal(5.0), Pareto(5.0), Mmpp(5.0))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown arrival kind"):
-            make_arrivals("uniform", 5.0, 10.0)
+    def test_renders_every_open_kind(self):
+        for process in self.OPEN:
+            assert plan_arrivals(process, 10.0, seed=1).n_arrivals > 0
 
-    def test_dispatch_matches_direct_call(self):
-        via_dispatch = make_arrivals("lognormal", 4.0, 15.0, seed=2, sigma=1.3)
-        direct = lognormal_arrivals(4.0, 15.0, seed=2, sigma=1.3)
-        assert via_dispatch.arrival_times == direct.arrival_times
+    def test_invalid_process_rejected(self):
+        with pytest.raises(ValueError, match="arrival process: alpha"):
+            plan_arrivals(Pareto(5.0, alpha=1.0), 10.0)
 
     def test_max_arrivals_caps_plan(self):
-        plan = make_arrivals("poisson", 100.0, 100.0, max_arrivals=25)
-        assert plan.n_arrivals == 25
+        for process in self.OPEN:
+            plan = plan_arrivals(process, 100.0, max_arrivals=25)
+            assert plan.n_arrivals == 25
