@@ -33,6 +33,7 @@ from repro.engine import (
     AggSpec,
     CostModel,
     Database,
+    HashJoin,
     QuerySpec,
     ScanStep,
     SystemConfig,
@@ -57,6 +58,7 @@ __all__ = [
     "Database",
     "Disk",
     "DiskGeometry",
+    "HashJoin",
     "PageKey",
     "Priority",
     "QuerySpec",

@@ -19,7 +19,7 @@ from repro.engine.executor import (
 )
 from repro.engine.expressions import Expression, col, lit
 from repro.engine.operators import AggSpec, Pipeline
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.query import HashJoin, QuerySpec, ScanStep
 
 __all__ = [
     "AggSpec",
@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "Database",
     "Expression",
+    "HashJoin",
     "Pipeline",
     "QueryResult",
     "QuerySpec",

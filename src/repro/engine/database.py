@@ -152,9 +152,9 @@ class Database:
         self._push: Optional[PushPipeline] = None
         self.faults: Optional[FaultInjector] = None
         self._temp = None
-        #: Classic pipelines' run results and shared steps' speed
-        #: estimates, keyed by ``ScanStep.run_key``: pure functions of the
-        #: step and this database's data, cost model and geometry.
+        #: Classic pipelines' run results and shared scans' speed
+        #: estimates, keyed by ``Pipeline.run_key``: pure functions of the
+        #: pipeline and this database's data, cost model and geometry.
         self.run_cache = BoundedCache()
         self.speed_estimates = BoundedCache()
         #: The CRC of every integer join-build key a spill or multibuffer

@@ -7,7 +7,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.buffer.pool import BufferPool
 from repro.engine.database import Database
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.query import HashJoin, QuerySpec, ScanStep
 from repro.metrics.collector import QueryRecord
 from repro.scans.base import ScanResult
 from repro.scans.table_scan import TableScan
@@ -59,11 +59,9 @@ class QueryResult:
 
     @property
     def values(self) -> Dict[str, object]:
-        """Per-step pipeline results, keyed by step label (or index)."""
-        return {
-            step.label or f"step{index}": step.values
-            for index, step in enumerate(self.steps)
-        }
+        """Per-step pipeline results, keyed by step label (one of
+        :attr:`QuerySpec.labels <repro.engine.query.QuerySpec.labels>`)."""
+        return {step.label: step.values for step in self.steps}
 
     def operator_stats(self) -> Dict[str, float]:
         """Summed reservation/spill counters over budgeted steps."""
@@ -104,27 +102,17 @@ def execute_query(
         tracer.emit(QueryStarted(
             time=result.started_at, stream_id=stream_id, query=spec.name,
         ))
-    # The latest join build's sink until its probe consumes it: it holds
-    # the built table and the frame reservation the probe passes run under.
-    build = None
-    for index, step in enumerate(spec.steps):
-        label = step.label or f"step{index}"
-        for repeat in range(step.repeats):
-            if step.join_probe_key is not None:
-                step_result = yield from _execute_probe_step(
-                    db, step, label, build
-                )
-                build = None
-            elif step.join_build_key is not None:
-                # A fresh build releases whatever a previous join left.
-                _release_build(build)
-                step_result, build = yield from _execute_step(db, step, label)
-            else:
-                step_result, _ = yield from _execute_step(db, step, label)
-            if step.repeats > 1:
-                step_result.label = f"{label}#{repeat}"
-            result.steps.append(step_result)
-    _release_build(build)
+    labels = iter(spec.labels)
+    for step in spec.steps:
+        if isinstance(step, HashJoin):
+            sides = yield from _execute_join(
+                db, step, next(labels), next(labels)
+            )
+            result.steps.extend(sides)
+        else:
+            result.steps.append(
+                (yield from _execute_step(db, step, next(labels)))
+            )
     result.finished_at = db.sim.now
     tracer = trace_slot.active
     if tracer is not None:
@@ -147,12 +135,6 @@ def execute_query(
     return result
 
 
-def _release_build(build) -> None:
-    """Return the frames a join build still holds, if any."""
-    if build is not None and build.memory is not None:
-        build.memory.release()
-
-
 def resolve_budget_pages(requested: int, pool_capacity: int) -> int:
     """Turn a step's budget request into a concrete frame count.
 
@@ -168,55 +150,51 @@ def resolve_budget_pages(requested: int, pool_capacity: int) -> int:
     return min(ceiling, requested)
 
 
-def _negotiate_memory(db: Database, step: ScanStep, label: str, kind: str):
-    """Reserve frames for a budgeted step; None for classic steps."""
+def _negotiate_memory(db: Database, requested: Optional[int], name: str):
+    """Reserve frames for a budgeted operator; None for a classic one."""
     from repro.engine.memory import OperatorMemory
 
-    requested = (
-        step.join_budget_pages if kind == "join" else step.agg_budget_pages
-    )
     if requested is None:
         return None
     budget = resolve_budget_pages(requested, db.pool.capacity)
-    memory = OperatorMemory(db, f"{kind}[{label}]", budget)
+    memory = OperatorMemory(db, name, budget)
     memory.negotiate()
     return memory
 
 
-def _run_step_scan(
-    db: Database, step: ScanStep, pipeline, table, first_page, last_page
-) -> Generator:
-    """Run one physical scan feeding ``pipeline``; returns its result."""
-    # A sharing scan may start mid-range and wrap, so a step that needs
-    # rows in physical order runs unshared (paper §4.1).
-    shared = db.sharing_enabled and not step.requires_order
+def _run_step_scan(db: Database, step: ScanStep, pipeline) -> Generator:
+    """Run one physical scan of ``step``'s range feeding ``pipeline``;
+    returns its result."""
+    table = db.catalog.table(step.table)
+    first_page, last_page = step.page_range(table)
     scan = TableScan(
         db, step.table, first_page, last_page, pipeline.process_run,
         record_visits=db.config.record_page_visits,
-        sharing=db.sharing if shared else None,
+        sharing=db.sharing if db.sharing_enabled else None,
         estimated_speed=(
-            _estimate_scan_speed(db, step, table.schema.rows_per_page)
-            if shared else None
+            _estimate_scan_speed(db, pipeline, table.schema.rows_per_page)
+            if db.sharing_enabled else None
         ),
     )
     result = yield from scan.run()
     return result
 
 
+def _operator_stats(memory, sink) -> Dict[str, object]:
+    """A spilling sink's reservation (if any) and spill counters."""
+    stats: Dict[str, object] = dict(memory.stats()) if memory is not None else {}
+    stats.update(sink.spill.as_dict())
+    return stats
+
+
 def _execute_step(db: Database, step: ScanStep, label: str) -> Generator:
-    """Run a step other than a probe; returns ``(StepResult, its sink)``."""
-    table = db.catalog.table(step.table)
-    first_page, last_page = step.page_range(table)
-    memory = _negotiate_memory(
-        db, step, label, "join" if step.join_build_key is not None else "agg"
-    )
+    """Run one scan step; returns its :class:`StepResult`."""
+    memory = _negotiate_memory(db, step.agg_budget_pages, f"agg[{label}]")
     pipeline = step.build_pipeline(
         db.cost, memory=memory, agg_strategy=db.config.agg_strategy,
         run_cache=db.run_cache,
     )
-    scan_result = yield from _run_step_scan(
-        db, step, pipeline, table, first_page, last_page
-    )
+    scan_result = yield from _run_step_scan(db, step, pipeline)
     # Spilled state merges back here — temp reads and merge CPU land on
     # the simulated clock after the scan itself finished.
     yield from pipeline.finalize(db)
@@ -224,46 +202,49 @@ def _execute_step(db: Database, step: ScanStep, label: str) -> Generator:
     operator_stats = None
     if memory is not None:
         # Only budgeted (spilling) sinks are built with memory.
-        operator_stats = dict(memory.stats())
-        operator_stats.update(pipeline.sink.spill.as_dict())
-        if step.join_build_key is None:
-            # A build keeps its reservation: the probe passes run under
-            # it (and compete with scans for the remaining frames).
-            memory.release()
-    step_result = StepResult(
+        operator_stats = _operator_stats(memory, pipeline.sink)
+        memory.release()
+    return StepResult(
         label=label, scan=scan_result, values=values,
         operator_stats=operator_stats,
     )
-    return step_result, pipeline.sink
 
 
-def _execute_probe_step(
-    db: Database, step: ScanStep, label: str, build
+def _execute_join(
+    db: Database, join: HashJoin, build_label: str, probe_label: str
 ) -> Generator:
-    """Run the probe side of a join as one or more multibuffer passes.
+    """Run a hash join; returns its build and probe :class:`StepResult`.
 
-    When the build table needs more frames than the join's reservation
-    holds, the probe range is scanned once per chunk — the multibuffer
-    trade of extra probe I/O for bounded memory.  Each pass counts
-    matches only for its chunk's keys, so the summed counts equal the
-    single-pass join result exactly.  The build's reservation is
-    released afterwards.
+    The build scan hashes into the join's reservation, which it keeps
+    across the probe phase (its frames keep competing with scans).  When
+    the build table needs more frames than the reservation holds, the
+    probe range is scanned once per chunk — the multibuffer trade of
+    extra probe I/O for bounded memory.  Each pass counts matches only
+    for its chunk's keys, so the summed counts equal the single-pass
+    join result exactly.
     """
     from repro.engine.spill import chunk_factor, split_chunks
 
-    table = db.catalog.table(step.table)
-    first_page, last_page = step.page_range(table)
-    memory = build.memory
+    memory = _negotiate_memory(db, join.budget_pages, f"join[{build_label}]")
+    pipeline = join.build_pipeline(db.cost, memory=memory)
+    build_scan = yield from _run_step_scan(db, join.build, pipeline)
+    yield from pipeline.finalize(db)
+    build = pipeline.sink
+    build_result = StepResult(
+        label=build_label, scan=build_scan, values=pipeline.result(),
+        operator_stats=(
+            _operator_stats(memory, build) if memory is not None else None
+        ),
+    )
+
     pages_needed = build.pages_needed
     n_chunks = chunk_factor(pages_needed, memory.pages) if memory is not None else 1
     combined_scan: Optional[ScanResult] = None
     rows_probed = 0
     matches = 0
-    for chunk_table in split_chunks(build.table, n_chunks, build.key_crcs):
-        pipeline = step.build_pipeline(db.cost, join_table=chunk_table)
-        scan_result = yield from _run_step_scan(
-            db, step, pipeline, table, first_page, last_page
-        )
+    for chunk in split_chunks(build.table, n_chunks, build.key_crcs):
+        pipeline = join.probe_pipeline(db.cost, chunk)
+        scan_result = yield from _run_step_scan(db, join.probe, pipeline)
         chunk_values = pipeline.result()
         rows_probed += chunk_values["rows_probed"]
         matches += chunk_values["matches"]
@@ -281,27 +262,27 @@ def _execute_probe_step(
         "join_chunks": n_chunks,
         "build_pages_needed": pages_needed,
     }
+    operator_stats.update(_operator_stats(memory, build))
     if memory is not None:
-        operator_stats.update(memory.stats())
-    operator_stats.update(build.spill.as_dict())
-    _release_build(build)
+        memory.release()
     assert combined_scan is not None
-    return StepResult(
-        label=label,
+    probe_result = StepResult(
+        label=probe_label,
         scan=combined_scan,
         values={"rows_probed": rows_probed, "matches": matches,
                 "chunks": n_chunks},
         operator_stats=operator_stats,
     )
+    return build_result, probe_result
 
 
-def _estimate_scan_speed(db: Database, step: ScanStep, rows_per_page: int) -> float:
-    """Optimizer-style speed estimate: bounded by CPU or I/O per page
-    (memoised per database, as every execution of a step asks)."""
-    key = (step.run_key, rows_per_page)
+def _estimate_scan_speed(db: Database, pipeline, rows_per_page: int) -> float:
+    """Optimizer-style speed estimate of a scan feeding ``pipeline``:
+    bounded by CPU or I/O per page (memoised per database under the
+    pipeline's ``run_key``, as every execution of a step asks)."""
+    key = (pipeline.run_key, rows_per_page)
     speed = db.speed_estimates.get(key)
     if speed is None:
-        pipeline = step.build_pipeline(db.cost)
         cpu_per_page = db.cost.seconds(
             pipeline.estimated_units_per_page(rows_per_page)
         )

@@ -459,7 +459,8 @@ class Pipeline:
     run up under ``(run_key, first_page, n_pages)`` and replays the
     stored :class:`RunResult` onto its filter and sink.  ``run_key`` must
     identify everything the pipeline computes with, and ``(first_page,
-    n_pages)`` the run's rows.
+    n_pages)`` the run's rows.  Whatever its sink, ``run_key`` also keys
+    the database's speed estimate for a scan feeding the pipeline.
     """
 
     def __init__(self, sink: Sink, cost: CostModel,
@@ -476,7 +477,7 @@ class Pipeline:
         if type(sink) is not GroupByAggregate:
             run_cache = None
         self._run_cache = run_cache
-        self._run_key = run_key
+        self.run_key = run_key
 
     def process_run(
         self, first_page: int, batch: PageData, page_rows: np.ndarray
@@ -492,7 +493,7 @@ class Pipeline:
         cache = self._run_cache
         if cache is None:
             return self._push(batch, page_rows)
-        key = (self._run_key, first_page, len(page_rows))
+        key = (self.run_key, first_page, len(page_rows))
         run = cache.get(key)
         if run is None:
             run = self._record(batch, page_rows)

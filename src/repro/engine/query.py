@@ -1,19 +1,19 @@
 """Declarative query specifications.
 
-A :class:`QuerySpec` is a named sequence of :class:`ScanStep` objects.
-Each step scans one table range through a filter/aggregate pipeline;
-steps run back to back (modelling the pipelined phases of a multi-table
-plan — e.g. a hash join's build scan followed by its probe scan).  The
-sharing mechanism operates entirely at the scan level, so this step
-model preserves exactly the workload property the paper exploits: which
-table ranges are being scanned concurrently, at which speeds.
+A :class:`QuerySpec` is a named sequence of steps run back to back.  A
+:class:`ScanStep` scans one table range through a filter/aggregate
+pipeline; a :class:`HashJoin` is one multibuffer hash join over two
+such scans — its build scan, then one probe scan per chunk of the build
+table its frame grant holds.  The sharing mechanism operates entirely
+at the scan level, so this model says exactly what the paper exploits:
+which table ranges are scanned, in what order, at which speeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.costs import CostModel
 from repro.engine.expressions import Expression, value_key
@@ -25,6 +25,13 @@ from repro.storage.table import Table
 
 #: What a step without aggregates computes.
 _DEFAULT_AGGREGATES = (AggSpec("rows", "count"),)
+
+
+def _check_budget(owner: str, name: str, value: Optional[int]) -> None:
+    if value is not None and value < 1 and value != -1:
+        raise ValueError(
+            f"{owner}: {name} must be positive or -1 (auto), got {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,6 @@ class ScanStep:
         extra_units_per_row: Extra CPU units per input row, modelling
             work above the scan that the step model folds in (join
             probing, sorting, expression-heavy projection).
-        requires_order: The plan above needs rows in physical (key)
-            order.  A sharing scan may start mid-range and wrap, breaking
-            that order, so an order-requiring step always runs as a plain
-            scan even when sharing is enabled (the paper's rule that
-            ordered plans must keep the vanilla operator).
         label: Step name used in per-step results.
     """
 
@@ -60,30 +62,12 @@ class ScanStep:
     aggregates: Tuple[AggSpec, ...] = ()
     group_by: Tuple[str, ...] = ()
     extra_units_per_row: float = 0.0
-    requires_order: bool = False
-    #: Execute the scan this many times back to back — the inner of a
-    #: nested-loop join re-scans its range once per outer batch, which is
-    #: exactly the repeated-scan case the paper's last-finished placement
-    #: (and the sequel's "scan D in the future") exploits.
-    repeats: int = 1
     #: Frame budget for the terminal aggregation.  ``None`` keeps the
     #: classic unbudgeted operator; ``-1`` asks the executor for an
     #: automatic budget; a positive value requests that many frames.
     #: Budgeted aggregation negotiates a claw-backable bufferpool
     #: reservation and spills to temp space under pressure.
     agg_budget_pages: Optional[int] = None
-    #: Build the hash table of a join on this column (the step becomes a
-    #: join build side; a later step in the same query probes it).
-    join_build_key: Optional[str] = None
-    #: Probe the hash table the latest earlier build step built on this
-    #: column (each build feeds one probe).  When the build side outgrew
-    #: the join's frame grant, the executor runs this scan once per
-    #: multibuffer chunk, so a probe step cannot repeat.
-    join_probe_key: Optional[str] = None
-    #: Frame budget for the join (build table + probe working set);
-    #: same conventions as ``agg_budget_pages``.  Only meaningful on the
-    #: build step — probe passes reuse the build step's reservation.
-    join_budget_pages: Optional[int] = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -91,29 +75,8 @@ class ScanStep:
             raise ValueError(
                 f"step on {self.table!r}: give cluster_range or fraction, not both"
             )
-        if self.repeats < 1:
-            raise ValueError(
-                f"step on {self.table!r}: repeats must be >= 1, got {self.repeats}"
-            )
-        if self.join_build_key is not None and self.join_probe_key is not None:
-            raise ValueError(
-                f"step on {self.table!r}: a step is either a join build or a "
-                f"join probe, not both"
-            )
-        if self.join_probe_key is not None and self.repeats != 1:
-            raise ValueError(
-                f"probe step {self.label or self.table!r}: a probe consumes "
-                f"its build, so repeats must be 1, got {self.repeats}"
-            )
-        for name, value in (
-            ("agg_budget_pages", self.agg_budget_pages),
-            ("join_budget_pages", self.join_budget_pages),
-        ):
-            if value is not None and value < 1 and value != -1:
-                raise ValueError(
-                    f"step on {self.table!r}: {name} must be positive or -1 "
-                    f"(auto), got {value}"
-                )
+        _check_budget(f"step on {self.table!r}", "agg_budget_pages",
+                      self.agg_budget_pages)
 
     def page_range(self, table: Table) -> Tuple[int, int]:
         """Resolve this step's inclusive page range on ``table``."""
@@ -140,8 +103,6 @@ class ScanStep:
             ),
             tuple(self.group_by),
             value_key(self.extra_units_per_row),
-            self.join_build_key,
-            self.join_probe_key,
         )
 
     def build_pipeline(
@@ -149,7 +110,6 @@ class ScanStep:
         cost: CostModel,
         memory=None,
         agg_strategy: str = "hash",
-        join_table=None,
         run_cache: Optional[BoundedCache] = None,
     ) -> Pipeline:
         """Construct a fresh pipeline for one execution of this step.
@@ -157,40 +117,26 @@ class ScanStep:
         With only ``cost`` given the classic unbudgeted pipeline is
         built.  The executor passes ``memory`` (a negotiated
         :class:`~repro.engine.memory.OperatorMemory`) to get the
-        budgeted spillable sink instead, ``join_table`` (the build
-        table, or one multibuffer chunk of it) for probe passes,
-        ``agg_strategy`` to pick the hash or sort spill flavor, and its
-        database's ``run_cache``, which a classic pipeline shares run
-        results through.
+        budgeted spillable sink instead, ``agg_strategy`` to pick the
+        hash or sort spill flavor, and its database's ``run_cache``,
+        which a classic pipeline shares run results through.
         """
         sink: Sink
-        if self.join_build_key is not None:
-            from repro.engine.spill import HashBuildSink
+        aggregates = self.aggregates or _DEFAULT_AGGREGATES
+        if memory is not None and self.agg_budget_pages is not None:
+            from repro.engine.spill import BudgetedGroupBy, SortSpillGroupBy
 
-            sink = HashBuildSink(self.join_build_key, cost, memory=memory)
-        elif self.join_probe_key is not None:
-            from repro.engine.spill import HashProbe
-
-            sink = HashProbe(
-                self.join_probe_key, cost,
-                build_table=join_table if join_table is not None else {},
+            op_class = (
+                SortSpillGroupBy if agg_strategy == "sort" else BudgetedGroupBy
             )
+            sink = op_class(aggregates, cost, memory, group_by=self.group_by)
         else:
-            aggregates = self.aggregates or _DEFAULT_AGGREGATES
-            if memory is not None and self.agg_budget_pages is not None:
-                from repro.engine.spill import BudgetedGroupBy, SortSpillGroupBy
+            sink = GroupByAggregate(aggregates, cost, group_by=self.group_by)
+        return self.feeding(sink, cost, self.run_key, run_cache)
 
-                op_class = (
-                    SortSpillGroupBy if agg_strategy == "sort"
-                    else BudgetedGroupBy
-                )
-                sink = op_class(
-                    aggregates, cost, memory, group_by=self.group_by
-                )
-            else:
-                sink = GroupByAggregate(
-                    aggregates, cost, group_by=self.group_by
-                )
+    def feeding(self, sink: Sink, cost: CostModel, run_key: Tuple,
+                run_cache: Optional[BoundedCache] = None) -> Pipeline:
+        """This step's filter and per-row work in front of ``sink``."""
         return Pipeline(
             sink, cost,
             filter=(
@@ -198,29 +144,110 @@ class ScanStep:
                 if self.predicate is not None else None
             ),
             extra_units_per_row=self.extra_units_per_row,
-            run_cache=run_cache, run_key=self.run_key,
+            run_cache=run_cache, run_key=run_key,
+        )
+
+
+@dataclass(frozen=True)
+class HashJoin:
+    """A multibuffer hash join: ``build`` hashes its rows' ``build_key``
+    into a table under the join's frame budget, then ``probe`` counts
+    each row's ``probe_key`` matches against it.
+
+    When the build table outgrows the frames the join was granted, the
+    probe range is scanned once per chunk of the table — the multibuffer
+    trade of extra probe I/O for bounded memory.  The two sides report
+    as two steps, under their own labels.  A side is a plain range scan:
+    it may filter and add per-row work, but the join is its sink, so it
+    takes no aggregates, grouping or aggregation budget.
+    """
+
+    build: ScanStep
+    probe: ScanStep
+    build_key: str
+    probe_key: str
+    #: Frame budget for the build table, held across every probe pass;
+    #: same conventions as ``ScanStep.agg_budget_pages``.
+    budget_pages: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for side in self.scans:
+            if side.aggregates or side.group_by or side.agg_budget_pages is not None:
+                raise ValueError(
+                    f"join side on {side.table!r}: the join is its sink, so "
+                    f"it takes no aggregates, group_by or agg_budget_pages"
+                )
+        _check_budget(f"join of {self.build.table!r} and {self.probe.table!r}",
+                      "budget_pages", self.budget_pages)
+
+    @property
+    def scans(self) -> Tuple[ScanStep, ScanStep]:
+        """The join's scans in the order they run."""
+        return (self.build, self.probe)
+
+    # A join is positioned by the range it probes (the one it may scan
+    # many times); ``bench`` records every step's range as its input.
+    @property
+    def cluster_range(self) -> Optional[Tuple[float, float]]:
+        return self.probe.cluster_range
+
+    @property
+    def fraction(self) -> Optional[Tuple[float, float]]:
+        return self.probe.fraction
+
+    def build_pipeline(self, cost: CostModel, memory=None) -> Pipeline:
+        """The build scan's pipeline, hashing into ``memory``'s frames."""
+        from repro.engine.spill import HashBuildSink
+
+        sink = HashBuildSink(self.build_key, cost, memory=memory)
+        return self.build.feeding(
+            sink, cost, ("join-build", self.build_key, self.build.run_key)
+        )
+
+    def probe_pipeline(self, cost: CostModel,
+                       chunk: Dict[object, int]) -> Pipeline:
+        """One probe pass's pipeline, matching against ``chunk`` of the
+        build table."""
+        from repro.engine.spill import HashProbe
+
+        sink = HashProbe(self.probe_key, cost, build_table=chunk)
+        return self.probe.feeding(
+            sink, cost, ("join-probe", self.probe_key, self.probe.run_key)
         )
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A named query: an ordered sequence of scan steps."""
+    """A named query: an ordered sequence of scan steps and joins."""
 
     name: str
-    steps: Tuple[ScanStep, ...] = field(default_factory=tuple)
+    steps: Tuple[Union[ScanStep, HashJoin], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError(f"query {self.name!r} needs at least one step")
-        built = False  # an earlier build step no probe has consumed yet
-        for index, step in enumerate(self.steps):
-            if step.join_build_key is not None:
-                built = True
-            elif step.join_probe_key is not None:
-                if not built:
-                    label = step.label or f"step{index}"
-                    raise ValueError(
-                        f"query {self.name!r}: probe step {label!r} has no "
-                        f"earlier, unconsumed join build step"
-                    )
-                built = False
+        seen = set()
+        for label in self.labels:
+            if label in seen:
+                raise ValueError(
+                    f"query {self.name!r}: two steps are labelled {label!r}, "
+                    f"so one's answer would hide the other's"
+                )
+            seen.add(label)
+
+    @cached_property
+    def scans(self) -> Tuple[ScanStep, ...]:
+        """Every scan in the order the steps run them (a join's build,
+        then its probe)."""
+        return tuple(
+            scan for step in self.steps
+            for scan in (step.scans if isinstance(step, HashJoin) else (step,))
+        )
+
+    @cached_property
+    def labels(self) -> Tuple[str, ...]:
+        """Each scan's result label — its own, else ``step{i}`` for the
+        i-th scan — under which ``QueryResult.values`` keys its answer."""
+        return tuple(
+            scan.label or f"step{index}" for index, scan in enumerate(self.scans)
+        )

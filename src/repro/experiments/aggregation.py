@@ -21,7 +21,7 @@ so the experiments stay cache/digest-compatible with the runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.config import SharingConfig
 from repro.experiments.harness import (
@@ -117,11 +117,8 @@ class AggCompeteResult:
         )
 
 
-def ag_compete(
-    settings: Optional[ExperimentSettings] = None,
-) -> AggCompeteResult:
+def ag_compete(settings: ExperimentSettings) -> AggCompeteResult:
     """AG-COMPETE: spillable aggregation competing with scans, Base/SS."""
-    settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, AGG_MIX_QUERIES)
     return AggCompeteResult(
         comparison=compare_modes(settings, streams=streams),
@@ -158,9 +155,8 @@ class AggMixResult:
         return f"{table}\nspill [{self.agg_strategy}]: {spill}"
 
 
-def ag_mix(settings: Optional[ExperimentSettings] = None) -> AggMixResult:
+def ag_mix(settings: ExperimentSettings) -> AggMixResult:
     """AG-MIX: scans-plus-aggregation under ``settings.sharing_policy``."""
-    settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, AGG_MIX_QUERIES)
     return AggMixResult(
         mode=run_mode(
@@ -205,9 +201,8 @@ class JoinResult:
         )
 
 
-def mj_join(settings: Optional[ExperimentSettings] = None) -> JoinResult:
+def mj_join(settings: ExperimentSettings) -> JoinResult:
     """MJ-JOIN: multibuffer joins sharing the pool with range scans."""
-    settings = settings or ExperimentSettings()
     streams = _mix_streams(settings, JOIN_MIX_QUERIES)
     return JoinResult(mode=run_mode(
         settings, SharingConfig(), settings.sharing_policy, streams=streams

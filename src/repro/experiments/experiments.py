@@ -61,9 +61,9 @@ class OverheadResult:
         return format_table(["configuration", "single-stream time (s)"], rows)
 
 
-def e1_overhead(settings: Optional[ExperimentSettings] = None) -> OverheadResult:
+def e1_overhead(settings: ExperimentSettings) -> OverheadResult:
     """E1: run one full stream with and without the sharing machinery."""
-    settings = (settings or ExperimentSettings()).with_(n_streams=1)
+    settings = settings.with_(n_streams=1)
     return OverheadResult(comparison=compare_modes(settings))
 
 
@@ -197,21 +197,21 @@ def _staggered(
 
 
 def e2_staggered_q6(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     n_runs: int = 3,
     gap_fraction: float = 0.25,
 ) -> StaggeredResult:
     """E2: three staggered Q6 runs (I/O-intensive, Figure-15 analog)."""
-    return _staggered("Q6", settings or ExperimentSettings(), n_runs, gap_fraction)
+    return _staggered("Q6", settings, n_runs, gap_fraction)
 
 
 def e3_staggered_q1(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     n_runs: int = 3,
     gap_fraction: float = 0.25,
 ) -> StaggeredResult:
     """E3: three staggered Q1 runs (CPU-intensive, Figure-16 analog)."""
-    return _staggered("Q1", settings or ExperimentSettings(), n_runs, gap_fraction)
+    return _staggered("Q1", settings, n_runs, gap_fraction)
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +219,9 @@ def e3_staggered_q1(
 # ----------------------------------------------------------------------
 
 
-def e4_throughput(
-    settings: Optional[ExperimentSettings] = None,
-) -> Comparison:
+def e4_throughput(settings: ExperimentSettings) -> Comparison:
     """E4: N-stream TPC-H throughput run, Base vs SS (Table 1 analog)."""
-    return compare_modes(settings or ExperimentSettings())
+    return compare_modes(settings)
 
 
 # ----------------------------------------------------------------------
@@ -424,13 +422,12 @@ class StreamScalingResult:
 
 
 def e9_stream_scaling(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     stream_counts: Sequence[int] = (2, 4, 6, 8),
 ) -> StreamScalingResult:
     """E9: "the reduced disk utilization may be used to scale to a larger
     number of streams with the same hardware" — measure throughput vs
     concurrency for Base and SS."""
-    settings = settings or ExperimentSettings()
     result = StreamScalingResult()
     for n_streams in stream_counts:
         result.points[n_streams] = compare_modes(
@@ -506,11 +503,8 @@ def _sweep_sharing_configs(
     return SweepResult(knob="configuration", rows=rows)
 
 
-def ablation_throttling(
-    settings: Optional[ExperimentSettings] = None,
-) -> SweepResult:
+def ablation_throttling(settings: ExperimentSettings) -> SweepResult:
     """A1: the full mechanism vs sharing without throttling vs Base."""
-    settings = settings or ExperimentSettings()
     return _sweep_sharing_configs(settings, [
         ("base", SharingConfig(enabled=False)),
         ("no-throttle", SharingConfig(throttling_enabled=False)),
@@ -518,11 +512,8 @@ def ablation_throttling(
     ])
 
 
-def ablation_priority(
-    settings: Optional[ExperimentSettings] = None,
-) -> SweepResult:
+def ablation_priority(settings: ExperimentSettings) -> SweepResult:
     """A2: page prioritization on vs off."""
-    settings = settings or ExperimentSettings()
     return _sweep_sharing_configs(settings, [
         ("base", SharingConfig(enabled=False)),
         ("no-priority", SharingConfig(prioritization_enabled=False)),
@@ -531,11 +522,10 @@ def ablation_priority(
 
 
 def ablation_threshold(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     thresholds: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
 ) -> SweepResult:
     """A3: leader–trailer distance threshold sweep (extents)."""
-    settings = settings or ExperimentSettings()
     variants = [
         (
             f"{threshold:g} extents",
@@ -548,7 +538,7 @@ def ablation_threshold(
 
 
 def ablation_bufferpool_sweep(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     fractions: Sequence[float] = (0.05, 0.10, 0.20, 0.40, 1.50),
 ) -> ComparisonSweep:
     """A4: sharing benefit as a function of bufferpool size.
@@ -563,7 +553,6 @@ def ablation_bufferpool_sweep(
     pool caches the whole database (the 1.5× point), where even unshared
     scans stop doing I/O.
     """
-    settings = settings or ExperimentSettings()
     total_pages = sum(
         expected_table_pages(settings, name) for name in TPCH_BASE_PAGES
     )
@@ -575,7 +564,7 @@ def ablation_bufferpool_sweep(
 
 
 def ablation_policies(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     policies: Sequence[str] = ("lru", "lru-k", "2q", "arc", "clock", "priority-lru"),
 ) -> SweepResult:
     """A5: baseline victim policies vs the full sharing mechanism.
@@ -583,7 +572,6 @@ def ablation_policies(
     Every row except the last runs *without* sharing (pure policy
     comparison); the last row is the paper's mechanism on priority-LRU.
     """
-    settings = settings or ExperimentSettings()
     rows = []
     for policy in policies:
         mode = run_mode(
@@ -599,7 +587,7 @@ def ablation_policies(
 
 
 def ablation_disk_scheduler(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
 ) -> SweepResult:
     """A7: device-level elevator scheduling vs scan coordination.
 
@@ -608,7 +596,6 @@ def ablation_disk_scheduler(
     volume* that uncoordinated scans generate.  The sweep shows both
     levers separately and combined.
     """
-    settings = settings or ExperimentSettings()
     rows = []
     for scheduler in ("fifo", "elevator"):
         for sharing_on in (False, True):
@@ -623,7 +610,7 @@ def ablation_disk_scheduler(
 
 
 def ablation_disk_array(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     disk_counts: Sequence[int] = (1, 2, 4),
 ) -> ComparisonSweep:
     """A9: does more storage hardware substitute for coordination?
@@ -632,7 +619,6 @@ def ablation_disk_array(
     while sharing attacks *demand*: the read-volume gain is hardware-
     independent, so coordination keeps paying on any array size.
     """
-    settings = settings or ExperimentSettings()
     return ComparisonSweep(knob="disks", points={
         n_disks: compare_modes(settings.with_(device_count=n_disks))
         for n_disks in disk_counts
@@ -640,11 +626,10 @@ def ablation_disk_array(
 
 
 def ablation_fairness_cap(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     caps: Sequence[float] = (0.0, 0.4, 0.8, 1.0),
 ) -> SweepResult:
     """A6: the accumulated-slowdown cap around the paper's 80 %."""
-    settings = settings or ExperimentSettings()
     variants = [
         (f"cap {cap:.0%}", SharingConfig(slowdown_cap_fraction=cap))
         for cap in caps

@@ -15,7 +15,7 @@ same TPC-H stream mix:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.config import SharingConfig
 from repro.core.policy import SHARING_POLICY_NAMES
@@ -57,19 +57,15 @@ class PolicyComparisonResult:
         return format_policy_table(rows)
 
 
-def pl_mix(settings: Optional[ExperimentSettings] = None) -> PolicyMixResult:
+def pl_mix(settings: ExperimentSettings) -> PolicyMixResult:
     """PL-MIX: the stream mix under ``settings.sharing_policy`` alone."""
-    settings = settings or ExperimentSettings()
     return PolicyMixResult(
         run=run_mode(settings, SharingConfig(), settings.sharing_policy)
     )
 
 
-def pl_head2head(
-    settings: Optional[ExperimentSettings] = None,
-) -> PolicyComparisonResult:
+def pl_head2head(settings: ExperimentSettings) -> PolicyComparisonResult:
     """PL-HEAD2HEAD: Base vs all three policies on one workload."""
-    settings = settings or ExperimentSettings()
     base = run_mode(settings, SharingConfig(enabled=False), "base")
     runs = [
         run_mode(settings.with_(sharing_policy=name), SharingConfig(), name)

@@ -34,11 +34,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import all_experiments, get
 from repro.fields import FieldError, parse_field_value
+from repro.workloads.arrivals import stable_hash
 
 #: Default on-disk cache location; override per-call or with REPRO_CACHE_DIR.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-_SEP = b"\x1f"  # unit separator between length-prefixed components
 
 
 # ----------------------------------------------------------------------
@@ -49,20 +48,20 @@ _SEP = b"\x1f"  # unit separator between length-prefixed components
 def derive_seed(experiment: str, sweep_point: str, base_seed: int) -> int:
     """A per-task seed that is stable across processes and platforms.
 
-    Built from SHA-256 rather than :func:`hash` so the value does not
-    depend on ``PYTHONHASHSEED``; distinct (experiment, sweep point)
-    pairs get decorrelated workloads while the same pair always replays
-    the same workload for a given base seed.  Components are
-    length-prefixed so no concatenation of two different pairs can
-    produce the same payload.
+    A :func:`~repro.workloads.arrivals.stable_hash` rather than
+    :func:`hash`, so the value does not depend on ``PYTHONHASHSEED``;
+    distinct (experiment, sweep point) pairs get decorrelated workloads
+    while the same pair always replays the same workload for a given
+    base seed.  Components are prefixed with their UTF-8 length and
+    split by a unit separator, so no concatenation of two different
+    pairs can produce the same payload.
     """
-    exp = experiment.encode("utf-8")
-    point = sweep_point.encode("utf-8")
-    payload = b"%d:%s%s%d:%s%s%d" % (
-        len(exp), exp, _SEP, len(point), point, _SEP, int(base_seed),
-    )
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") % (2 ** 63)
+    exp_bytes = len(experiment.encode("utf-8"))
+    point_bytes = len(sweep_point.encode("utf-8"))
+    return stable_hash(
+        exp_bytes, f"{experiment}\x1f{point_bytes}",
+        f"{sweep_point}\x1f{int(base_seed)}",
+    ) % 2 ** 63
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ exercising the :class:`~repro.disk.array.ArrayStats` per-device split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.core.config import SharingConfig
 from repro.experiments.harness import ExperimentSettings, ModeResult, run_mode
@@ -137,14 +137,13 @@ class StripedScalingResult:
         ])
 
 
-def st_push(settings: Optional[ExperimentSettings] = None) -> StripedPushResult:
+def st_push(settings: ExperimentSettings) -> StripedPushResult:
     """ST-PUSH: pull vs push on the shared workload.
 
     Respects ``--device-count``/``--stripe-extents``; the stripe unit
     defaults to one prefetch extent so a pushed extent lands on exactly
     one device.
     """
-    settings = settings or ExperimentSettings()
     if settings.stripe_extents is None:
         settings = settings.with_(stripe_extents=1)
     pull = run_mode(
@@ -161,11 +160,10 @@ def st_push(settings: Optional[ExperimentSettings] = None) -> StripedPushResult:
 
 
 def st_scaling(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
     device_counts: Sequence[int] = (1, 2, 4),
 ) -> StripedScalingResult:
     """ST-SCALING: push-pipeline throughput vs device count."""
-    settings = settings or ExperimentSettings()
     if settings.stripe_extents is None:
         settings = settings.with_(stripe_extents=1)
     points: Dict[int, ModeResult] = {}

@@ -276,7 +276,7 @@ class UserArrival:
     @property
     def table(self) -> str:
         """The query's primary table — the routing key's first half."""
-        return self.query.steps[0].table
+        return self.query.scans[0].table
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.engine.expressions import col, lit
 from repro.engine.operators import AggSpec
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.query import HashJoin, QuerySpec, ScanStep
 from repro.workloads.tpch_schema import DATE_RANGE_DAYS, YEAR_START
 
 QueryFactory = Callable[[np.random.Generator], QuerySpec]
@@ -742,16 +742,12 @@ def mj1(rng: np.random.Generator) -> QuerySpec:
     return QuerySpec(
         name="MJ1",
         steps=(
-            ScanStep(
-                table="part",
-                join_build_key="p_partkey",
-                join_budget_pages=budget,
-                label="build-part",
-            ),
-            ScanStep(
-                table="lineitem",
-                join_probe_key="l_partkey",
-                label="probe-lineitem",
+            HashJoin(
+                build=ScanStep(table="part", label="build-part"),
+                probe=ScanStep(table="lineitem", label="probe-lineitem"),
+                build_key="p_partkey",
+                probe_key="l_partkey",
+                budget_pages=budget,
             ),
         ),
     )
@@ -764,17 +760,16 @@ def mj18(rng: np.random.Generator) -> QuerySpec:
     return QuerySpec(
         name="MJ18",
         steps=(
-            ScanStep(
-                table="orders",
-                join_build_key="o_orderkey",
-                join_budget_pages=-1,
-                label="build-orders",
-            ),
-            ScanStep(
-                table="lineitem",
-                cluster_range=(lo, hi),
-                join_probe_key="l_orderkey",
-                label="probe-lineitem",
+            HashJoin(
+                build=ScanStep(table="orders", label="build-orders"),
+                probe=ScanStep(
+                    table="lineitem",
+                    cluster_range=(lo, hi),
+                    label="probe-lineitem",
+                ),
+                build_key="o_orderkey",
+                probe_key="l_orderkey",
+                budget_pages=-1,
             ),
         ),
     )

@@ -12,7 +12,7 @@ from repro.engine.operators import (
     Pipeline,
 )
 from repro.engine.memory import OperatorMemory
-from repro.engine.query import ScanStep
+from repro.engine.query import HashJoin, ScanStep
 
 from tests.conftest import RowCounter, make_database
 
@@ -267,14 +267,15 @@ ESTIMATED_STEPS = {
         group_by=("tag",),
         agg_budget_pages=4,
     ),
-    "join-build": ScanStep(
-        table="t", predicate=col("b").between(0.1, 0.9),
-        join_build_key="a", join_budget_pages=4, extra_units_per_row=0.3,
-    ),
-    "join-probe": ScanStep(
-        table="t", predicate=col("a") >= lit(2), join_probe_key="a",
-    ),
 }
+
+#: Both sides of one join, each estimated through its own pipeline.
+ESTIMATED_JOIN = HashJoin(
+    build=ScanStep(table="t", predicate=col("b").between(0.1, 0.9),
+                   extra_units_per_row=0.3),
+    probe=ScanStep(table="t", predicate=col("a") >= lit(2)),
+    build_key="a", probe_key="a", budget_pages=4,
+)
 
 
 class TestEstimatedUnits:
@@ -289,11 +290,15 @@ class TestEstimatedUnits:
         ("join-probe", 37, "0x1.f000000000000p+6"),
     ])
     def test_pinned_bit_for_bit(self, name, rows, expected):
-        step = ESTIMATED_STEPS[name]
         memory = None
-        if step.agg_budget_pages is not None or step.join_budget_pages is not None:
+        if name in ("budgeted-aggregate", "join-build"):
             db = make_database(pool_pages=64)
             memory = OperatorMemory(db, name, budget_pages=4)
             memory.negotiate()
-        pipeline = step.build_pipeline(COST, memory=memory, join_table={1: 2})
+        if name == "join-build":
+            pipeline = ESTIMATED_JOIN.build_pipeline(COST, memory=memory)
+        elif name == "join-probe":
+            pipeline = ESTIMATED_JOIN.probe_pipeline(COST, {1: 2})
+        else:
+            pipeline = ESTIMATED_STEPS[name].build_pipeline(COST, memory=memory)
         assert pipeline.estimated_units_per_page(rows).hex() == expected

@@ -1,10 +1,11 @@
-"""Tests for repeated scan steps (nested-loop-join inner rescans)."""
+"""Tests for repeated scans (nested-loop-join inner rescans), written as
+one labelled step per repetition."""
 
 import pytest
 
 from repro.core.config import SharingConfig
 from repro.engine.executor import execute_query, run_workload
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.query import HashJoin, QuerySpec, ScanStep
 
 from tests.conftest import make_database
 
@@ -12,15 +13,12 @@ from tests.conftest import make_database
 def repeated_query(repeats=3):
     return QuerySpec(
         name="nlj-inner",
-        steps=(ScanStep(table="t", repeats=repeats, label="inner"),),
+        steps=tuple(ScanStep(table="t", label=f"inner#{repeat}")
+                    for repeat in range(repeats)),
     )
 
 
 class TestRepeats:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScanStep(table="t", repeats=0)
-
     def test_step_executed_n_times(self, small_db):
         proc = small_db.sim.spawn(execute_query(small_db, repeated_query(3)))
         small_db.sim.run()
@@ -55,5 +53,32 @@ class TestRepeats:
     def test_repeated_results_all_equal(self, small_db):
         proc = small_db.sim.spawn(execute_query(small_db, repeated_query(3)))
         small_db.sim.run()
-        values = [step.values for step in proc.completion.value.steps]
+        result = proc.completion.value
+        values = [step.values for step in result.steps]
         assert values[0] == values[1] == values[2]
+        assert list(result.values) == ["inner#0", "inner#1", "inner#2"]
+
+
+class TestLabels:
+    """Answers are keyed by step label, so a label names one step."""
+
+    def test_duplicate_label_is_rejected(self):
+        with pytest.raises(ValueError, match="'q'.*'x'"):
+            QuerySpec(name="q", steps=(
+                ScanStep(table="t", label="x"),
+                ScanStep(table="t", fraction=(0.0, 0.5), label="x"),
+            ))
+
+    def test_an_explicit_label_may_not_take_a_default_one(self):
+        with pytest.raises(ValueError, match="'q'.*'step1'"):
+            QuerySpec(name="q", steps=(
+                ScanStep(table="t", label="step1"), ScanStep(table="t"),
+            ))
+
+    def test_join_sides_are_labelled_as_steps(self):
+        join = HashJoin(build=ScanStep(table="t"), probe=ScanStep(table="t"),
+                        build_key="id", probe_key="id")
+        spec = QuerySpec(name="q", steps=(join, ScanStep(table="t")))
+        assert spec.labels == ("step0", "step1", "step2")
+        with pytest.raises(ValueError, match="'q'.*'step1'"):
+            QuerySpec(name="q", steps=(join, ScanStep(table="t", label="step1")))

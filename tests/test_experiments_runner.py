@@ -119,6 +119,14 @@ class TestSeedDerivation:
         seed = derive_seed("e9", "n_streams=8", 123)
         assert 0 <= seed < 2 ** 63
 
+    @pytest.mark.parametrize("experiment, point, base, seed", [
+        ("e4", "", 42, 5941212912926288024),
+        # Lengths count UTF-8 bytes, not characters.
+        ("e4", "label=café·∞", 7, 6632554369756391344),
+    ])
+    def test_pinned_values(self, experiment, point, base, seed):
+        assert derive_seed(experiment, point, base) == seed
+
 
 class TestResultCache:
     def test_second_run_hits(self, tmp_path):

@@ -210,8 +210,10 @@ class TestBoundAndLifetime:
     def test_speed_estimate_is_memoised_per_database(self):
         db = make_database()
         step = uniform_scan_query("t", cpu_units_per_row=40.0).steps[0]
-        estimate = _estimate_scan_speed(db, step, 100)
-        assert _estimate_scan_speed(db, step, 100) == estimate
+        estimate = _estimate_scan_speed(db, step.build_pipeline(db.cost), 100)
+        again = step.build_pipeline(db.cost)
+        assert _estimate_scan_speed(db, again, 100) == estimate
         assert len(db.speed_estimates) == 1
         slower = make_database(cost=CostModel(unit_seconds=1e-6))
-        assert _estimate_scan_speed(slower, step, 100) < estimate
+        assert _estimate_scan_speed(
+            slower, step.build_pipeline(slower.cost), 100) < estimate

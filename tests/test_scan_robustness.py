@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import SharingConfig
-from repro.engine.executor import execute_query, run_workload
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.executor import execute_query
 from repro.faults.plan import FaultPlan
 from repro.scans.base import LazyPages
 from repro.scans.table_scan import TableScan
@@ -103,23 +102,8 @@ class TestCoreLeaks:
 
 
 class TestRequiresOrder:
-    def test_order_requiring_step_never_wraps(self):
-        """A requires_order step must run as a vanilla scan even with
-        sharing enabled: it always starts at its range's first page."""
-        db = make_database(n_pages=64, sharing=SharingConfig(enabled=True))
-        # Prime an ongoing scan so placement WOULD relocate a new scan.
-        warm = TableScan(db, "t", 0, 63, on_run=flat_cost(1e-4), sharing=db.sharing)
-        db.sim.spawn(warm.run())
-        db.sim.run(until=0.01)
-
-        ordered = QuerySpec(
-            name="ordered",
-            steps=(ScanStep(table="t", requires_order=True, label="t"),),
-        )
-        proc = db.sim.spawn(execute_query(db, ordered))
-        db.sim.run()
-        result = proc.completion.value
-        assert result.steps[0].scan.start_page == 0
+    """No step asks for rows in physical order, so with sharing on any
+    scan may start mid-range and wrap."""
 
     def test_unordered_step_may_relocate(self):
         db = make_database(n_pages=128, sharing=SharingConfig(enabled=True))
@@ -131,17 +115,3 @@ class TestRequiresOrder:
         db.sim.run()
         result = proc.completion.value
         assert result.steps[0].scan.start_page > 0
-
-    def test_ordered_results_identical_under_sharing(self):
-        """Order-requiring queries deliver identical results regardless
-        of the sharing switch (they always use the plain operator)."""
-        def run(shared):
-            db = make_database(n_pages=32, sharing=SharingConfig(enabled=shared))
-            spec = QuerySpec(
-                name="q",
-                steps=(ScanStep(table="t", requires_order=True, label="t"),),
-            )
-            result = run_workload(db, [[spec]])
-            return result.streams[0].queries[0].values
-
-        assert run(False) == run(True)

@@ -15,7 +15,7 @@ from repro.engine.costs import CostModel
 from repro.engine.executor import execute_query
 from repro.engine.memory import OperatorMemory, TempSpace
 from repro.engine.operators import AggSpec, GroupByAggregate
-from repro.engine.query import QuerySpec, ScanStep
+from repro.engine.query import HashJoin, QuerySpec, ScanStep
 from repro.engine.expressions import col
 from repro.faults.plan import FaultPlan
 from repro.engine.spill import (
@@ -273,6 +273,15 @@ class TestTempSpace:
             TempSpace(db, 0)
 
 
+def join_query(budget):
+    """``t`` joined with itself on ``id``, steps labelled build/probe."""
+    return QuerySpec(name="join", steps=(HashJoin(
+        build=ScanStep(table="t", label="build"),
+        probe=ScanStep(table="t", label="probe"),
+        build_key="id", probe_key="id", budget_pages=budget,
+    ),))
+
+
 class TestExecutorIntegration:
     def grouped_query(self, budget):
         return QuerySpec(
@@ -297,10 +306,15 @@ class TestExecutorIntegration:
     @pytest.mark.parametrize("field", ["agg_budget_pages", "join_budget_pages"])
     @pytest.mark.parametrize("budget", [0, -2, -5])
     def test_budget_must_be_positive_or_auto(self, field, budget):
+        def budgeted(pages):
+            if field == "agg_budget_pages":
+                return ScanStep(table="t", agg_budget_pages=pages).agg_budget_pages
+            return join_query(pages).steps[0].budget_pages
+
         with pytest.raises(ValueError, match="must be positive or -1"):
-            ScanStep(table="t", **{field: budget})
+            budgeted(budget)
         for accepted in (None, -1, 1):
-            assert getattr(ScanStep(table="t", **{field: accepted}), field) == accepted
+            assert budgeted(accepted) == accepted
 
     def test_budgeted_step_spills_and_matches_unbudgeted(self):
         # 12800 distinct ids = 200 frames of groups; a 2-page budget
@@ -323,14 +337,7 @@ class TestExecutorIntegration:
 
     def test_join_steps_chunk_and_match(self):
         db = make_database(n_pages=64, pool_pages=32)
-        spec = QuerySpec(
-            name="join",
-            steps=(
-                ScanStep(table="t", join_build_key="id",
-                         join_budget_pages=2, label="build"),
-                ScanStep(table="t", join_probe_key="id", label="probe"),
-            ),
-        )
+        spec = join_query(2)
         result = self.run_query(db, spec)
         stats = result.operator_stats()
         # 6400 unique ids need 50 key-pages; 2 granted frames -> chunks.
@@ -343,13 +350,7 @@ class TestExecutorIntegration:
         """Without a budget the build holds its whole table, so one probe
         pass covers every key (it used to take one pass per key-page)."""
         db = make_database(n_pages=64, pool_pages=32)
-        spec = QuerySpec(
-            name="join",
-            steps=(
-                ScanStep(table="t", join_build_key="id", label="build"),
-                ScanStep(table="t", join_probe_key="id", label="probe"),
-            ),
-        )
+        spec = join_query(None)
         result = self.run_query(db, spec)
         probe = result.steps[1]
         assert probe.operator_stats["build_pages_needed"] == 50
@@ -367,14 +368,7 @@ class TestExecutorIntegration:
             fault_plan=FaultPlan.from_spec(
                 "scan-kill:target=nth,nth=3,at=0.5", seed=0),
         )
-        spec = QuerySpec(
-            name="join",
-            steps=(
-                ScanStep(table="t", join_build_key="id",
-                         join_budget_pages=2, label="build"),
-                ScanStep(table="t", join_probe_key="id", label="probe"),
-            ),
-        )
+        spec = join_query(2)
         result = self.run_query(db, spec)
         probe = result.steps[1]
         assert probe.operator_stats["join_chunks"] == 25
@@ -397,7 +391,8 @@ class TestBudgetedTemplates:
         for name in sorted(BUDGETED_QUERY_FACTORIES):
             spec = make_query(name, rng)
             budgets = [
-                step.agg_budget_pages or step.join_budget_pages
+                step.budget_pages if isinstance(step, HashJoin)
+                else step.agg_budget_pages
                 for step in spec.steps
             ]
             assert any(budget is not None for budget in budgets), name
@@ -411,32 +406,28 @@ class TestBudgetedTemplates:
 
 
 class TestJoinStepValidation:
-    """A probe consumes the one build before it; anything else used to
-    run and report ``matches: 0``."""
+    """A join owns its two scans, and the join is each scan's sink."""
 
-    BUILD = ScanStep(table="t", join_build_key="id", label="build")
-
-    def probe(self, **kwargs):
-        return ScanStep(table="t", join_probe_key="id", label="probe", **kwargs)
-
-    def test_probe_without_a_build_is_rejected(self):
-        with pytest.raises(ValueError, match="'probe'.*no earlier.*build"):
-            QuerySpec(name="q", steps=(self.probe(),))
-
-    def test_probe_after_its_build_was_consumed_is_rejected(self):
-        second = ScanStep(table="t", join_probe_key="id", label="again")
-        with pytest.raises(ValueError, match="'again'.*no earlier.*build"):
-            QuerySpec(name="q", steps=(self.BUILD, self.probe(), second))
-
-    def test_repeated_probe_is_rejected(self):
-        with pytest.raises(ValueError, match="'probe'.*repeats"):
-            self.probe(repeats=2)
+    @pytest.mark.parametrize("side", [
+        dict(aggregates=(AggSpec("n", "count"),)),
+        dict(group_by=("id",)),
+        dict(agg_budget_pages=4),
+    ])
+    @pytest.mark.parametrize("which", ["build", "probe"])
+    def test_a_side_takes_no_aggregation(self, side, which):
+        sides = {"build": ScanStep(table="t", label="build"),
+                 "probe": ScanStep(table="t", label="probe")}
+        sides[which] = ScanStep(table="t", label=which, **side)
+        with pytest.raises(ValueError, match="join is its sink"):
+            HashJoin(build_key="id", probe_key="id", **sides)
 
     def test_each_probe_consumes_its_own_build(self):
         db = make_database(n_pages=64, pool_pages=32)
         spec = QuerySpec(name="q", steps=(
-            self.BUILD, self.probe(), self.BUILD,
-            ScanStep(table="t", join_probe_key="id", label="again"),
+            join_query(None).steps[0],
+            HashJoin(build=ScanStep(table="t", label="rebuild"),
+                     probe=ScanStep(table="t", label="again"),
+                     build_key="id", probe_key="id"),
         ))
         proc = db.sim.spawn(execute_query(db, spec))
         db.sim.run()
