@@ -6,10 +6,10 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 17198
+SRC_LOC_BUDGET := 17171
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
-.PHONY: test test-fast bench-smoke loc dead-code policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
+.PHONY: test test-fast bench-smoke loc dead-code chaos-smoke policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
 
 test:            ## full tier-1 suite
 	$(PYTHON) -m pytest -x -q
@@ -30,6 +30,13 @@ loc:             ## line counts of src/, tests/, bench/; fails when src/ exceeds
 
 dead-code:       ## src/repro definitions no entry point runs and tools/dead_code_keep.txt does not list (a few minutes; not in CI)
 	@$(PYTHON) tools/dead_code.py
+
+chaos-smoke:     ## the builtin fault battery under each sharing policy's invariants, and cooperative push over 2 devices
+	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy grouping-throttling
+	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy cooperative
+	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy pbm
+	$(PYTHON) -m repro chaos st-push --scale 0.1 --streams 3 --device-count 2 --push \
+		--sharing-policy cooperative
 
 policy-smoke:    ## three sharing policies on the quick staggered scenario, digest-checked
 	$(PYTHON) -m repro sweep e2 --param sharing_policy \

@@ -17,11 +17,15 @@ the hottest overlapping scan and wraps around ("circular scan" /
 its position (the densest convoy — attaching there maximizes the pages
 already streaming through the pool), with speed and then scan id as
 deterministic tie-breaks.
+
+A scan that attaches to a follower rides its chain's root: the push
+pipeline's consumer sets are one driver (an unattached scan) plus its
+followers, so the attach edge always points at an unattached scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.placement import (
     PlacementDecision,
@@ -30,6 +34,7 @@ from repro.core.placement import (
 )
 from repro.core.policy import SharingPolicy
 from repro.core.scan_state import ScanDescriptor, ScanState
+from repro.storage.table import Table
 
 __all__ = ["CooperativeScanManager"]
 
@@ -37,58 +42,68 @@ __all__ = ["CooperativeScanManager"]
 class CooperativeScanManager(SharingPolicy):
     """Attach-at-hottest-scan ("elevator") sharing policy."""
 
-    policy_name = "cooperative"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # follower scan id -> the scan it attached to, while both live.
+        # follower scan id -> the unattached scan it rides with, both live.
         self._attached_to: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Scan lifecycle callbacks
+    # Lifecycle bookkeeping and invariants
     # ------------------------------------------------------------------
 
-    def start_scan(self, descriptor: ScanDescriptor) -> ScanState:
-        """Register a new scan; attach it at the hottest in-range scan."""
-        table = self._checked_table(descriptor)
-        decision = self._attach_point(descriptor, table.extent_size)
-        state = self._admit(descriptor, decision)
-        if decision.joined_scan_id is not None:
-            self._attached_to[state.scan_id] = decision.joined_scan_id
-        if self.invariant_hook is not None:
-            self.invariant_hook()
-        return state
+    def _admitted(
+        self, state: ScanState, decision: PlacementDecision, table: Table
+    ) -> None:
+        """Record the attach edge, to the root of the joined scan's chain."""
+        joined = decision.joined_scan_id
+        if joined is not None:
+            self._attached_to[state.scan_id] = self._attached_to.get(joined, joined)
 
-    def update_location(self, scan_id: int, pages_scanned: int) -> float:
-        """Record progress; cooperative scans are never throttled."""
-        self._record_progress(scan_id, pages_scanned)
-        return 0.0
+    def _retiring(self, state: ScanState, aborted: bool) -> None:
+        """Drop every attach edge touching the departing scan: nobody may
+        stay attached to a dead scan."""
+        scan_id = state.scan_id
+        self._attached_to.pop(scan_id, None)
+        stale = [
+            follower
+            for follower, target in self._attached_to.items()
+            if target == scan_id
+        ]
+        for follower in stale:
+            del self._attached_to[follower]
 
-    def end_scan(self, scan_id: int) -> None:
-        """Deregister a finished scan and drop its attach edges."""
-        self._detach(scan_id)
-        self._retire(scan_id, aborted=False)
-        if self.invariant_hook is not None:
-            self.invariant_hook()
-
-    def abort_scan(self, scan_id: int) -> None:
-        """Deregister a dead scan; nobody may keep attaching to it."""
-        self._detach(scan_id)
-        self._retire(scan_id, aborted=True)
-        if self.invariant_hook is not None:
-            self.invariant_hook()
+    def invariant_problems(self, strict_order: bool = False) -> Iterator[str]:
+        """Every live attach edge connects two registered scans (no ghost
+        attach targets after an abort), every attach target is itself
+        unattached, and every release priority is NORMAL."""
+        states = self._states
+        for follower, target in self._attached_to.items():
+            if follower not in states:
+                yield (
+                    f"attach edge from unregistered scan {follower} "
+                    f"(to {target}) survived its owner's departure"
+                )
+            if target not in states:
+                yield (
+                    f"scan {follower} still attached to departed scan "
+                    f"{target} (ghost attach target)"
+                )
+            if target in self._attached_to:
+                yield (
+                    f"scan {follower} attached to scan {target}, which is "
+                    f"itself attached to {self._attached_to[target]} (no "
+                    f"push driver reaches it)"
+                )
+        yield from super().invariant_problems(strict_order)
 
     # ------------------------------------------------------------------
-    # Introspection (used by tests and the invariant checker)
+    # Introspection
     # ------------------------------------------------------------------
 
     def attach_target(self, scan_id: int) -> Optional[int]:
-        """The scan this one attached to at start, while both are live."""
+        """The unattached scan this one rides with since its start, while
+        both are live."""
         return self._attached_to.get(scan_id)
-
-    def attach_edges(self) -> Dict[int, int]:
-        """Snapshot of live follower -> target attachments."""
-        return dict(self._attached_to)
 
     def push_consumer_set(self, scan_id: int) -> List[int]:
         """The scan plus every follower currently attached to it."""
@@ -109,20 +124,7 @@ class CooperativeScanManager(SharingPolicy):
     # Internals
     # ------------------------------------------------------------------
 
-    def _detach(self, scan_id: int) -> None:
-        """Remove every attach edge touching a departing scan."""
-        self._attached_to.pop(scan_id, None)
-        stale = [
-            follower
-            for follower, target in self._attached_to.items()
-            if target == scan_id
-        ]
-        for follower in stale:
-            del self._attached_to[follower]
-
-    def _attach_point(
-        self, descriptor: ScanDescriptor, extent_size: int
-    ) -> PlacementDecision:
+    def _place(self, descriptor: ScanDescriptor, table: Table) -> PlacementDecision:
         """Where the new scan attaches: the hottest overlapping scan."""
         default = PlacementDecision(start_page=descriptor.first_page)
         candidates = [
@@ -134,7 +136,8 @@ class CooperativeScanManager(SharingPolicy):
         ]
         if not candidates:
             return default
-        table_pages = self.catalog.table(descriptor.table_name).n_pages
+        table_pages = table.n_pages
+        extent_size = table.extent_size
         if extent_size > table_pages:
             # Same guard as choose_start: a table smaller than one extent
             # must not snap every attach point back to page zero.

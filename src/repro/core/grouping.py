@@ -60,6 +60,22 @@ class ScanGroup:
             return self.trailer.forward_distance_to(self.leader, self.table_pages)
         return self.leader.position - self.trailer.position
 
+    def throttle_anchor(self) -> Optional[ScanState]:
+        """The scan a throttled leader waits for, or None to run free.
+
+        The rear-most member other than the leader that still takes part
+        in throttling.  A finished member no longer needs the leader held
+        back, and a fairness-exempted one is deliberately running free
+        (e.g. an exempted fast scan that wrapped around and now trails
+        the group circularly) — slowing others to match it is backwards.
+        """
+        leader_id = self.leader.scan_id
+        for member in self.members:
+            if (member.scan_id != leader_id and not member.finished
+                    and not member.throttle_exempt):
+                return member
+        return None
+
     def __contains__(self, scan: ScanState) -> bool:
         return any(member.scan_id == scan.scan_id for member in self.members)
 

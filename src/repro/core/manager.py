@@ -3,12 +3,17 @@
 One manager exists per bufferpool.  Scan operators talk to it through
 exactly the calls the paper adds to the scan code:
 
-* :meth:`ScanSharingManager.start_scan` — register, get a start location;
+* ``start_scan`` — register, get a start location;
 * :meth:`ScanSharingManager.update_location` — report progress, possibly
   receive an inserted throttle wait;
 * ``ScanState.priority`` — the priority for releasing the current page,
-  stamped by every regroup (``page_priority`` returns it);
-* :meth:`ScanSharingManager.end_scan` — deregister.
+  stamped by every regroup;
+* ``end_scan`` — deregister.
+
+The lifecycle itself is :class:`~repro.core.policy.SharingPolicy`'s;
+the manager supplies its placement rule, its last-finished mark, the
+forced regroup after every start and exit, and its group, anchor,
+priority and arc invariants.
 
 The manager never touches the bufferpool or the disk; it only observes
 scan progress and returns placement, wait, and priority decisions.  It is
@@ -20,7 +25,9 @@ live in :mod:`repro.core.cooperative` and :mod:`repro.core.pbm`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
+
+from repro.buffer.page import Priority
 
 from repro.core.config import SharingConfig
 from repro.core.grouping import ScanGroup, form_groups
@@ -31,6 +38,7 @@ from repro.core.scan_state import ScanDescriptor, ScanState
 from repro.core.throttle import evaluate_throttle
 from repro.sim.kernel import Simulator
 from repro.storage.catalog import Catalog
+from repro.storage.table import Table
 from repro.trace.events import FairnessCapTripped, Regrouped, ThrottleEvaluated
 import repro.trace.tracer as trace_slot
 
@@ -79,8 +87,6 @@ class LastFinishedMark:
 class ScanSharingManager(SharingPolicy):
     """Tracks ongoing scans and issues placement/throttle/priority decisions."""
 
-    policy_name = "grouping-throttling"
-
     def __init__(
         self,
         sim: Simulator,
@@ -100,14 +106,6 @@ class ScanSharingManager(SharingPolicy):
     # ------------------------------------------------------------------
     # Scan lifecycle callbacks
     # ------------------------------------------------------------------
-
-    def start_scan(self, descriptor: ScanDescriptor) -> ScanState:
-        """Register a new scan and decide where it starts."""
-        table = self._checked_table(descriptor)
-        decision = self._place(descriptor, table.extent_size)
-        state = self._admit(descriptor, decision)
-        self._regroup(force=True)
-        return state
 
     def update_location(self, scan_id: int, pages_scanned: int) -> float:
         """Record scan progress; returns seconds of inserted throttle wait.
@@ -153,36 +151,179 @@ class ScanSharingManager(SharingPolicy):
                 ))
         return decision.wait
 
-    def end_scan(self, scan_id: int) -> None:
-        """Deregister a finished scan."""
-        state = self._state(scan_id)
-        # Remember where the scan's *reading* stopped (one page before its
-        # wrapped final position): the pages it left in the bufferpool
-        # trail that location, and a future scan may start there.  A scan
-        # that read nothing left nothing behind — recording its (start-1)
-        # position would steer future placements at cold pages.
-        if state.pages_scanned > 0:
-            first = state.descriptor.first_page
-            final_read = first + (state.position - first - 1) % state.range_pages
-            self._last_finished[state.descriptor.table_name] = LastFinishedMark(
-                position=final_read,
-                observed_pages=self._observed_pages,
-            )
-        self._retire(scan_id, aborted=False)
-        self._regroup(force=True)
+    def _retiring(self, state: ScanState, aborted: bool) -> None:
+        """Remember where a cleanly finished scan's *reading* stopped.
 
-    def abort_scan(self, scan_id: int) -> None:
-        """Deregister a scan that died without finishing.
-
-        The death path for a killed/aborted scan: its groups are
-        dissolved and re-formed immediately so no group keeps a dead
-        member, no throttle anchor points at a ghost, and a throttled
-        leader re-anchors on the next live trailer (or runs free).  The
-        aborted scan's position is *not* recorded as a last-finished
-        location — its partial footprint is not a placement signal.
+        That is one page before its wrapped final position: the pages it
+        left in the bufferpool trail that location, and a future scan may
+        start there.  A scan that read nothing left nothing behind —
+        recording its (start-1) position would steer future placements at
+        cold pages — and an aborted scan's partial footprint is not a
+        placement signal at all.
         """
-        self._retire(scan_id, aborted=True)
+        if aborted or state.pages_scanned == 0:
+            return
+        first = state.descriptor.first_page
+        final_read = first + (state.position - first - 1) % state.range_pages
+        self._last_finished[state.descriptor.table_name] = LastFinishedMark(
+            position=final_read,
+            observed_pages=self._observed_pages,
+        )
+
+    def _changed(self) -> None:
+        """Every start and exit re-forms the groups at once.
+
+        On the death path this dissolves the dead scan's group, so no
+        group keeps a dead member, no throttle anchor points at a ghost,
+        and a throttled leader re-anchors on the next live trailer (or
+        runs free).  The regroup runs the invariant hook.
+        """
         self._regroup(force=True)
+
+    # ------------------------------------------------------------------
+    # Invariants
+    # ------------------------------------------------------------------
+
+    def invariant_problems(self, strict_order: bool = False) -> Iterator[str]:
+        """Group membership, arc order, anchor liveness and priorities.
+
+        * **group membership** — every group member is a registered,
+          unfinished scan; every registered scan belongs to at most one
+          group; the ``group_id`` / ``is_leader`` / ``is_trailer`` flags
+          stamped on states agree with the group structures.
+        * **group ordering** (``strict_order`` only: between regroups
+          scans drift, and :meth:`_order_violated` repairs the order
+          lazily) — members form a circular arc in scan direction: the
+          forward hops trailer → … → leader sum to the trailer→leader
+          distance, and the arc fits inside the table circle.
+        * **throttle-anchor liveness** — the anchor a throttled leader
+          would wait for is a registered scan, never a ghost.
+        * **priority consistency** — the priority each scan releases at
+          matches its group role (leader HIGH, trailer LOW in
+          multi-member groups when prioritization is on).
+        """
+        yield from self._group_problems(strict_order)
+        yield from self._anchor_problems()
+        yield from self._priority_problems()
+
+    def _group_problems(self, strict_order: bool) -> Iterator[str]:
+        states = self._states
+        seen_in_group = {}
+        for group in self._groups:
+            if group.size == 0:
+                yield f"group {group.group_id} is empty"
+            for index, member in enumerate(group.members):
+                if states.get(member.scan_id) is not member:
+                    yield (
+                        f"group {group.group_id} member scan {member.scan_id} "
+                        f"is not a registered scan (dead member left in group)"
+                    )
+                if member.finished:
+                    yield (
+                        f"group {group.group_id} member scan {member.scan_id} "
+                        f"is finished"
+                    )
+                if member.scan_id in seen_in_group:
+                    yield (
+                        f"scan {member.scan_id} appears in groups "
+                        f"{seen_in_group[member.scan_id]} and {group.group_id}"
+                    )
+                seen_in_group[member.scan_id] = group.group_id
+                if member.group_id != group.group_id:
+                    yield (
+                        f"scan {member.scan_id} carries group_id "
+                        f"{member.group_id} but sits in group {group.group_id}"
+                    )
+                expect_leader = index == group.size - 1
+                expect_trailer = index == 0
+                if member.is_leader != expect_leader:
+                    yield (
+                        f"scan {member.scan_id} is_leader={member.is_leader} "
+                        f"but holds position {index} of {group.size} in group "
+                        f"{group.group_id}"
+                    )
+                if member.is_trailer != expect_trailer:
+                    yield (
+                        f"scan {member.scan_id} is_trailer={member.is_trailer} "
+                        f"but holds position {index} of {group.size} in group "
+                        f"{group.group_id}"
+                    )
+            if strict_order and group.size > 1:
+                circle = group.table_pages
+                if circle <= 0:
+                    circle = self.catalog.table(group.table_name).n_pages
+                hops = sum(
+                    group.members[i].forward_distance_to(
+                        group.members[i + 1], circle
+                    )
+                    for i in range(group.size - 1)
+                )
+                span = group.trailer.forward_distance_to(group.leader, circle)
+                if hops != span:
+                    yield (
+                        f"group {group.group_id} members are not arc-ordered: "
+                        f"consecutive hops sum to {hops}, trailer→leader "
+                        f"distance is {span}"
+                    )
+                if span >= circle:
+                    yield (
+                        f"group {group.group_id} arc spans {span} pages on a "
+                        f"{circle}-page circle"
+                    )
+        # A scan between admission and its regroup carries no group_id.
+        group_ids = {group.group_id for group in self._groups}
+        for state in states.values():
+            if state.group_id is not None:
+                if state.group_id not in group_ids:
+                    yield (
+                        f"scan {state.scan_id} carries stale group_id "
+                        f"{state.group_id} (no such group)"
+                    )
+                if state.scan_id not in seen_in_group:
+                    yield (
+                        f"scan {state.scan_id} carries group_id "
+                        f"{state.group_id} but no group lists it"
+                    )
+            elif state.is_leader or state.is_trailer:
+                yield (
+                    f"ungrouped scan {state.scan_id} carries leader/trailer "
+                    f"flags ({state.is_leader}/{state.is_trailer})"
+                )
+
+    def _anchor_problems(self) -> Iterator[str]:
+        for group in self._groups:
+            anchor = group.throttle_anchor()
+            if anchor is not None and self._states.get(anchor.scan_id) is not anchor:
+                yield (
+                    f"group {group.group_id} throttle anchor scan "
+                    f"{anchor.scan_id} is dead or finished — the leader "
+                    f"would wait forever"
+                )
+
+    def _priority_problems(self) -> Iterator[str]:
+        # Derive the expected priority from the group *structure* (member
+        # positions), not from the flags or the stamped priority the scan
+        # releases with — so a stale flag or a stale stamp shows up as a
+        # mismatch.
+        config = self.config
+        adaptive = config.prioritization_enabled
+        for state in self._states.values():
+            group = self._group_of(state)
+            expected = Priority.NORMAL
+            if adaptive and group is not None and group.size > 1:
+                if state.scan_id == group.leader.scan_id:
+                    expected = Priority.HIGH
+                elif state.scan_id == group.trailer.scan_id:
+                    expected = Priority.LOW
+            actual = state.priority
+            flagged = release_priority(
+                state, group.size if group is not None else 1, config
+            )
+            if actual != expected or flagged != expected:
+                yield (
+                    f"scan {state.scan_id} releases at priority {actual!r} "
+                    f"(flags: {flagged!r}) but its group role implies {expected!r}"
+                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,7 +370,8 @@ class ScanSharingManager(SharingPolicy):
     # Internals
     # ------------------------------------------------------------------
 
-    def _place(self, descriptor: ScanDescriptor, extent_size: int) -> PlacementDecision:
+    def _place(self, descriptor: ScanDescriptor, table: Table) -> PlacementDecision:
+        """The paper's threshold-gated placement (:func:`choose_start`)."""
         candidates = [
             state
             for state in self._states.values()
@@ -238,14 +380,14 @@ class ScanSharingManager(SharingPolicy):
         return choose_start(
             descriptor,
             candidates,
-            extent_size,
+            table.extent_size,
             last_finished_position=self.last_finished_position(
                 descriptor.table_name
             ),
             # Conservative estimate of the finished scan's pages still
             # resident: other scans and tables share the pool.
             leftover_pages=self.pool_capacity // 2,
-            table_pages=self.catalog.table(descriptor.table_name).n_pages,
+            table_pages=table.n_pages,
         )
 
     def _group_of(self, state: ScanState) -> Optional[ScanGroup]:

@@ -18,12 +18,13 @@ byte-for-byte the same under PBM as under every other policy.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.buffer.page import PageKey
 from repro.core.placement import PlacementDecision
 from repro.core.policy import SharingPolicy
-from repro.core.scan_state import ScanDescriptor, ScanState
+from repro.core.scan_state import ScanState
+from repro.storage.table import Table
 
 __all__ = ["PbmScanManager"]
 
@@ -35,57 +36,67 @@ _MIN_SPEED = 1e-9
 class PbmScanManager(SharingPolicy):
     """Registry of scan positions/speeds powering predictive eviction."""
 
-    policy_name = "pbm"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # space_id -> scan_id -> state; the reuse-time map consulted by
         # the replacement policy on every victim choice.  Entries are
-        # added at start_scan and dropped at end/abort, so a departed
+        # added at admission and dropped at end/abort, so a departed
         # scan can never pin the prediction of a page it will not read.
         self._sources: Dict[int, Dict[int, ScanState]] = {}
 
     # ------------------------------------------------------------------
-    # Scan lifecycle callbacks
+    # Lifecycle bookkeeping and invariants
     # ------------------------------------------------------------------
 
-    def start_scan(self, descriptor: ScanDescriptor) -> ScanState:
-        """Register a scan; PBM never moves a scan's start position."""
-        table = self._checked_table(descriptor)
-        state = self._admit(
-            descriptor, PlacementDecision(start_page=descriptor.first_page)
-        )
+    def _admitted(
+        self, state: ScanState, decision: PlacementDecision, table: Table
+    ) -> None:
+        """Register the scan as a reuse-time source for its table."""
         self._sources.setdefault(table.space_id, {})[state.scan_id] = state
-        if self.invariant_hook is not None:
-            self.invariant_hook()
-        return state
 
-    def update_location(self, scan_id: int, pages_scanned: int) -> float:
-        """Record progress (feeding the predictions); never throttles."""
-        self._record_progress(scan_id, pages_scanned)
-        return 0.0
+    def _retiring(self, state: ScanState, aborted: bool) -> None:
+        """The scan's reuse-time entries go with it: its predictions must
+        not linger."""
+        table = self.catalog.table(state.descriptor.table_name)
+        scans = self._sources.get(table.space_id)
+        if scans is not None:
+            scans.pop(state.scan_id, None)
+            if not scans:
+                del self._sources[table.space_id]
 
-    def end_scan(self, scan_id: int) -> None:
-        """Deregister; the scan's reuse-time entries go with it."""
-        self._drop_source(scan_id)
-        self._retire(scan_id, aborted=False)
-        if self.invariant_hook is not None:
-            self.invariant_hook()
-
-    def abort_scan(self, scan_id: int) -> None:
-        """Deregister a dead scan; its predictions must not linger."""
-        self._drop_source(scan_id)
-        self._retire(scan_id, aborted=True)
-        if self.invariant_hook is not None:
-            self.invariant_hook()
+    def invariant_problems(self, strict_order: bool = False) -> Iterator[str]:
+        """The reuse-time map holds exactly the registered, unfinished
+        scans (a departed scan's predictions must not linger), and every
+        release priority is NORMAL."""
+        states = self._states
+        listed = set()
+        for space_id, scans in self._sources.items():
+            if not scans:
+                yield f"reuse-time map keeps empty space {space_id}"
+            for scan_id, state in scans.items():
+                if states.get(scan_id) is not state:
+                    yield (
+                        f"reuse-time map lists scan {scan_id} on space "
+                        f"{space_id} but it is not a registered scan "
+                        f"(stale prediction source)"
+                    )
+                if state.finished:
+                    yield (
+                        f"reuse-time map lists finished scan {scan_id} "
+                        f"on space {space_id}"
+                    )
+                listed.add(scan_id)
+        for scan_id in states:
+            if scan_id not in listed:
+                yield (
+                    f"registered scan {scan_id} is missing from the "
+                    f"reuse-time map (its pages would all predict inf)"
+                )
+        yield from super().invariant_problems(strict_order)
 
     # ------------------------------------------------------------------
     # Reuse-time predictions (consulted by the replacement policy)
     # ------------------------------------------------------------------
-
-    def reuse_sources(self) -> Dict[int, Dict[int, ScanState]]:
-        """Snapshot of the reuse-time map (space_id -> scan_id -> state)."""
-        return {space: dict(scans) for space, scans in self._sources.items()}
 
     def next_consumption_time(self, key: PageKey) -> float:
         """Predicted seconds until ``key`` is next read; inf = never.
@@ -110,15 +121,6 @@ class PbmScanManager(SharingPolicy):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _drop_source(self, scan_id: int) -> None:
-        state = self._state(scan_id)
-        table = self.catalog.table(state.descriptor.table_name)
-        scans = self._sources.get(table.space_id)
-        if scans is not None:
-            scans.pop(scan_id, None)
-            if not scans:
-                del self._sources[table.space_id]
 
     @staticmethod
     def _distance(state: ScanState, page_no: int) -> Optional[int]:

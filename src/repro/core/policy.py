@@ -2,17 +2,23 @@
 
 The paper's grouping+throttling mechanism is one point in the
 scan-sharing design space.  To compare it against rivals (cooperative
-attach/elevator scans, predictive buffer management) every strategy
-implements :class:`SharingPolicy` — exactly the calls the scan operator
-and the harness make:
+attach/elevator scans, predictive buffer management) every strategy is
+a :class:`SharingPolicy`, which answers exactly the calls the scan
+operator and the harness make:
 
 * :meth:`SharingPolicy.start_scan` — register, get a start location;
 * :meth:`SharingPolicy.update_location` — report progress, possibly
   receive an inserted throttle wait (0.0 for non-throttling policies);
-* :meth:`SharingPolicy.page_priority` — release priority for the
-  current page (the scan reads the same value off ``ScanState.priority``);
 * :meth:`SharingPolicy.end_scan` / :meth:`SharingPolicy.abort_scan` —
   deregister (cleanly, or after a mid-scan death).
+
+The scan releases each page at ``ScanState.priority``, which a policy
+that steers the pool restamps when a scan's role changes.  The base
+class runs every scan's lifecycle once; a subclass supplies only what
+makes it a policy: where a scan starts (:meth:`SharingPolicy._place`),
+its bookkeeping after admission and before retirement, what runs after
+a change, and its own structural invariants
+(:meth:`SharingPolicy.invariant_problems`).
 
 A policy never touches the bufferpool or the disk; it only observes scan
 progress and answers placement/wait/priority questions.  Policies are
@@ -24,12 +30,12 @@ SystemConfig` and ``ExperimentSettings``.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.buffer.page import Priority
 from repro.core.config import SharingConfig
+from repro.core.grouping import ScanGroup
 from repro.core.placement import PlacementDecision
 from repro.core.scan_state import ScanDescriptor, ScanState
 from repro.sim.kernel import Simulator
@@ -67,11 +73,12 @@ class SharingStats:
     fairness_cap_hits: int = 0
 
 
-class SharingPolicy(ABC):
-    """Abstract scan-sharing strategy: placement, pacing, priorities."""
+class SharingPolicy:
+    """Scan-sharing strategy: placement, pacing, priorities.
 
-    #: Registry name; subclasses override (one of SHARING_POLICY_NAMES).
-    policy_name = "abstract"
+    On its own, the policy that never steers anything: every scan starts
+    at its first page, runs unthrottled and releases pages NORMAL.
+    """
 
     def __init__(
         self,
@@ -100,11 +107,15 @@ class SharingPolicy(ABC):
     # The policy interface (what scans and the harness call)
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def start_scan(self, descriptor: ScanDescriptor) -> ScanState:
         """Register a new scan and decide where it starts."""
+        table = self._checked_table(descriptor)
+        decision = self._place(descriptor, table)
+        state = self._admit(descriptor, decision)
+        self._admitted(state, decision, table)
+        self._changed()
+        return state
 
-    @abstractmethod
     def update_location(self, scan_id: int, pages_scanned: int) -> float:
         """Record scan progress; returns seconds of inserted wait.
 
@@ -112,21 +123,51 @@ class SharingPolicy(ABC):
         (monotonically non-decreasing).  Non-throttling policies always
         return 0.0.
         """
+        self._record_progress(scan_id, pages_scanned)
+        return 0.0
 
-    def page_priority(self, scan_id: int) -> Priority:
-        """Replacement priority for pages this scan releases right now:
-        ``ScanState.priority``, which the scan reads directly.  A policy
-        that steers the pool restamps it when a scan's role changes; the
-        others leave it NORMAL."""
-        return self._state(scan_id).priority
-
-    @abstractmethod
     def end_scan(self, scan_id: int) -> None:
         """Deregister a finished scan."""
+        self._retire(scan_id, aborted=False)
 
-    @abstractmethod
     def abort_scan(self, scan_id: int) -> None:
         """Deregister a scan that died without finishing."""
+        self._retire(scan_id, aborted=True)
+
+    # ------------------------------------------------------------------
+    # What a subclass supplies (defaults: no steering at all)
+    # ------------------------------------------------------------------
+
+    def _place(self, descriptor: ScanDescriptor, table: Table) -> PlacementDecision:
+        """Where a new scan starts: its first page, joining nobody."""
+        return PlacementDecision(start_page=descriptor.first_page)
+
+    def _admitted(
+        self, state: ScanState, decision: PlacementDecision, table: Table
+    ) -> None:
+        """Bookkeeping for a scan just admitted at ``decision``."""
+
+    def _retiring(self, state: ScanState, aborted: bool) -> None:
+        """Bookkeeping for a registered scan about to be retired."""
+
+    def _changed(self) -> None:
+        """Runs after every scan start and exit: the invariant hook."""
+        if self.invariant_hook is not None:
+            self.invariant_hook()
+
+    def invariant_problems(self, strict_order: bool = False) -> Iterator[str]:
+        """Every violation of this policy's structural invariants.
+
+        ``strict_order`` asks for the checks that hold only right after
+        a regroup.  The default policy never steers the pool, so every
+        release priority must be NORMAL.
+        """
+        for scan_id, state in self._states.items():
+            if state.priority != Priority.NORMAL:
+                yield (
+                    f"scan {scan_id} releases at priority {state.priority!r} "
+                    f"under {type(self).__name__}, which never steers the pool"
+                )
 
     # ------------------------------------------------------------------
     # Introspection (sensible defaults for non-grouping policies)
@@ -145,7 +186,11 @@ class SharingPolicy(ABC):
         """State of a registered scan (raises if unknown/finished)."""
         return self._state(scan_id)
 
-    def group_of(self, scan_id: int):
+    def groups(self) -> List[ScanGroup]:
+        """The current scan groups — none for non-grouping policies."""
+        return []
+
+    def group_of(self, scan_id: int) -> Optional[ScanGroup]:
         """The group a scan belongs to — None for non-grouping policies."""
         self._state(scan_id)  # preserve the unknown-scan error contract
         return None
@@ -157,11 +202,6 @@ class SharingPolicy(ABC):
     def bind_push(self, pipeline) -> None:
         """Wire the push prefetch pipeline in (called by Database.open)."""
         self._push = pipeline
-
-    @property
-    def push_pipeline(self):
-        """The bound push pipeline, or None when push is disabled."""
-        return self._push
 
     def push_consumer_set(self, scan_id: int) -> List[int]:
         """Scan ids to register as consumers of extents this scan pushes.
@@ -234,9 +274,11 @@ class SharingPolicy(ABC):
             ))
         return state
 
-    def _retire(self, scan_id: int, aborted: bool) -> ScanState:
-        """Deregister, count, and trace a scan leaving the system."""
+    def _retire(self, scan_id: int, aborted: bool) -> None:
+        """The one exit path: the subclass's bookkeeping, then deregister,
+        count and trace the scan, then the after-change step."""
         state = self._state(scan_id)
+        self._retiring(state, aborted)
         state.finished = True
         del self._states[scan_id]
         if self._push is not None:
@@ -259,7 +301,7 @@ class SharingPolicy(ABC):
                     pages_scanned=state.pages_scanned,
                     accumulated_delay=state.accumulated_delay,
                 ))
-        return state
+        self._changed()
 
     def _record_progress(self, scan_id: int, pages_scanned: int) -> ScanState:
         """Update a scan's position/speed bookkeeping from a progress report."""

@@ -66,21 +66,9 @@ def evaluate_throttle(
     if group.size <= 1 or not scan.is_leader:
         return no_wait
 
-    # Anchor the decision on the rear-most member still participating
-    # in throttling.  A finished member no longer needs the leader held
-    # back, and a fairness-exempted one is deliberately running free
-    # (e.g. an exempted fast scan that wrapped around and now trails
-    # the group circularly) — slowing others to match it is backwards.
-    anchors = [
-        member
-        for member in group.members
-        if member.scan_id != scan.scan_id
-        and not member.finished
-        and not member.throttle_exempt
-    ]
-    if not anchors:
+    trailer = group.throttle_anchor()
+    if trailer is None:
         return no_wait
-    trailer = anchors[0]
     # The leader-trailer gap is measured circularly in scan direction
     # (trailer chasing leader): a leader that has wrapped past the range
     # end sits at a *smaller* linear position than its trailer, and a

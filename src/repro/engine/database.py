@@ -216,7 +216,8 @@ class Database:
         if self.config.fault_plan is not None:
             self.faults = FaultInjector(self.sim, self.config.fault_plan)
             self.faults.attach(
-                disk=self.disk, pool=self._pool, manager=self._sharing
+                disk=self.disk, pool=self._pool, manager=self._sharing,
+                push=self._push,
             )
         return self
 

@@ -44,6 +44,7 @@ import repro.trace.tracer as trace_slot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.buffer.pool import BufferPool
+    from repro.buffer.push import PushPipeline
     from repro.core.policy import SharingPolicy
     from repro.disk.device import Disk, DiskRequest
 
@@ -114,20 +115,25 @@ class FaultInjector:
         disk: Optional[object] = None,
         pool: Optional["BufferPool"] = None,
         manager: Optional["SharingPolicy"] = None,
+        push: Optional["PushPipeline"] = None,
     ) -> None:
-        """Hook the injector into the components it targets."""
+        """Hook the injector into the components it targets.
+
+        ``push`` is the database's push pipeline, if it runs one, whose
+        consumer sets the invariant checker then watches too.
+        """
         if disk is not None:
             disk.set_fault_injector(self)
         if pool is not None:
             for fault in self._pressure_faults:
                 self._schedule_pressure(pool, fault)
         if manager is not None:
-            self.checker = InvariantChecker(manager, pool)
+            self.checker = InvariantChecker(manager, pool, push)
             manager.invariant_hook = self._on_regroup
 
     def _on_regroup(self) -> None:
-        # Called by the manager right after every group rebuild, when the
-        # arc ordering is guaranteed fresh.
+        # Called by the policy right after every scan start and exit (and
+        # every group rebuild), when the arc ordering is guaranteed fresh.
         if self.checker is not None:
             self.checker.run_checks(strict_order=True)
 
@@ -278,13 +284,6 @@ class FaultInjector:
             return state.scan_id == group.leader.scan_id
         if fault.target == "trailer":
             return state.scan_id == group.trailer.scan_id
-        # "anchor": the rear-most non-exempt, unfinished member other
-        # than the leader — exactly what evaluate_throttle waits on.
-        anchors = [
-            member
-            for member in group.members
-            if member.scan_id != group.leader.scan_id
-            and not member.finished
-            and not member.throttle_exempt
-        ]
-        return bool(anchors) and anchors[0].scan_id == state.scan_id
+        # "anchor": exactly the scan evaluate_throttle waits on.
+        anchor = group.throttle_anchor()
+        return anchor is not None and anchor.scan_id == state.scan_id

@@ -250,13 +250,13 @@ class TestPriorityThroughManager:
         sim.schedule(1.0, lambda: None)
         sim.run()
         manager.update_location(leader.scan_id, 60)
-        assert manager.page_priority(leader.scan_id) is Priority.HIGH
-        assert manager.page_priority(trailer.scan_id) is Priority.LOW
+        assert leader.priority is Priority.HIGH
+        assert trailer.priority is Priority.LOW
 
     def test_singleton_normal(self):
         _, manager = make_manager()
         state = manager.start_scan(full_scan_descriptor())
-        assert manager.page_priority(state.scan_id) is Priority.NORMAL
+        assert state.priority is Priority.NORMAL
 
 
 class TestRegrouping:

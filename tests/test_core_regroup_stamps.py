@@ -3,9 +3,11 @@
 Every regroup stamps each scan's release priority on its state
 (``ScanState.priority``), and the scan releases its pages with the stamp
 instead of asking the policy per page.  The first property drives the
-three policies through random lifecycles and checks the stamp against
-:func:`~repro.core.priority.release_priority` over the flags after every
-call.  The others pin :func:`~repro.core.grouping.form_groups` and
+three policies through random lifecycles and checks, after every call,
+the stamp against :func:`~repro.core.priority.release_priority` over the
+flags, the policy's own invariants, and the push contract: every
+registered scan consumes the pushes of exactly one driver.  The others
+pin :func:`~repro.core.grouping.form_groups` and
 ``ScanSharingManager._order_violated``, which read each member's
 position once per call, against copies of their position-per-use
 versions kept below.
@@ -273,6 +275,12 @@ class TestPriorityStamp:
     @example("grouping-throttling", [True] * len(TOGGLES), 200,
              [("start", "a", 0, 39), ("start", "a", 0, 39),
               ("toggle", "prioritization_enabled")])
+    # A newcomer placed at a follower that outran its driver: it must
+    # ride the driver's push, not the follower's.
+    @example("cooperative", [True] * len(TOGGLES), 200,
+             [("start", "a", 0, 39), ("update", 0, 20, 0.3),
+              ("start", "a", 0, 39), ("update", 1, 9, 0.05),
+              ("start", "a", 0, 39)])
     def test_stamp_equals_release_priority_after_every_call(
         self, name, flags, pool, ops
     ):
@@ -318,4 +326,11 @@ class TestPriorityStamp:
                 assert state.priority == release_priority(
                     state, size, policy.config
                 )
-                assert policy.page_priority(state.scan_id) is state.priority
+            # Strict arc order holds right after a forced regroup.
+            assert not list(policy.invariant_problems(
+                strict_order=kind != "update"
+            ))
+            drivers = [s.scan_id for s in live
+                       if policy.is_push_driver(s.scan_id)]
+            consumers = [c for d in drivers for c in policy.push_consumer_set(d)]
+            assert sorted(consumers) == sorted(s.scan_id for s in live)

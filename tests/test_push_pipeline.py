@@ -206,7 +206,7 @@ class TestConsumerLifecycle:
     def test_policy_hooks_report_group_roles(self):
         db = push_db()
         manager = db.sharing
-        assert manager.push_pipeline is db.push
+        assert manager._push is db.push
         descriptors = []
 
         def probe():

@@ -57,10 +57,12 @@ def full_scan(speed=100.0, table_pages=1000):
 
 class TestFactory:
     def test_every_registered_name_constructs(self):
+        kinds = set()
         for name in SHARING_POLICY_NAMES:
             _, manager = make_manager(name)
             assert isinstance(manager, SharingPolicy)
-            assert manager.policy_name == name
+            kinds.add(type(manager))
+        assert len(kinds) == len(SHARING_POLICY_NAMES)
 
     def test_unknown_name_rejected(self):
         sim, catalog = make_catalog()
@@ -125,7 +127,7 @@ class TestCooperative:
         _, manager = make_manager("cooperative")
         scans = [manager.start_scan(full_scan()) for _ in range(3)]
         for state in scans:
-            assert manager.page_priority(state.scan_id) is Priority.NORMAL
+            assert state.priority is Priority.NORMAL
 
     def test_end_scan_drops_attach_edges(self):
         _, manager = make_manager("cooperative")
@@ -135,7 +137,9 @@ class TestCooperative:
         assert manager.attach_target(second.scan_id) == first.scan_id
         manager.end_scan(first.scan_id)
         assert manager.attach_target(second.scan_id) is None
-        assert manager.attach_edges() == {}
+        assert [manager.attach_target(s.scan_id)
+                for s in manager.active_scans()] == [None]
+        assert not list(manager.invariant_problems())
 
     def test_abort_leaves_no_ghost_attach_target(self):
         """After abort_scan nobody may attach to — or stay attached to —
@@ -153,8 +157,36 @@ class TestCooperative:
         assert manager.attach_target(newcomer.scan_id) != victim.scan_id
         # ...and every surviving edge references live scans only.
         live = {s.scan_id for s in manager.active_scans()}
-        for follower_id, target_id in manager.attach_edges().items():
-            assert follower_id in live and target_id in live
+        for follower_id in live:
+            target_id = manager.attach_target(follower_id)
+            assert target_id is None or target_id in live
+        assert not list(manager.invariant_problems())
+
+    def test_attach_to_a_follower_rides_the_chain_root(self):
+        """A newcomer placed at a follower joins the push consumer set
+        of that follower's driver, not a set nobody drives."""
+        sim, manager = make_manager("cooperative")
+        root = manager.start_scan(full_scan())
+        sim._now = 1.0
+        manager.update_location(root.scan_id, 100)
+        follower = manager.start_scan(full_scan())
+        assert manager.attach_target(follower.scan_id) == root.scan_id
+        sim._now = 2.0
+        manager.update_location(root.scan_id, 150)
+        manager.update_location(follower.scan_id, 60)  # now the faster scan
+        assert follower.speed > root.speed
+        newcomer = manager.start_scan(full_scan())
+        # Placed at the follower (the hottest scan), attached to the root.
+        assert newcomer.start_page == 144
+        assert manager.stats.scans_joined_ongoing == 2
+        assert manager.attach_target(newcomer.scan_id) == root.scan_id
+        drivers = [s.scan_id for s in manager.active_scans()
+                   if manager.is_push_driver(s.scan_id)]
+        assert drivers == [root.scan_id]
+        assert manager.push_consumer_set(root.scan_id) == [
+            root.scan_id, follower.scan_id, newcomer.scan_id
+        ]
+        assert not list(manager.invariant_problems())
 
     def test_group_of_is_none(self):
         _, manager = make_manager("cooperative")
@@ -175,7 +207,7 @@ class TestPbmManager:
         _, manager = make_manager("pbm")
         state = manager.start_scan(full_scan())
         assert manager.update_location(state.scan_id, 100) == 0.0
-        assert manager.page_priority(state.scan_id) is Priority.NORMAL
+        assert state.priority is Priority.NORMAL
 
     def test_reuse_time_tracks_scan_position(self):
         sim, manager = make_manager("pbm")
@@ -215,18 +247,22 @@ class TestPbmManager:
         _, manager = make_manager("pbm")
         state = manager.start_scan(full_scan())
         space = manager.catalog.table("t").space_id
-        assert state.scan_id in manager.reuse_sources()[space]
+        assert manager.next_consumption_time(PageKey(space, 10)) < math.inf
         manager.end_scan(state.scan_id)
-        assert manager.reuse_sources() == {}
+        assert not list(manager.invariant_problems())
         assert manager.next_consumption_time(PageKey(space, 10)) == math.inf
 
     def test_abort_scan_drops_reuse_entries(self):
         _, manager = make_manager("pbm")
-        keep = manager.start_scan(full_scan())
-        victim = manager.start_scan(full_scan())
-        manager.abort_scan(victim.scan_id)
+        manager.start_scan(full_scan(speed=100.0))  # the scan that stays
+        victim = manager.start_scan(full_scan(speed=1000.0))
         space = manager.catalog.table("t").space_id
-        assert set(manager.reuse_sources()[space]) == {keep.scan_id}
+        page = PageKey(space, 50)
+        assert manager.next_consumption_time(page) == pytest.approx(0.05)
+        manager.abort_scan(victim.scan_id)
+        assert not list(manager.invariant_problems())
+        # Only the surviving scan predicts the page now.
+        assert manager.next_consumption_time(page) == pytest.approx(0.5)
 
 
 class TestPbmPolicy:
@@ -292,7 +328,6 @@ class TestDatabaseWiring:
     def test_default_policy_is_grouping_throttling(self):
         db = make_database()
         assert isinstance(db.sharing, ScanSharingManager)
-        assert db.sharing.policy_name == "grouping-throttling"
 
     def test_cooperative_wiring(self):
         db = make_database(sharing_policy="cooperative")
@@ -338,6 +373,17 @@ class TestPolicyInvariants:
         with pytest.raises(InvariantViolation, match="ghost attach target"):
             InvariantChecker(manager).run_checks()
 
+    def test_cooperative_chained_edge_detected(self):
+        _, manager = make_manager("cooperative")
+        first = manager.start_scan(full_scan())
+        manager.update_location(first.scan_id, 64)
+        second = manager.start_scan(full_scan())
+        third = manager.start_scan(full_scan())
+        # Corrupt by hand: attach the third scan to a follower.
+        manager._attached_to[third.scan_id] = second.scan_id
+        with pytest.raises(InvariantViolation, match="itself attached"):
+            InvariantChecker(manager).run_checks()
+
     def test_pbm_clean_state_passes(self):
         _, manager = make_manager("pbm")
         manager.start_scan(full_scan())
@@ -367,7 +413,7 @@ class TestPolicyInvariants:
         _, manager = make_manager("cooperative")
         state = manager.start_scan(full_scan())
         state.is_leader = True
-        manager.page_priority = lambda scan_id: Priority.HIGH
+        state.priority = Priority.HIGH
         with pytest.raises(InvariantViolation, match="never steers"):
             InvariantChecker(manager).run_checks()
 

@@ -71,8 +71,16 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--assert-bounded"),
     ("serve-sim", "soak", "--scale", "0.1", "--no-cache", "--assert-bounded",
      "--faults", "pool-pressure:fraction=0.6,from=1.0,until=3.0"),
-    # ci.yml: the chaos, join and multi-device steps
-    ("chaos", "e2", "--scale", "0.1", "--streams", "2"),
+    # Makefile: chaos-smoke
+    ("chaos", "e2", "--scale", "0.1", "--streams", "2",
+     "--sharing-policy", "grouping-throttling"),
+    ("chaos", "e2", "--scale", "0.1", "--streams", "2",
+     "--sharing-policy", "cooperative"),
+    ("chaos", "e2", "--scale", "0.1", "--streams", "2",
+     "--sharing-policy", "pbm"),
+    ("chaos", "st-push", "--scale", "0.1", "--streams", "3",
+     "--device-count", "2", "--push", "--sharing-policy", "cooperative"),
+    # ci.yml: the join and multi-device chaos steps
     ("chaos", "mj-join", "--scale", "0.1", "--streams", "2",
      "--faults", "pool-pressure:fraction=0.5,from=0.05,until=0.3"),
     ("chaos", "st-push", "--scale", "0.1", "--streams", "3",
