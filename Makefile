@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 17171
+SRC_LOC_BUDGET := 16997
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 .PHONY: test test-fast bench-smoke loc dead-code chaos-smoke policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak
@@ -31,12 +31,14 @@ loc:             ## line counts of src/, tests/, bench/; fails when src/ exceeds
 dead-code:       ## src/repro definitions no entry point runs and tools/dead_code_keep.txt does not list (a few minutes; not in CI)
 	@$(PYTHON) tools/dead_code.py
 
-chaos-smoke:     ## the builtin fault battery under each sharing policy's invariants, and cooperative push over 2 devices
+chaos-smoke:     ## the builtin fault battery under each sharing policy's invariants, cooperative push over 2 devices, and pool pressure beside budgeted operators
 	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy grouping-throttling
 	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy cooperative
 	$(PYTHON) -m repro chaos e2 --scale 0.1 --streams 2 --sharing-policy pbm
 	$(PYTHON) -m repro chaos st-push --scale 0.1 --streams 3 --device-count 2 --push \
 		--sharing-policy cooperative
+	$(PYTHON) -m repro chaos ag-mix --scale 0.1 --streams 2 \
+		--faults pool-pressure:fraction=0.6,from=0.0
 
 policy-smoke:    ## three sharing policies on the quick staggered scenario, digest-checked
 	$(PYTHON) -m repro sweep e2 --param sharing_policy \

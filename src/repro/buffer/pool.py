@@ -59,13 +59,15 @@ class BufferPoolError(RuntimeError):
 
 
 class FrameReservation:
-    """A named frame reservation held by a memory-budgeted operator.
+    """A named frame reservation: frames held away from the pool.
 
-    Unlike the anonymous fault-pressure counter, a named reservation
-    tracks *who* holds the frames and can be clawed back one frame at a
-    time under pool pressure: the pool decrements :attr:`granted`,
-    increments :attr:`clawed`, and invokes ``on_clawback`` so the owner
-    can mark itself for spilling.  The callback is bookkeeping only — it
+    The pool's one reservation kind.  A memory-budgeted operator holds
+    one (``on_clawback`` marks it for spilling), and so does every
+    fault-pressure window (no ``on_clawback``: it has no state to shed).
+    Under pool pressure the pool claws frames back one at a time: it
+    decrements :attr:`granted`, increments :attr:`clawed`, and invokes
+    ``on_clawback`` if there is one, so ``granted + clawed`` stays the
+    initial grant until release.  The callback is bookkeeping only — it
     must not perform simulation I/O (claw-back happens inside the pool's
     eviction path, which is not a point where an operator generator can
     be driven).
@@ -106,6 +108,11 @@ class BufferPool:
     #: retries indicates a livelock-sized pool).
     MAX_FIX_RETRIES = 16
 
+    #: Frames that can never be reserved away, and so the smallest
+    #: capacity a pool may have: forward progress needs a handful of
+    #: pinnable frames.
+    MIN_USABLE_FRAMES = 4
+
     def __init__(
         self,
         sim: Simulator,
@@ -114,8 +121,11 @@ class BufferPool:
         address_of: AddressOf,
         policy: Optional[ReplacementPolicy] = None,
     ):
-        if capacity < 4:
-            raise BufferPoolError(f"bufferpool capacity must be >= 4, got {capacity}")
+        if capacity < self.MIN_USABLE_FRAMES:
+            raise BufferPoolError(
+                f"bufferpool capacity must be >= {self.MIN_USABLE_FRAMES}, "
+                f"got {capacity}"
+            )
         self.sim = sim
         self.disk = disk
         self.capacity = capacity
@@ -135,40 +145,32 @@ class BufferPool:
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self._slot_map: Dict[int, int] = {}
         self._inflight: Dict[PageKey, Event] = {}
-        # Frames reserved away by external pressure (fault injection)
-        # plus named operator reservations; always 0 in runs that use
-        # neither, so every path below behaves exactly as if the
-        # reservation mechanism did not exist.
+        # Live reservations in grant order, and the sum of their
+        # ``granted`` counts (0 in runs that reserve nothing, so every
+        # path below behaves as if reservations did not exist).
+        self._reservations: List[FrameReservation] = []
         self._reserved = 0
-        # Named claimants (memory-budgeted operators).  The sum of their
-        # ``granted`` counts is part of ``_reserved``; the remainder is
-        # the anonymous fault-pressure share.
-        self._claimants: List[FrameReservation] = []
         self.clawed_back_frames = 0
 
     # ------------------------------------------------------------------
-    # External pressure (fault injection)
+    # Frame reservations (budgeted operators, fault pressure)
     # ------------------------------------------------------------------
-
-    #: Frames that can never be reserved away: forward progress needs a
-    #: handful of pinnable frames (mirrors the capacity >= 4 floor).
-    MIN_USABLE_FRAMES = 4
-
-    @property
-    def effective_capacity(self) -> int:
-        """Capacity minus frames reserved by external pressure."""
-        return self.capacity - self._reserved
 
     @property
     def reserved_frames(self) -> int:
-        """Frames currently reserved away from the pool."""
+        """Frames held away from the pool: the sum of live grants."""
         return self._reserved
 
-    def reserve(self, pages: int) -> int:
-        """Reserve up to ``pages`` frames away from the pool.
+    def reserve_frames(
+        self, name: str, pages: int, on_clawback=None
+    ) -> FrameReservation:
+        """Grant a named, claw-backable frame reservation.
 
-        Clamped so at least :data:`MIN_USABLE_FRAMES` remain usable;
-        returns the number actually reserved.
+        The grant is clamped so at least :data:`MIN_USABLE_FRAMES` frames
+        stay usable; the returned :class:`FrameReservation` records how
+        many frames the owner actually holds (``granted``) and how many
+        the pool later clawed back (``clawed``).  Release with
+        :meth:`release_frames`.
         """
         if pages < 0:
             raise BufferPoolError(f"cannot reserve {pages} pages")
@@ -176,50 +178,16 @@ class BufferPool:
             0, min(pages, self.capacity - self.MIN_USABLE_FRAMES - self._reserved)
         )
         self._reserved += granted
-        return granted
-
-    def release_reserved(self, pages: int) -> int:
-        """Return previously reserved *anonymous* frames.
-
-        Clamped to the anonymous share so a fault-pressure release can
-        never free frames a named operator reservation still holds.
-        Returns how many frames were actually freed.
-        """
-        if pages < 0:
-            raise BufferPoolError(f"cannot release {pages} reserved pages")
-        anonymous = self._reserved - sum(r.granted for r in self._claimants)
-        freed = min(pages, anonymous)
-        self._reserved -= freed
-        return freed
-
-    # ------------------------------------------------------------------
-    # Named operator reservations (memory-budgeted operators)
-    # ------------------------------------------------------------------
-
-    def reserve_frames(
-        self, name: str, pages: int, on_clawback=None
-    ) -> FrameReservation:
-        """Grant a named, claw-backable frame reservation.
-
-        The grant is clamped exactly like :meth:`reserve`; the returned
-        :class:`FrameReservation` records how many frames the owner
-        actually holds (``granted``) and how many the pool later clawed
-        back (``clawed``).  Release with :meth:`release_frames`.
-        """
-        granted = self.reserve(pages)
         reservation = FrameReservation(name, granted, on_clawback)
-        self._claimants.append(reservation)
+        self._reservations.append(reservation)
         return reservation
 
     def release_frames(self, reservation: FrameReservation) -> int:
-        """Return every frame a named reservation still holds."""
+        """Return every frame a reservation still holds (its ``granted``)."""
         if reservation.released:
             return 0
+        self._reservations.remove(reservation)
         reservation.released = True
-        try:
-            self._claimants.remove(reservation)
-        except ValueError:
-            return 0
         freed = reservation.granted
         reservation.granted = 0
         self._reserved -= freed
@@ -228,25 +196,25 @@ class BufferPool:
     def _claw_back_one(self) -> bool:
         """Take one reserved frame back under pool pressure.
 
-        Named claimants are clawed first, newest first (LIFO): the most
-        recently admitted operator is the one asked to shrink, mirroring
-        how late arrivals are the first throttled elsewhere.  The
-        anonymous fault-pressure share is only touched when no claimant
-        holds frames.  Returns whether a frame was recovered.
+        Reservations that can shed state (an ``on_clawback``) give first,
+        newest first (LIFO): the most recently admitted operator is the
+        one asked to shrink, mirroring how late arrivals are the first
+        throttled elsewhere.  Reservations that cannot shed (fault
+        pressure) give only once no shedder holds frames, newest first
+        too.  Returns whether a frame was recovered.
         """
-        if self._reserved <= 0:
+        holders = [r for r in reversed(self._reservations) if r.granted]
+        if not holders:
             return False
-        for reservation in reversed(self._claimants):
-            if reservation.granted > 0:
-                reservation.granted -= 1
-                reservation.clawed += 1
-                self._reserved -= 1
-                self.clawed_back_frames += 1
-                if reservation.on_clawback is not None:
-                    reservation.on_clawback(reservation)
-                return True
+        reservation = next(
+            (r for r in holders if r.on_clawback is not None), holders[0]
+        )
+        reservation.granted -= 1
+        reservation.clawed += 1
         self._reserved -= 1
         self.clawed_back_frames += 1
+        if reservation.on_clawback is not None:
+            reservation.on_clawback(reservation)
         return True
 
     # ------------------------------------------------------------------
@@ -283,16 +251,16 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def try_fix(self, key: PageKey) -> Optional[Frame]:
-        """Non-generator hit fast path: pin ``key`` if it is resident.
+        """Pin ``key`` if it is resident: the pool's one hit path.
 
         Scans call this first; a resident page then costs one dict lookup
         and a handful of attribute updates instead of a generator frame.
-        Returns ``None`` on a miss or an in-flight read **without touching
-        any counter**, so the caller's fall back to :meth:`fix` performs
-        the full classification and the accounting identity
-        ``logical = hits + misses + inflight_waits`` is preserved exactly.
-        The trace event emitted on a hit is identical to the generator
-        path's.
+        :meth:`fix` starts here too, so ``stats.hits`` and the ``"hit"``
+        trace event have this one source.  Returns ``None`` on a miss or
+        an in-flight read **without touching any counter**, so the
+        caller's fall back to :meth:`fix` performs the full
+        classification and the accounting identity ``logical = hits +
+        misses + inflight_waits`` is preserved exactly.
         """
         slot = self._slot_map.get(key.space_id << _PAGE_BITS | key.page_no)
         if slot is None:
@@ -321,40 +289,32 @@ class BufferPool:
         consecutive pages, containing ``key``) that a miss is allowed to
         read in one request.
         """
-        self.stats.logical_reads += 1
-        # Each fix is classified (hit / miss / in-flight wait) by the FIRST
-        # resolution path it takes, so the accounting identity
-        # ``logical = hits + misses + inflight_waits`` always holds; rare
-        # eviction races that force another round count as fix_retries.
-        classified = False
+        frame = self.try_fix(key)
+        if frame is not None:
+            return frame
+        stats = self.stats
+        stats.logical_reads += 1
+        # A fix that is not a hit is classified (miss / in-flight wait) by
+        # the path it takes first, so ``logical = hits + misses +
+        # inflight_waits`` always holds; rare eviction races that force
+        # another round count as fix_retries.  A round starts right after
+        # the previous one found the page absent, with no yield between,
+        # so it never finds the page resident.
+        if key in self._inflight:
+            stats.inflight_waits += 1
+            self._trace_fix(key, "inflight_wait")
+        else:
+            stats.misses += 1
+            self._trace_fix(key, "miss")
         slot_key = key.space_id << _PAGE_BITS | key.page_no
         for attempt in range(self.MAX_FIX_RETRIES):
             if attempt > 0:
-                self.stats.fix_retries += 1
-            slot = self._slot_map.get(slot_key)
-            if slot is not None:
-                frame = self._slots[slot]
-                frame.pin_count += 1
-                self.policy.on_hit(key)
-                if not classified:
-                    self.stats.hits += 1
-                    self._trace_fix(key, "hit")
-                return frame
-
+                stats.fix_retries += 1
             pending = self._inflight.get(key)
             if pending is not None:
-                if not classified:
-                    self.stats.inflight_waits += 1
-                    classified = True
-                    self._trace_fix(key, "inflight_wait")
                 yield pending
             else:
-                if not classified:
-                    self.stats.misses += 1
-                    classified = True
-                    self._trace_fix(key, "miss")
                 yield from self._read_run(key, prefetch)
-
             slot = self._slot_map.get(slot_key)
             if slot is not None:
                 frame = self._slots[slot]
@@ -420,7 +380,7 @@ class BufferPool:
         if not segments:
             return None, "resident"
         needed = sum(len(segment) for segment in segments)
-        room = self.capacity - self._reserved - len(self._slot_map) - len(self._inflight)
+        room = self._room()
         if needed > room:
             room += self._evict(needed - room)
         kept: List[List[PageKey]] = []
@@ -433,18 +393,9 @@ class BufferPool:
         stats = self.stats
         completions: List[Event] = []
         for segment in kept:
-            completion = Event(self.sim)
-            for run_key in segment:
-                self._inflight[run_key] = completion
-            stats.physical_requests += 1
-            stats.physical_pages_read += len(segment)
             stats.pushed_requests += 1
             stats.pushed_pages += len(segment)
-            read_done = self.disk.read(self.address_of(segment[0]), len(segment))
-            read_done.add_callback(
-                lambda _ev, seg=segment, comp=completion: self._admit_run(seg, comp)
-            )
-            completions.append(completion)
+            completions.append(self._issue(segment))
         if len(completions) == 1:
             return completions[0], "issued"
         return self.sim.all_of(completions), "issued"
@@ -476,6 +427,12 @@ class BufferPool:
     # Miss path
     # ------------------------------------------------------------------
 
+    def _room(self) -> int:
+        """Frames no resident page, in-flight read or reservation holds."""
+        return (
+            self.capacity - self._reserved - len(self._slot_map) - len(self._inflight)
+        )
+
     def _read_run(
         self, key: PageKey, prefetch: Optional[Sequence[PageKey]]
     ) -> Generator[Event, object, None]:
@@ -488,16 +445,13 @@ class BufferPool:
                 yield pending
                 return
             run = self._plan_run(key, prefetch)
-            # Reserve room: frames + inflight + new run must fit in the
-            # capacity left after external pressure reservations.
-            capacity = self.capacity - self._reserved
-            needed = len(self._slot_map) + len(self._inflight) + len(run) - capacity
+            needed = len(run) - self._room()
             if needed <= 0 or self._evict(needed) >= needed:
                 break
             # Could not make room for the whole prefetch run; fall back to
             # reading just the demanded page.
             run = [key]
-            needed = len(self._slot_map) + len(self._inflight) + 1 - capacity
+            needed = 1 - self._room()
             if needed <= 0 or self._evict(needed) >= needed:
                 break
             if self._inflight:
@@ -507,23 +461,34 @@ class BufferPool:
                 continue
             if self._claw_back_one():
                 # Everything usable is pinned but reservations hold
-                # frames: claw one back (named claimants first) rather
-                # than wedging the scan.
+                # frames: claw one back (shedders first) rather than
+                # wedging the scan.
                 continue
             raise PoolExhausted(
                 f"bufferpool overcommitted: all "
                 f"{self.capacity} pages pinned"
             )
-        completion = Event(self.sim)
-        for run_key in run:
-            self._inflight[run_key] = completion
-        self.stats.physical_requests += 1
-        self.stats.physical_pages_read += len(run)
         if len(run) > 1:
             self.stats.prefetched_pages += len(run) - 1
+        yield self._issue(run)
+
+    def _issue(self, run: List[PageKey]) -> Event:
+        """Put one address-contiguous run of absent pages in flight.
+
+        The one read-issue path of demand misses and pushes: one disk
+        read, admitted when it lands.  Returns the event that fires once
+        the run is resident.
+        """
+        completion = Event(self.sim)
+        inflight = self._inflight
+        for run_key in run:
+            inflight[run_key] = completion
+        stats = self.stats
+        stats.physical_requests += 1
+        stats.physical_pages_read += len(run)
         read_done = self.disk.read(self.address_of(run[0]), len(run))
         read_done.add_callback(lambda _ev: self._admit_run(run, completion))
-        yield completion
+        return completion
 
     def _admit_run(self, run: List[PageKey], completion: Event) -> None:
         slot_map = self._slot_map

@@ -28,12 +28,7 @@ from repro.cluster.service import (
 from repro.cluster.spec import ClusterSpec
 from repro.experiments.harness import ExperimentSettings
 from repro.service.scenarios import _controller, estimated_query_seconds
-from repro.workloads.loadgen import (
-    ExplicitScan,
-    LoadSpec,
-    Scannable,
-    UserClass,
-)
+from repro.workloads.loadgen import LoadSpec, UserClass
 
 #: scenario name -> one-line description (shown by ``cluster-sim --list``).
 CLUSTER_SCENARIOS: Dict[str, str] = {
@@ -147,7 +142,7 @@ def build_cluster_spec(name: str, settings: ExperimentSettings) -> ClusterSpec:
     )
     return ClusterSpec(
         load=_with_horizon(load, settings),
-        n_replicas=scale_axis(settings).axis.sequence[0],
+        n_replicas=scale_axis(settings)[0],
         replication_factor=1,
         balance="preference",
         controller=_controller(cost),
@@ -161,20 +156,18 @@ def _with_horizon(load: LoadSpec, settings: ExperimentSettings) -> LoadSpec:
     return replace(load, horizon=settings.service_horizon)
 
 
-def scale_axis(settings: ExperimentSettings) -> Scannable:
-    """The replica-count axis the scale experiment sweeps.
+def scale_axis(settings: ExperimentSettings) -> Tuple[int, ...]:
+    """The replica counts the scale experiment sweeps, in sweep order.
 
     Defaults to 1 → 2 → 4; ``--replicas K`` reshapes it to doubling
     steps from 1 up to (and including) K.
     """
     if settings.cluster_replicas is None:
-        points: Tuple[int, ...] = (1, 2, 4)
-    else:
-        values = [1]
-        while values[-1] < settings.cluster_replicas:
-            values.append(min(values[-1] * 2, settings.cluster_replicas))
-        points = tuple(values)
-    return Scannable("replicas", ExplicitScan(points))
+        return (1, 2, 4)
+    values = [1]
+    while values[-1] < settings.cluster_replicas:
+        values.append(min(values[-1] * 2, settings.cluster_replicas))
+    return tuple(values)
 
 
 def run_cluster_scenario(
@@ -199,16 +192,19 @@ def sv_cluster_skew(settings: ExperimentSettings) -> ClusterResult:
 
 def sv_cluster_scale(settings: ExperimentSettings) -> ClusterScalingResult:
     """Identical offered load over a growing fleet (1 → 2 → 4 replicas)."""
-    axis = scale_axis(settings)
+    replicas = scale_axis(settings)
     base_spec = build_cluster_spec("scale", settings)
     points: List[ClusterResult] = []
-    for n_replicas in axis:
+    for n_replicas in replicas:
         spec = replace(base_spec, n_replicas=n_replicas)
         points.append(ClusterService(
             spec, settings, scenario=f"cluster-scale/x{n_replicas}"
         ).run())
     return ClusterScalingResult(
         scenario="cluster-scale",
-        axis=axis.describe(),
+        axis={
+            "name": "replicas", "kind": "explicit-scan",
+            "sequence": list(replicas),
+        },
         points=points,
     )

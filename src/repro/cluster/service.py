@@ -253,7 +253,7 @@ class ClusterScalingResult:
     """
 
     scenario: str
-    #: The swept axis, as a :meth:`Scannable.describe` dict.
+    #: The swept axis: its ``name``, ``kind`` and value ``sequence``.
     axis: Dict[str, Any]
     #: One cluster run per axis value, in sweep order.
     points: List[ClusterResult] = field(default_factory=list)

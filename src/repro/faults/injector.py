@@ -6,8 +6,9 @@ layers that can fail:
 * the **disk** (or every member of a :class:`~repro.disk.array.DiskArray`)
   calls back into :meth:`disk_service_time` when starting a request and
   :meth:`maybe_disk_error` when one completes;
-* the **bufferpool** has frames reserved/released on a simulated-time
-  schedule for every pool-pressure window;
+* the **bufferpool** grants every pool-pressure window a
+  :class:`~repro.buffer.pool.FrameReservation` at its start and takes it
+  back at its end, on a simulated-time schedule;
 * the **scan sharing policy** gets its ``invariant_hook`` pointed at an
   :class:`~repro.faults.invariants.InvariantChecker`, and scan operators
   poll :meth:`maybe_kill_scan` once per page so kill clauses can strike
@@ -43,7 +44,7 @@ from repro.trace.events import (
 import repro.trace.tracer as trace_slot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.buffer.pool import BufferPool
+    from repro.buffer.pool import BufferPool, FrameReservation
     from repro.buffer.push import PushPipeline
     from repro.core.policy import SharingPolicy
     from repro.disk.device import Disk, DiskRequest
@@ -147,34 +148,33 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _schedule_pressure(self, pool: "BufferPool", fault: PoolPressureFault) -> None:
-        granted = {"pages": 0}
+        reservation: Optional["FrameReservation"] = None
 
         def begin() -> None:
-            requested = int(pool.capacity * fault.fraction)
-            granted["pages"] = pool.reserve(requested)
-            self.stats.pool_pressure_events += 1
-            tracer = trace_slot.active
-            if tracer is not None:
-                tracer.emit(FaultPoolPressure(
-                    time=self.sim.now, reserved=granted["pages"],
-                    effective_capacity=pool.effective_capacity,
-                ))
-            self.check_invariants()
+            nonlocal reservation
+            reservation = pool.reserve_frames(
+                "pool-pressure", int(pool.capacity * fault.fraction)
+            )
+            self._pressure_event(pool, reserved=reservation.granted)
 
         def end() -> None:
-            released = pool.release_reserved(granted["pages"])
-            self.stats.pool_pressure_events += 1
-            tracer = trace_slot.active
-            if tracer is not None:
-                tracer.emit(FaultPoolPressure(
-                    time=self.sim.now, released=released,
-                    effective_capacity=pool.effective_capacity,
-                ))
-            self.check_invariants()
+            # The plan keeps from <= until, so begin() has already run.
+            self._pressure_event(pool, released=pool.release_frames(reservation))
 
         self.sim.schedule(max(0.0, fault.start - self.sim.now), begin)
         if fault.until != float("inf"):
             self.sim.schedule(max(0.0, fault.until - self.sim.now), end)
+
+    def _pressure_event(self, pool: "BufferPool", **frames: int) -> None:
+        self.stats.pool_pressure_events += 1
+        tracer = trace_slot.active
+        if tracer is not None:
+            tracer.emit(FaultPoolPressure(
+                time=self.sim.now,
+                effective_capacity=pool.capacity - pool.reserved_frames,
+                **frames,
+            ))
+        self.check_invariants()
 
     # ------------------------------------------------------------------
     # Disk hooks

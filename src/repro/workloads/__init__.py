@@ -25,12 +25,8 @@ from repro.workloads.arrivals import (
     ArrivalPlan, Closed, Lognormal, Mmpp, Pareto, Poisson, plan_arrivals,
 )
 from repro.workloads.loadgen import (
-    ExplicitScan,
     LoadPlan,
     LoadSpec,
-    NoScan,
-    RangeScan,
-    Scannable,
     UserArrival,
     UserClass,
     generate_load,
@@ -44,13 +40,9 @@ __all__ = [
     "Mmpp",
     "Pareto",
     "Poisson",
-    "ExplicitScan",
     "LoadPlan",
     "LoadSpec",
-    "NoScan",
     "QUERY_FACTORIES",
-    "RangeScan",
-    "Scannable",
     "UserArrival",
     "UserClass",
     "generate_load",

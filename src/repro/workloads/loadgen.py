@@ -11,15 +11,9 @@ a (possibly zipf-skewed) population, and the user's identity
 deterministically biases which query template — and therefore which
 table, and ultimately which shard and replica — the arrival hits.
 
-Two pieces live here:
-
-* the **sweep grammar** (:class:`NoScan` / :class:`RangeScan` /
-  :class:`ExplicitScan` behind :class:`Scannable`), a tiny
-  ARTIQ-``scan``-style vocabulary for describing a scenario axis as a
-  first-class value experiments can iterate and describe;
-* the **load generator** (:class:`LoadSpec` → :func:`generate_load`),
-  which renders a user population into a concrete, fully deterministic
-  :class:`LoadPlan` of timestamped, user-attributed queries.
+The **load generator** (:class:`LoadSpec` → :func:`generate_load`)
+renders a user population into a concrete, fully deterministic
+:class:`LoadPlan` of timestamped, user-attributed queries.
 
 Determinism: every draw for one class comes from a single
 ``numpy`` generator seeded via SHA-256 from ``(seed, class name)``, in
@@ -30,7 +24,7 @@ a pure function of ``(LoadSpec, seed)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,127 +42,6 @@ from repro.workloads.tpch_queries import QUERY_FACTORIES
 #: :mod:`repro.cluster.spec`): pure ring preference order, or the
 #: least-loaded replica among a shard's holders.
 BALANCE_KINDS = ("preference", "least-loaded")
-
-
-# ----------------------------------------------------------------------
-# Sweep grammar (Scannable-style scenario axes)
-# ----------------------------------------------------------------------
-
-
-class ScanAxis:
-    """One scenario axis: an iterable, self-describing value sequence.
-
-    Subclasses implement ``__iter__``/``__len__`` plus ``describe`` —
-    the dict form is JSON-safe so an axis can sit inside experiment
-    metrics and name exactly which grid a result came from.
-    """
-
-    def __iter__(self) -> Iterator[Any]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __len__(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class NoScan(ScanAxis):
-    """A degenerate axis: one pinned value, optionally repeated."""
-
-    def __init__(self, value: Any, repetitions: int = 1):
-        if repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        self.value = value
-        self.repetitions = repetitions
-
-    def __iter__(self) -> Iterator[Any]:
-        for _ in range(self.repetitions):
-            yield self.value
-
-    def __len__(self) -> int:
-        return self.repetitions
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": "no-scan", "value": self.value,
-                "repetitions": self.repetitions}
-
-
-class RangeScan(ScanAxis):
-    """``npoints`` evenly spaced values over ``[start, stop]``."""
-
-    def __init__(self, start: float, stop: float, npoints: int):
-        if npoints < 1:
-            raise ValueError(f"npoints must be >= 1, got {npoints}")
-        self.start = float(start)
-        self.stop = float(stop)
-        self.npoints = npoints
-
-    def __iter__(self) -> Iterator[float]:
-        if self.npoints == 1:
-            yield self.start
-            return
-        step = (self.stop - self.start) / (self.npoints - 1)
-        for index in range(self.npoints):
-            yield self.start + step * index
-
-    def __len__(self) -> int:
-        return self.npoints
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": "range-scan", "start": self.start,
-                "stop": self.stop, "npoints": self.npoints}
-
-
-class ExplicitScan(ScanAxis):
-    """An explicit value sequence (the workhorse for replica counts)."""
-
-    def __init__(self, sequence: Sequence[Any]):
-        if not sequence:
-            raise ValueError("explicit scan needs at least one value")
-        self.sequence = tuple(sequence)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": "explicit-scan", "sequence": list(self.sequence)}
-
-
-class Scannable:
-    """A named, unit-carrying wrapper around one :class:`ScanAxis`.
-
-    Experiments declare their axes as ``Scannable("replicas",
-    ExplicitScan((1, 2, 4)))`` and iterate the wrapper; ``describe``
-    composes the axis description with the axis name for metrics.
-    """
-
-    def __init__(self, name: str, axis: ScanAxis, unit: str = ""):
-        if not name:
-            raise ValueError("scannable needs a name")
-        if not isinstance(axis, ScanAxis):
-            raise TypeError(
-                f"axis must be a ScanAxis (NoScan/RangeScan/ExplicitScan), "
-                f"got {type(axis).__name__}"
-            )
-        self.name = name
-        self.axis = axis
-        self.unit = unit
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.axis)
-
-    def __len__(self) -> int:
-        return len(self.axis)
-
-    def describe(self) -> Dict[str, Any]:
-        description = {"name": self.name, **self.axis.describe()}
-        if self.unit:
-            description["unit"] = self.unit
-        return description
 
 
 # ----------------------------------------------------------------------

@@ -1,59 +1,9 @@
-"""Tests for the templated load generator and the sweep grammar."""
+"""Tests for the templated load generator."""
 
 import numpy as np
 import pytest
 
-from repro.workloads.loadgen import (
-    ExplicitScan,
-    LoadSpec,
-    NoScan,
-    RangeScan,
-    Scannable,
-    UserClass,
-    generate_load,
-)
-
-
-class TestSweepGrammar:
-    def test_no_scan_repeats_one_value(self):
-        axis = NoScan(7, repetitions=3)
-        assert list(axis) == [7, 7, 7]
-        assert len(axis) == 3
-        assert axis.describe()["kind"] == "no-scan"
-
-    def test_no_scan_rejects_zero_repetitions(self):
-        with pytest.raises(ValueError):
-            NoScan(1, repetitions=0)
-
-    def test_range_scan_spans_inclusive(self):
-        axis = RangeScan(0.0, 1.0, 5)
-        values = list(axis)
-        assert values[0] == 0.0
-        assert values[-1] == 1.0
-        assert len(values) == len(axis) == 5
-
-    def test_range_scan_single_point(self):
-        assert list(RangeScan(2.0, 9.0, 1)) == [2.0]
-
-    def test_explicit_scan_preserves_order(self):
-        axis = ExplicitScan((1, 2, 4))
-        assert list(axis) == [1, 2, 4]
-        assert axis.describe()["sequence"] == [1, 2, 4]
-
-    def test_explicit_scan_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ExplicitScan(())
-
-    def test_scannable_wraps_and_describes(self):
-        axis = Scannable("replicas", ExplicitScan((1, 2)), unit="nodes")
-        assert list(axis) == [1, 2]
-        description = axis.describe()
-        assert description["name"] == "replicas"
-        assert description["unit"] == "nodes"
-
-    def test_scannable_rejects_bare_sequences(self):
-        with pytest.raises(TypeError):
-            Scannable("replicas", (1, 2, 4))
+from repro.workloads.loadgen import LoadSpec, UserClass, generate_load
 
 
 def _spec(**changes) -> LoadSpec:

@@ -16,6 +16,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.schema import ColumnSpec
 from repro.storage.table import Table
 from repro.storage.tablespace import Tablespace
+from repro.trace.sinks import RingBufferSink
+from repro.trace.tracer import tracing
 
 from tests.conftest import flat_cost, make_database, make_pool, make_schema
 
@@ -99,25 +101,62 @@ class TestPoolPressure:
     def test_reserve_clamped_to_keep_minimum_usable(self):
         sim = Simulator()
         pool = make_pool(sim, Disk(sim, DiskGeometry(total_pages=4096)), capacity=32)
-        granted = pool.reserve(1000)
-        assert granted == 32 - pool.MIN_USABLE_FRAMES
-        assert pool.effective_capacity == pool.MIN_USABLE_FRAMES
+        window = pool.reserve_frames("pool-pressure", 1000)
+        assert window.granted == 32 - pool.MIN_USABLE_FRAMES
+        assert pool.capacity - pool.reserved_frames == pool.MIN_USABLE_FRAMES
         # Fully reserved: further pressure is refused, not stacked.
-        assert pool.reserve(1) == 0
+        assert pool.reserve_frames("pool-pressure", 1).granted == 0
 
     def test_release_returns_only_whats_reserved(self):
         sim = Simulator()
         pool = make_pool(sim, Disk(sim, DiskGeometry(total_pages=4096)), capacity=32)
-        granted = pool.reserve(10)
-        assert pool.release_reserved(1000) == granted
+        window = pool.reserve_frames("pool-pressure", 10)
+        assert pool.release_frames(window) == 10
+        assert pool.release_frames(window) == 0
         assert pool.reserved_frames == 0
-        assert pool.effective_capacity == 32
 
     def test_negative_reserve_rejected(self):
         sim = Simulator()
         pool = make_pool(sim, Disk(sim, DiskGeometry(total_pages=4096)), capacity=32)
         with pytest.raises(BufferPoolError):
-            pool.reserve(-1)
+            pool.reserve_frames("pool-pressure", -1)
+
+    def test_ended_window_frees_only_its_own_frames(self):
+        """Two overlapping windows of 10 frames each (capacity 64): A is
+        clawed back 3 frames before B starts, so A's end gives back 7 and
+        B keeps all 10 until its own end."""
+        sim = Simulator()
+        pool = make_pool(sim, Disk(sim, DiskGeometry(total_pages=4096)), capacity=64)
+        plan = FaultPlan.from_spec(
+            "pool-pressure:fraction=0.16,from=1,until=3;"
+            "pool-pressure:fraction=0.16,from=2,until=4",
+            seed=0,
+        )
+        FaultInjector(sim, plan).attach(pool=pool)
+        reserved = {}
+
+        def claw_three() -> None:
+            for _ in range(3):
+                assert pool._claw_back_one()
+
+        def snapshot(at: float) -> None:
+            reserved[at] = pool.reserved_frames
+
+        sim.schedule(1.5, claw_three)
+        for at in (1.75, 2.5, 3.5, 4.5):
+            sim.schedule(at, lambda at=at: snapshot(at))
+        ring = RingBufferSink(capacity=None)
+        with tracing(ring):
+            sim.run()
+        frames = [
+            (e.reserved, e.released) for e in ring.events()
+            if e.kind == "pool_pressure"
+        ]
+        # A reserves 10, B reserves 10, A gives back what claw-back left
+        # it, B gives back all of its grant.
+        assert frames == [(10, 0), (10, 0), (0, 7), (0, 10)]
+        assert reserved == {1.75: 7, 2.5: 17, 3.5: 10, 4.5: 0}
+        assert pool.clawed_back_frames == 3
 
     def test_scans_complete_under_heavy_pressure(self):
         # 90 % of the pool reserved for the whole run: scans must still

@@ -1,15 +1,15 @@
-"""Property tests for named frame reservations and claw-back.
+"""Property tests for frame reservations and claw-back.
 
-Hypothesis drives random reserve / release_reserved / reserve_frames /
-release_frames / claw-back programs through the pool while checking the
-reservation accounting invariants the budgeted operators depend on:
+Hypothesis drives random programs of ``reserve_frames`` (with and
+without an ``on_clawback``), ``release_frames`` and claw-back through
+the pool while checking the reservation accounting invariants the
+budgeted operators and fault-pressure windows depend on:
 
 * at least ``MIN_USABLE_FRAMES`` frames always stay usable;
-* ``reserved_frames`` always equals the anonymous share plus the sum of
-  live claimants' grants (and the anonymous share is never negative —
-  ``release_reserved`` must not free a claimant's frames);
-* every frame granted to a claimant is eventually accounted for as
-  either clawed back or released, never both;
+* ``reserved_frames`` always equals the sum of live grants, so a
+  release can only free the frames its own reservation still holds;
+* every frame granted is eventually accounted for as either clawed back
+  or released, never both;
 * a fully drained pool ends with ``reserved_frames == 0``.
 """
 
@@ -24,8 +24,10 @@ from repro.sim.kernel import Simulator
 
 from tests.conftest import make_pool
 
-# One program step: (op, amount).  Claimant choice is derived from
-# ``amount`` so the strategy stays a flat tuple.
+# One program step: (op, amount).  Reservation choice is derived from
+# ``amount`` so the strategy stays a flat tuple.  ``reserve`` grants a
+# plain reservation (a fault-pressure window), ``reserve_frames`` one
+# that can shed state (a budgeted operator).
 step = st.tuples(
     st.sampled_from(
         ["reserve", "release", "reserve_frames", "release_frames", "claw"]
@@ -35,18 +37,16 @@ step = st.tuples(
 program = st.lists(step, min_size=1, max_size=30)
 
 
-def anonymous_share(pool: BufferPool) -> int:
-    live = sum(r.granted for r in pool._claimants)
-    return pool.reserved_frames - live
+def shed(reservation) -> None:
+    """An ``on_clawback`` that has nothing to do."""
 
 
-def check_invariants(pool: BufferPool) -> None:
+def check_invariants(pool: BufferPool, live) -> None:
     assert pool.capacity - pool.reserved_frames >= BufferPool.MIN_USABLE_FRAMES
-    assert pool.reserved_frames >= 0
-    assert anonymous_share(pool) >= 0, (
-        "release_reserved freed a claimant's frames"
+    assert pool.reserved_frames == sum(r.granted for r in live), (
+        "a release freed frames another reservation holds"
     )
-    for reservation in pool._claimants:
+    for reservation in live:
         assert reservation.granted >= 0
         assert not reservation.released
 
@@ -63,21 +63,15 @@ class TestReservationRoundTrip:
         total_clawed_or_released = 0
 
         for op, amount in steps:
-            if op == "reserve":
-                granted = pool.reserve(amount)
-                assert 0 <= granted <= amount
-            elif op == "release":
-                anonymous = anonymous_share(pool)
-                freed = pool.release_reserved(amount)
-                assert freed == min(amount, anonymous)
-            elif op == "reserve_frames":
+            if op in ("reserve", "reserve_frames"):
                 reservation = pool.reserve_frames(
-                    f"op-{len(live)}", amount
+                    f"op-{len(live)}", amount,
+                    on_clawback=shed if op == "reserve_frames" else None,
                 )
                 assert 0 <= reservation.granted <= amount
                 total_granted += reservation.granted
                 live.append(reservation)
-            elif op == "release_frames" and live:
+            elif op in ("release", "release_frames") and live:
                 reservation = live.pop(amount % len(live))
                 before = reservation.granted
                 freed = pool.release_frames(reservation)
@@ -92,19 +86,16 @@ class TestReservationRoundTrip:
                 assert took == (before > 0)
                 if took:
                     assert pool.reserved_frames == before - 1
-            check_invariants(pool)
+                    total_clawed_or_released += 1
+            check_invariants(pool, live)
 
-        # Conservation: every claimant frame is held, clawed, or released.
+        # Conservation: every granted frame is held, clawed, or released.
         still_held = sum(r.granted for r in live)
-        assert total_granted >= total_clawed_or_released + still_held
+        assert total_granted == total_clawed_or_released + still_held
 
-        # Full drain: releasing every claimant and the anonymous share
-        # leaves nothing reserved.
+        # Full drain: releasing every reservation leaves nothing reserved.
         for reservation in live:
             pool.release_frames(reservation)
-        if pool.reserved_frames:
-            pool.release_reserved(pool.reserved_frames)
-        assert anonymous_share(pool) == 0
         assert pool.reserved_frames == 0
 
     @settings(max_examples=40, deadline=None)
@@ -115,45 +106,61 @@ class TestReservationRoundTrip:
         sim = Simulator()
         disk = Disk(sim, DiskGeometry(total_pages=4096))
         pool = make_pool(sim, disk, capacity=capacity)
-        for index, ask in enumerate(asks):
+        live = [
             pool.reserve_frames(f"op-{index}", ask)
-            check_invariants(pool)
+            for index, ask in enumerate(asks)
+        ]
+        check_invariants(pool, live)
         ceiling = capacity - BufferPool.MIN_USABLE_FRAMES
         assert pool.reserved_frames <= ceiling
 
 
 class TestClawBackOrder:
     def test_lifo_claimants_then_anonymous(self, sim, disk):
+        """Reservations that can shed state give first, newest first; a
+        plain reservation (fault pressure) gives only after them."""
         pool = make_pool(sim, disk, capacity=32)
-        pool.reserve(4)                       # anonymous
-        first = pool.reserve_frames("first", 4)
-        second = pool.reserve_frames("second", 4)
+        pressure = pool.reserve_frames("pool-pressure", 4)
         seen = []
-        first.on_clawback = lambda r: seen.append("first")
-        second.on_clawback = lambda r: seen.append("second")
+        first = pool.reserve_frames("first", 4, lambda r: seen.append("first"))
+        second = pool.reserve_frames("second", 4, lambda r: seen.append("second"))
 
-        for _ in range(8):                    # drain both claimants
+        for _ in range(8):                    # drain both shedders
             assert pool._claw_back_one()
         assert seen == ["second"] * 4 + ["first"] * 4
         assert first.granted == 0 and first.clawed == 4
         assert second.granted == 0 and second.clawed == 4
 
-        assert pool.reserved_frames == 4      # anonymous share remains
+        assert pool.reserved_frames == 4      # the pressure window remains
         for _ in range(4):
             assert pool._claw_back_one()
+        assert pressure.granted == 0 and pressure.clawed == 4
         assert pool.reserved_frames == 0
         assert not pool._claw_back_one()
         assert pool.clawed_back_frames == 12
 
-    def test_release_reserved_cannot_free_claimant_frames(self, sim, disk):
+    def test_pressure_release_cannot_free_claimant_frames(self, sim, disk):
+        """Ending a pressure window frees its own frames, never an
+        operator's."""
         pool = make_pool(sim, disk, capacity=32)
-        reservation = pool.reserve_frames("agg", 8)
+        reservation = pool.reserve_frames("agg", 8, shed)
         assert reservation.granted == 8
-        assert pool.release_reserved(8) == 0
+        window = pool.reserve_frames("pool-pressure", 4)
+        assert pool.release_frames(window) == 4
         assert reservation.granted == 8
-        pool.reserve(4)
-        assert pool.release_reserved(100) == 4
         assert pool.reserved_frames == 8
+
+    def test_foreign_release_leaves_reservation_held(self, sim, disk):
+        """Handing a reservation to another pool's release is an error,
+        not a silent ``released`` mark that strands its frames."""
+        pool = make_pool(sim, disk, capacity=32)
+        other = make_pool(sim, disk, capacity=32)
+        reservation = pool.reserve_frames("agg", 8, shed)
+        with pytest.raises(ValueError):
+            other.release_frames(reservation)
+        assert not reservation.released
+        assert pool.release_frames(reservation) == 8
+        assert pool.reserved_frames == 0
 
 
 class TestExhaustionStaysTyped:
@@ -183,6 +190,5 @@ class TestExhaustionStaysTyped:
     def test_reserve_rejects_negative(self, sim, disk):
         pool = make_pool(sim, disk, capacity=8)
         with pytest.raises(BufferPoolError):
-            pool.reserve(-1)
-        with pytest.raises(BufferPoolError):
-            pool.release_reserved(-1)
+            pool.reserve_frames("pool-pressure", -1)
+        assert pool.reserved_frames == 0

@@ -192,7 +192,9 @@ class TestControllerUnit:
 
     def test_pool_pressure_triggers_multiplicative_decrease(self, db):
         controller = AdmissionController(db, ControllerConfig())
-        db.pool.reserve(int(db.pool.capacity * (PRESSURE_HIGH + 0.1)))
+        db.pool.reserve_frames(
+            "pool-pressure", int(db.pool.capacity * (PRESSURE_HIGH + 0.1))
+        )
         controller._tick()
         assert controller.mpl == int(INITIAL_MPL * DECREASE_FACTOR) == 2
         controller._tick()

@@ -80,6 +80,8 @@ COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--sharing-policy", "pbm"),
     ("chaos", "st-push", "--scale", "0.1", "--streams", "3",
      "--device-count", "2", "--push", "--sharing-policy", "cooperative"),
+    ("chaos", "ag-mix", "--scale", "0.1", "--streams", "2",
+     "--faults", "pool-pressure:fraction=0.6,from=0.0"),
     # ci.yml: the join and multi-device chaos steps
     ("chaos", "mj-join", "--scale", "0.1", "--streams", "2",
      "--faults", "pool-pressure:fraction=0.5,from=0.05,until=0.3"),
