@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 # Line budget for src/ (*.py + *.c), enforced by `make loc`.  Raise it in
 # the PR that needs the room, and say why.
-SRC_LOC_BUDGET := 16997
+SRC_LOC_BUDGET := 16971
 LOC = find $(1) -type f \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 .PHONY: test test-fast bench-smoke loc dead-code chaos-smoke policy-smoke agg-smoke cluster-smoke striped-smoke runall-smoke serve-quick serve-soak

@@ -15,7 +15,7 @@ Run:  python examples/cluster_showdown.py
 """
 
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import run_tasks, sweep_tasks
 from repro.metrics.report import format_table
 
 POLICIES = ["grouping-throttling", "cooperative", "pbm"]
@@ -23,8 +23,8 @@ POLICIES = ["grouping-throttling", "cooperative", "pbm"]
 
 def main():
     settings = ExperimentSettings(scale=0.1, seed=42)
-    suite = run_sweep(
-        "sv-cluster-skew", "sharing_policy", POLICIES, settings,
+    suite = run_tasks(
+        sweep_tasks("sv-cluster-skew", "sharing_policy", POLICIES, settings),
         jobs=len(POLICIES), use_cache=False,
     )
 

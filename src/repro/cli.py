@@ -16,12 +16,12 @@ Usage::
 
 ``run`` executes one experiment (see ``list`` for ids) and prints the
 same rows/series the paper's corresponding table or figure reports.
+``trace`` is ``run`` with the structured-event tracer attached: it
+prints an event summary and can stream the full trace to a JSONL file
+for offline analysis.
 ``run-all`` fans the whole battery out over a process pool with
 deterministic per-experiment seeds and an on-disk result cache;
 ``sweep`` does the same for one experiment across a parameter grid.
-``trace`` runs one experiment with the structured-event tracer
-attached, prints an event summary, and can stream the full trace to a
-JSONL file for offline analysis.
 ``chaos`` runs one experiment under a deterministic fault plan (scan
 kills, disk degradation, transient I/O errors, pool pressure) with the
 sharing-invariant checker armed; without ``--faults`` it runs the three
@@ -36,18 +36,96 @@ drained and stayed within its concurrency/queue bounds, and
 simulated-user load routed over a sharded replica fleet by a
 consistent-hash ring, each replica its own admission-controlled
 service — through the same cached, deterministic runner.
+
+Two seed conventions.  ``run``, ``trace`` and ``chaos`` simulate at
+``--seed`` as given.  ``run-all``, ``sweep``, ``serve-sim`` and
+``cluster-sim`` go through the runner, which simulates each task at
+``derive_seed(experiment, sweep point, --seed)``
+(:func:`repro.experiments.runner.derive_seed`).  So ``repro run e4
+--seed 42`` and ``repro run-all --only e4 --seed 42`` print different
+numbers, each reproducible on its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import fields
+from typing import Callable, Dict, List, Optional
 
+from repro.cluster.scenarios import CLUSTER_SCENARIOS
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import UnknownExperimentError, all_experiments, get
-from repro.fields import FieldError
-from repro.metrics.report import format_table
+from repro.experiments.runner import (
+    ExperimentTask, SuiteResult, metrics_digest, run_tasks, suite_tasks,
+    sweep_tasks,
+)
+from repro.faults.invariants import InvariantViolation
+from repro.fields import FieldError, field_type
+from repro.metrics.export import write_suite_json
+from repro.metrics.report import format_policy_table, format_table
+from repro.service.scenarios import SCENARIOS
+from repro.trace import JsonlSink, RingBufferSink, render_summary, tracing
+from repro.trace.sinks import TraceSink
+
+#: Every flag that sets an ExperimentSettings field: (field, flag, help),
+#: where the flag may name its metavar after a space.  The field gives
+#: the flag its type, default, choices and ``store_true``; the flag's
+#: name with dashes as underscores is its argparse dest.
+SETTING_FLAGS = (
+    ("scale", "--scale", "database scale factor (1.0 = headline size)"),
+    ("n_streams", "--streams", "number of concurrent query streams"),
+    ("seed", "--seed", "workload seed"),
+    ("policy", "--policy", "bufferpool victim policy"),
+    ("sharing_policy", "--sharing-policy",
+     "scan-sharing strategy: grouping-throttling, cooperative, or pbm"),
+    ("device_count", "--device-count",
+     "striped spindles backing the tablespace (1 = single disk)"),
+    ("stripe_extents", "--stripe-extents",
+     "stripe unit in prefetch extents (default: 4; the st-* experiments "
+     "default to 1)"),
+    ("push_prefetch", "--push",
+     "enable the leader-driven push prefetch pipeline (default: classic "
+     "pull)"),
+    ("agg_strategy", "--agg-strategy",
+     "spill strategy for memory-budgeted aggregation (ag-*/mj-* "
+     "experiments)"),
+    ("fault_spec", "--faults SPEC",
+     "fault spec or builtin plan name (e.g. 'leader-abort' or "
+     "'disk-delay:factor=4')"),
+    ("sharing_overrides", "--sharing KEY=VAL,...",
+     "SharingConfig overrides for the shared mode (e.g. "
+     "'distance_threshold_extents=4')"),
+    ("cluster_replicas", "--replicas",
+     "replica-fleet size override (scale sweeps doubling steps up to this)"),
+    ("cluster_users", "--users",
+     "simulated user-population override (default: one million)"),
+    ("service_horizon", "--horizon",
+     "arrival-window override in simulated seconds (default: per-scenario, "
+     "scale-derived)"),
+)
+
+#: The flag of each field in :data:`SETTING_FLAGS`.
+_FLAGS = {name: spec.split()[0] for name, spec, _help in SETTING_FLAGS}
+
+
+def _named(*prefixes: str) -> tuple:
+    """The settings whose names start with one of ``prefixes``."""
+    return tuple(name for name in _FLAGS if name.startswith(prefixes))
+
+
+#: The settings every experiment command takes: all but the scenario
+#: overrides, which serve-sim and cluster-sim take by name prefix.
+_SHARED = tuple(name for name in _FLAGS
+                if name not in _named("service_", "cluster_"))
+
+#: Each scenario command's scenario table and experiment-id prefix.
+_SCENARIO_TABLES = {
+    "serve-sim": (SCENARIOS, "sv-"),
+    "cluster-sim": (CLUSTER_SCENARIOS, "sv-cluster-"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="run one experiment across a parameter grid"
     )
-    sweep.add_argument("experiment", help="experiment id (see 'list')")
-    _add_settings_args(sweep)
+    _add_experiment_args(sweep)
     _add_runner_args(sweep)
     sweep.add_argument("--param", required=True,
                        help="ExperimentSettings field to sweep "
@@ -112,16 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run admission-controlled service scenarios (open/closed "
              "arrival streams with workload classes and backpressure)",
     )
-    serve.add_argument("scenario", nargs="?", default="steady",
-                       help="scenario name or comma-separated list "
-                            "(default: steady; see --list)")
-    serve.add_argument("--list", action="store_true", dest="list_scenarios",
-                       help="list scenarios and exit")
-    _add_settings_args(serve)
-    _add_runner_args(serve)
-    serve.add_argument("--horizon", type=float, default=None,
-                       help="arrival-window override in simulated seconds "
-                            "(default: per-scenario, scale-derived)")
+    _add_scenario_args(serve, "list scenarios and exit", _named("service_"))
     serve.add_argument("--assert-bounded", action="store_true",
                        help="exit 5 unless every run drained, stayed within "
                             "its MPL bound, and kept patience-bounded "
@@ -132,56 +200,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="run sharded multi-replica cluster scenarios (consistent-hash "
              "routing over a templated simulated-user load)",
     )
-    cluster.add_argument("scenario", nargs="?", default="steady",
-                         help="scenario name or comma-separated list "
-                              "(default: steady; see --list)")
-    cluster.add_argument("--list", action="store_true",
-                         dest="list_scenarios",
-                         help="list cluster scenarios and exit")
-    _add_settings_args(cluster)
-    _add_runner_args(cluster)
-    cluster.add_argument("--replicas", type=int, default=None,
-                         help="replica-fleet size override (scale sweeps "
-                              "doubling steps up to this)")
-    cluster.add_argument("--users", type=int, default=None,
-                         help="simulated user-population override "
-                              "(default: one million)")
-    cluster.add_argument("--horizon", type=float, default=None,
-                         help="arrival-window override in simulated seconds "
-                              "(default: per-scenario, scale-derived)")
+    _add_scenario_args(cluster, "list cluster scenarios and exit",
+                       _named("cluster_", "service_"))
     return parser
 
 
-def _add_settings_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.25,
-                        help="database scale factor (1.0 = headline size)")
-    parser.add_argument("--streams", type=int, default=5,
-                        help="number of concurrent query streams")
-    parser.add_argument("--seed", type=int, default=42, help="workload seed")
-    parser.add_argument("--policy", default="priority-lru",
-                        help="bufferpool victim policy")
-    parser.add_argument("--sharing-policy", default="grouping-throttling",
-                        help="scan-sharing strategy: grouping-throttling, "
-                             "cooperative, or pbm")
-    parser.add_argument("--device-count", type=int, default=1,
-                        help="striped spindles backing the tablespace "
-                             "(1 = single disk)")
-    parser.add_argument("--stripe-extents", type=int, default=None,
-                        help="stripe unit in prefetch extents (default: 4; "
-                             "the st-* experiments default to 1)")
-    parser.add_argument("--push", action="store_true",
-                        help="enable the leader-driven push prefetch "
-                             "pipeline (default: classic pull)")
-    parser.add_argument("--agg-strategy", default="hash",
-                        choices=("hash", "sort"),
-                        help="spill strategy for memory-budgeted "
-                             "aggregation (ag-*/mj-* experiments)")
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="fault spec or builtin plan name (e.g. "
-                             "'leader-abort' or 'disk-delay:factor=4')")
-    parser.add_argument("--sharing", metavar="KEY=VAL,...", default=None,
-                        help="SharingConfig overrides for the shared mode "
-                             "(e.g. 'distance_threshold_extents=4')")
+def _add_settings_args(parser: argparse.ArgumentParser,
+                       names: tuple = _SHARED) -> None:
+    """Declare the flags of the settings ``names``, in table order."""
+    declared = {field.name: field for field in fields(ExperimentSettings)}
+    for name, spec, help_text in SETTING_FLAGS:
+        if name not in names:
+            continue
+        flag, _, metavar = spec.partition(" ")
+        kind = field_type(ExperimentSettings, name)
+        # Text and structured fields take the raw string, which
+        # ExperimentSettings parses and checks.
+        options = {"action": "store_true"} if kind is bool else {
+            "type": kind if kind in (int, float) else None,
+            "choices": declared[name].metadata.get("choices"),
+            "metavar": metavar or None,
+        }
+        parser.add_argument(flag, default=declared[name].default,
+                            help=help_text, **options)
 
 
 def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
@@ -201,131 +242,141 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="write the consolidated results.json artifact")
 
 
+def _add_scenario_args(parser: argparse.ArgumentParser, list_help: str,
+                       overrides: tuple) -> None:
+    parser.add_argument("scenario", nargs="?", default="steady",
+                        help="scenario name or comma-separated list "
+                             "(default: steady; see --list)")
+    parser.add_argument("--list", action="store_true", dest="list_scenarios",
+                        help=list_help)
+    _add_settings_args(parser)
+    _add_runner_args(parser)
+    _add_settings_args(parser, overrides)
+
+
 class UsageError(Exception):
     """A bad argument value: ``main`` prints it as one line and exits 2."""
-
-
-#: The flag that sets each ExperimentSettings field (its argparse dest is
-#: the flag's name with dashes as underscores).
-_SETTING_FLAGS = {
-    "scale": "--scale", "n_streams": "--streams", "seed": "--seed",
-    "policy": "--policy", "sharing_policy": "--sharing-policy",
-    "device_count": "--device-count", "stripe_extents": "--stripe-extents",
-    "push_prefetch": "--push", "agg_strategy": "--agg-strategy",
-    "fault_spec": "--faults", "sharing_overrides": "--sharing",
-    "service_horizon": "--horizon", "cluster_replicas": "--replicas",
-    "cluster_users": "--users",
-}
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
     """The settings the command's flags describe; a bad value raises
     :class:`UsageError` naming its flag, before any simulation starts."""
     values = {}
-    for name, flag in _SETTING_FLAGS.items():
+    for name, flag in _FLAGS.items():
         dest = flag[2:].replace("-", "_")
-        if dest in args:  # --horizon/--replicas/--users: some commands only
+        if dest in args:  # the scenario overrides: some commands only
             values[name] = getattr(args, dest)
     try:
         return ExperimentSettings(**values)
     except FieldError as exc:
-        raise UsageError(exc.naming(_SETTING_FLAGS[exc.field])) from None
+        raise UsageError(exc.naming(_FLAGS[exc.field])) from None
 
 
-def _cmd_list() -> str:
+def _cmd_list(args: argparse.Namespace) -> int:
     rows = [[spec.name, spec.description] for spec in all_experiments()]
-    return format_table(["id", "experiment"], rows)
+    print(format_table(["id", "experiment"], rows))
+    return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> str:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``run`` and ``trace``: one experiment at ``--seed`` as given.
+
+    ``trace`` attaches a ring buffer, whose events it summarises, and
+    with ``--out`` a JSONL sink.
+    """
     settings = _settings_from_args(args)
     spec = get(args.experiment)
-    header = (
-        f"{spec.name.upper()} — {spec.description} "
-        f"(scale {args.scale}, {args.streams} streams)"
-    )
-    return header + "\n" + spec.run(settings).render()
+    traced = args.command == "trace"
+    sinks = []
+    if traced:
+        if args.ring < 1:
+            raise UsageError(f"--ring must be >= 1, got {args.ring}")
+        sinks.append(RingBufferSink(capacity=args.ring))
+        if args.out:
+            try:
+                sinks.append(JsonlSink(args.out))
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot open --out {args.out!r}: {exc}") from None
+    with tracing(*sinks) if traced else nullcontext():
+        body = spec.run(settings).render()
+    print(f"{spec.name.upper()} — {spec.description} "
+          f"(scale {settings.scale}, {settings.n_streams} streams"
+          f"{', traced' if traced else ''})")
+    print(body)
+    if traced:
+        ring = sinks[0]
+        print()
+        print(render_summary(ring.events(), total_seen=ring.total_seen))
+        if args.out:
+            print(f"trace written to {args.out}")
+    return 0
 
 
-def _suite_report(suite, header: str) -> str:
-    rows = [
-        [task.label, task.cache, f"{task.elapsed_seconds:.2f}", task.digest[:12]]
-        for task in suite.tasks
-    ]
-    table = format_table(["experiment", "cache", "seconds", "digest"], rows)
-    footer = (
-        f"{len(suite.tasks)} experiments, {suite.cache_hits} cache hits, "
-        f"{suite.wall_seconds:.2f}s wall ({suite.jobs} jobs); "
-        f"suite digest {suite.suite_digest()[:12]}"
-    )
-    return header + "\n" + table + "\n" + footer
-
-
-def _cmd_run_all(args: argparse.Namespace) -> str:
-    from repro.experiments.runner import run_suite
-    from repro.metrics.export import write_suite_json
-
-    settings = _settings_from_args(args)
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-    suite = run_suite(
-        settings, experiments=only, jobs=args.jobs,
-        use_cache=not args.no_cache, cache_dir=args.cache_dir,
-    )
-    text = _suite_report(
-        suite,
-        f"RUN-ALL — scale {args.scale}, {args.streams} streams, "
-        f"seed {args.seed}",
-    )
+def _run_and_report(args: argparse.Namespace, tasks: List[ExperimentTask],
+                    header: str) -> SuiteResult:
+    """``run-all``, ``sweep``, ``serve-sim`` and ``cluster-sim``: run the
+    tasks, print the suite report and each task's render, then write
+    ``--out``."""
+    suite = run_tasks(tasks, jobs=args.jobs, use_cache=not args.no_cache,
+                      cache_dir=args.cache_dir)
+    rows = [[task.label, task.cache, f"{task.elapsed_seconds:.2f}",
+             task.digest[:12]] for task in suite.tasks]
+    print(header)
+    print(format_table(["experiment", "cache", "seconds", "digest"], rows))
+    print(f"{len(suite.tasks)} experiments, {suite.cache_hits} cache hits, "
+          f"{suite.wall_seconds:.2f}s wall ({suite.jobs} jobs); "
+          f"suite digest {suite.suite_digest()[:12]}")
+    for task in suite.tasks:
+        print(f"\n--- {task.label} ---\n{task.render}")
     if args.out:
         write_suite_json(suite, args.out)
-        text += f"\nresults written to {args.out}"
-    return text
+        print(f"results written to {args.out}")
+    return suite
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
-    from repro.experiments.runner import run_sweep
-    from repro.metrics.export import write_suite_json
+def _cmd_run_all(args: argparse.Namespace) -> int:
+    settings = _settings_from_args(args)
+    only = [name.strip() for name in (args.only or "").split(",")
+            if name.strip()]
+    _run_and_report(
+        args, suite_tasks(settings, only),
+        f"RUN-ALL — scale {settings.scale}, {settings.n_streams} streams, "
+        f"seed {settings.seed}",
+    )
+    return 0
 
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings_from_args(args)
     spec = get(args.experiment)
     values = [token.strip() for token in args.values.split(",") if token.strip()]
     if not values:
         raise UsageError("--values must name at least one grid point")
     try:
-        suite = run_sweep(
-            spec.name, args.param, values, settings, jobs=args.jobs,
-            use_cache=not args.no_cache, cache_dir=args.cache_dir,
-        )
+        tasks = sweep_tasks(spec.name, args.param, values, settings)
     except FieldError as exc:
         raise UsageError(str(exc)) from None
-    parts = [_suite_report(
-        suite,
+    suite = _run_and_report(
+        args, tasks,
         f"SWEEP {spec.name.upper()} — {args.param} over "
-        f"{', '.join(values)} (scale {args.scale}, {args.streams} streams)",
-    )]
-    for task in suite.tasks:
-        parts.append(f"\n--- {task.label} ---\n{task.render}")
-    if args.param == "sharing_policy":
-        table = _sharing_policy_sweep_table(suite)
-        if table:
-            parts.append("\n=== sharing-policy comparison ===\n" + table)
-    if args.out:
-        write_suite_json(suite, args.out)
-        parts.append(f"\nresults written to {args.out}")
-    return "\n".join(parts)
+        f"{', '.join(values)} (scale {settings.scale}, "
+        f"{settings.n_streams} streams)",
+    )
+    table = (_sharing_policy_sweep_table(suite)
+             if args.param == "sharing_policy" else "")
+    if table:
+        print("\n=== sharing-policy comparison ===\n" + table)
+    return 0
 
 
-def _sharing_policy_sweep_table(suite) -> str:
+def _sharing_policy_sweep_table(suite: SuiteResult) -> str:
     """One aggregated comparison table for a ``sharing_policy`` sweep.
 
     Works for any experiment whose metrics look like one policy run
     (``pl-mix``) — grid points missing the expected keys degrade to
     ``-`` cells rather than breaking the sweep output.
     """
-    from repro.metrics.report import format_policy_table
-
     rows = []
     for task in suite.tasks:
         metrics = task.metrics
@@ -339,52 +390,16 @@ def _sharing_policy_sweep_table(suite) -> str:
     return format_policy_table(rows)
 
 
-def _cmd_trace(args: argparse.Namespace) -> str:
-    from repro.trace import JsonlSink, RingBufferSink, render_summary, tracing
-
-    settings = _settings_from_args(args)
-    spec = get(args.experiment)
-    if args.ring < 1:
-        raise UsageError(f"--ring must be >= 1, got {args.ring}")
-    ring = RingBufferSink(capacity=args.ring)
-    sinks = [ring]
-    if args.out:
-        try:
-            sinks.append(JsonlSink(args.out))
-        except OSError as exc:
-            raise UsageError(f"cannot open --out {args.out!r}: {exc}") from None
-    with tracing(*sinks):
-        body = spec.run(settings).render()
-    header = (
-        f"{spec.name.upper()} — {spec.description} "
-        f"(scale {args.scale}, {args.streams} streams, traced)"
-    )
-    text = header + "\n" + body + "\n\n"
-    text += render_summary(ring.events(), total_seen=ring.total_seen)
-    if args.out:
-        text += f"\ntrace written to {args.out}"
-    return text
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run one experiment under one or more fault plans.
 
-    Returns an exit code directly: 0 when every plan completed with the
-    invariant checker silent, 4 when any plan tripped a violation.
+    Exit 0 when every plan completed with the invariant checker silent,
+    4 when any plan tripped a violation.
     """
-    from collections import Counter
-
-    from repro.experiments.runner import metrics_digest
-    from repro.faults.invariants import InvariantViolation
-    from repro.trace import tracing
-    from repro.trace.sinks import TraceSink
-
     spec = get(args.experiment)
     settings = _settings_from_args(args)
-    if not args.faults:
-        plan_names = ["leader-abort", "disk-degrade", "pool-pressure"]
-    else:
-        plan_names = [args.faults]
+    plan_names = ([args.faults] if args.faults
+                  else ["leader-abort", "disk-degrade", "pool-pressure"])
 
     class KindCounter(TraceSink):
         """Counts (category, kind) pairs without retaining events."""
@@ -399,7 +414,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for plan in plan_names:
         print(
             f"CHAOS {spec.name.upper()} — plan {plan} "
-            f"(scale {args.scale}, {args.streams} streams, seed {args.seed})"
+            f"(scale {settings.scale}, {settings.n_streams} streams, "
+            f"seed {settings.seed})"
         )
         counter = KindCounter()
         try:
@@ -422,22 +438,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 4 if violations else 0
 
 
-def _cmd_scenarios(
-    args: argparse.Namespace, scenarios: Dict[str, str], prefix: str
-) -> int:
-    """Run one or more named scenarios through the parallel runner.
-
-    ``serve-sim`` and ``cluster-sim`` are this one command over different
-    scenario tables (``prefix`` + scenario name is the experiment id).
-    Returns an exit code directly: 0 on success, 4 on an invariant
-    violation (chaos runs), 5 when ``--assert-bounded`` found unbounded
-    behaviour; an unknown scenario or bad argument raises
-    :class:`UsageError`.
-    """
-    from repro.experiments.runner import ExperimentTask, run_tasks
-    from repro.faults.invariants import InvariantViolation
-    from repro.metrics.export import write_suite_json
-
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    """``serve-sim`` and ``cluster-sim``: named scenarios through the
+    runner.  Exit 5 when ``--assert-bounded`` found unbounded behaviour."""
+    scenarios, prefix = _SCENARIO_TABLES[args.command]
     if args.list_scenarios:
         print(format_table(["scenario", "description"], sorted(scenarios.items())))
         return 0
@@ -451,71 +455,51 @@ def _cmd_scenarios(
                 f"(known: {', '.join(sorted(scenarios))})"
             )
     settings = _settings_from_args(args)
-    tasks = [
-        ExperimentTask(experiment=f"{prefix}{name}", settings=settings)
-        for name in names
-    ]
-    try:
-        suite = run_tasks(
-            tasks, jobs=args.jobs,
-            use_cache=not args.no_cache, cache_dir=args.cache_dir,
-        )
-    except InvariantViolation as exc:
-        print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
-        return 4
-    print(_suite_report(
-        suite,
+    suite = _run_and_report(
+        args,
+        [ExperimentTask(experiment=f"{prefix}{name}", settings=settings)
+         for name in names],
         f"{args.command.upper()} — {', '.join(names)} "
         f"(scale {settings.scale}, seed {settings.seed})",
-    ))
-    for task in suite.tasks:
-        print(f"\n--- {task.label} ---\n{task.render}")
-    if args.out:
-        write_suite_json(suite, args.out)
-        print(f"results written to {args.out}")
-    if getattr(args, "assert_bounded", False):
-        from repro.service.metrics import bounded_problems
+    )
+    if not getattr(args, "assert_bounded", False):
+        return 0
+    from repro.service.metrics import bounded_problems
 
-        problems = []
-        for task in suite.tasks:
-            problems.extend(bounded_problems(task.label, task.metrics))
-        if problems:
-            print("\nUNBOUNDED SERVICE BEHAVIOUR:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 5
-        print("\nboundedness assertions passed")
+    problems = []
+    for task in suite.tasks:
+        problems.extend(bounded_problems(task.label, task.metrics))
+    if problems:
+        print("\nUNBOUNDED SERVICE BEHAVIOUR:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 5
+    print("\nboundedness assertions passed")
     return 0
+
+
+#: Every command's function: it prints its output and returns the exit code.
+COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "list": _cmd_list, "run": _cmd_run, "trace": _cmd_run,
+    "run-all": _cmd_run_all, "sweep": _cmd_sweep, "chaos": _cmd_chaos,
+    "serve-sim": _cmd_scenarios, "cluster-sim": _cmd_scenarios,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code: 2 for a bad argument,
+    4 for an invariant violation, else the command's own."""
     args = build_parser().parse_args(argv)
-    commands = {
-        "list": lambda: _cmd_list(),
-        "run": lambda: _cmd_run(args),
-        "run-all": lambda: _cmd_run_all(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "trace": lambda: _cmd_trace(args),
-    }
     try:
         if "jobs" in args and args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "serve-sim":
-            from repro.service.scenarios import SCENARIOS
-
-            return _cmd_scenarios(args, SCENARIOS, "sv-")
-        if args.command == "cluster-sim":
-            from repro.cluster.scenarios import CLUSTER_SCENARIOS
-
-            return _cmd_scenarios(args, CLUSTER_SCENARIOS, "sv-cluster-")
-        print(commands[args.command]())
+        return COMMANDS[args.command](args)
     except (UnknownExperimentError, UsageError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    except InvariantViolation as exc:
+        print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

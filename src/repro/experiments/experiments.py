@@ -259,7 +259,7 @@ def e5_reads_timeline(
     comparison: Optional[Comparison] = None,
 ) -> TimelineResult:
     """E5: pages read per time bucket (Figure-17 analog)."""
-    comparison = comparison or compare_modes(settings or ExperimentSettings())
+    comparison = comparison or compare_modes(settings)
     return TimelineResult(
         metric="pages read / bucket",
         base_series=comparison.base.reads_per_bucket,
@@ -272,7 +272,7 @@ def e6_seeks_timeline(
     comparison: Optional[Comparison] = None,
 ) -> TimelineResult:
     """E6: seeks per time bucket (Figure-18 analog)."""
-    comparison = comparison or compare_modes(settings or ExperimentSettings())
+    comparison = comparison or compare_modes(settings)
     return TimelineResult(
         metric="seeks / bucket",
         base_series=comparison.base.seeks_per_bucket,
@@ -322,7 +322,7 @@ def e7_per_stream(
     comparison: Optional[Comparison] = None,
 ) -> PerStreamResult:
     """E7: per-stream elapsed times (Figure-19 analog)."""
-    comparison = comparison or compare_modes(settings or ExperimentSettings())
+    comparison = comparison or compare_modes(settings)
     return PerStreamResult(
         base_elapsed=comparison.base.per_stream_elapsed,
         shared_elapsed=comparison.shared.per_stream_elapsed,
@@ -369,7 +369,7 @@ def e8_per_query(
     comparison: Optional[Comparison] = None,
 ) -> PerQueryResult:
     """E8: mean per-query elapsed times (Figure-20 analog)."""
-    comparison = comparison or compare_modes(settings or ExperimentSettings())
+    comparison = comparison or compare_modes(settings)
     return PerQueryResult(
         base_elapsed=comparison.base.per_query_elapsed,
         shared_elapsed=comparison.shared.per_query_elapsed,

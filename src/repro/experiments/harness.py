@@ -10,6 +10,7 @@ from repro.engine.database import Database, SystemConfig
 from repro.faults.plan import FaultPlan, FaultSpecError
 from repro.engine.executor import WorkloadResult, run_workload
 from repro.engine.query import QuerySpec
+from repro.engine.spill import AGG_STRATEGIES
 from repro.fields import FieldError, check_fields, parse_assignments
 from repro.metrics.cpu import CpuBreakdown
 from repro.metrics.report import format_table, percent_gain
@@ -22,13 +23,14 @@ class ExperimentSettings:
     """Knobs shared by all experiments.
 
     ``scale`` trades fidelity for runtime: 1.0 is the headline
-    configuration (lineitem 1600 pages, pool ≈ 5 %); the defaults sit
-    lower so the whole suite finishes in minutes.  Every field is part of
-    the result-cache key, and every single-valued one can be swept with
-    ``repro sweep --param <field>``.
+    configuration (lineitem 1600 pages, pool ≈ 5 %); the default of 0.25
+    (the paper bands' scale) keeps the whole suite to minutes.  Every
+    field is part of the result-cache key, and every single-valued one
+    can be swept with ``repro sweep --param <field>``.  The CLI's flags
+    take their types, defaults and choices from these fields.
     """
 
-    scale: float = 0.35
+    scale: float = 0.25
     n_streams: int = 5
     seed: int = 42
     query_names: Optional[Sequence[str]] = None
@@ -56,7 +58,8 @@ class ExperimentSettings:
     #: :data:`repro.engine.spill.AGG_STRATEGIES`): ``hash`` or ``sort``.
     #: Only the ``ag-*``/``mj-*`` experiments have budgeted steps; the
     #: classic templates ignore it.
-    agg_strategy: str = "hash"
+    agg_strategy: str = field(default="hash",
+                              metadata={"choices": AGG_STRATEGIES})
     #: Fault spec string (see :mod:`repro.faults.plan`); None = clean run.
     fault_spec: Optional[str] = None
     #: Arrival-window override for ``sv-*`` service scenarios, in

@@ -93,20 +93,9 @@ def code_fingerprint() -> str:
 _FINGERPRINT: Optional[str] = None
 
 
-def settings_to_dict(settings: ExperimentSettings) -> Dict[str, Any]:
-    """A JSON-safe dict of one settings object (tuples become lists)."""
-    raw = asdict(settings)
-    if raw.get("query_names") is not None:
-        raw["query_names"] = list(raw["query_names"])
-    if raw.get("sharing_overrides") is not None:
-        raw["sharing_overrides"] = [
-            list(pair) for pair in raw["sharing_overrides"]
-        ]
-    return raw
-
-
 def canonical_json(value: Any) -> str:
-    """The one serialization used for digests: sorted keys, no spaces."""
+    """The one serialization used for digests: sorted keys, no spaces,
+    tuples written as arrays."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -121,7 +110,7 @@ def cache_key(experiment: str, sweep_point: str,
     payload = canonical_json({
         "experiment": experiment,
         "sweep_point": sweep_point,
-        "settings": settings_to_dict(settings),
+        "settings": asdict(settings),
         "code": code_fingerprint(),
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -361,21 +350,15 @@ def run_tasks(
     )
 
 
-def run_suite(
-    settings: ExperimentSettings,
-    experiments: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-) -> SuiteResult:
-    """Run a set of experiments (default: all registered) in parallel."""
+def suite_tasks(
+    settings: ExperimentSettings, experiments: Optional[Sequence[str]] = None
+) -> List[ExperimentTask]:
+    """One task per experiment (default: every registered one)."""
     names = list(experiments) if experiments else [
         spec.name for spec in all_experiments()
     ]
-    tasks = [ExperimentTask(experiment=get(name).name, settings=settings)
-             for name in names]
-    return run_tasks(tasks, jobs=jobs, use_cache=use_cache,
-                     cache_dir=cache_dir)
+    return [ExperimentTask(experiment=get(name).name, settings=settings)
+            for name in names]
 
 
 def coerce_sweep_value(param: str, raw: str) -> Any:
@@ -389,19 +372,17 @@ def coerce_sweep_value(param: str, raw: str) -> Any:
     return parse_field_value(ExperimentSettings, param, raw)
 
 
-def run_sweep(
+def sweep_tasks(
     experiment: str,
     param: str,
     values: Sequence[Any],
     settings: ExperimentSettings,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-) -> SuiteResult:
-    """Run one experiment across a grid of one settings parameter.
+) -> List[ExperimentTask]:
+    """One task per grid point of one settings parameter.
 
     Each grid point gets its own derived seed (so points are
-    decorrelated) and its own cache entry.
+    decorrelated) and its own cache entry.  Every point is checked
+    before any task runs.
     """
     spec = get(experiment)
     tasks = []
@@ -412,5 +393,4 @@ def run_sweep(
             settings=settings.with_(**{param: coerced}),
             sweep_point=f"{param}={coerced}",
         ))
-    return run_tasks(tasks, jobs=jobs, use_cache=use_cache,
-                     cache_dir=cache_dir)
+    return tasks

@@ -41,6 +41,16 @@ def check_fields(owner: object, checks: Iterable[Tuple[str, bool, str]]) -> None
             )
 
 
+def field_type(owner: type, name: str) -> Any:
+    """The declared type of dataclass field ``owner.name``, reading
+    ``Optional[X]`` as ``X``."""
+    kind = get_type_hints(owner)[name]
+    members = [arg for arg in get_args(kind) if arg is not type(None)]
+    if get_origin(kind) is Union and len(members) == 1:
+        return members[0]
+    return kind
+
+
 def parse_field_value(owner: type, name: str, raw: str) -> Any:
     """Parse one token as the declared type of dataclass field ``owner.name``.
 
@@ -52,10 +62,7 @@ def parse_field_value(owner: type, name: str, raw: str) -> Any:
     if name not in known:
         raise FieldError(name, f"{name!r} is an unknown {owner.__name__} "
                                f"field (known: {', '.join(known)})")
-    kind = get_type_hints(owner)[name]
-    members = [arg for arg in get_args(kind) if arg is not type(None)]
-    if get_origin(kind) is Union and len(members) == 1:
-        kind = members[0]
+    kind = field_type(owner, name)
     if kind is bool and raw.lower() in _TRUE + _FALSE:
         return raw.lower() in _TRUE
     if kind is bool:

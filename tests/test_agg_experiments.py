@@ -23,7 +23,7 @@ from repro.experiments.aggregation import (
 )
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import REGISTRY
-from repro.experiments.runner import metrics_digest, run_suite
+from repro.experiments.runner import metrics_digest, run_tasks, suite_tasks
 
 #: Small enough for the test lane, sized so the AG18 template's group
 #: table genuinely outgrows its frame budget and spills.
@@ -96,9 +96,8 @@ def test_digest_stable_under_jobs(experiment):
     """Serial and multi-process runner executions must be byte-identical."""
     digests = []
     for jobs in (1, 2):
-        suite = run_suite(
-            SCENARIO, experiments=[experiment], jobs=jobs, use_cache=False
-        )
+        suite = run_tasks(suite_tasks(SCENARIO, [experiment]), jobs=jobs,
+                          use_cache=False)
         (task,) = suite.tasks
         digests.append(task.digest)
     assert digests[0] == digests[1], (

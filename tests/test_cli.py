@@ -272,6 +272,34 @@ def test_run_with_capacity_sized_policy(name, capsys):
     assert "overhead" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "e1"], ["trace", "e1"], ["run-all"], ["sweep", "e1", "--param",
+    "scale", "--values", "1"], ["chaos"], ["serve-sim"], ["cluster-sim"],
+], ids=" ".join)
+def test_flag_defaults_are_the_settings_defaults(argv):
+    """Every command's unset flags build ExperimentSettings' defaults:
+    each default, scale's included, has the dataclass as its one source."""
+    args = build_parser().parse_args(argv)
+    assert _settings_from_args(args) == ExperimentSettings()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "e1", "--scale", "0.05", "--streams", "1"],
+    ["run-all", "--only", "e1", "--scale", "0.05", "--streams", "1",
+     "--no-cache"],
+], ids=" ".join)
+def test_invariant_violation_is_exit_4(argv, capsys, monkeypatch):
+    from repro.faults.invariants import InvariantViolation
+
+    def violate(*args, **kwargs):
+        raise InvariantViolation("synthetic violation")
+
+    monkeypatch.setattr("repro.experiments.harness.run_workload", violate)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "INVARIANT VIOLATION: synthetic violation\n"
+
+
 class TestRunAll:
     def test_run_all_subset_writes_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "results.json"
@@ -282,6 +310,8 @@ class TestRunAll:
         out = capsys.readouterr().out
         assert "RUN-ALL" in out
         assert "miss" in out
+        assert "\n--- e1 ---\n" in out
+        assert out.endswith(f"results written to {out_file}\n")
         artifact = json.loads(out_file.read_text())
         assert artifact["schema"] == "repro-suite-v1"
         assert [entry["experiment"] for entry in artifact["experiments"]] == ["e1"]

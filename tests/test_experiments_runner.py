@@ -28,9 +28,9 @@ from repro.experiments.runner import (
     execute_task,
     first_divergence,
     metrics_digest,
-    run_suite,
-    run_sweep,
     run_tasks,
+    suite_tasks,
+    sweep_tasks,
 )
 
 TINY = ExperimentSettings(scale=0.05, n_streams=2, seed=7)
@@ -87,10 +87,9 @@ class TestDeterminism:
         assert metrics_digest(subprocess_metrics) == in_process.digest
 
     def test_parallel_suite_matches_serial(self):
-        serial = run_suite(TINY, experiments=["e1", "e5"], jobs=1,
-                           use_cache=False)
-        parallel = run_suite(TINY, experiments=["e1", "e5"], jobs=2,
-                             use_cache=False)
+        tasks = suite_tasks(TINY, ["e1", "e5"])
+        serial = run_tasks(tasks, jobs=1, use_cache=False)
+        parallel = run_tasks(tasks, jobs=2, use_cache=False)
         assert serial.suite_digest() == parallel.suite_digest()
         for left, right in zip(serial.tasks, parallel.tasks):
             assert first_divergence(left.metrics, right.metrics) is None
@@ -130,8 +129,8 @@ class TestSeedDerivation:
 
 class TestResultCache:
     def test_second_run_hits(self, tmp_path):
-        first = run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
-        second = run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
+        first = run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
+        second = run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
         assert [task.cache for task in first.tasks] == ["miss"]
         assert [task.cache for task in second.tasks] == ["hit"]
         assert first.suite_digest() == second.suite_digest()
@@ -139,22 +138,22 @@ class TestResultCache:
                                 second.tasks[0].metrics) is None
 
     def test_settings_change_misses(self, tmp_path):
-        run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
-        bumped = run_suite(TINY.with_(seed=8), experiments=["e1"],
+        run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
+        bumped = run_tasks(suite_tasks(TINY.with_(seed=8), ["e1"]),
                            cache_dir=str(tmp_path))
         assert [task.cache for task in bumped.tasks] == ["miss"]
 
     def test_no_cache_skips_store(self, tmp_path):
-        suite = run_suite(TINY, experiments=["e1"], use_cache=False,
+        suite = run_tasks(suite_tasks(TINY, ["e1"]), use_cache=False,
                           cache_dir=str(tmp_path))
         assert [task.cache for task in suite.tasks] == ["off"]
         assert not list(tmp_path.glob("*.json"))
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
+        run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
         for entry in tmp_path.glob("*.json"):
             entry.write_text("{not json")
-        suite = run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
+        suite = run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
         assert [task.cache for task in suite.tasks] == ["miss"]
 
     def test_key_depends_on_code_fingerprint(self):
@@ -184,7 +183,8 @@ class TestResultCache:
 
 class TestSweep:
     def test_sweep_points_labelled_and_decorrelated(self):
-        suite = run_sweep("e5", "n_streams", [2, 3], TINY, use_cache=False)
+        suite = run_tasks(sweep_tasks("e5", "n_streams", [2, 3], TINY),
+                          use_cache=False)
         assert [task.label for task in suite.tasks] == [
             "e5[n_streams=2]", "e5[n_streams=3]"
         ]
@@ -222,7 +222,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             coerce_sweep_value("nonsense", "1")
         with pytest.raises(ValueError, match="unknown sweep parameter"):
-            run_sweep("e1", "nonsense", ["1"], TINY, use_cache=False)
+            sweep_tasks("e1", "nonsense", ["1"], TINY)
 
 
 class TestFirstDivergence:
@@ -262,8 +262,8 @@ class TestRunTasks:
         assert [task.experiment for task in suite.tasks] == ["e5", "e1"]
 
     def test_mixed_hit_and_miss(self, tmp_path):
-        run_suite(TINY, experiments=["e1"], cache_dir=str(tmp_path))
-        suite = run_suite(TINY, experiments=["e1", "e5"],
+        run_tasks(suite_tasks(TINY, ["e1"]), cache_dir=str(tmp_path))
+        suite = run_tasks(suite_tasks(TINY, ["e1", "e5"]),
                           cache_dir=str(tmp_path))
         assert [task.cache for task in suite.tasks] == ["hit", "miss"]
         assert suite.cache_hits == 1
@@ -300,13 +300,24 @@ class TestCacheKeyCoversNewSettings:
         assert chaotic != other
 
     def test_settings_dict_is_json_safe(self):
-        from repro.experiments.runner import settings_to_dict
+        """The key digests ``asdict(settings)`` as plain JSON: tuples are
+        written as arrays, so the payload is the list form."""
+        import hashlib
+        from dataclasses import asdict
 
         settings = TINY.with_(
+            query_names=("Q6", "Q14"),
             sharing_overrides={"distance_threshold_extents": 4.0},
             fault_spec="leader-abort",
         )
-        raw = settings_to_dict(settings)
+        raw = asdict(settings)
+        assert raw["sharing_overrides"] == (("distance_threshold_extents", 4.0),)
+        raw["query_names"] = ["Q6", "Q14"]
+        raw["sharing_overrides"] = [["distance_threshold_extents", 4.0]]
         assert json.loads(canonical_json(raw)) == raw
-        assert raw["fault_spec"] == "leader-abort"
-        assert raw["sharing_overrides"] == [["distance_threshold_extents", 4.0]]
+        payload = canonical_json({
+            "experiment": "e1", "sweep_point": "", "settings": raw,
+            "code": code_fingerprint(),
+        })
+        assert cache_key("e1", "", settings) == (
+            hashlib.sha256(payload.encode("utf-8")).hexdigest())

@@ -35,7 +35,7 @@ import pytest
 
 from repro.experiments.experiments import e2_staggered_q6
 from repro.experiments.harness import ExperimentSettings
-from repro.experiments.runner import first_divergence, run_suite
+from repro.experiments.runner import first_divergence, run_tasks, suite_tasks
 from repro.trace import RingBufferSink, tracing
 from repro.trace.summary import summarize
 
@@ -116,7 +116,7 @@ def test_golden_file_is_committed():
 @pytest.mark.slow
 def test_suite_digests_match_manifest(regen_golden):
     """Every experiment's metrics digest at the quick geometry."""
-    suite = run_suite(QUICK_GEOMETRY, use_cache=False)
+    suite = run_tasks(suite_tasks(QUICK_GEOMETRY), use_cache=False)
     actual = {
         "geometry": {
             "scale": QUICK_GEOMETRY.scale,
@@ -155,7 +155,8 @@ def test_sort_strategy_digests_match_golden(regen_golden):
     """The budgeted aggregation experiments under ``agg_strategy="sort"``,
     which spill whole sorted tables instead of hash partitions."""
     settings = QUICK_GEOMETRY.with_(agg_strategy="sort")
-    suite = run_suite(settings, SORT_STRATEGY_EXPERIMENTS, use_cache=False)
+    suite = run_tasks(suite_tasks(settings, SORT_STRATEGY_EXPERIMENTS),
+                      use_cache=False)
     actual = {
         "geometry": {
             "scale": settings.scale,

@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.core.policy import SHARING_POLICY_NAMES
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.policies import pl_head2head, pl_mix
-from repro.experiments.runner import first_divergence, run_suite
+from repro.experiments.runner import first_divergence, run_tasks, suite_tasks
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "policy_head2head.json"
@@ -72,9 +72,8 @@ def test_pl_mix_digest_stable_under_jobs(policy, tmp_path):
     settings = SCENARIO.with_(sharing_policy=policy)
     digests = []
     for jobs in (1, 2):
-        suite = run_suite(
-            settings, experiments=["pl-mix"], jobs=jobs, use_cache=False
-        )
+        suite = run_tasks(suite_tasks(settings, ["pl-mix"]), jobs=jobs,
+                          use_cache=False)
         (task,) = suite.tasks
         digests.append(task.digest)
     assert digests[0] == digests[1], (
