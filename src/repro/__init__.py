@@ -20,7 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.buffer import BufferPool, PageKey, Priority, make_policy
+from repro.buffer import BufferPool, PageKey, Priority
 from repro.core import (
     ScanDescriptor,
     ScanGroup,
@@ -77,7 +77,6 @@ __all__ = [
     "col",
     "execute_query",
     "lit",
-    "make_policy",
     "run_workload",
     "__version__",
 ]

@@ -5,42 +5,31 @@ extra knob: when a scan finishes with a page, it *releases* it with a
 priority hint, and the victim-selection policy prefers to evict
 low-priority pages first.  This package provides that pool
 (:class:`~repro.buffer.pool.BufferPool`), the
-:class:`~repro.buffer.page.Priority` hint enum, and a family of pluggable
-replacement policies (priority-aware LRU as the DB2 stand-in, plus the
-related-work policies: LRU, CLOCK, LRU-K, 2Q, ARC, and PBM) used by the
-policy-comparison ablation.
+:class:`~repro.buffer.page.Priority` hint enum, and the victim policy
+behind the knob: priority-aware LRU, the DB2 stand-in (PBM's
+reuse-time policy replaces it when PBM sharing is on).  Experiment A5
+measures it against Belady's offline optimum
+(:mod:`repro.metrics.opt`) instead of against rival policies.
 """
 
 from repro.buffer.page import Frame, PageKey, Priority
 from repro.buffer.pool import BufferPool, BufferPoolError, PoolExhausted
 from repro.buffer.stats import BufferStats
 from repro.buffer.replacement import (
-    ArcPolicy,
-    ClockPolicy,
-    LruKPolicy,
-    LruPolicy,
     PbmPolicy,
     PriorityLruPolicy,
     ReplacementPolicy,
-    TwoQPolicy,
-    make_policy,
 )
 
 __all__ = [
-    "ArcPolicy",
     "BufferPool",
     "BufferPoolError",
     "BufferStats",
-    "ClockPolicy",
     "Frame",
-    "LruKPolicy",
-    "LruPolicy",
     "PageKey",
     "PbmPolicy",
     "PoolExhausted",
     "Priority",
     "PriorityLruPolicy",
     "ReplacementPolicy",
-    "TwoQPolicy",
-    "make_policy",
 ]

@@ -35,7 +35,7 @@ from typing import (
 
 import repro.trace.tracer as trace_slot
 from repro.buffer.page import Frame, PageKey, Priority
-from repro.buffer.replacement import ReplacementPolicy, make_policy
+from repro.buffer.replacement import PriorityLruPolicy, ReplacementPolicy
 from repro.buffer.stats import BufferStats
 from repro.disk.device import Disk
 from repro.sim.events import Event
@@ -130,9 +130,7 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         self.address_of = address_of
-        self.policy = policy if policy is not None else make_policy(
-            "priority-lru", capacity
-        )
+        self.policy = policy if policy is not None else PriorityLruPolicy()
         self.stats = BufferStats()
         # Slot-indexed frame table: a contiguous slab of ``capacity``
         # preallocated frames, a LIFO free-slot stack, and an int-keyed

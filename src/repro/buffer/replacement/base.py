@@ -21,9 +21,6 @@ EvictablePredicate = Callable[[PageKey], bool]
 class ReplacementPolicy(ABC):
     """Abstract victim-selection policy."""
 
-    #: Short registry name; subclasses override.
-    name = "abstract"
-
     @abstractmethod
     def on_admit(self, key: PageKey) -> None:
         """A page has been brought into the pool."""
@@ -35,9 +32,9 @@ class ReplacementPolicy(ABC):
     def on_release(self, key: PageKey, priority: Priority) -> None:
         """A page was unfixed with a priority hint.
 
-        Most classic policies ignore the hint; the DB2-style
+        The DB2-style
         :class:`~repro.buffer.replacement.priority_lru.PriorityLruPolicy`
-        is the one that honours it.
+        honours it; PBM evicts by predicted reuse and ignores it.
         """
 
     @abstractmethod

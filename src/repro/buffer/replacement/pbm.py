@@ -32,8 +32,6 @@ class ReuseOracle(Protocol):
 class PbmPolicy(ReplacementPolicy):
     """Evict the page with the longest predicted time to reuse."""
 
-    name = "pbm"
-
     def __init__(self, oracle: ReuseOracle) -> None:
         self._order: "OrderedDict[PageKey, None]" = OrderedDict()
         self._oracle = oracle

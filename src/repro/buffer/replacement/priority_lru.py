@@ -21,8 +21,6 @@ from repro.buffer.replacement.base import EvictablePredicate, ReplacementPolicy
 class PriorityLruPolicy(ReplacementPolicy):
     """LRU within priority classes; lowest class evicted first."""
 
-    name = "priority-lru"
-
     def __init__(self) -> None:
         self._levels: Dict[Priority, "OrderedDict[PageKey, None]"] = {
             level: OrderedDict() for level in sorted(Priority)

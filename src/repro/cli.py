@@ -78,7 +78,6 @@ SETTING_FLAGS = (
     ("scale", "--scale", "database scale factor (1.0 = headline size)"),
     ("n_streams", "--streams", "number of concurrent query streams"),
     ("seed", "--seed", "workload seed"),
-    ("policy", "--policy", "bufferpool victim policy"),
     ("sharing_policy", "--sharing-policy",
      "scan-sharing strategy: grouping-throttling, cooperative, or pbm"),
     ("device_count", "--device-count",

@@ -7,8 +7,7 @@ from typing import Dict, Generator, Optional
 
 from repro.buffer.pool import BufferPool
 from repro.buffer.push import PushPipeline
-from repro.buffer.replacement import KNOWN_POLICY_NAMES, make_policy
-from repro.buffer.replacement.pbm import PbmPolicy
+from repro.buffer.replacement import PbmPolicy, PriorityLruPolicy
 from repro.core.config import SharingConfig
 from repro.core.pbm import PbmScanManager
 from repro.core.policy import (
@@ -44,7 +43,6 @@ class SystemConfig:
     #: Pool size as a fraction of the database (the paper used ~5 %),
     #: floored at :attr:`Database.MIN_POOL_PAGES`.
     pool_fraction: float = 0.05
-    policy: str = "priority-lru"
     #: Which scan-sharing strategy coordinates scans (see
     #: :data:`repro.core.policy.SHARING_POLICY_NAMES`).  ``pbm``
     #: additionally replaces the bufferpool victim policy with the
@@ -95,7 +93,6 @@ class SystemConfig:
             ("temp_space_pages", self.temp_space_pages >= 1, ">= 1"),
         ))
         for name, spelled, value, known in (
-            ("policy", "victim policy", self.policy.lower(), KNOWN_POLICY_NAMES),
             ("sharing_policy", "sharing policy", self.sharing_policy,
              SHARING_POLICY_NAMES),
             ("agg_strategy", "agg_strategy", self.agg_strategy, AGG_STRATEGIES),
@@ -195,10 +192,10 @@ class Database:
         )
         if isinstance(self._sharing, PbmScanManager) and self.sharing_enabled:
             # PBM *is* a replacement policy: with sharing on, the pool
-            # evicts by predicted reuse time instead of config.policy.
+            # evicts by predicted reuse time instead of by priority-LRU.
             pool_policy = PbmPolicy(self._sharing)
         else:
-            pool_policy = make_policy(self.config.policy, capacity)
+            pool_policy = PriorityLruPolicy()
         self._pool = BufferPool(
             self.sim,
             self.disk,

@@ -26,6 +26,7 @@ from repro.experiments.harness import (
     expected_table_pages,
     run_mode,
 )
+from repro.metrics.opt import opt_misses, recorded_fixes
 from repro.metrics.report import format_series, format_table, percent_gain
 from repro.workloads.tpch_queries import make_query
 from repro.workloads.tpch_schema import DATE_RANGE_DAYS, TPCH_BASE_PAGES
@@ -563,27 +564,64 @@ def ablation_bufferpool_sweep(
     return ComparisonSweep(knob="pool", points=points)
 
 
-def ablation_policies(
-    settings: ExperimentSettings,
-    policies: Sequence[str] = ("lru", "lru-k", "2q", "arc", "clock", "priority-lru"),
-) -> SweepResult:
-    """A5: baseline victim policies vs the full sharing mechanism.
+@dataclass
+class OptGapResult:
+    """A5: Base and SS reads against Belady's OPT on each one's fixes.
 
-    Every row except the last runs *without* sharing (pure policy
-    comparison); the last row is the paper's mechanism on priority-LRU.
+    OPT on Base's own fix stream is the fewest reads any victim policy
+    could take for Base's request order; ``gap_share`` is how much of
+    the distance from priority-LRU to that bound SS closes by reordering
+    the requests instead.
     """
-    rows = []
-    for policy in policies:
-        mode = run_mode(
-            settings.with_(policy=policy), SharingConfig(enabled=False),
-            label=policy,
+
+    base: ModeResult
+    shared: ModeResult
+    opt_base: int
+    opt_shared: int
+
+    @property
+    def gap_share(self) -> float:
+        """Percent of Base's reads above OPT(Base) that SS saves (0 when
+        Base already reads OPT's count)."""
+        gap = self.base.pages_read - self.opt_base
+        if gap <= 0:
+            return 0.0
+        return 100.0 * (self.base.pages_read - self.shared.pages_read) / gap
+
+    def metrics(self) -> Dict[str, Any]:
+        return {
+            "base_pages_read": self.base.pages_read,
+            "shared_pages_read": self.shared.pages_read,
+            "opt_base_pages_read": self.opt_base,
+            "opt_shared_pages_read": self.opt_shared,
+            "gap_share_percent": self.gap_share,
+        }
+
+    def render(self) -> str:
+        table = format_table(
+            ["configuration", "pages read", "OPT on its own fixes"],
+            [["Base (priority-LRU)", self.base.pages_read, self.opt_base],
+             ["SS", self.shared.pages_read, self.opt_shared]],
         )
-        rows.append((f"{policy} (no sharing)", mode.makespan,
-                     mode.pages_read, mode.seeks))
-    shared = run_mode(settings, SharingConfig(), "sharing")
-    rows.append(("priority-lru + sharing", shared.makespan,
-                 shared.pages_read, shared.seeks))
-    return SweepResult(knob="victim policy", rows=rows)
+        return (f"{table}\nSS closes {self.gap_share:.1f} % of the gap "
+                f"between Base and OPT on Base's fixes")
+
+
+def ablation_opt_gap(settings: ExperimentSettings) -> OptGapResult:
+    """A5: how far reordering scans gets toward the best possible cache.
+
+    Runs Base (priority-LRU, no sharing) and SS, records each run's fix
+    stream and replays it through Belady's OPT at the pool's capacity.
+    """
+    capacity = settings.pool_pages or expected_pool_pages(settings)
+    runs = []
+    for sharing, label in ((SharingConfig(enabled=False), "Base"),
+                           (SharingConfig(), "SS")):
+        with recorded_fixes() as fixes:
+            mode = run_mode(settings, sharing, label)
+        runs.append((mode, opt_misses(fixes, capacity)))
+    (base, opt_base), (shared, opt_shared) = runs
+    return OptGapResult(base, shared, opt_base, opt_shared)
 
 
 def ablation_disk_scheduler(

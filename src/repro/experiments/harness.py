@@ -34,7 +34,6 @@ class ExperimentSettings:
     n_streams: int = 5
     seed: int = 42
     query_names: Optional[Sequence[str]] = None
-    policy: str = "priority-lru"
     #: Scan-sharing strategy for the shared mode (see
     #: :data:`repro.core.policy.SHARING_POLICY_NAMES`).
     sharing_policy: str = "grouping-throttling"
@@ -133,7 +132,7 @@ _POSITIVE_FIELDS = (
 
 #: The SystemConfig field each system setting sets.
 _SYSTEM_FIELDS = {
-    "pool_pages": "pool_pages", "policy": "policy",
+    "pool_pages": "pool_pages",
     "sharing_policy": "sharing_policy", "disk_scheduler": "disk_scheduler",
     "device_count": "n_disks", "stripe_extents": "stripe_extents",
     "push_prefetch": "push_enabled", "agg_strategy": "agg_strategy",

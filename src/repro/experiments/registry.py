@@ -25,7 +25,7 @@ from repro.experiments.experiments import (
     ablation_disk_array,
     ablation_disk_scheduler,
     ablation_fairness_cap,
-    ablation_policies,
+    ablation_opt_gap,
     ablation_priority,
     ablation_threshold,
     ablation_throttling,
@@ -114,7 +114,8 @@ register("a1", "ablation: throttling on/off", ablation_throttling)
 register("a2", "ablation: page prioritization on/off", ablation_priority)
 register("a3", "ablation: drift-threshold sweep", ablation_threshold)
 register("a4", "ablation: bufferpool-size sweep", ablation_bufferpool_sweep)
-register("a5", "related work: victim-policy comparison", ablation_policies)
+register("a5", "related work: priority-LRU and sharing against OPT",
+         ablation_opt_gap)
 register("a6", "ablation: fairness-cap sweep", ablation_fairness_cap)
 register("a7", "ablation: disk scheduler vs coordination",
          ablation_disk_scheduler)

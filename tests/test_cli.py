@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.buffer.replacement import KNOWN_POLICY_NAMES
 from repro.cli import _settings_from_args, build_parser, main
 from repro.experiments.harness import ExperimentSettings
 from repro.experiments.registry import REGISTRY, all_experiments
@@ -138,8 +137,6 @@ class TestUnknownExperiment:
     ["run", "e1", "--scale", "0"],
     ["run", "e1", "--scale", "-1"],
     ["run", "e1", "--streams", "0"],
-    ["run", "e1", "--policy", "bogus"],
-    ["run", "e1", "--policy", "pbm"],
     ["run", "e1", "--sharing-policy", "bogus"],
     ["run", "e1", "--device-count", "0"],
     ["run", "e1", "--stripe-extents", "0"],
@@ -149,7 +146,6 @@ class TestUnknownExperiment:
     ["sweep", "e1", "--param", "scale", "--values", "", "--no-cache"],
     ["trace", "e1", "--ring", "0"],
     ["chaos", "e2", "--scale", "0"],
-    ["chaos", "e2", "--policy", "bogus"],
     ["chaos", "e1", "--faults", "bogus"],
     ["serve-sim", "steady", "--streams", "0", "--no-cache"],
     ["cluster-sim", "steady", "--scale", "0", "--no-cache"],
@@ -182,7 +178,6 @@ BAD_SETTINGS = [
     ("scale", 0.0, ["run", "e1", "--scale", "0"], "0"),
     ("scale", -1.0, ["run", "e1", "--scale", "-1"], "-1"),
     ("n_streams", 0, ["run", "e1", "--streams", "0"], "0"),
-    ("policy", "bogus", ["run", "e1", "--policy", "bogus"], "bogus"),
     ("sharing_policy", "bogus",
      ["run", "e1", "--sharing-policy", "bogus"], "bogus"),
     ("device_count", 0, ["run", "e1", "--device-count", "0"], "0"),
@@ -255,21 +250,6 @@ def test_sweep_checks_every_point_before_any_task_runs(capsys,
                                                        no_simulation):
     assert_usage_error(["sweep", "e1", "--param", "device_count",
                         "--values", "1,0", "--no-cache"], capsys)
-
-
-@pytest.mark.parametrize("name", KNOWN_POLICY_NAMES + ("LRU", "2Q"))
-def test_every_known_policy_passes_validation(name):
-    """--policy accepts every name make_policy knows, in any case,
-    including those that size queues from the pool capacity."""
-    args = build_parser().parse_args(["run", "e1", "--policy", name])
-    assert _settings_from_args(args).policy == name
-
-
-@pytest.mark.parametrize("name", ["2q", "arc"])
-def test_run_with_capacity_sized_policy(name, capsys):
-    assert main(["run", "e1", "--scale", "0.05", "--streams", "1",
-                 "--policy", name]) == 0
-    assert "overhead" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

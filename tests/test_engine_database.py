@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.buffer.replacement import PriorityLruPolicy
 from repro.core.config import SharingConfig
 from repro.engine.database import Database, SystemConfig
 
@@ -81,7 +82,8 @@ class TestDatabaseLifecycle:
         assert db.default_scan_speed_estimate("t") > 0
 
     def test_policy_from_config(self):
-        db = Database(SystemConfig(pool_pages=32, policy="lru"))
+        """Outside PBM sharing the pool evicts by priority-LRU."""
+        db = Database(SystemConfig(pool_pages=32))
         db.create_table(simple_table_schema(), n_pages=64)
         db.open()
-        assert db.pool.policy.name == "lru"
+        assert isinstance(db.pool.policy, PriorityLruPolicy)

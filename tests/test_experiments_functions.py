@@ -12,7 +12,7 @@ from repro.experiments.experiments import (
     ablation_disk_array,
     ablation_disk_scheduler,
     ablation_fairness_cap,
-    ablation_policies,
+    ablation_opt_gap,
     ablation_priority,
     ablation_threshold,
     ablation_throttling,
@@ -96,9 +96,14 @@ class TestAblations:
         assert set(result.points) == {0.3, 1.5}
 
     def test_a5(self):
-        result = ablation_policies(TINY, policies=("lru",))
-        labels = [row[0] for row in result.rows]
-        assert labels == ["lru (no sharing)", "priority-lru + sharing"]
+        result = ablation_opt_gap(TINY)
+        assert set(result.metrics()) == {
+            "base_pages_read", "shared_pages_read", "opt_base_pages_read",
+            "opt_shared_pages_read", "gap_share_percent",
+        }
+        assert 0 < result.opt_base <= result.base.pages_read
+        assert 0 < result.opt_shared <= result.shared.pages_read
+        assert "OPT" in result.render()
 
     def test_a6(self):
         result = ablation_fairness_cap(TINY, caps=(0.0, 0.8))

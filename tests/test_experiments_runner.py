@@ -193,7 +193,7 @@ class TestSweep:
     def test_coerce_matches_field_types(self):
         assert coerce_sweep_value("n_streams", "4") == 4
         assert coerce_sweep_value("scale", "0.5") == 0.5
-        assert coerce_sweep_value("policy", "lru") == "lru"
+        assert coerce_sweep_value("sharing_policy", "pbm") == "pbm"
         assert coerce_sweep_value("pool_pages", "128") == 128
         assert coerce_sweep_value("push_prefetch", "on") is True
 

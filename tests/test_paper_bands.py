@@ -4,14 +4,15 @@ One row per claim: a registered experiment id, an extractor that turns
 the experiment's result into one number, and the open interval the
 number must fall in.  Every row runs at the same geometry (scale 0.25,
 five streams); the claim holds when the **median** over its seeds is
-inside the band, and a failure names the worst seed.  Redrawing the
+inside the band, and a failure names the worst seed.  A theorem (reads
+are never below Belady's OPT) holds its **minimum** instead.  Redrawing the
 stream mix moves single-seed numbers by tens of percent (E4's
 end-to-end gain spans 10–22 % over the five seeds), so one seed proves
 nothing either way.
 
 Seeds per row: all five by default.  E2 runs once because its numbers do
 not move with the seed (per-run gains 28.68–28.71 %).  The big sweeps
-(E9, A3, A4, A5, A9, pl-head2head: five to ten simulations and 4–7 s of
+(E9, A3, A4, A9, pl-head2head: five to ten simulations and 4–7 s of
 host time per seed) also run once, which is what keeps this file inside
 its 60 s budget; their five-seed spreads sit on the same side of their
 bands except E9's first row (seed 3 gives 0.957), see EXPERIMENTS.md.
@@ -55,6 +56,8 @@ class Band(NamedTuple):
     seeds: Tuple[int, ...] = SEEDS
     #: Why the band fails today (measured numbers + roadmap item), if it does.
     rotten: Optional[str] = None
+    #: How the per-seed values combine: a theorem takes the worst seed.
+    summary: Callable[[Any], float] = statistics.median
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +130,13 @@ def peak_gain(sweep) -> float:
 def peak_minus_largest_pool(sweep) -> float:
     """How far the cache-everything pool's gain sits below the peak."""
     return peak_gain(sweep) - sweep.points[max(sweep.points)].end_to_end_gain
+
+
+def reads_above_opt(result) -> float:
+    """The smaller of Base's and SS's pages read above OPT on their own
+    fix streams."""
+    return min(result.base.pages_read - result.opt_base,
+               result.shared.pages_read - result.opt_shared)
 
 
 def policy_read_gain(policy: str) -> Callable[[Any], float]:
@@ -205,8 +215,10 @@ BANDS = [
          peak_gain, low=10.0, seeds=ONCE),
     Band("A4 the cache-everything pool gains less than the peak", "a4",
          peak_minus_largest_pool, low=0.0, seeds=ONCE),
-    Band("A5 sharing beats every victim policy without it", "a5",
-         vs_best_other("priority-lru + sharing"), high=1.0, seeds=ONCE),
+    Band("A5 SS closes over 25 % of the Base-to-OPT read gap", "a5",
+         lambda r: r.gap_share, low=25.0),
+    Band("A5 Base and SS each read at least OPT on their own fixes", "a5",
+         reads_above_opt, low=-1.0, summary=min),
     Band("A6 the 80 % cap is within 10 % of the best cap", "a6",
          vs_best_other("cap 80%"), high=1.10),
     Band("A7 sharing beats the elevator alone", "a7",
@@ -266,11 +278,11 @@ def test_paper_band(band: Band, measured):
         seed: measured[band.experiment, seed].result(timeout=300)[band.claim]
         for seed in band.seeds
     }
-    median = statistics.median(values.values())
+    summary = band.summary(values.values())
     worst = min(values, key=lambda s: min(values[s] - band.low,
                                           band.high - values[s]))
-    assert band.low < median < band.high, (
-        f"{band.claim}: median {median:.3f} over seeds {band.seeds} is outside "
-        f"({band.low}, {band.high}); worst seed {worst} gives "
-        f"{values[worst]:.3f}"
+    assert band.low < summary < band.high, (
+        f"{band.claim}: {band.summary.__name__} {summary:.3f} over seeds "
+        f"{band.seeds} is outside ({band.low}, {band.high}); worst seed "
+        f"{worst} gives {values[worst]:.3f}"
     )

@@ -2,7 +2,7 @@
 
 * ``ReplacementPolicy.evict_victims`` and ``on_admit_run`` against the
   ``choose_victim`` -> ``on_evict`` loop and an ``on_admit`` per key, for
-  every registered policy: same victims in the same order, same state.
+  priority-LRU and PBM: same victims in the same order, same state.
 * ``BufferPool._plan_run`` (index arithmetic around the demanded page)
   and ``_absent_segments`` (one pass over consecutive pages) against the
   address-checking planner they replace, written out below.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import _PAGE_BITS
-from repro.buffer.replacement import KNOWN_POLICY_NAMES, PbmPolicy, make_policy
+from repro.buffer.replacement import PbmPolicy, PriorityLruPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.sim.events import Event
@@ -27,7 +27,6 @@ from repro.sim.kernel import Simulator
 
 from tests.conftest import make_pool
 
-CAPACITY = 12
 PAGES = 24
 
 
@@ -45,15 +44,14 @@ class _ModuloOracle:
 _ORACLE = _ModuloOracle()
 
 
-#: The registry's policies plus PBM, which only takes its oracle when
-#: built directly.
-POLICY_NAMES = KNOWN_POLICY_NAMES + ("pbm",)
+#: The pool's default policy and PBM's, which takes its oracle.
+POLICY_NAMES = ("priority-lru", "pbm")
 
 
 def build(name: str):
     if name == "pbm":
         return PbmPolicy(_ORACLE)
-    return make_policy(name, CAPACITY)
+    return PriorityLruPolicy()
 
 
 def snapshot(value):

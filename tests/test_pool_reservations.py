@@ -20,9 +20,11 @@ from repro.buffer.page import PageKey
 from repro.buffer.pool import BufferPool, BufferPoolError, PoolExhausted
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
+from repro.faults.plan import FaultPlan
+from repro.scans.table_scan import TableScan
 from repro.sim.kernel import Simulator
 
-from tests.conftest import make_pool
+from tests.conftest import flat_cost, make_database, make_pool
 
 # One program step: (op, amount).  Reservation choice is derived from
 # ``amount`` so the strategy stays a flat tuple.  ``reserve`` grants a
@@ -192,3 +194,33 @@ class TestExhaustionStaysTyped:
         with pytest.raises(BufferPoolError):
             pool.reserve_frames("pool-pressure", -1)
         assert pool.reserved_frames == 0
+
+
+class TestGrantShrinksThePool:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "reserve_frames grants without evicting: on a 64-page pool with two "
+        "scans of a 256-page table and pool-pressure:fraction=0.5,from=0.02, "
+        "resident + in flight is 56 + 8 = 64 at t=0.02 against "
+        "capacity - reserved_frames = 32; the read in flight lands at "
+        "t=0.020064 (64 resident) and only the next miss, at t=0.022574, "
+        "evicts down to 32.  Evicting at the grant moves the chaos digests, "
+        "so the fix waits for the re-baseline protocol (ROADMAP item 7c)"))
+    def test_pressure_window_evicts_at_its_start(self):
+        db = make_database(
+            n_pages=256, pool_pages=64,
+            fault_plan=FaultPlan.from_spec(
+                "pool-pressure:fraction=0.5,from=0.02", seed=0),
+        )
+        pool = db.pool
+        held = []
+        # Scheduled after Database.open scheduled the window, so it runs
+        # right after the grant at the same instant.
+        db.sim.schedule(0.02, lambda: held.append(
+            (pool.resident_count + pool.inflight_count,
+             pool.capacity - pool.reserved_frames)))
+        for _ in range(2):
+            db.sim.spawn(TableScan(db, "t", 0, 255, on_run=flat_cost(1e-6),
+                                   sharing=db.sharing).run())
+        db.sim.run()
+        [(occupied, budget)] = held
+        assert occupied <= budget

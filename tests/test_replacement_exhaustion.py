@@ -1,4 +1,4 @@
-"""Victim selection under pinned/reserved pressure, across every policy.
+"""Victim selection under pinned/reserved pressure, for both policies.
 
 Bugfix coverage: every ``choose_victim`` implementation must return
 ``None`` — never leak ``StopIteration``/``KeyError`` or pick a pinned
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.buffer.page import PageKey, Priority
 from repro.buffer.pool import BufferPoolError, PoolExhausted
-from repro.buffer.replacement import KNOWN_POLICY_NAMES, PbmPolicy, make_policy
+from repro.buffer.replacement import PbmPolicy, PriorityLruPolicy
 
 from tests.conftest import make_pool
 
@@ -27,15 +27,14 @@ class _ModuloOracle:
         return math.inf if page.page_no % 4 == 0 else float(page.page_no % 3)
 
 
-#: The registry's policies plus PBM, which only takes its oracle when
-#: built directly.
-POLICY_NAMES = KNOWN_POLICY_NAMES + ("pbm",)
+#: The pool's default policy and PBM's, which takes its oracle.
+POLICY_NAMES = ("priority-lru", "pbm")
 
 
 def build(name: str):
     if name == "pbm":
         return PbmPolicy(_ModuloOracle())
-    return make_policy(name, 32)
+    return PriorityLruPolicy()
 
 # One random workload: distinct admitted pages, re-hit indices (possibly
 # repeating), release priorities, and a pin mask over the admitted pages.

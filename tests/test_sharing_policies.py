@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.buffer.page import PageKey, Priority
-from repro.buffer.replacement import make_policy
 from repro.buffer.replacement.pbm import PbmPolicy
 from repro.core.config import SharingConfig
 from repro.core.cooperative import CooperativeScanManager
@@ -266,12 +265,6 @@ class TestPbmManager:
 
 
 class TestPbmPolicy:
-    def test_registry_rejects_pbm(self):
-        """PBM needs its scan registry, which only Database.open has; a
-        bare name would be LRU under a second name."""
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            make_policy("pbm", 64)
-
     def test_unbound_degrades_to_lru(self):
         """A page no registered scan will reach again has an infinite
         time to reuse; with no scans at all every page ties, and the
